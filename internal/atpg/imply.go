@@ -108,20 +108,12 @@ func (e *Engine) implyGate(frame int, gid netlist.GateID) bool {
 		}
 		return true
 	case netlist.KSlice:
-		in0 := bv.NewX(e.nl.Width(g.In[0]))
-		for i := g.Lo; i <= g.Hi; i++ {
-			in0 = in0.WithBit(i, out.Bit(i-g.Lo))
-		}
-		return e.assign(frame, g.In[0], in0)
+		return e.assign(frame, g.In[0], bv.Deposit(e.nl.Width(g.In[0]), g.Lo, out, 0, out.Width()))
 	case netlist.KZext:
 		inW := e.nl.Width(g.In[0])
 		// High output bits must be zero when the output is wider.
-		if out.Width() > inW {
-			for i := inW; i < out.Width(); i++ {
-				if out.Bit(i) == bv.One {
-					return false
-				}
-			}
+		if out.Width() > inW && out.HasOneIn(inW, out.Width()-inW) {
+			return false
 		}
 		return e.assign(frame, g.In[0], bv.BackZext(out, inW))
 	case netlist.KConst:
@@ -222,7 +214,7 @@ func (e *Engine) implyMulBack(frame int, g *netlist.Gate, out bv.BV) bool {
 
 // implyShiftBack maps output bits back through a shifter with a fully
 // known shift amount, and forces low/high output bits to zero
-// consistency.
+// consistency. A shifter's output has its operand's width.
 func (e *Engine) implyShiftBack(frame int, g *netlist.Gate, out bv.BV) bool {
 	amtV := e.vals[frame][g.In[1]]
 	s, ok := amtV.Uint64()
@@ -230,35 +222,23 @@ func (e *Engine) implyShiftBack(frame int, g *netlist.Gate, out bv.BV) bool {
 		return true
 	}
 	w := out.Width()
-	in0 := bv.NewX(e.nl.Width(g.In[0]))
 	if s >= uint64(w) {
 		return true // forward eval already forces zero output
 	}
 	sh := int(s)
+	var in0 bv.BV
 	if g.Kind == netlist.KShl {
 		// out[i] = in[i-sh] for i >= sh; out[i] = 0 below.
-		for i := 0; i < sh; i++ {
-			if out.Bit(i) == bv.One {
-				return false
-			}
+		if out.HasOneIn(0, sh) {
+			return false
 		}
-		for i := sh; i < w; i++ {
-			if i-sh < in0.Width() {
-				in0 = in0.WithBit(i-sh, out.Bit(i))
-			}
-		}
+		in0 = bv.Deposit(w, 0, out, sh, w-sh)
 	} else {
 		// out[i] = in[i+sh] for i+sh < w; out high bits zero.
-		for i := w - sh; i < w; i++ {
-			if out.Bit(i) == bv.One {
-				return false
-			}
+		if out.HasOneIn(w-sh, sh) {
+			return false
 		}
-		for i := 0; i+sh < w; i++ {
-			if i+sh < in0.Width() {
-				in0 = in0.WithBit(i+sh, out.Bit(i))
-			}
-		}
+		in0 = bv.Deposit(w, sh, out, 0, w-sh)
 	}
 	return e.assign(frame, g.In[0], in0)
 }
@@ -504,13 +484,8 @@ func (e *Engine) unjustified(frame int, gid netlist.GateID) bool {
 	for i, s := range g.In {
 		in[i] = e.vals[frame][s]
 	}
-	fwd := e.nl.EvalGate(g, in)
-	for i := 0; i < out.Width(); i++ {
-		if out.Bit(i) != bv.X && fwd.Bit(i) == bv.X {
-			return true
-		}
-	}
-	return false
+	// Unjustified iff some bit is known in out but x in fwd.
+	return bv.DeltaKnown(e.nl.EvalGate(g, in), out) != 0
 }
 
 // unjustifiedGates returns the unjustified gate instances across all

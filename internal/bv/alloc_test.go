@@ -12,6 +12,7 @@ import (
 var sinkBV BV
 var sinkTrit Trit
 var sinkBool bool
+var sinkWord uint64
 
 func TestSmallOpsZeroAlloc(t *testing.T) {
 	a := MustParse("16'b10xx_01xx_10x1_0x10")
@@ -57,6 +58,10 @@ func TestSmallOpsZeroAlloc(t *testing.T) {
 		"BackOr":     func() { sinkBV = BackOr(a, b) },
 		"BackXor":    func() { sinkBV = BackXor(a, b) },
 		"BackNot":    func() { sinkBV = BackNot(a) },
+		"BackZext":   func() { sinkBV = BackZext(a, 12) },
+		"Deposit":    func() { sinkBV = Deposit(64, 40, a, 2, 12) },
+		"HasOneIn":   func() { sinkBool = a.HasOneIn(3, 9) },
+		"DeltaKnown": func() { sinkWord = DeltaKnown(a, b) },
 	}
 	for name, fn := range ops {
 		if raceEnabled {
@@ -65,6 +70,40 @@ func TestSmallOpsZeroAlloc(t *testing.T) {
 		}
 		if got := testing.AllocsPerRun(100, fn); got != 0 {
 			t.Errorf("%s: %.2f allocs/op on single-word vectors, want 0", name, got)
+		}
+	}
+}
+
+// TestWideOpsAllocOnlyResult pins the 96-bit kernels to allocating
+// only their result: its two spill slices. A per-bit rebuild through
+// WithBit clones would allocate two slices per bit.
+func TestWideOpsAllocOnlyResult(t *testing.T) {
+	a := MustParse("96'hxx_0123_4567_89ab_cdef_x123_45x7")
+	b := Ones(96).WithBit(70, X).WithBit(5, X)
+	half := MustParse("48'h12x4_5678_9abc")
+	ops := map[string]func(){
+		"Add":       func() { sinkBV = a.Add(b) },
+		"Sub":       func() { sinkBV = a.Sub(b) },
+		"SubBorrow": func() { sinkBV, sinkTrit = a.SubBorrow(b) },
+		"Slice":     func() { sinkBV = a.Slice(90, 3) },
+		"Concat":    func() { sinkBV = Concat(half, half) },
+		"Zext":      func() { sinkBV = half.Zext(96) },
+		"Deposit":   func() { sinkBV = Deposit(96, 17, a, 5, 70) },
+		"BackZext":  func() { sinkBV = BackZext(a, 80) },
+		"RedAnd":    func() { sinkBV = a.RedAnd() },
+		"HasOneIn":  func() { sinkBool = a.HasOneIn(9, 80) },
+	}
+	for name, fn := range ops {
+		if raceEnabled {
+			fn()
+			continue
+		}
+		want := 2.0
+		if name == "RedAnd" || name == "HasOneIn" {
+			want = 0 // 1-bit or boolean result: nothing to allocate
+		}
+		if got := testing.AllocsPerRun(100, fn); got > want {
+			t.Errorf("%s: %.2f allocs/op on 96-bit vectors, want <= %.0f", name, got, want)
 		}
 	}
 }
@@ -137,67 +176,6 @@ func TestIntoKernelsMatchImmutable(t *testing.T) {
 			al = a.Clone()
 			al.UnionInPlace(b)
 			check("UnionInPlace", al, a.Union(b))
-		}
-	}
-}
-
-// addCarryRef is the per-trit ripple reference AddCarry (the pre-inline
-// implementation); the word-parallel small path must match it
-// bit-for-bit on every input.
-func addCarryRef(a, b BV, cin Trit) (BV, Trit) {
-	sum := NewX(a.width)
-	c := cin
-	for i := 0; i < a.width; i++ {
-		ai, bi := a.getTrit(i), b.getTrit(i)
-		sum.setBit(i, tritXor(tritXor(ai, bi), c))
-		c = tritMaj(ai, bi, c)
-	}
-	return sum, c
-}
-
-func cubeFromTrits(w int, idx int) BV {
-	b := NewX(w)
-	for i := 0; i < w; i++ {
-		b.setBit(i, Trit(idx%3))
-		idx /= 3
-	}
-	return b
-}
-
-func TestAddCarrySmallMatchesRipple(t *testing.T) {
-	// Exhaustive over all cube pairs up to width 4, all carry-ins.
-	for w := 1; w <= 4; w++ {
-		n := 1
-		for i := 0; i < w; i++ {
-			n *= 3
-		}
-		for ia := 0; ia < n; ia++ {
-			a := cubeFromTrits(w, ia)
-			for ib := 0; ib < n; ib++ {
-				b := cubeFromTrits(w, ib)
-				for _, cin := range []Trit{Zero, One, X} {
-					gotS, gotC := a.AddCarry(b, cin)
-					wantS, wantC := addCarryRef(a, b, cin)
-					if !gotS.Equal(wantS) || gotC != wantC {
-						t.Fatalf("AddCarry(%v, %v, %v) = (%v, %v), ripple reference gives (%v, %v)",
-							a, b, cin, gotS, gotC, wantS, wantC)
-					}
-				}
-			}
-		}
-	}
-	// Randomized at the word-boundary widths.
-	rng := rand.New(rand.NewSource(7))
-	for _, w := range []int{31, 32, 63, 64} {
-		for trial := 0; trial < 2000; trial++ {
-			a, b := randCube(rng, w), randCube(rng, w)
-			cin := Trit(rng.Intn(3))
-			gotS, gotC := a.AddCarry(b, cin)
-			wantS, wantC := addCarryRef(a, b, cin)
-			if !gotS.Equal(wantS) || gotC != wantC {
-				t.Fatalf("w=%d AddCarry(%v, %v, %v) = (%v, %v), want (%v, %v)",
-					w, a, b, cin, gotS, gotC, wantS, wantC)
-			}
 		}
 	}
 }

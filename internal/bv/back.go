@@ -70,9 +70,8 @@ func BackNot(out BV) BV { return out.Not() }
 
 // BackRedAnd returns the implication on the input of a reduction AND
 // whose 1-bit output is out: output 1 forces all input bits to 1;
-// output 0 with exactly one non-1... (only the all-ones case is exact;
 // output 0 forces the single remaining x bit to 0 when all other bits
-// are known 1).
+// are known 1.
 func BackRedAnd(out BV, in BV) BV {
 	if out.Width() != 1 {
 		panic("bv: BackRedAnd output must be 1 bit")
@@ -81,23 +80,10 @@ func BackRedAnd(out BV, in BV) BV {
 	case One:
 		return Ones(in.width)
 	case Zero:
-		// If all bits but one are known 1, that one must be 0.
-		idx := -1
-		for i := 0; i < in.width; i++ {
-			switch in.getTrit(i) {
-			case Zero:
-				return in // already satisfied; no new implication
-			case X:
-				if idx >= 0 {
-					return in // more than one x: nothing forced
-				}
-				idx = i
-			}
+		// One x bit and no bit known 0: the x bit must be 0.
+		if in.width-in.KnownCount() == 1 && in.RedAnd().Bit(0) != Zero {
+			return in.WithBit(in.firstX(), Zero)
 		}
-		if idx >= 0 {
-			return in.WithBit(idx, Zero)
-		}
-		return in
 	}
 	return in
 }
@@ -112,22 +98,10 @@ func BackRedOr(out BV, in BV) BV {
 	case Zero:
 		return FromUint64(in.width, 0)
 	case One:
-		idx := -1
-		for i := 0; i < in.width; i++ {
-			switch in.getTrit(i) {
-			case One:
-				return in
-			case X:
-				if idx >= 0 {
-					return in
-				}
-				idx = i
-			}
+		// One x bit and no bit known 1: the x bit must be 1.
+		if in.width-in.KnownCount() == 1 && in.RedOr().Bit(0) != One {
+			return in.WithBit(in.firstX(), One)
 		}
-		if idx >= 0 {
-			return in.WithBit(idx, One)
-		}
-		return in
 	}
 	return in
 }
@@ -151,11 +125,5 @@ func BackSubSubtrahend(out, minuend BV) BV { return minuend.Sub(out) }
 // whose output cube is out: high output bits known 1 conflict (reported
 // by the caller via Refine), low bits map through.
 func BackZext(out BV, inWidth int) BV {
-	r := NewX(inWidth)
-	n := inWidth
-	if out.width < n {
-		n = out.width
-	}
-	blit(&r, 0, out, 0, n)
-	return r
+	return Deposit(inWidth, 0, out, 0, min(inWidth, out.width))
 }

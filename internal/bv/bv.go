@@ -628,21 +628,41 @@ func (b BV) Slice(hi, lo int) BV {
 	return c
 }
 
+// Deposit returns an all-x vector of the given width whose bits
+// [at, at+n) hold the n bits of src starting at srcLo: the
+// back-implication of a slice, shift or zero-extension onto its input,
+// built with one word-level copy.
+func Deposit(width, at int, src BV, srcLo, n int) BV {
+	if at < 0 || srcLo < 0 || n < 0 || at+n > width || srcLo+n > src.width {
+		panic(fmt.Sprintf("bv: bad deposit of bits [%d, %d) of width %d at %d of width %d",
+			srcLo, srcLo+n, src.width, at, width))
+	}
+	c := NewX(width)
+	blit(&c, at, src, srcLo, n)
+	return c
+}
+
+// HasOneIn reports whether any of the bits [lo, lo+n) is known 1.
+func (b BV) HasOneIn(lo, n int) bool {
+	if lo < 0 || n < 0 || lo+n > b.width {
+		panic(fmt.Sprintf("bv: bad range [%d, %d) of width %d", lo, lo+n, b.width))
+	}
+	for n > 0 {
+		c := min(wordBits, n)
+		if v, _ := b.bitsAt(lo); v&lowMask(c) != 0 {
+			return true
+		}
+		lo, n = lo+c, n-c
+	}
+	return false
+}
+
 // Zext zero-extends (or truncates) b to the given width. Truncation
 // drops high bits; extension adds known-0 bits.
 func (b BV) Zext(width int) BV {
+	n := min(b.width, width)
 	c := NewX(width)
-	n := b.width
-	if n > width {
-		n = width
-	}
 	blit(&c, 0, b, 0, n)
-	if c.small() {
-		c.k0 |= lowMask(width) &^ lowMask(n)
-		return c
-	}
-	for i := n; i < width; i++ {
-		c.setBit(i, Zero)
-	}
+	c.knownZero(n, width-n)
 	return c
 }

@@ -1,5 +1,7 @@
 package bv
 
+import "math/bits"
+
 // Allocation-conscious primitives and the engine-internal mutating API.
 // The exported immutable API (bv.go, ops.go, back.go) is unchanged;
 // small vectors (width <= 64) are plain values, so the immutable
@@ -127,35 +129,77 @@ func ConflictMask(a, b BV) uint64 {
 	return m
 }
 
+// setWord stores the i-th (val, known) word pair of an unshared vector.
+func (b *BV) setWord(i int, v, k uint64) {
+	if b.vs == nil {
+		b.v0, b.k0 = v, k
+		return
+	}
+	b.vs[i], b.ks[i] = v, k
+}
+
+// orWord ORs a (val, known) pair into the i-th word of an unshared
+// vector.
+func (b *BV) orWord(i int, v, k uint64) {
+	if b.vs == nil {
+		b.v0 |= v
+		b.k0 |= k
+		return
+	}
+	b.vs[i] |= v
+	b.ks[i] |= k
+}
+
+// bitsAt returns the (val, known) bits at positions [pos, pos+64) of
+// either representation; positions at or beyond the width read as x.
+func (b *BV) bitsAt(pos int) (v, k uint64) {
+	i, s := pos/wordBits, uint(pos%wordBits)
+	v, k = b.word(i)
+	v, k = v>>s, k>>s
+	if s != 0 && i+1 < len(b.vs) {
+		v |= b.vs[i+1] << (wordBits - s)
+		k |= b.ks[i+1] << (wordBits - s)
+	}
+	return v, k
+}
+
 // blit copies n bits of src starting at srcLo into dst starting at
 // dstLo, OR-ing known bits in. dst must be unshared; bits outside the
-// blit are untouched.
+// blit are untouched. It moves one destination word per step, so its
+// cost is linear in words, not bits, at any alignment.
 func blit(dst *BV, dstLo int, src BV, srcLo, n int) {
-	if n == 0 {
-		return
+	for n > 0 {
+		dw, ds := dstLo/wordBits, uint(dstLo%wordBits)
+		c := min(wordBits-int(ds), n)
+		v, k := src.bitsAt(srcLo)
+		m := lowMask(c)
+		dst.orWord(dw, (v&m)<<ds, (k&m)<<ds)
+		dstLo, srcLo, n = dstLo+c, srcLo+c, n-c
 	}
-	if dst.small() && src.small() {
-		m := lowMask(n)
-		kn := (src.k0 >> uint(srcLo)) & m
-		vl := (src.v0 >> uint(srcLo)) & m
-		dst.k0 |= kn << uint(dstLo)
-		dst.v0 |= vl << uint(dstLo)
-		return
-	}
-	for k := 0; k < n; k++ {
-		sv, sk := src.word((srcLo + k) / wordBits)
-		ss := uint((srcLo + k) % wordBits)
-		kn := sk >> ss & 1
-		vl := sv >> ss & 1
-		if dst.vs == nil {
-			ds := uint(dstLo + k)
-			dst.k0 |= kn << ds
-			dst.v0 |= (vl & kn) << ds
-			continue
+}
+
+// firstX returns the position of the lowest x bit, or -1 if every bit
+// is known.
+func (b *BV) firstX() int {
+	for i := 0; i < words(b.width); i++ {
+		if _, k := b.word(i); k != ^uint64(0) {
+			if p := i*wordBits + bits.TrailingZeros64(^k); p < b.width {
+				return p
+			}
+			return -1
 		}
-		dw, ds := (dstLo+k)/wordBits, uint((dstLo+k)%wordBits)
-		dst.ks[dw] |= kn << ds
-		dst.vs[dw] |= (vl & kn) << ds
+	}
+	return -1
+}
+
+// knownZero makes bits [lo, lo+n) of an unshared vector known 0; the
+// bits must still be x.
+func (b *BV) knownZero(lo, n int) {
+	for n > 0 {
+		w, s := lo/wordBits, uint(lo%wordBits)
+		c := min(wordBits-int(s), n)
+		b.orWord(w, 0, lowMask(c)<<s)
+		lo, n = lo+c, n-c
 	}
 }
 

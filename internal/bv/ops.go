@@ -8,9 +8,12 @@ import "math/bits"
 // ripple carries with three-valued carry propagation, which is the
 // "3-valued forward and backward simulation" of §3.1).
 //
-// Small vectors (width <= 64) take word-parallel fast paths on the
-// inline representation; note the canonical invariant val ⊆ known makes
-// known-1 simply val and known-0 known&^val.
+// The bitwise, add/subtract, reduction, shift and slice kernels work a
+// 64-bit word at a time at every width (Mul adds one word-parallel row
+// per multiplier bit); small vectors (width <= 64) additionally skip
+// the spill slices. The
+// canonical invariant val ⊆ known makes known-1 simply val and known-0
+// known&^val.
 
 func checkSameWidth(a, b BV, op string) {
 	if a.width != b.width {
@@ -86,117 +89,12 @@ func (b BV) Xor(o BV) BV {
 	return c
 }
 
-// tritAnd/tritOr/tritXor implement Kleene logic on single trits.
-
-func tritAnd(a, b Trit) Trit {
-	if a == Zero || b == Zero {
-		return Zero
-	}
-	if a == One && b == One {
-		return One
-	}
-	return X
-}
-
-func tritOr(a, b Trit) Trit {
-	if a == One || b == One {
-		return One
-	}
-	if a == Zero && b == Zero {
-		return Zero
-	}
-	return X
-}
-
-func tritXor(a, b Trit) Trit {
-	if a == X || b == X {
-		return X
-	}
-	if a != b {
-		return One
-	}
-	return Zero
-}
-
-func tritNot(a Trit) Trit {
-	switch a {
-	case Zero:
-		return One
-	case One:
-		return Zero
-	}
-	return X
-}
-
-// tritMaj returns the majority (carry) function of three trits.
-func tritMaj(a, b, c Trit) Trit {
-	return tritOr(tritOr(tritAnd(a, b), tritAnd(a, c)), tritAnd(b, c))
-}
-
 // AddCarry returns the three-valued sum a+b+cin truncated to the width
 // of a, along with the carry out of the final bit. This is the forward
 // adder simulation of Fig. 3.
-//
-// Small widths take a word-parallel path: the ripple carry chain is a
-// monotone circuit of the operand bits, so its Kleene three-valued
-// value is known-1 exactly when the all-x-to-0 completion carries and
-// known-0 exactly when the all-x-to-1 completion does not. Two ordinary
-// 64-bit additions (min and max completions) therefore recover every
-// carry trit at once, bit-identically to the per-trit ripple loop.
 func (b BV) AddCarry(o BV, cin Trit) (sum BV, cout Trit) {
 	checkSameWidth(b, o, "Add")
-	if b.width == 0 {
-		return b, cin
-	}
-	if b.small() {
-		return b.addCarrySmall(o, cin)
-	}
-	sum = NewX(b.width)
-	c := cin
-	for i := 0; i < b.width; i++ {
-		ai, bi := b.getTrit(i), o.getTrit(i)
-		s := tritXor(tritXor(ai, bi), c)
-		sum.setBit(i, s)
-		c = tritMaj(ai, bi, c)
-	}
-	return sum, c
-}
-
-func (b BV) addCarrySmall(o BV, cin Trit) (BV, Trit) {
-	w := b.width
-	m := lowMask(w)
-	amin, amax := b.v0, b.v0|(^b.k0&m)
-	bmin, bmax := o.v0, o.v0|(^o.k0&m)
-	var cminBit, cmaxBit uint64
-	switch cin {
-	case One:
-		cminBit, cmaxBit = 1, 1
-	case X:
-		cmaxBit = 1
-	}
-	var smin, smax, coutMin, coutMax uint64
-	if w == wordBits {
-		var c1, c2 uint64
-		smin, c1 = bits.Add64(amin, bmin, cminBit)
-		smax, c2 = bits.Add64(amax, bmax, cmaxBit)
-		coutMin, coutMax = c1, c2
-	} else {
-		smin = amin + bmin + cminBit
-		smax = amax + bmax + cmaxBit
-		coutMin = smin >> uint(w) & 1
-		coutMax = smax >> uint(w) & 1
-	}
-	// Carry-in per bit position (bit 0 holds cin).
-	carriesMin := amin ^ bmin ^ smin
-	carriesMax := amax ^ bmax ^ smax
-	carryKnown := ^(carriesMin ^ carriesMax)
-	sumKnown := b.k0 & o.k0 & carryKnown & m
-	sum := BV{width: w, v0: smin & sumKnown, k0: sumKnown}
-	cout := X
-	if coutMin == coutMax {
-		cout = Trit(coutMin)
-	}
-	return sum, cout
+	return ripple(b, o, false, cin)
 }
 
 // Add returns the three-valued sum modulo 2^width.
@@ -213,16 +111,72 @@ func (b BV) Add(o BV) BV {
 // (out − in) corresponds to carry-out 1 of the original addition.
 func (b BV) SubBorrow(o BV) (diff BV, borrow Trit) {
 	checkSameWidth(b, o, "Sub")
-	diff = NewX(b.width)
-	br := Zero
-	for i := 0; i < b.width; i++ {
-		ai, bi := b.getTrit(i), o.getTrit(i)
-		d := tritXor(tritXor(ai, bi), br)
-		diff.setBit(i, d)
-		// borrow-out = (~a & b) | (br & ~(a ^ b))
-		br = tritOr(tritAnd(tritNot(ai), bi), tritAnd(br, tritNot(tritXor(ai, bi))))
+	return ripple(b, o, true, Zero)
+}
+
+// ripple is the word-parallel kernel of AddCarry and SubBorrow. Both
+// are Kleene ripple chains c' = g | (p & c) with a result bit
+// a ^ b ^ c per position:
+//
+//	add:  g = a & b,   p = a | b                (c' is the carry maj(a, b, c))
+//	sub:  g = ¬a & b,  p = ¬(a ⊕ b)             (c' is the borrow)
+//
+// with g and p evaluated in Kleene logic per bit. Kleene AND and OR act
+// component-wise on a trit's (known-1, possibly-1) pair, so the chain
+// splits into two ordinary boolean chains, one over the known-1 bits of
+// g and p (giving the known-1 carries) and one over their possibly-1
+// bits (giving the possibly-1 carries); a carry is known exactly where
+// the two agree. Each boolean chain is one 64-bit addition per word:
+// the carries of (p | g) + g + c are g | (p & c). The result is the
+// per-trit ripple loop's, trit for trit, at every width.
+func ripple(a, o BV, sub bool, cin Trit) (BV, Trit) {
+	var cl, ch uint64 // known-1 and possibly-1 carry into the word
+	switch cin {
+	case One:
+		cl, ch = 1, 1
+	case X:
+		ch = 1
 	}
-	return diff, br
+	r := NewX(a.width)
+	nw := words(a.width)
+	for i := 0; i < nw; i++ {
+		av, ak := a.word(i)
+		bv, bk := o.word(i)
+		m := ^uint64(0)
+		if i == nw-1 {
+			m = lastMask(a.width)
+		}
+		var gl, pl, gh, ph uint64
+		if sub {
+			gl = ak &^ av & bv
+			pl = ak & bk &^ (av ^ bv)
+			gh = ^av & (bv | ^bk)
+			ph = ^(ak & bk & (av ^ bv))
+		} else {
+			gl, pl = av&bv, av|bv
+			amax, bmax := av|^ak, bv|^bk
+			gh, ph = amax&bmax, amax|bmax
+		}
+		xl, yl := (pl|gl)&m, gl&m
+		xh, yh := (ph|gh)&m, gh&m
+		sl, cl2 := bits.Add64(xl, yl, cl)
+		sh, ch2 := bits.Add64(xh, yh, ch)
+		kl, kh := xl^yl^sl, xh^yh^sh // carry into each bit
+		known := ak & bk &^ (kl ^ kh)
+		r.setWord(i, (av^bv^kl)&known, known)
+		cl, ch = cl2, ch2
+		if m != ^uint64(0) { // a partial last word carries out at bit width%64
+			rem := uint(a.width % wordBits)
+			cl, ch = kl>>rem&1, kh>>rem&1
+		}
+	}
+	switch {
+	case cl == 1:
+		return r, One
+	case ch == 0:
+		return r, Zero
+	}
+	return r, X
 }
 
 // Sub returns the three-valued difference modulo 2^width.
@@ -257,9 +211,7 @@ func (b BV) Mul(o BV) BV {
 		default:
 			row = NewX(w)
 			// Low i bits of the row are 0 regardless.
-			for k := 0; k < i; k++ {
-				row.setBit(k, Zero)
-			}
+			row.knownZero(0, i)
 			// If o is known to be zero the row is zero.
 			if z, okz := o.Uint64(); okz && z == 0 {
 				row = FromUint64(w, 0)
@@ -298,9 +250,7 @@ func (b BV) shiftLeftKnown(n int) BV {
 		return BV{width: b.width, v0: b.v0 << uint(n) & m, k0: b.k0<<uint(n)&m | low}
 	}
 	c := NewX(b.width)
-	for i := 0; i < n && i < b.width; i++ {
-		c.setBit(i, Zero)
-	}
+	c.knownZero(0, min(n, b.width))
 	if n < b.width {
 		blit(&c, n, b, 0, b.width-n)
 	}
@@ -318,14 +268,9 @@ func (b BV) shiftRightKnown(n int) BV {
 		return BV{width: b.width, v0: b.v0 >> uint(n), k0: b.k0>>uint(n) | high}
 	}
 	c := NewX(b.width)
-	if n < b.width {
-		blit(&c, 0, b, n, b.width-n)
-	}
-	for i := b.width - n; i < b.width; i++ {
-		if i >= 0 {
-			c.setBit(i, Zero)
-		}
-	}
+	keep := max(b.width-n, 0)
+	blit(&c, 0, b, n, keep)
+	c.knownZero(keep, b.width-keep)
 	return c
 }
 
@@ -381,60 +326,41 @@ func (b BV) shiftDynamic(o BV, f func(BV, int) BV) BV {
 
 // RedAnd returns the 1-bit reduction AND.
 func (b BV) RedAnd() BV {
-	if b.small() {
-		m := lowMask(b.width)
-		switch {
-		case b.k0&^b.v0 != 0: // some bit known 0
-			return BV{width: 1, v0: 0, k0: 1}
-		case b.v0 == m: // all bits known 1 (width 0: vacuously One)
-			return BV{width: 1, v0: 1, k0: 1}
+	for i := 0; i < words(b.width); i++ {
+		if v, k := b.word(i); k&^v != 0 { // some bit known 0
+			return FromUint64(1, 0)
 		}
-		return BV{width: 1}
 	}
-	out := One
-	for i := 0; i < b.width; i++ {
-		out = tritAnd(out, b.getTrit(i))
+	if b.IsFullyKnown() { // all bits known 1 (width 0: vacuously One)
+		return FromUint64(1, 1)
 	}
-	r := NewX(1)
-	r.setBit(0, out)
-	return r
+	return NewX(1)
 }
 
 // RedOr returns the 1-bit reduction OR.
 func (b BV) RedOr() BV {
-	if b.small() {
-		switch {
-		case b.v0 != 0: // some bit known 1
-			return BV{width: 1, v0: 1, k0: 1}
-		case b.k0 == lowMask(b.width): // all known, all 0
-			return BV{width: 1, v0: 0, k0: 1}
+	for i := 0; i < words(b.width); i++ {
+		if v, _ := b.word(i); v != 0 { // some bit known 1
+			return FromUint64(1, 1)
 		}
-		return BV{width: 1}
 	}
-	out := Zero
-	for i := 0; i < b.width; i++ {
-		out = tritOr(out, b.getTrit(i))
+	if b.IsFullyKnown() { // all known, all 0
+		return FromUint64(1, 0)
 	}
-	r := NewX(1)
-	r.setBit(0, out)
-	return r
+	return NewX(1)
 }
 
 // RedXor returns the 1-bit reduction XOR.
 func (b BV) RedXor() BV {
-	if b.small() {
-		if b.k0 != lowMask(b.width) {
-			return BV{width: 1}
-		}
-		return BV{width: 1, v0: uint64(bits.OnesCount64(b.v0) & 1), k0: 1}
+	if !b.IsFullyKnown() {
+		return NewX(1)
 	}
-	out := Zero
-	for i := 0; i < b.width; i++ {
-		out = tritXor(out, b.getTrit(i))
+	parity := 0
+	for i := 0; i < words(b.width); i++ {
+		v, _ := b.word(i)
+		parity ^= bits.OnesCount64(v)
 	}
-	r := NewX(1)
-	r.setBit(0, out)
-	return r
+	return FromUint64(1, uint64(parity&1))
 }
 
 // LtThree compares two cubes as unsigned integers in three-valued

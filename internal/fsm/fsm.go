@@ -169,13 +169,18 @@ func Extract(nl *netlist.Netlist, opts Options) ([]*Machine, error) {
 // extractOne builds the state transition graph of one register via
 // implication probing, lazily: only reached states are probed, so the
 // cost scales with the reachable set, not 2^width. Returns nil when a
-// probe yields no information (too many candidates) or the reachable
-// set exceeds the budget.
+// probe yields no information (too many candidates), or as soon as the
+// reachable set exceeds the budget or covers the whole value range:
+// reachable sets only grow, so such a machine could never restrict.
 func extractOne(nl *netlist.Netlist, ff netlist.GateID, opts Options) *Machine {
 	g := &nl.Gates[ff]
 	q := g.Out
 	w := nl.Width(q)
 	m := &Machine{FF: ff, Q: q, Width: w, Succ: map[uint64][]uint64{}}
+	limit := opts.MaxStates
+	if w < 63 && uint64(1)<<uint(w) <= uint64(limit) {
+		limit = 1<<uint(w) - 1
+	}
 	init, _ := g.Init.Uint64()
 	cur := map[uint64]bool{init: true}
 	m.ReachAt = append(m.ReachAt, cur)
@@ -194,9 +199,9 @@ func extractOne(nl *netlist.Netlist, ff netlist.GateID, opts Options) *Machine {
 			for _, u := range succ {
 				next[u] = true
 			}
-		}
-		if len(next) > opts.MaxStates {
-			return nil
+			if len(next) > limit {
+				return nil
+			}
 		}
 		m.ReachAt = append(m.ReachAt, next)
 		if len(next) == len(cur) {
