@@ -1,11 +1,19 @@
 // Package bdd implements reduced ordered binary decision diagrams
-// (Bryant, paper ref. [12]) with a hashed unique table and memoized
-// apply — the substrate of the BDD-based symbolic model checking
-// baseline (internal/mc) whose memory behaviour §1 and §5 contrast
-// with the ATPG approach.
+// (Bryant, paper ref. [12]) — the substrate of the BDD-based symbolic
+// model checking baseline (internal/mc) whose memory behaviour §1 and
+// §5 contrast with the ATPG approach. The node store has the classic
+// package layout (Brace/Rudell/Bryant, "Efficient Implementation of a
+// BDD Package", DAC 1990): a flat node slice, an open-addressed unique
+// table over it, and one lossy computed table that memoizes every
+// operation. None of the three holds a Go pointer, so the garbage
+// collector never scans them and a snapshot loads by plain copy.
 package bdd
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Ref is a node reference. Refs 0 and 1 are the constant terminals.
 type Ref int32
@@ -23,38 +31,63 @@ type node struct {
 	lo, hi Ref
 }
 
-type applyKey struct {
-	op   uint8
-	f, g Ref
+// cacheEntry is one computed-table slot: r is the result of the
+// operation tag applied to (f, g). No operation uses tag 0, so a
+// zeroed slot is empty.
+type cacheEntry struct {
+	tag     uint32
+	f, g, r Ref
 }
 
-// Op codes for Apply.
+// Computed-table tags. And, Or and Xor results hold for the manager's
+// whole life, so each has one fixed tag at the top of the range.
+// AndExists, Exists and Rename results hold only for one quantifier
+// set or variable mapping, so every call of those draws a fresh tag
+// from the bottom of the range; its entries stop matching when it
+// returns, and nothing is ever cleared.
 const (
-	opAnd uint8 = iota
+	opAnd uint32 = math.MaxUint32 - iota
 	opOr
 	opXor
 )
 
+const (
+	// minUnique is the unique-table size of a new manager.
+	minUnique = 1024
+	// maxCacheSlots caps the computed table (16 MB).
+	maxCacheSlots = 1 << 20
+)
+
 // Manager owns the node pool. The zero value is not usable; call New.
 type Manager struct {
-	nodes    []node
-	unique   map[node]Ref
-	apply    map[applyKey]Ref
-	nVars    int
-	MaxNodes int // 0 = unlimited; exceeded operations panic with ErrNodeLimit
+	nodes []node
+	// unique is the open-addressed hash table (linear probing) over
+	// nodes: a slot holds the Ref of a non-terminal node, or 0 when
+	// empty. Its length is a power of two, at least twice len(nodes).
+	unique []Ref
+	// cache is the direct-mapped computed table, allocated on first
+	// use. A lost entry is recomputed, and the recomputation finds
+	// only nodes that already exist: eviction never changes which
+	// nodes are created, or in what order.
+	cache   []cacheEntry
+	lastTag uint32
+	nVars   int
+	// MaxNodes bounds the node count (0 = unlimited); exceeding it
+	// panics with ErrNodeLimit.
+	MaxNodes int
 	// Interrupt, when non-nil, is polled every interruptInterval node
-	// allocations; returning true panics with ErrInterrupted. Because
-	// the poll sits inside mk, cancellation lands even in the middle of
-	// a single huge apply — the operation a per-iteration check could
-	// never escape. The model checker recovers the panic into an
-	// Unknown verdict.
+	// requests, hits in the unique table included; returning true
+	// panics with ErrInterrupted. Because the poll sits inside mk,
+	// cancellation lands even in the middle of a single huge apply,
+	// including one that only revisits nodes that already exist. The
+	// model checker recovers the panic into an Unknown verdict.
 	Interrupt func() bool
-	allocs    int
-	// Size's generation-stamped visited marks and DFS stack, reused
+	requests  uint32
+	// Generation-stamped visited marks and DFS stack of walk, reused
 	// across calls (Size runs once per relational-product step).
-	sizeSeen  []uint32
-	sizeGen   uint32
-	sizeStack []Ref
+	marks   []uint32
+	markGen uint32
+	stack   []Ref
 }
 
 // ErrNodeLimit is panicked (and recovered by the model checker) when
@@ -65,68 +98,49 @@ var ErrNodeLimit = fmt.Errorf("bdd: node limit exceeded")
 // Interrupt reports cancellation mid-operation.
 var ErrInterrupted = fmt.Errorf("bdd: interrupted")
 
-// interruptInterval is how many node allocations pass between Interrupt
-// polls: rare enough to stay off the profile, frequent enough that a
-// blow-up-bound operation (thousands of allocations per millisecond)
-// observes cancellation within microseconds.
+// interruptInterval is how many node requests pass between Interrupt
+// polls: rare enough to stay off the profile, frequent enough that
+// any operation (millions of requests per second) observes
+// cancellation within microseconds.
 const interruptInterval = 4096
 
 // New returns a manager with n variables (levels 0..n-1).
 func New(n int) *Manager {
 	m := &Manager{
-		nodes:  make([]node, 2, 1024),
-		unique: map[node]Ref{},
-		apply:  map[applyKey]Ref{},
+		nodes:  make([]node, 2, minUnique/2),
+		unique: make([]Ref, minUnique),
 		nVars:  n,
 	}
-	m.nodes[0] = node{level: termLevel}
-	m.nodes[1] = node{level: termLevel}
+	m.nodes[False].level = termLevel
+	m.nodes[True].level = termLevel
 	return m
 }
 
 // NumNodes returns the number of allocated nodes (memory proxy).
 func (m *Manager) NumNodes() int { return len(m.nodes) }
 
-// Node is one exported unique-table entry, used by Snapshot /
-// NewFromSnapshot to move a built BDD between managers.
-type Node struct {
-	Level  int32
-	Lo, Hi Ref
+// Snapshot is an immutable copy of a manager's node store: the node
+// slice and the unique table over it. Any number of managers may be
+// loaded from one snapshot concurrently.
+type Snapshot struct {
+	nVars  int
+	nodes  []node
+	unique []Ref
 }
 
-// Snapshot copies the non-terminal node table. Because mk only ever
-// appends nodes whose children already exist, every node's Lo/Hi refer
-// to earlier entries (or the terminals), so the slice is a valid
-// creation-order replay log. Refs held against this manager index the
-// same nodes in any manager built by NewFromSnapshot of this snapshot.
-func (m *Manager) Snapshot() []Node {
-	out := make([]Node, len(m.nodes)-2)
-	for i, n := range m.nodes[2:] {
-		out[i] = Node{Level: n.level, Lo: n.lo, Hi: n.hi}
-	}
-	return out
+// Snapshot copies m's node store. Refs held against m index the same
+// nodes in every manager loaded from the snapshot.
+func (m *Manager) Snapshot() *Snapshot {
+	return &Snapshot{nVars: m.nVars, nodes: slices.Clone(m.nodes), unique: slices.Clone(m.unique)}
 }
 
-// NewFromSnapshot returns a fresh manager with n variables whose node
-// table is pre-populated from a Snapshot. The nodes were canonical in
-// the source manager, so they are inserted verbatim (no re-reduction)
-// and receive the same Refs they had at Snapshot time; the memoized
-// apply cache starts empty. This is how a compiled transition relation
-// is shared across concurrent sessions: one immutable snapshot, one
-// cheap private manager per session.
-func NewFromSnapshot(n int, nodes []Node) *Manager {
-	m := New(n)
-	m.nodes = make([]node, 2, 2+len(nodes))
-	m.nodes[0] = node{level: termLevel}
-	m.nodes[1] = node{level: termLevel}
-	m.unique = make(map[node]Ref, len(nodes))
-	for _, sn := range nodes {
-		key := node{level: sn.Level, lo: sn.Lo, hi: sn.Hi}
-		r := Ref(len(m.nodes))
-		m.nodes = append(m.nodes, key)
-		m.unique[key] = r
-	}
-	return m
+// NewFromSnapshot returns a manager whose node store is a private copy
+// of s: two slice copies, with no rehashing and no per-node work. Its
+// computed table starts empty. This is how a compiled transition
+// relation is shared across concurrent sessions: one immutable
+// snapshot, one cheap private manager per session.
+func NewFromSnapshot(s *Snapshot) *Manager {
+	return &Manager{nVars: s.nVars, nodes: slices.Clone(s.nodes), unique: slices.Clone(s.unique)}
 }
 
 // NumVars returns the variable count.
@@ -134,26 +148,96 @@ func (m *Manager) NumVars() int { return m.nVars }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
+// hash3 mixes three 32-bit keys; both tables index with its low bits.
+func hash3(a, b, c uint32) uint64 {
+	h := uint64(a)*0x9E3779B97F4A7C15 ^ uint64(b)*0xC2B2AE3D27D4EB4F ^ uint64(c)*0x165667B19E3779F9
+	return h ^ h>>32
+}
+
 // mk returns the canonical node (level, lo, hi).
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	key := node{level: level, lo: lo, hi: hi}
-	if r, ok := m.unique[key]; ok {
-		return r
+	m.requests++
+	if m.requests%interruptInterval == 0 && m.Interrupt != nil && m.Interrupt() {
+		panic(ErrInterrupted)
+	}
+	mask := uint64(len(m.unique) - 1)
+	i := hash3(uint32(level), uint32(lo), uint32(hi)) & mask
+	for r := m.unique[i]; r != 0; r = m.unique[i] {
+		if n := m.nodes[r]; n.lo == lo && n.hi == hi && n.level == level {
+			return r
+		}
+		i = (i + 1) & mask
 	}
 	if m.MaxNodes > 0 && len(m.nodes) >= m.MaxNodes {
 		panic(ErrNodeLimit)
 	}
-	m.allocs++
-	if m.allocs%interruptInterval == 0 && m.Interrupt != nil && m.Interrupt() {
-		panic(ErrInterrupted)
-	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, key)
-	m.unique[key] = r
+	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	m.unique[i] = r
+	if 2*len(m.nodes) > len(m.unique) {
+		m.grow()
+	}
 	return r
+}
+
+// grow doubles the unique table and reinserts every node.
+func (m *Manager) grow() {
+	old := len(m.unique)
+	m.unique = make([]Ref, 2*old)
+	mask := uint64(len(m.unique) - 1)
+	for r, n := range m.nodes[2:] {
+		i := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & mask
+		for m.unique[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.unique[i] = Ref(r + 2)
+	}
+	// A computed table sized for the old unique table is dropped and
+	// reallocated at the new size on next use. One of any other size
+	// (capped, or set explicitly) is kept.
+	if len(m.cache) == cacheSlots(old) && len(m.cache) < maxCacheSlots {
+		m.cache = nil
+	}
+}
+
+// cacheSlots sizes the computed table for a unique table: one slot per
+// eight unique-table slots, a quarter to a half of the node count. The
+// table's cost is memory stalls, and on the corpus a larger one kept
+// few more results than it cost (arbiter24/p5, one slot per unique
+// slot: 25% slower).
+func cacheSlots(unique int) int { return min(unique/8, maxCacheSlots) }
+
+// slot returns the computed-table slot of (tag, f, g).
+func (m *Manager) slot(tag uint32, f, g Ref) *cacheEntry {
+	if len(m.cache) == 0 {
+		m.cache = make([]cacheEntry, cacheSlots(len(m.unique)))
+	}
+	return &m.cache[hash3(tag, uint32(f), uint32(g))&uint64(len(m.cache)-1)]
+}
+
+// lookup returns the cached result of (tag, f, g), if any.
+func (m *Manager) lookup(tag uint32, f, g Ref) (Ref, bool) {
+	e := m.slot(tag, f, g)
+	return e.r, e.tag == tag && e.f == f && e.g == g
+}
+
+func (m *Manager) store(tag uint32, f, g, r Ref) {
+	*m.slot(tag, f, g) = cacheEntry{tag: tag, f: f, g: g, r: r}
+}
+
+// callTag returns a computed-table tag no earlier call has used.
+func (m *Manager) callTag() uint32 {
+	m.lastTag++
+	if m.lastTag == opXor {
+		// Wrapped into the fixed tags: forget every entry, so a
+		// reused tag cannot match an old call's results.
+		clear(m.cache)
+		m.lastTag = 1
+	}
+	return m.lastTag
 }
 
 // Var returns the BDD of variable v.
@@ -189,7 +273,7 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 	return m.Or(m.And(f, g), m.And(m.Not(f), h))
 }
 
-func terminalApply(op uint8, f, g Ref) (Ref, bool) {
+func terminalApply(op uint32, f, g Ref) (Ref, bool) {
 	switch op {
 	case opAnd:
 		if f == False || g == False {
@@ -231,7 +315,22 @@ func terminalApply(op uint8, f, g Ref) (Ref, bool) {
 	return 0, false
 }
 
-func (m *Manager) applyOp(op uint8, f, g Ref) Ref {
+// cofactors returns the top level of f and g and their cofactors with
+// respect to it.
+func (m *Manager) cofactors(f, g Ref) (top int32, f0, f1, g0, g1 Ref) {
+	nf, ng := m.nodes[f], m.nodes[g]
+	top = min(nf.level, ng.level)
+	f0, f1, g0, g1 = f, f, g, g
+	if nf.level == top {
+		f0, f1 = nf.lo, nf.hi
+	}
+	if ng.level == top {
+		g0, g1 = ng.lo, ng.hi
+	}
+	return top, f0, f1, g0, g1
+}
+
+func (m *Manager) applyOp(op uint32, f, g Ref) Ref {
 	if r, ok := terminalApply(op, f, g); ok {
 		return r
 	}
@@ -239,28 +338,12 @@ func (m *Manager) applyOp(op uint8, f, g Ref) Ref {
 	if f > g {
 		f, g = g, f
 	}
-	key := applyKey{op, f, g}
-	if r, ok := m.apply[key]; ok {
+	if r, ok := m.lookup(op, f, g); ok {
 		return r
 	}
-	lf, lg := m.level(f), m.level(g)
-	top := lf
-	if lg < top {
-		top = lg
-	}
-	var f0, f1, g0, g1 Ref
-	if lf == top {
-		f0, f1 = m.nodes[f].lo, m.nodes[f].hi
-	} else {
-		f0, f1 = f, f
-	}
-	if lg == top {
-		g0, g1 = m.nodes[g].lo, m.nodes[g].hi
-	} else {
-		g0, g1 = g, g
-	}
+	top, f0, f1, g0, g1 := m.cofactors(f, g)
 	r := m.mk(top, m.applyOp(op, f0, g0), m.applyOp(op, f1, g1))
-	m.apply[key] = r
+	m.store(op, f, g, r)
 	return r
 }
 
@@ -269,60 +352,76 @@ func (m *Manager) applyOp(op uint8, f, g Ref) Ref {
 // computation (Burch/Clarke/Long). Computing the conjunction and the
 // quantification in one recursion never materializes the full product
 // f ∧ g: whenever the top variable is quantified, a True low branch
-// short-circuits the high branch entirely. The memo is per-call
-// because it is only valid for one quantifier set.
+// short-circuits the high branch entirely.
 func (m *Manager) AndExists(f, g Ref, quant func(v int) bool) Ref {
-	memo := map[applyKey]Ref{}
-	var rec func(f, g Ref) Ref
-	rec = func(f, g Ref) Ref {
-		if f == False || g == False {
-			return False
-		}
-		if f == True && g == True {
-			return True
-		}
-		if f == True {
-			return m.Exists(g, quant)
-		}
-		if g == True {
-			return m.Exists(f, quant)
-		}
-		if f > g {
-			f, g = g, f
-		}
-		key := applyKey{opAnd, f, g}
-		if r, ok := memo[key]; ok {
-			return r
-		}
-		lf, lg := m.level(f), m.level(g)
-		top := lf
-		if lg < top {
-			top = lg
-		}
-		var f0, f1, g0, g1 Ref
-		if lf == top {
-			f0, f1 = m.nodes[f].lo, m.nodes[f].hi
-		} else {
-			f0, f1 = f, f
-		}
-		if lg == top {
-			g0, g1 = m.nodes[g].lo, m.nodes[g].hi
-		} else {
-			g0, g1 = g, g
-		}
-		var r Ref
-		if quant(int(top)) {
-			r = rec(f0, g0)
-			if r != True {
-				r = m.Or(r, rec(f1, g1))
-			}
-		} else {
-			r = m.mk(top, rec(f0, g0), rec(f1, g1))
-		}
-		memo[key] = r
+	return m.andExists(m.callTag(), f, g, quant)
+}
+
+// andExists is AndExists under the call's tag. Its entries have
+// f < g, both non-terminal; the Exists calls it makes share the tag
+// with g = False, so one call memoizes both.
+func (m *Manager) andExists(tag uint32, f, g Ref, quant func(v int) bool) Ref {
+	if f == False || g == False {
+		return False
+	}
+	if f == True && g == True {
+		return True
+	}
+	if f == True {
+		return m.exists(tag, g, quant)
+	}
+	if g == True {
+		return m.exists(tag, f, quant)
+	}
+	if f > g {
+		f, g = g, f
+	}
+	if r, ok := m.lookup(tag, f, g); ok {
 		return r
 	}
-	return rec(f, g)
+	top, f0, f1, g0, g1 := m.cofactors(f, g)
+	var r Ref
+	if quant(int(top)) {
+		r = m.andExists(tag, f0, g0, quant)
+		if r != True {
+			r = m.Or(r, m.andExists(tag, f1, g1, quant))
+		}
+	} else {
+		r = m.mk(top, m.andExists(tag, f0, g0, quant), m.andExists(tag, f1, g1, quant))
+	}
+	m.store(tag, f, g, r)
+	return r
+}
+
+// walk calls visit once for each non-terminal node of f.
+func (m *Manager) walk(f Ref, visit func(node)) {
+	if f == True || f == False {
+		return
+	}
+	// Generation-stamped marks, grown to twice the node count so a
+	// growing table reallocates them only O(log n) times; no
+	// clearing per call.
+	if len(m.marks) < len(m.nodes) || m.markGen == math.MaxUint32 {
+		m.marks = make([]uint32, 2*len(m.nodes))
+		m.markGen = 0
+	}
+	m.markGen++
+	gen := m.markGen
+	m.stack = append(m.stack[:0], f)
+	m.marks[f] = gen
+	for len(m.stack) > 0 {
+		n := m.nodes[m.stack[len(m.stack)-1]]
+		m.stack = m.stack[:len(m.stack)-1]
+		visit(n)
+		if n.lo > True && m.marks[n.lo] != gen {
+			m.marks[n.lo] = gen
+			m.stack = append(m.stack, n.lo)
+		}
+		if n.hi > True && m.marks[n.hi] != gen {
+			m.marks[n.hi] = gen
+			m.stack = append(m.stack, n.hi)
+		}
+	}
 }
 
 // Support marks the variables f depends on in mark (which must have
@@ -330,109 +429,77 @@ func (m *Manager) AndExists(f, g Ref, quant func(v int) bool) Ref {
 // are left untouched, so one slice can accumulate the union support
 // of several functions.
 func (m *Manager) Support(f Ref, mark []bool) {
-	seen := map[Ref]bool{}
-	var rec func(Ref)
-	rec = func(f Ref) {
-		if f == True || f == False || seen[f] {
-			return
-		}
-		seen[f] = true
-		n := m.nodes[f]
-		mark[n.level] = true
-		rec(n.lo)
-		rec(n.hi)
-	}
-	rec(f)
+	m.walk(f, func(n node) { mark[n.level] = true })
 }
 
 // Size returns the number of non-terminal nodes in f — the memory
 // cost of that one function, as opposed to NumNodes, the manager-wide
-// allocation count. The visited set is a flat bool slice indexed by
-// Ref rather than a map: Size runs after every relational-product
-// step on BDDs that can reach millions of nodes, where per-node map
-// hashing would cost more than the product itself.
+// allocation count.
 func (m *Manager) Size(f Ref) int {
-	if f == True || f == False {
-		return 0
-	}
-	// Generation-stamped visited marks: one amortized allocation per
-	// manager growth, zero clearing per call.
-	if len(m.sizeSeen) < len(m.nodes) || m.sizeGen == ^uint32(0) {
-		m.sizeSeen = make([]uint32, len(m.nodes))
-		m.sizeGen = 0
-	}
-	m.sizeGen++
-	gen := m.sizeGen
-	m.sizeStack = append(m.sizeStack[:0], f)
-	m.sizeSeen[f] = gen
 	count := 0
-	for len(m.sizeStack) > 0 {
-		r := m.sizeStack[len(m.sizeStack)-1]
-		m.sizeStack = m.sizeStack[:len(m.sizeStack)-1]
-		count++
-		n := m.nodes[r]
-		if n.lo > True && m.sizeSeen[n.lo] != gen {
-			m.sizeSeen[n.lo] = gen
-			m.sizeStack = append(m.sizeStack, n.lo)
-		}
-		if n.hi > True && m.sizeSeen[n.hi] != gen {
-			m.sizeSeen[n.hi] = gen
-			m.sizeStack = append(m.sizeStack, n.hi)
-		}
-	}
+	m.walk(f, func(node) { count++ })
 	return count
 }
 
 // Exists existentially quantifies all variables for which quant
 // returns true.
 func (m *Manager) Exists(f Ref, quant func(v int) bool) Ref {
-	memo := map[Ref]Ref{}
-	var rec func(Ref) Ref
-	rec = func(f Ref) Ref {
-		if f == True || f == False {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		n := m.nodes[f]
-		lo, hi := rec(n.lo), rec(n.hi)
-		var r Ref
-		if quant(int(n.level)) {
-			r = m.Or(lo, hi)
-		} else {
-			r = m.mk(n.level, lo, hi)
-		}
-		memo[f] = r
+	return m.exists(m.callTag(), f, quant)
+}
+
+func (m *Manager) exists(tag uint32, f Ref, quant func(v int) bool) Ref {
+	if f == True || f == False {
+		return f
+	}
+	if r, ok := m.lookup(tag, f, False); ok {
 		return r
 	}
-	return rec(f)
+	n := m.nodes[f]
+	lo, hi := m.exists(tag, n.lo, quant), m.exists(tag, n.hi, quant)
+	var r Ref
+	if quant(int(n.level)) {
+		r = m.Or(lo, hi)
+	} else {
+		r = m.mk(n.level, lo, hi)
+	}
+	m.store(tag, f, False, r)
+	return r
 }
 
 // Rename maps each variable to rename(v); the mapping must be strictly
 // monotone on the variables present in f (order-preserving), or the
 // result would not be reduced-ordered.
 func (m *Manager) Rename(f Ref, rename func(v int) int) Ref {
-	memo := map[Ref]Ref{}
-	var rec func(Ref) Ref
-	rec = func(f Ref) Ref {
-		if f == True || f == False {
-			return f
-		}
-		if r, ok := memo[f]; ok {
-			return r
-		}
-		n := m.nodes[f]
-		r := m.mk(int32(rename(int(n.level))), rec(n.lo), rec(n.hi))
-		memo[f] = r
-		return r
-	}
-	return rec(f)
+	return m.rename(m.callTag(), f, rename)
 }
 
-// SatCount returns the number of satisfying assignments over the full
-// variable set (as float64 — counts overflow uint64 quickly).
-func (m *Manager) SatCount(f Ref) float64 {
+func (m *Manager) rename(tag uint32, f Ref, fn func(v int) int) Ref {
+	if f == True || f == False {
+		return f
+	}
+	if r, ok := m.lookup(tag, f, False); ok {
+		return r
+	}
+	n := m.nodes[f]
+	r := m.mk(int32(fn(int(n.level))), m.rename(tag, n.lo, fn), m.rename(tag, n.hi, fn))
+	m.store(tag, f, False, r)
+	return r
+}
+
+// SatCount returns the number of assignments to the variables marked
+// in counted (at least NumVars entries) that satisfy f, which must
+// depend on marked variables only. The count is a float64 — counts
+// overflow uint64 quickly — and is +Inf past 2^1023, never NaN.
+func (m *Manager) SatCount(f Ref, counted []bool) float64 {
+	// below[l] counts the marked variables at levels < l; terminals
+	// sit at level nVars.
+	below := make([]int, m.nVars+1)
+	for v := 0; v < m.nVars; v++ {
+		below[v+1] = below[v]
+		if counted[v] {
+			below[v+1]++
+		}
+	}
 	lvl := func(r Ref) int {
 		if l := m.level(r); l != termLevel {
 			return int(l)
@@ -440,7 +507,8 @@ func (m *Manager) SatCount(f Ref) float64 {
 		return m.nVars
 	}
 	memo := map[Ref]float64{}
-	// rec(f) counts assignments of the variables at levels >= lvl(f).
+	// rec(f) counts assignments of the marked variables at levels >=
+	// lvl(f).
 	var rec func(Ref) float64
 	rec = func(f Ref) float64 {
 		if f == False {
@@ -453,20 +521,13 @@ func (m *Manager) SatCount(f Ref) float64 {
 			return c
 		}
 		n := m.nodes[f]
-		c := rec(n.lo)*pow2(lvl(n.lo)-int(n.level)-1) +
-			rec(n.hi)*pow2(lvl(n.hi)-int(n.level)-1)
+		from := below[n.level+1]
+		c := math.Ldexp(rec(n.lo), below[lvl(n.lo)]-from) +
+			math.Ldexp(rec(n.hi), below[lvl(n.hi)]-from)
 		memo[f] = c
 		return c
 	}
-	return rec(f) * pow2(lvl(f))
-}
-
-func pow2(n int) float64 {
-	r := 1.0
-	for i := 0; i < n; i++ {
-		r *= 2
-	}
-	return r
+	return math.Ldexp(rec(f), below[lvl(f)])
 }
 
 // AnySat returns one satisfying assignment as a map var -> value, or

@@ -49,11 +49,32 @@ func TestCanonicity(t *testing.T) {
 	}
 }
 
+// cacheConfigs are the computed tables the randomized tests run under:
+// the default one, and a one-slot table on which every store evicts
+// the previous entry, so every result is recomputed from the unique
+// table whenever it is needed again.
+var cacheConfigs = []struct {
+	name  string
+	setup func(m *Manager)
+}{
+	{"default", func(m *Manager) {}},
+	{"one-slot", func(m *Manager) { m.cache = make([]cacheEntry, 1) }},
+}
+
 func TestRandomAgainstTruthTable(t *testing.T) {
+	for _, c := range cacheConfigs {
+		t.Run(c.name, func(t *testing.T) { randomAgainstTruthTable(t, c.setup) })
+	}
+}
+
+func randomAgainstTruthTable(t *testing.T, setup func(*Manager)) {
 	r := rand.New(rand.NewSource(17))
 	n := 5
+	all := []bool{true, true, true, true, true}
+	low := []bool{true, true, true, false, false}
 	for trial := 0; trial < 60; trial++ {
 		m := New(n)
+		setup(m)
 		// Random expression tree over n vars, evaluated both ways.
 		type fn struct {
 			ref Ref
@@ -100,8 +121,21 @@ func TestRandomAgainstTruthTable(t *testing.T) {
 				pc++
 			}
 		}
-		if got := m.SatCount(f.ref); got != float64(pc) {
+		if got := m.SatCount(f.ref, all); got != float64(pc) {
 			t.Fatalf("trial %d: satcount=%v, want %d", trial, got, pc)
+		}
+		// Counting over variables 0-2 only, after quantifying 3-4
+		// away: the assignments of the low three variables that some
+		// value of the high two extends to a satisfying row.
+		proj := m.Exists(f.ref, func(v int) bool { return !low[v] })
+		pc = 0
+		for row := 0; row < 8; row++ {
+			if f.tt>>uint(row)&0x01010101 != 0 {
+				pc++
+			}
+		}
+		if got := m.SatCount(proj, low); got != float64(pc) {
+			t.Fatalf("trial %d: satcount over vars 0-2 = %v, want %d", trial, got, pc)
 		}
 	}
 }
@@ -188,10 +222,17 @@ func TestNumNodesGrows(t *testing.T) {
 // same manager, same quantifier set, refs must be identical (both are
 // canonical).
 func TestAndExistsMatchesComposed(t *testing.T) {
+	for _, c := range cacheConfigs {
+		t.Run(c.name, func(t *testing.T) { andExistsMatchesComposed(t, c.setup) })
+	}
+}
+
+func andExistsMatchesComposed(t *testing.T, setup func(*Manager)) {
 	r := rand.New(rand.NewSource(41))
 	n := 6
 	for trial := 0; trial < 80; trial++ {
 		m := New(n)
+		setup(m)
 		rnd := func() Ref {
 			f := True
 			if r.Intn(2) == 0 {
@@ -276,5 +317,111 @@ func TestSize(t *testing.T) {
 	}
 	if m.Size(m.Not(f)) != m.Size(f) {
 		t.Error("complement changed the node count")
+	}
+}
+
+// lessThan builds x < y for two vars-bit numbers with every x bit
+// ordered above every y bit: the order that makes the comparator
+// exponential, so a small vars gives a large node table.
+func lessThan(m *Manager, vars int) Ref {
+	lt := False
+	for i := 0; i < vars; i++ {
+		x, y := m.Var(i), m.Var(vars+i)
+		lt = m.Or(m.And(m.Not(x), y), m.And(m.Xnor(x, y), lt))
+	}
+	return lt
+}
+
+var sinkManager *Manager
+
+// TestNewFromSnapshotAllocs: loading a snapshot is two slice copies,
+// so it allocates the same few objects whatever the snapshot's size,
+// and the loaded managers share nothing mutable.
+func TestNewFromSnapshotAllocs(t *testing.T) {
+	for _, vars := range []int{4, 12} {
+		m := New(2 * vars)
+		f := lessThan(m, vars)
+		s := m.Snapshot()
+		if !raceEnabled {
+			if got := testing.AllocsPerRun(5, func() { sinkManager = NewFromSnapshot(s) }); got > 3 {
+				t.Errorf("%d-node snapshot: NewFromSnapshot made %v allocations, want at most 3",
+					m.NumNodes(), got)
+			}
+		}
+		// Two loads extended with different functions: neither sees
+		// the other's nodes, and the snapshot's refs stay valid.
+		a, b := NewFromSnapshot(s), NewFromSnapshot(s)
+		fa := a.Xor(f, a.Var(2*vars-1))
+		fb := b.And(f, b.Var(2*vars-1))
+		if a.NumNodes() <= m.NumNodes() || b.NumNodes() <= m.NumNodes() {
+			t.Fatalf("extending a loaded manager created no nodes")
+		}
+		r := rand.New(rand.NewSource(int64(vars)))
+		for k := 0; k < 1024; k++ {
+			row := r.Intn(1 << (2 * vars))
+			asg := func(v int) bool { return row>>v&1 == 1 }
+			want := m.Eval(f, asg)
+			last := asg(2*vars - 1)
+			if a.Eval(fa, asg) != (want != last) || b.Eval(fb, asg) != (want && last) ||
+				a.Eval(f, asg) != want || b.Eval(f, asg) != want {
+				t.Fatalf("%d vars, row %d: loaded managers disagree with the source", vars, row)
+			}
+		}
+	}
+}
+
+// TestInterruptOnUniqueTableHits: an operation whose every node
+// request finds an existing node still polls Interrupt. Rebuilding a
+// function after the computed table is reset creates no node, so a
+// poll placed only on node allocation would never fire.
+func TestInterruptOnUniqueTableHits(t *testing.T) {
+	const vars = 11
+	m := New(2 * vars)
+	f := lessThan(m, vars)
+	nodes := m.NumNodes()
+	m.cache = nil
+	m.requests = 0
+	if g := lessThan(m, vars); g != f || m.NumNodes() != nodes {
+		t.Fatalf("rebuild gave %d with %d nodes, want %d with %d", g, m.NumNodes(), f, nodes)
+	}
+	if m.requests < 2*interruptInterval {
+		t.Fatalf("rebuild made %d node requests; the test needs at least %d", m.requests, 2*interruptInterval)
+	}
+	m.cache = nil
+	m.Interrupt = func() bool { return true }
+	defer func() {
+		if r := recover(); r != ErrInterrupted {
+			t.Fatalf("recovered %v, want ErrInterrupted", r)
+		}
+		if m.NumNodes() != nodes {
+			t.Errorf("interrupted rebuild changed the node count %d -> %d", nodes, m.NumNodes())
+		}
+	}()
+	lessThan(m, vars)
+	t.Fatal("rebuild ran to completion without observing Interrupt")
+}
+
+var sinkInt int
+
+// TestSizeAllocsAfterGrowth: Size interleaved with node creation, the
+// pattern of buildModel's cluster packing, reallocates its visited
+// marks only when the node count has doubled, not on every call.
+func TestSizeAllocsAfterGrowth(t *testing.T) {
+	m := New(256)
+	f, v := True, 0
+	grow := func() {
+		f = m.And(f, m.Var(v)) // v new nodes: every chain node changes
+		v++
+		sinkInt = m.Size(f)
+	}
+	for v < 32 {
+		grow()
+	}
+	if raceEnabled {
+		grow()
+		return
+	}
+	if got := testing.AllocsPerRun(100, grow); got != 0 {
+		t.Errorf("Size after growth: %v allocations per call, want amortized 0", got)
 	}
 }

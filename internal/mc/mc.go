@@ -94,9 +94,8 @@ func Check(nl *netlist.Netlist, p property.Property, opts Options) Result {
 // relation — monolithic (t) or conjunctively partitioned (parts) —
 // and the initial-state set.
 type model struct {
-	nState, nIn int
-	funcs       map[netlist.SignalID][]bdd.Ref
-	t, init     bdd.Ref
+	funcs   map[netlist.SignalID][]bdd.Ref
+	t, init bdd.Ref
 	// parts is the partitioned transition relation: clusters of
 	// next-state constraints (next_i ↔ f_d[i]) grouped in state-bit
 	// order under a per-cluster node budget. nil in monolithic mode.
@@ -150,10 +149,6 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 	for _, ff := range nl.FFs {
 		ffBase[ff] = nState
 		nState += nl.Width(nl.Gates[ff].Out)
-	}
-	nIn := 0
-	for _, pi := range nl.PIs {
-		nIn += nl.Width(pi)
 	}
 	curOf := make([]int, nState)
 	nextOf := make([]int, nState)
@@ -283,7 +278,7 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 			quantOK[v] = true
 		}
 	}
-	mo := model{nState: nState, nIn: nIn, funcs: funcs, t: t, init: initR, parts: parts,
+	mo := model{funcs: funcs, t: t, init: initR, parts: parts,
 		quantOK: quantOK, isCur: isCur}
 	if !mono {
 		// Early-quantification schedule: the last cluster mentioning a
@@ -423,7 +418,7 @@ func recoverBudget(res *Result, start time.Time, peak int) {
 
 // CheckCtx is Check under a cancellation context. Cancellation is
 // observed at two grains: between fixpoint iterations, and — through
-// the manager's Interrupt hook — every few thousand node allocations
+// the manager's Interrupt hook — every few thousand node requests
 // inside a single BDD operation, so even a blowing-up image
 // computation returns Unknown promptly.
 func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opts Options) (res Result) {
@@ -439,7 +434,7 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 	nState, nIn := layoutSizes(nl)
 	m := bdd.New(2*nState + nIn)
 	m.MaxNodes = opts.MaxNodes
-	if ctx.Done() != nil { // cancellable: poll inside node allocation
+	if ctx.Done() != nil { // cancellable: poll inside node requests
 		m.Interrupt = func() bool { return ctx.Err() != nil }
 	}
 	mo, err := buildModel(m, nl, opts.MonolithicImage, opts.PartitionNodes)
@@ -455,14 +450,13 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 // snapshot of a fully built model (per-signal functions, transition
 // relation, initial states) plus the refs into it. It is immutable and
 // safe for any number of concurrent CheckCtx calls — each call loads
-// the snapshot into a private manager (linear in the node count, no
-// apply-cache work) instead of re-deriving the model from the netlist.
+// the snapshot into a private manager (two slice copies) instead of
+// re-deriving the model from the netlist.
 type Compiled struct {
-	nl    *netlist.Netlist
-	nVars int
-	nodes []bdd.Node
-	mo    model
-	mono  bool
+	nl   *netlist.Netlist
+	snap *bdd.Snapshot
+	mo   model
+	mono bool
 }
 
 // CompileOptions bounds the one-time model construction.
@@ -504,15 +498,11 @@ func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{nl: nl, nVars: m.NumVars(), nodes: m.Snapshot(), mo: mo, mono: opts.MonolithicImage}, nil
+	return &Compiled{nl: nl, snap: m.Snapshot(), mo: mo, mono: opts.MonolithicImage}, nil
 }
 
 // Netlist returns the compiled design.
 func (c *Compiled) Netlist() *netlist.Netlist { return c.nl }
-
-// NumNodes returns the snapshot size (the memory cost every session
-// starts from).
-func (c *Compiled) NumNodes() int { return len(c.nodes) + 2 }
 
 // CheckCtx checks one property against the compiled model: the
 // snapshot is loaded into a fresh private manager (so concurrent calls
@@ -537,7 +527,7 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 		res.Elapsed = time.Since(start)
 		return
 	}
-	m := bdd.NewFromSnapshot(c.nVars, c.nodes)
+	m := bdd.NewFromSnapshot(c.snap)
 	m.MaxNodes = opts.MaxNodes
 	if ctx.Done() != nil {
 		m.Interrupt = func() bool { return ctx.Err() != nil }
@@ -546,19 +536,11 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 }
 
 // countStates projects r onto the current-state variables and counts
-// the states: input and next-state variables are quantified away and
-// their don't-care factor divided out of the satcount.
+// the states over those variables alone: input and next-state
+// variables are quantified away and not counted.
 func countStates(m *bdd.Manager, r bdd.Ref, mo model) float64 {
 	p := m.Exists(r, func(v int) bool { return !mo.isCur[v] })
-	return m.SatCount(p) / pow2(mo.nState+mo.nIn)
-}
-
-func pow2(n int) float64 {
-	r := 1.0
-	for i := 0; i < n; i++ {
-		r *= 2
-	}
-	return r
+	return m.SatCount(p, mo.isCur)
 }
 
 // buildGate constructs the per-bit BDDs of a combinational gate.

@@ -234,3 +234,22 @@ func TestCompileRespectsNodeBudget(t *testing.T) {
 		t.Fatal("compile under a tiny node budget succeeded, want error")
 	}
 }
+
+// TestStateCountPastFloatRange: a design with more than 1023 state and
+// input bits still gets its exact state count. Counting over every BDD
+// variable overflowed to +Inf there, and dividing by the equally
+// infinite don't-care factor gave NaN.
+func TestStateCountPastFloatRange(t *testing.T) {
+	nl := netlist.New("wide-input")
+	in := nl.AddInput("in", 1100)
+	q := nl.Dff(nl.Slice(in, 7, 0), bv.FromUint64(8, 0), "q")
+	pb := property.Builder{NL: nl}
+	p, err := property.NewInvariant(nl, "in-range", pb.InRange(q, 0, 255))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Check(nl, p, Options{})
+	if res.Verdict != Proved || res.States != 256 {
+		t.Fatalf("got %v with %v states, want proved with 256", res.Verdict, res.States)
+	}
+}
