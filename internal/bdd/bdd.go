@@ -146,8 +146,6 @@ func NewFromSnapshot(s *Snapshot) *Manager {
 // NumVars returns the variable count.
 func (m *Manager) NumVars() int { return m.nVars }
 
-func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
-
 // hash3 mixes three 32-bit keys; both tables index with its low bits.
 func hash3(a, b, c uint32) uint64 {
 	h := uint64(a)*0x9E3779B97F4A7C15 ^ uint64(b)*0xC2B2AE3D27D4EB4F ^ uint64(c)*0x165667B19E3779F9
@@ -501,7 +499,7 @@ func (m *Manager) SatCount(f Ref, counted []bool) float64 {
 		}
 	}
 	lvl := func(r Ref) int {
-		if l := m.level(r); l != termLevel {
+		if l := m.nodes[r].level; l != termLevel {
 			return int(l)
 		}
 		return m.nVars
