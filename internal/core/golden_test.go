@@ -1,0 +1,172 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/circuits"
+	"repro/internal/property"
+)
+
+// goldenATPG is one corpus property's ATPG result at its Table-2 depth
+// with induction on: the verdict, the depth reached and the exact
+// search counters records carry.
+type goldenATPG struct {
+	key      string // "<design>/<id>"
+	verdict  Verdict
+	depth    int
+	impl     int
+	dec      int
+	bt       int
+	bj       int
+	fc       int
+	arith    int
+	bitSkips int
+	maxTrail int
+}
+
+// goldenCorpus holds the 19 properties of the benchmark corpus: Table 2
+// at its default sizes, then the scaled arbiter, token ring and
+// pipeline.
+var goldenCorpus = []goldenATPG{
+	{"addr_decoder/p1", VerdictWitnessFound, 2, 196, 5, 2, 0, 103, 5, 12, 79},
+	{"addr_decoder/p2", VerdictProved, 1, 1646, 81, 158, 4, 705, 80, 3147, 89},
+	{"token_ring48/p3", VerdictProved, 3, 3894, 16, 124, 0, 414, 10, 519, 107},
+	{"token_ring48/p4", VerdictWitnessFound, 6, 1333, 0, 0, 0, 142, 0, 34, 314},
+	{"arbiter16/p5", VerdictProved, 3, 320077, 573, 1101, 44, 144608, 567, 230984, 1531},
+	{"arbiter16/p6", VerdictWitnessFound, 2, 3787, 0, 0, 0, 904, 0, 1352, 1481},
+	{"alarm_clock/p7", VerdictProved, 3, 656, 0, 0, 0, 0, 0, 0, 86},
+	{"alarm_clock/p8", VerdictWitnessFound, 3, 593, 0, 0, 0, 144, 0, 0, 162},
+	{"alarm_clock/p9", VerdictProved, 8, 1953, 0, 0, 0, 0, 0, 0, 134},
+	{"industry_0124/p10", VerdictProved, 3, 1697, 1, 2, 0, 83, 1, 0, 124},
+	{"industry_02/p11", VerdictProved, 3, 2628, 62, 110, 16, 2422, 27, 612, 150},
+	{"industry_03/p12", VerdictProved, 1, 598, 20, 36, 5, 576, 9, 200, 58},
+	{"industry_04/p13", VerdictProved, 1, 278, 8, 16, 1, 167, 2, 40, 42},
+	{"industry_05/p14", VerdictProved, 3, 526, 0, 0, 0, 0, 0, 0, 93},
+	{"arbiter24/p5", VerdictProved, 3, 1101833, 1245, 2421, 68, 476076, 1239, 990480, 2599},
+	{"arbiter24/p6", VerdictWitnessFound, 2, 6435, 0, 0, 0, 1352, 0, 3000, 2601},
+	{"token_ring96/p3", VerdictProvedBounded, 3, 289955, 5017, 9832, 0, 178413, 5011, 271146, 1573},
+	{"token_ring96/p4", VerdictWitnessFound, 6, 1529, 0, 0, 0, 142, 0, 36, 314},
+	{"industry_0164/p10", VerdictProved, 3, 3257, 1, 2, 0, 123, 1, 0, 124},
+}
+
+// goldenDesign is one corpus design with the tag the benchmark corpus
+// gives it (the Table-2 size is part of the tag of scaled designs).
+type goldenDesign struct {
+	tag string
+	d   *circuits.Design
+}
+
+// goldenDesigns returns the Table-2 suite plus the three scaled
+// instances of the benchmark corpus; the scaled ones are left out
+// under -short.
+func goldenDesigns(t *testing.T) []goldenDesign {
+	t.Helper()
+	all, err := circuits.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sized := map[string]string{"token_ring": "token_ring48", "arbiter": "arbiter16", "industry_01": "industry_0124"}
+	var out []goldenDesign
+	for _, d := range all {
+		tag := d.Name
+		if s, ok := sized[tag]; ok {
+			tag = s
+		}
+		out = append(out, goldenDesign{tag, d})
+	}
+	if testing.Short() {
+		return out
+	}
+	for _, s := range []struct {
+		tag   string
+		build func() (*circuits.Design, error)
+	}{
+		{"arbiter24", func() (*circuits.Design, error) { return circuits.Arbiter(24) }},
+		{"token_ring96", func() (*circuits.Design, error) { return circuits.TokenRing(96) }},
+		{"industry_0164", func() (*circuits.Design, error) { return circuits.Industry01(64) }},
+	} {
+		d, err := s.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, goldenDesign{s.tag, d})
+	}
+	return out
+}
+
+func goldenOf(key string, r Result) goldenATPG {
+	s := r.Stats
+	return goldenATPG{key, r.Verdict, r.Depth, s.Implications, s.Decisions, s.Backtracks,
+		s.Backjumps, s.FrontierChecks, s.ArithCalls, s.BitSkips, s.MaxTrail}
+}
+
+func goldenEntry(key string) (goldenATPG, bool) {
+	for _, g := range goldenCorpus {
+		if g.key == key {
+			return g, true
+		}
+	}
+	return goldenATPG{}, false
+}
+
+// TestGoldenATPGCorpus pins the ATPG engine on the benchmark corpus:
+// every property, checked at its Table-2 depth with induction on, must
+// reproduce its verdict, depth and search counters exactly — once
+// through CheckCtx on a fresh session, and once through CheckAll with
+// an 8-worker pool over one session per (design, depth) group, the
+// shape the benchmark runs.
+func TestGoldenATPGCorpus(t *testing.T) {
+	ctx := context.Background()
+	seen := 0
+	for _, gd := range goldenDesigns(t) {
+		d, err := DesignFor(gd.d.NL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := map[int][]int{}
+		var depths []int
+		for i, p := range gd.d.Props {
+			key := gd.tag + "/" + gd.d.PropIDs[i]
+			depth := circuits.TableDepth(gd.d.PropIDs[i])
+			if _, ok := groups[depth]; !ok {
+				depths = append(depths, depth)
+			}
+			groups[depth] = append(groups[depth], i)
+			sess, err := d.NewSession(Options{MaxDepth: depth, UseInduction: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, key, "CheckCtx", sess.CheckCtx(ctx, p))
+			seen++
+		}
+		for _, depth := range depths {
+			sess, err := d.NewSession(Options{MaxDepth: depth, UseInduction: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx := groups[depth]
+			props := make([]property.Property, len(idx))
+			for j, i := range idx {
+				props[j] = gd.d.Props[i]
+			}
+			for j, r := range sess.CheckAll(ctx, props, BatchOptions{Jobs: 8}) {
+				checkGolden(t, gd.tag+"/"+gd.d.PropIDs[idx[j]], "CheckAll", r)
+			}
+		}
+	}
+	if !testing.Short() && seen != len(goldenCorpus) {
+		t.Errorf("checked %d properties, golden table has %d", seen, len(goldenCorpus))
+	}
+}
+
+func checkGolden(t *testing.T, key, path string, r Result) {
+	t.Helper()
+	want, ok := goldenEntry(key)
+	if !ok {
+		t.Fatalf("%s: no golden entry", key)
+	}
+	if got := goldenOf(key, r); got != want {
+		t.Errorf("%s %s:\n got %+v\nwant %+v", key, path, got, want)
+	}
+}
