@@ -24,9 +24,8 @@ func elaborate(t *testing.T, src, top string) *netlist.Netlist {
 	return nl
 }
 
-func TestCombinationalInvariantProved(t *testing.T) {
-	// A 2-to-4 decoder output is always one-hot: provable in one frame.
-	nl := elaborate(t, `
+// decoderSrc is a 2-to-4 decoder: its output is always one-hot.
+const decoderSrc = `
 module dec(sel, y);
   input [1:0] sel;
   output reg [3:0] y;
@@ -39,7 +38,11 @@ module dec(sel, y);
     endcase
   end
 endmodule
-`, "dec")
+`
+
+func TestCombinationalInvariantProved(t *testing.T) {
+	// A 2-to-4 decoder output is always one-hot: provable in one frame.
+	nl := elaborate(t, decoderSrc, "dec")
 	b := property.Builder{NL: nl}
 	ySig, _ := nl.SignalByName("y")
 	mon := b.ExactlyOneBus(ySig)
@@ -54,6 +57,45 @@ endmodule
 	res := c.Check(p)
 	if res.Verdict != VerdictProved {
 		t.Fatalf("verdict = %v, want proved", res.Verdict)
+	}
+}
+
+// TestCombinationalRecheckKeepsDepth checks a combinational-cone
+// property again and again on one session: its store's no-counterexample
+// cache covers the depths earlier checks exhausted, and a covered depth
+// must end the check exactly as its search did — proved (or no witness)
+// at depth 1 every time, never a later depth or a bounded verdict.
+func TestCombinationalRecheckKeepsDepth(t *testing.T) {
+	nl := elaborate(t, decoderSrc, "dec")
+	b := property.Builder{NL: nl}
+	ySig, _ := nl.SignalByName("y")
+	inv, err := property.NewInvariant(nl, "dec-onehot", b.ExactlyOneBus(ySig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wit, err := property.NewWitness(nl, "dec-two-hot", b.Equals(ySig, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		p         property.Property
+		induction bool
+		want      Verdict
+	}{
+		{"invariant", inv, false, VerdictProved},
+		{"invariant+induction", inv, true, VerdictProved},
+		{"witness", wit, false, VerdictNoWitness},
+	} {
+		c, err := New(nl, Options{MaxDepth: 5, UseInduction: tc.induction})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if res := c.Check(tc.p); res.Verdict != tc.want || res.Depth != 1 {
+				t.Errorf("%s check %d: %v at depth %d, want %v at depth 1", tc.name, i+1, res.Verdict, res.Depth, tc.want)
+			}
+		}
 	}
 }
 

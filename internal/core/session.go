@@ -215,6 +215,9 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 			break
 		}
 		if c.opts.Store != nil && c.opts.Store.KnownNoCex(storeName, depth) {
+			if res, ok := c.coneExhausted(p, depth, agg); ok {
+				return res
+			}
 			continue
 		}
 		limits := c.opts.Limits
@@ -269,14 +272,8 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 			if c.opts.Store != nil {
 				c.opts.Store.RecordNoCex(storeName, depth)
 			}
-			// When the monitor (and assumption) cone contains no state,
-			// one frame covers all behaviours: absence of a 1-frame
-			// counterexample is a full proof.
-			if c.coneIsCombinational(p) {
-				if p.Kind == property.Witness {
-					return Result{Verdict: VerdictNoWitness, Depth: depth, Stats: agg}
-				}
-				return Result{Verdict: VerdictProved, Depth: depth, Stats: agg}
+			if res, ok := c.coneExhausted(p, depth, agg); ok {
+				return res
 			}
 		case atpg.StatusAbort:
 			aborted = true
@@ -307,6 +304,22 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		}
 	}
 	return Result{Verdict: VerdictProvedBounded, Depth: c.opts.MaxDepth, Stats: agg}
+}
+
+// coneExhausted applies the combinational-cone rule to a depth with no
+// counterexample, whether it was searched now or is known from the
+// store's no-counterexample cache: when the monitor (and assumption)
+// cone contains no state, one frame covers all behaviours, so the
+// absence of a counterexample is a full proof (no witness exists at
+// any depth). It reports false when the cone has state.
+func (c *Session) coneExhausted(p property.Property, depth int, agg atpg.Stats) (Result, bool) {
+	if !c.coneIsCombinational(p) {
+		return Result{}, false
+	}
+	if p.Kind == property.Witness {
+		return Result{Verdict: VerdictNoWitness, Depth: depth, Stats: agg}, true
+	}
+	return Result{Verdict: VerdictProved, Depth: depth, Stats: agg}, true
 }
 
 // coneIsCombinational reports whether the transitive fanin of the
