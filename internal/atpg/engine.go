@@ -466,6 +466,14 @@ func NewPrep(nl *netlist.Netlist) (*Prep, error) {
 // Netlist returns the analysed netlist.
 func (p *Prep) Netlist() *netlist.Netlist { return p.nl }
 
+// UsesStore reports whether engines over this prep read or write the
+// learned ESTG store. The store records and scores abstract control
+// states, which are the 1-bit flip-flops alone; over a netlist without
+// them recordConflictState and estgPolarity return before touching the
+// store, so a search runs identically with a nil, a fresh or a
+// pre-loaded store and leaves it unchanged.
+func (p *Prep) UsesStore() bool { return len(p.controlFFs) > 0 }
+
 // Stale reports whether the netlist has grown signals or gates since
 // this prep was computed — its tables (ctlPos sizing, comparator and
 // control-FF lists, max arity) would then under-cover the netlist and

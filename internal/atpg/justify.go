@@ -232,6 +232,8 @@ func (e *Engine) applySolver(a alternative) bool {
 // encounters a conflict in an abstract state transition ... the
 // transition in the ESTG is recorded").
 func (e *Engine) recordConflictState() {
+	// No control flip-flops, no abstract state: the store stays
+	// untouched (Prep.UsesStore relies on this guard).
 	if e.store == nil || len(e.controlFFs) == 0 {
 		return
 	}
@@ -517,6 +519,8 @@ const (
 // (and incoming transition) accumulated the higher conflict score is
 // tried last (§5: order decisions away from known-bad regions).
 func (e *Engine) estgPolarity(at sigAt, first bv.Trit) bv.Trit {
+	// ctlPos is nil exactly when there are no control flip-flops; the
+	// store is then never read (Prep.UsesStore relies on this guard).
 	if e.store == nil || e.features.NoEstgGuide || e.ctlPos == nil {
 		return first
 	}

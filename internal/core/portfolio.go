@@ -64,7 +64,7 @@ func (p *Portfolio) Check(ctx context.Context, prob Problem) EngineResult {
 	if len(p.members) == 1 {
 		return safeCheck(p.members[0], ctx, prob)
 	}
-	raceCtx, cancel := context.WithCancel(ctx)
+	raceCtx, cancel := context.WithCancel(context.WithValue(ctx, raceKey{}, true))
 	defer cancel()
 	results := make([]EngineResult, len(p.members))
 	done := make(chan int, len(p.members))

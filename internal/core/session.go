@@ -189,6 +189,13 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	if err != nil {
 		return Result{Verdict: VerdictUnknown}
 	}
+	var beside *inductionRun
+	if c.inductionBeside(ctx, p, prep) {
+		beside = startInduction(ctx, func(ctx context.Context) (atpg.Status, atpg.Stats) {
+			return c.inductionStep(ctx, p, c.opts.MaxDepth)
+		})
+		defer beside.stop()
+	}
 	mode := atpg.ModeProve
 	target := bv.FromUint64(1, 0) // counterexample: monitor driven to 0
 	// The learned store's no-counterexample cache is keyed by property
@@ -289,11 +296,16 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		return Result{Verdict: VerdictNoWitness, Depth: c.opts.MaxDepth, Stats: agg}
 	}
 	if c.opts.UseInduction && ctx.Err() == nil {
-		if st, stats := c.inductionStep(ctx, p, c.opts.MaxDepth); st == atpg.StatusUnsat {
-			agg = addStats(agg, stats)
-			return Result{Verdict: VerdictProved, Depth: c.opts.MaxDepth, Stats: agg}
+		var st atpg.Status
+		var stats atpg.Stats
+		if beside != nil {
+			st, stats = beside.wait()
 		} else {
-			agg = addStats(agg, stats)
+			st, stats = c.inductionStep(ctx, p, c.opts.MaxDepth)
+		}
+		agg = addStats(agg, stats)
+		if st == atpg.StatusUnsat {
+			return Result{Verdict: VerdictProved, Depth: c.opts.MaxDepth, Stats: agg}
 		}
 		if ctx.Err() != nil {
 			// Cancelled mid-induction: the bounded phase did complete,
@@ -331,6 +343,70 @@ func (c *Session) coneIsCombinational(p property.Property) bool {
 	sigs = append(sigs, p.Monitor)
 	sigs = append(sigs, p.Assumes...)
 	return !c.d.ConeHasState(sigs...)
+}
+
+// raceKey marks the context of a portfolio race (Portfolio.Check). The
+// race's members already occupy every core, so a check under it keeps
+// the Fig. 1 loop on one goroutine.
+type raceKey struct{}
+
+// inductionBeside reports whether the k-induction step may run beside
+// the bounded loop instead of after it. The step is an independent
+// query over any-state frames (Sheeran/Singh/Stalmarck, FMCAD 2000):
+// its result depends on the bounded loop only through the learned
+// store, which the engines over prep never touch when the netlist has
+// no 1-bit flip-flops (Prep.UsesStore). The loop then reaches the
+// step only for an invariant whose cone has state (a witness, or a
+// combinational cone, ends in the loop), and every verdict, depth,
+// trace and counter is what the serial flow gives. Inside a portfolio
+// race the loop stays serial.
+func (c *Session) inductionBeside(ctx context.Context, p property.Property, prep *atpg.Prep) bool {
+	return c.opts.UseInduction && p.Kind == property.Invariant &&
+		(c.opts.Store == nil || !prep.UsesStore()) &&
+		ctx.Value(raceKey{}) == nil && !c.coneIsCombinational(p)
+}
+
+// inductionRun is an induction step running on its own goroutine under
+// a child of the check's context.
+type inductionRun struct {
+	cancel context.CancelFunc
+	done   chan struct{}
+	st     atpg.Status
+	stats  atpg.Stats
+	// panicked is the value fn panicked with, if it did.
+	panicked any
+}
+
+// startInduction runs fn on a new goroutine under a child of ctx. The
+// caller must call stop before it returns, on every path.
+func startInduction(ctx context.Context, fn func(context.Context) (atpg.Status, atpg.Stats)) *inductionRun {
+	ctx, cancel := context.WithCancel(ctx)
+	r := &inductionRun{cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(r.done)
+		defer func() { r.panicked = recover() }()
+		r.st, r.stats = fn(ctx)
+	}()
+	return r
+}
+
+// wait returns fn's result once fn has returned. A panic in fn is
+// raised again here, on the checking goroutine, so the caller's
+// recover (safeCheck) turns it into the same error record a panic in
+// the serial flow gives.
+func (r *inductionRun) wait() (atpg.Status, atpg.Stats) {
+	<-r.done
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	return r.st, r.stats
+}
+
+// stop cancels fn's context and returns once its goroutine has exited.
+// It never raises fn's panic, so it is safe to defer.
+func (r *inductionRun) stop() {
+	r.cancel()
+	<-r.done
 }
 
 // inductionStep checks the k-induction step: from *any* state (free
