@@ -168,10 +168,26 @@ var (
 
 // TestInductionBesideCancel cancels a check while its induction step
 // runs beside the bounded loop: the check returns unknown within the
-// ATPG poll budget and leaves no goroutine behind.
+// ATPG poll budget and leaves no goroutine behind. Stopping a run
+// cancels it and returns only once its function has returned.
 func TestInductionBesideCancel(t *testing.T) {
 	const cancelAfter = 20 * time.Millisecond
 	const returnBudget = time.Second
+	var sawCancel, returned atomic.Bool
+	startInduction(context.Background(), func(ctx context.Context) (atpg.Status, atpg.Stats) {
+		select {
+		case <-ctx.Done():
+			sawCancel.Store(true)
+		case <-time.After(returnBudget):
+		}
+		time.Sleep(cancelAfter) // still unwinding after the cancel
+		returned.Store(true)
+		return atpg.StatusAbort, atpg.Stats{}
+	}).stop()
+	if !sawCancel.Load() || !returned.Load() {
+		t.Fatalf("stop: run saw its cancel %v, had returned %v; want both", sawCancel.Load(), returned.Load())
+	}
+
 	cd, d := arbiter16(t)
 	sess, err := d.NewSession(Options{MaxDepth: 3, UseInduction: true})
 	if err != nil {

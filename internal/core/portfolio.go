@@ -30,6 +30,11 @@ type Portfolio struct {
 	members []Engine
 }
 
+// raceKey marks the context of a portfolio race. The race's members
+// already occupy every core, so a check under it keeps the Fig. 1 loop
+// on one goroutine (Session.inductionBeside).
+type raceKey struct{}
+
 // NewPortfolio builds a portfolio over the given engines; their order
 // is the fixed tie-break priority (earlier wins).
 func NewPortfolio(engines ...Engine) *Portfolio {

@@ -183,7 +183,10 @@ func (c *Session) prep() (*atpg.Prep, error) {
 
 // checkSearch is the Fig. 1 deepening loop proper. The per-depth
 // engines are built over the design's shared ATPG prep: only per-run
-// state (value tables, trail, queues, scratch) is allocated here.
+// state (value tables, trail, queues, scratch) is allocated here. When
+// inductionBeside allows it, the induction step starts on its own
+// goroutine at the top of the check and its result is read where the
+// serial flow would run it, so the result is the serial flow's.
 func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	prep, err := c.prep()
 	if err != nil {
@@ -345,21 +348,15 @@ func (c *Session) coneIsCombinational(p property.Property) bool {
 	return !c.d.ConeHasState(sigs...)
 }
 
-// raceKey marks the context of a portfolio race (Portfolio.Check). The
-// race's members already occupy every core, so a check under it keeps
-// the Fig. 1 loop on one goroutine.
-type raceKey struct{}
-
 // inductionBeside reports whether the k-induction step may run beside
-// the bounded loop instead of after it. The step is an independent
-// query over any-state frames (Sheeran/Singh/Stalmarck, FMCAD 2000):
-// its result depends on the bounded loop only through the learned
-// store, which the engines over prep never touch when the netlist has
-// no 1-bit flip-flops (Prep.UsesStore). The loop then reaches the
-// step only for an invariant whose cone has state (a witness, or a
-// combinational cone, ends in the loop), and every verdict, depth,
-// trace and counter is what the serial flow gives. Inside a portfolio
-// race the loop stays serial.
+// the bounded loop rather than after it. The step is an independent
+// query over any-state frames (Sheeran/Singh/Stalmarck, FMCAD 2000).
+// It could depend on the bounded loop only through the learned store,
+// and engines over prep never touch that store when the netlist has no
+// 1-bit flip-flops (Prep.UsesStore). Only an invariant whose cone has
+// state reaches the step: witnesses and combinational cones end in the
+// loop. A portfolio race already occupies every core, so its members
+// keep the serial flow.
 func (c *Session) inductionBeside(ctx context.Context, p property.Property, prep *atpg.Prep) bool {
 	return c.opts.UseInduction && p.Kind == property.Invariant &&
 		(c.opts.Store == nil || !prep.UsesStore()) &&
