@@ -181,7 +181,6 @@ func TestBackjumpMatchesChrono(t *testing.T) {
 		{NoBackjump: true, NoEstgGuide: true}, // reference: chronological
 		{},                                    // full: backjump + guidance + bit-grain
 		{NoEstgGuide: true},                   // backjump only
-		{NoBitGrain: true},                    // full minus the slice-window enqueue filter
 	}
 	runs := 300
 	if testing.Short() {

@@ -41,8 +41,7 @@ import (
 //     the precise basis instead: the levels that narrowed the
 //     enumerated register's cube.
 //
-// Bit granularity (default; Features.NoBitGrain restores the word-level
-// walk verbatim): every trail entry records which bits it newly pinned
+// Bit granularity: every trail entry records which bits it newly pinned
 // (trailEntry.changed), and the analysis tracks which bits of each
 // signal it actually needs explained. A per-gate-class transfer
 // function maps needed output bits to the input bits that could have
@@ -245,28 +244,17 @@ func (e *Engine) analyzeConflictInto(dst *[]uint64, cur int) {
 	e.confKind = confNone
 	// Activity scores are only bumped when something reads them.
 	bump := !e.features.NoEstgGuide
-	bitGrain := !e.features.NoBitGrain
 	switch kind {
 	case confGateKind:
 		e.beginTrace()
-		if bitGrain {
-			e.ensureBitScratch()
-			e.pushNeedGate(e.confGate, dst, int32(len(e.trail)), bump)
-			e.drainNeedTrace(dst, bump)
-		} else {
-			e.pushConflictGate(e.confGate, dst, int32(len(e.trail)))
-			e.drainTrace(dst, bump)
-		}
+		e.ensureBitScratch()
+		e.pushNeedGate(e.confGate, dst, int32(len(e.trail)), bump)
+		e.drainNeedTrace(dst, bump)
 	case confSigKind:
 		e.beginTrace()
-		if bitGrain {
-			e.ensureBitScratch()
-			e.pushNeedSig(dst, int(e.confSig.frame), e.confSig.sig, int32(len(e.trail)), fullNeed, bump)
-			e.drainNeedTrace(dst, bump)
-		} else {
-			e.pushConflictSig(int(e.confSig.frame), e.confSig.sig, int32(len(e.trail)))
-			e.drainTrace(dst, bump)
-		}
+		e.ensureBitScratch()
+		e.pushNeedSig(dst, int(e.confSig.frame), e.confSig.sig, int32(len(e.trail)), fullNeed, bump)
+		e.drainNeedTrace(dst, bump)
 	case confLevelsKind:
 		if e.confChron {
 			setLevelsUpTo(dst, cur-1)
@@ -286,9 +274,7 @@ func (e *Engine) analyzeConflictInto(dst *[]uint64, cur int) {
 func (e *Engine) traceSignalInto(dst *[]uint64, frame int, sig netlist.SignalID) {
 	e.beginTrace()
 	e.pushConflictSig(frame, sig, int32(len(e.trail)))
-	// Not a conflict: the basis levels are collected without touching
-	// the conflict-activity scores.
-	e.drainTrace(dst, false)
+	e.drainTrace(dst)
 }
 
 // beginTrace resets the trail-entry visited stamps for one analysis.
@@ -317,8 +303,8 @@ func (e *Engine) beginTrace() {
 }
 
 // ensureBitScratch lazily allocates the per-signal needed-bit memo the
-// first time a bit-granular analysis runs, so probe engines and
-// gated-off runs never pay for it. Entries are valid only when their
+// first time a conflict is analysed, so probe engines and conflict-free
+// runs never pay for it. Entries are valid only when their
 // sigStamp matches the current anGen.
 func (e *Engine) ensureBitScratch() {
 	if e.sigStamp == nil {
@@ -397,13 +383,12 @@ func (e *Engine) pushConflictGate(at gateAt, dst *[]uint64, bound int32) {
 	}
 }
 
-// drainTrace processes queued trail entries: decision/requirement
-// entries contribute their own level, solver writebacks charge every
-// level up to their own, and gate-implied entries recurse through the
-// implying gate's signals. bump is set only when the trace explains a
-// real conflict — then every charged decision signal's activity score
-// rises; basis traces (domain-decision creation) leave scores alone.
-func (e *Engine) drainTrace(dst *[]uint64, bump bool) {
+// drainTrace processes queued trail entries word by word: decision/
+// requirement entries contribute their own level, solver writebacks
+// charge every level up to their own, and gate-implied entries recurse
+// through the implying gate's signals. It collects a basis, not a
+// conflict, so it leaves the conflict-activity scores alone.
+func (e *Engine) drainTrace(dst *[]uint64) {
 	for len(e.anQueue) > 0 {
 		ti := e.anQueue[len(e.anQueue)-1]
 		e.anQueue = e.anQueue[:len(e.anQueue)-1]
@@ -412,9 +397,6 @@ func (e *Engine) drainTrace(dst *[]uint64, bump bool) {
 		case reasonFree:
 			if l := e.levelOf(int(ti)); l > 0 {
 				setLevel(dst, l)
-				if bump {
-					e.bumpActivity(int(ent.frame), ent.sig)
-				}
 			}
 		case reasonSolver:
 			setLevelsUpTo(dst, e.levelOf(int(ti)))

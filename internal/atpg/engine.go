@@ -69,19 +69,6 @@ type Features struct {
 	// conflict counts on abstract states/transitions are still recorded
 	// but no longer read back to order decision polarities.
 	NoEstgGuide bool
-	// NoBitGrain disables bit-granular conflict analysis: the analysis
-	// follows a signal's whole refinement chain (the word-level PR 3
-	// behavior) instead of only the entries whose changed-bit masks
-	// intersect the bits the conflict actually read. Verdicts are
-	// identical either way; bit filtering only shrinks conflict sets
-	// (deeper backjumps, sparser activity bumps).
-	NoBitGrain bool
-	// MonolithicImage makes the BDD reachability engine compute images
-	// over the single conjoined transition relation (the pre-partition
-	// behavior) instead of the conjunctively partitioned one with early
-	// quantification. Interpreted by internal/mc; carried here so one
-	// Features struct switches every engine's ablations.
-	MonolithicImage bool
 }
 
 // Stats reports search effort.
@@ -121,7 +108,7 @@ type Stats struct {
 	// Bit-granular filtering effectiveness: BitSkips counts trail
 	// entries the needed-bit masks proved irrelevant during chain walks
 	// (entries a word-level analysis would have charged), BitChainHops
-	// the entries actually followed. Both zero under NoBitGrain.
+	// the entries actually followed.
 	BitSkips     int
 	BitChainHops int
 }
@@ -401,12 +388,8 @@ type requirement struct {
 // session layer that holds a compiled design pays only per-run state
 // allocation, not re-analysis. All fields are read-only after NewPrep.
 type Prep struct {
-	nl *netlist.Netlist
-	// nSigs/nGates snapshot the netlist size at analysis time; Stale
-	// reports whether the netlist has grown since (new monitor logic),
-	// in which case the tables must be rebuilt before use.
-	nSigs, nGates int
-	maxArity      int
+	nl       *netlist.Netlist
+	maxArity int
 	// cmpGates lists the comparator gate instances (frontier re-check
 	// set on identity events).
 	cmpGates []netlist.GateID
@@ -417,12 +400,13 @@ type Prep struct {
 }
 
 // NewPrep analyses a netlist into the shared engine tables. The
-// netlist must be combinationally acyclic.
+// netlist must be combinationally acyclic. The tables cover the netlist
+// as it is now: one that later gains signals or gates needs a new Prep.
 func NewPrep(nl *netlist.Netlist) (*Prep, error) {
 	if _, err := nl.TopoOrder(); err != nil {
 		return nil, err
 	}
-	p := &Prep{nl: nl, nSigs: nl.NumSignals(), nGates: nl.NumGates()}
+	p := &Prep{nl: nl}
 	nCmp := 0
 	for gi := range nl.Gates {
 		if n := len(nl.Gates[gi].In); n > p.maxArity {
@@ -473,14 +457,6 @@ func (p *Prep) Netlist() *netlist.Netlist { return p.nl }
 // store, so a search runs identically with a nil, a fresh or a
 // pre-loaded store and leaves it unchanged.
 func (p *Prep) UsesStore() bool { return len(p.controlFFs) > 0 }
-
-// Stale reports whether the netlist has grown signals or gates since
-// this prep was computed — its tables (ctlPos sizing, comparator and
-// control-FF lists, max arity) would then under-cover the netlist and
-// must not be used.
-func (p *Prep) Stale() bool {
-	return p.nSigs != p.nl.NumSignals() || p.nGates != p.nl.NumGates()
-}
 
 // New returns an engine over frames copies of the netlist. Frame-0
 // flip-flop outputs are constrained to their initial values; pass
@@ -757,9 +733,8 @@ func (e *Engine) markDirtyAround(frame int, sig netlist.SignalID) {
 
 // enqueueAround schedules the driver and fanout gates of a changed
 // signal, including the cross-frame neighbours of flip-flops. delta is
-// the folded changed-bit mask of the refinement; with bit-granular
-// analysis enabled it filters fanout gates that provably cannot
-// observe the change (a slice whose window misses every changed bit
+// the folded changed-bit mask of the refinement; it filters fanout
+// gates that provably cannot observe the change (a slice whose window misses every changed bit
 // reads the same cube it read last time, forward and backward).
 func (e *Engine) enqueueAround(frame int, sig netlist.SignalID, delta uint64) {
 	s := &e.nl.Signals[sig]
@@ -775,7 +750,6 @@ func (e *Engine) enqueueAround(frame int, sig netlist.SignalID, delta uint64) {
 			e.enqueue(frame, s.Driver)
 		}
 	}
-	bitGrain := !e.features.NoBitGrain
 	for _, gid := range s.Fanout {
 		g := &e.nl.Gates[gid]
 		if g.Kind == netlist.KDff {
@@ -785,7 +759,7 @@ func (e *Engine) enqueueAround(frame int, sig netlist.SignalID, delta uint64) {
 			}
 			continue
 		}
-		if bitGrain && g.Kind == netlist.KSlice && delta&foldedWindow(g.Lo, g.Hi) == 0 {
+		if g.Kind == netlist.KSlice && delta&foldedWindow(g.Lo, g.Hi) == 0 {
 			// The slice reads only In[0][Hi:Lo]; no changed bit folds
 			// into that window, so re-implying it is a no-op.
 			e.stats.BitSkips++

@@ -138,9 +138,8 @@ type Result struct {
 	InitState map[netlist.SignalID]bv.BV
 	Stats     atpg.Stats
 	// BDD carries the BDD engine's partitioned-image detail when the
-	// BDD engine produced the verdict; zero otherwise (and under the
-	// MonolithicImage ablation). Never serialized — JSONRecord bytes
-	// are unchanged by its presence.
+	// BDD engine produced the verdict; zero otherwise. Never serialized
+	// — JSONRecord bytes are unchanged by its presence.
 	BDD     BDDStats
 	Elapsed time.Duration
 	// AllocBytes is the total heap allocated during the check — the

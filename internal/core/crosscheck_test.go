@@ -151,23 +151,18 @@ func TestCrossCheckWitnessDepths(t *testing.T) {
 }
 
 // TestCrossCheckThreeWayEngines runs random sequential netlists through
-// all three engines via the unified Engine adapters and checks the
-// verdicts are mutually consistent. The consistency relation accounts
-// for the engines' different completeness: ATPG and BMC are bounded to
-// depth frames, the BDD engine is unbounded reachability, so a BDD
-// counterexample deeper than the bound is consistent with a bounded
-// proof.
+// all three engines — one session per netlist, through its three
+// Engine adapters — and checks the verdicts are mutually consistent.
+// The consistency relation accounts for the engines' different
+// completeness: ATPG and BMC are bounded to depth frames, the BDD
+// engine is unbounded reachability, so a BDD counterexample deeper
+// than the bound is consistent with a bounded proof.
 func TestCrossCheckThreeWayEngines(t *testing.T) {
 	trials := 80
 	if testing.Short() {
 		trials = 30
 	}
 	const depth = 4
-	engines := []Engine{
-		NewATPGEngine(Options{MaxDepth: depth}),
-		NewBMCEngine(bmc.Options{MaxDepth: depth}),
-		NewBDDEngine(mc.Options{}),
-	}
 	r := rand.New(rand.NewSource(4242))
 	agree := 0
 	for trial := 0; trial < trials; trial++ {
@@ -178,6 +173,15 @@ func TestCrossCheckThreeWayEngines(t *testing.T) {
 		p, err := property.NewInvariant(nl, "rand3", mon)
 		if err != nil {
 			t.Fatal(err)
+		}
+		sess, err := New(nl, Options{MaxDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []Engine{
+			sess.ATPGEngine(),
+			sess.BMCEngine(bmc.Options{MaxDepth: depth}),
+			sess.BDDEngine(mc.Options{}),
 		}
 		prob := Problem{NL: nl, Prop: p, MaxDepth: depth}
 		res := make([]Result, len(engines))
@@ -239,61 +243,64 @@ func TestCrossCheckThreeWayEngines(t *testing.T) {
 	}
 }
 
-// TestEngineCancellationPrompt pins the tentpole's cancellation
-// contract on each real engine: on an instance whose uncancelled
-// search runs for many seconds, cancelling the context makes Check
-// return VerdictUnknown within its check-interval budget — far sooner
-// than the search could have completed.
+// TestEngineCancellationPrompt pins the cancellation contract on each
+// engine's session adapter: on an instance whose uncancelled search
+// runs for many seconds, cancelling the context makes Check return
+// VerdictUnknown within its check-interval budget — far sooner than
+// the search could have completed. The one-time design compile is
+// bounded by its node budget, not by ctx, so each case builds its
+// compiled form before the clock starts.
 func TestEngineCancellationPrompt(t *testing.T) {
 	// Generous CI budget; the uncancelled searches below all run >6s
-	// on this hardware (and far longer under -race), so a return
+	// on a 2-vCPU Xeon (and far longer under -race), so a return
 	// within the budget demonstrates the cancellation path, not a
 	// completed search.
 	const cancelAfter = 250 * time.Millisecond
 	const returnBudget = 5 * time.Second
 
-	slowArbiter := func(t *testing.T) *circuits.Design {
-		d, err := circuits.Arbiter(48)
+	arbiter := func(t *testing.T, n int, opts Options) (*circuits.Design, *Session) {
+		d, err := circuits.Arbiter(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d
+		sess, err := New(d.NL, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, sess
 	}
 	cases := []struct {
 		name  string
 		build func(t *testing.T) (Engine, Problem)
 	}{
 		{"atpg", func(t *testing.T) (Engine, Problem) {
-			// The pre-PR-3 engine (ablated backjumping/guidance) needs
-			// >8s on the depth-3 arbiter induction proof.
-			d, err := circuits.Arbiter(24)
-			if err != nil {
+			// The chronological engine (ablated backjumping and
+			// guidance) needs >8s on the depth-3 arbiter induction
+			// proof.
+			d, sess := arbiter(t, 24, Options{MaxDepth: 3, UseInduction: true,
+				Features: atpg.Features{NoBackjump: true, NoEstgGuide: true}})
+			if _, err := sess.Design().ATPGPrep(); err != nil {
 				t.Fatal(err)
 			}
-			eng := NewATPGEngine(Options{MaxDepth: 3, UseInduction: true,
-				Features: atpg.Features{NoBackjump: true, NoEstgGuide: true}})
-			return eng, Problem{NL: d.NL, Prop: d.Props[0], MaxDepth: 3}
+			return sess.ATPGEngine(), Problem{NL: d.NL, Prop: d.Props[0], MaxDepth: 3}
 		}},
 		{"bmc", func(t *testing.T) (Engine, Problem) {
 			// Bit-blasting the 48-requester arbiter to 24 frames keeps
 			// the CDCL solver busy long past the budget.
-			d := slowArbiter(t)
-			return NewBMCEngine(bmc.Options{MaxDepth: 24}), Problem{NL: d.NL, Prop: d.Props[0], MaxDepth: 24}
-		}},
-		{"bdd", func(t *testing.T) (Engine, Problem) {
-			// Squaring feedback makes the transition relation a
-			// multiplier BDD — it churns tens of millions of nodes
-			// before the raised node budget could stop it.
-			nl := netlist.New("mulfb")
-			q := nl.DffPlaceholder(28, bv.FromUint64(28, 3), "q")
-			sq := nl.Binary(netlist.KMul, q, q)
-			nl.ConnectDff(q, nl.Binary(netlist.KAdd, sq, nl.ConstUint(28, 1)))
-			pb := property.Builder{NL: nl}
-			p, err := property.NewInvariant(nl, "mulfb", pb.NeverValue(q, 7))
-			if err != nil {
+			d, sess := arbiter(t, 48, Options{})
+			if _, err := sess.Design().BMCTemplate(); err != nil {
 				t.Fatal(err)
 			}
-			return NewBDDEngine(mc.Options{MaxNodes: 1 << 26}), Problem{NL: nl, Prop: p}
+			return sess.BMCEngine(bmc.Options{MaxDepth: 24}), Problem{NL: d.NL, Prop: d.Props[0], MaxDepth: 24}
+		}},
+		{"bdd", func(t *testing.T) (Engine, Problem) {
+			// The 48-requester arbiter's model compiles in under a
+			// second, but its reachability fixpoint runs for seconds.
+			d, sess := arbiter(t, 48, Options{})
+			if _, err := sess.Design().BDDModel(); err != nil {
+				t.Fatal(err)
+			}
+			return sess.BDDEngine(mc.Options{}), Problem{NL: d.NL, Prop: d.Props[0]}
 		}},
 	}
 	for _, tc := range cases {

@@ -65,17 +65,6 @@ type Design struct {
 	bddErr    error
 	bddBuilds atomic.Int32
 
-	// bddMono* cache the monolithic-image variant of the compiled
-	// symbolic model (the MonolithicImage ablation); the default
-	// partitioned variant lives in bddComp. A snapshot only supports
-	// the image mode it was compiled for, so the two are separate
-	// build-once cells and only the modes a session actually uses are
-	// ever built.
-	bddMonoOnce   sync.Once
-	bddMonoComp   *mc.Compiled
-	bddMonoErr    error
-	bddMonoBuilds atomic.Int32
-
 	// coneMemo caches ConeHash results per root-signal set; the walk is
 	// cheap but runs once per property per request on the serving path.
 	coneMu   sync.Mutex
@@ -83,9 +72,10 @@ type Design struct {
 }
 
 // NewDesign compiles a netlist into an immutable design artifact. The
-// netlist must be fully built: gates added to it afterwards are not
-// reflected in the design's analyses (use NewDesign again — or the
-// DesignFor cache, which keys on the gate count).
+// design covers the netlist as it is now: signals and gates added
+// afterwards are not reflected in its analyses. A session routes a
+// check over a grown netlist to DesignFor, which keys on the signal and
+// gate counts (Session.designFor).
 func NewDesign(nl *netlist.Netlist) (*Design, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
@@ -153,49 +143,20 @@ func (d *Design) Stats() netlist.Stats { return d.stats }
 // netlists).
 func (d *Design) Fingerprint() string { return d.fingerprint }
 
-// ConeHasState reports whether any of the given signals has a
-// flip-flop in its transitive fanin. Signals created after the design
-// was built fall back to a walk (reusing the precomputed answers for
-// in-range signals).
-func (d *Design) ConeHasState(sigs ...netlist.SignalID) bool {
-	if len(d.nl.FFs) == 0 {
-		return false
-	}
-	var stack []netlist.SignalID
+// stale reports whether the netlist has gained signals or gates since
+// the design was built, so that its analyses no longer cover it.
+func (d *Design) stale() bool {
+	return d.nl.NumSignals() != len(d.stateBearing) || d.nl.NumGates() != d.stats.Gates
+}
+
+// coneHasState reports whether any of the given signals has a
+// flip-flop in its transitive fanin. The signals must predate the
+// design.
+func (d *Design) coneHasState(sigs ...netlist.SignalID) bool {
 	for _, s := range sigs {
-		if int(s) < len(d.stateBearing) {
-			if d.stateBearing[s] {
-				return true
-			}
-			continue
-		}
-		stack = append(stack, s)
-	}
-	if len(stack) == 0 {
-		return false
-	}
-	seen := make(map[netlist.SignalID]bool)
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if int(s) < len(d.stateBearing) {
-			if d.stateBearing[s] {
-				return true
-			}
-			continue
-		}
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		g := d.nl.Signals[s].Driver
-		if g == netlist.None {
-			continue
-		}
-		if d.nl.Gates[g].Kind == netlist.KDff {
+		if d.stateBearing[s] {
 			return true
 		}
-		stack = append(stack, d.nl.Gates[g].In...)
 	}
 	return false
 }
@@ -235,17 +196,10 @@ func (d *Design) BMCTemplate() (*cnf.Template, error) {
 // BDDModel returns the design's compiled symbolic model (variable
 // order, per-signal functions, transition relation), building it on
 // first use under the default node budget. Sessions load the snapshot
-// into private managers (mc.Compiled.CheckCtx). Designs whose model
-// blows the build budget return an error here; callers fall back to
-// the direct per-run path.
-func (d *Design) BDDModel(monolithic bool) (*mc.Compiled, error) {
-	if monolithic {
-		d.bddMonoOnce.Do(func() {
-			d.bddMonoBuilds.Add(1)
-			d.bddMonoComp, d.bddMonoErr = mc.Compile(d.nl, mc.CompileOptions{MonolithicImage: true})
-		})
-		return d.bddMonoComp, d.bddMonoErr
-	}
+// into private managers (mc.Compiled.CheckCtx). A design whose model
+// blows the build budget returns the same error on every call, so its
+// BDD checks report Unknown without rebuilding.
+func (d *Design) BDDModel() (*mc.Compiled, error) {
 	d.bddOnce.Do(func() {
 		d.bddBuilds.Add(1)
 		d.bddComp, d.bddErr = mc.Compile(d.nl, mc.CompileOptions{})
@@ -254,10 +208,8 @@ func (d *Design) BDDModel(monolithic bool) (*mc.Compiled, error) {
 }
 
 // CacheBuilds reports how many times each lazily-compiled engine cache
-// was built (fsm, atpg, bmc, bdd) — each must be 0 or 1 per variant;
-// the build-once contract's test hook. The bdd count covers the
-// default partitioned variant (the monolithic ablation variant has its
-// own cell, counted only when a session opts into it).
+// was built (fsm, atpg, bmc, bdd) — each must be 0 or 1; the
+// build-once contract's test hook.
 func (d *Design) CacheBuilds() (fsmB, atpgB, bmcB, bddB int) {
 	return int(d.fsmBuilds.Load()), int(d.atpgBuilds.Load()),
 		int(d.bmcBuilds.Load()), int(d.bddBuilds.Load())
@@ -267,11 +219,11 @@ func (d *Design) CacheBuilds() (fsmB, atpgB, bmcB, bddB int) {
 // Design cache.
 
 // designKey identifies a netlist build state: the pointer plus the
-// gate count, so a netlist extended with new monitor logic after a
-// design was compiled gets a fresh design.
+// signal and gate counts, so a netlist extended with new monitor logic
+// or new inputs after a design was compiled gets a fresh design.
 type designKey struct {
-	nl    *netlist.Netlist
-	gates int
+	nl          *netlist.Netlist
+	sigs, gates int
 }
 
 type designEntry struct {
@@ -299,7 +251,7 @@ var designCache = lru.New[designKey, *designEntry](DefaultDesignCacheCap)
 // analyses run exactly once per netlist build state (while the entry
 // stays resident; see DefaultDesignCacheCap).
 func DesignFor(nl *netlist.Netlist) (*Design, error) {
-	key := designKey{nl, nl.NumGates()}
+	key := designKey{nl, nl.NumSignals(), nl.NumGates()}
 	e, _ := designCache.GetOrAdd(key, func() *designEntry { return &designEntry{} })
 	e.once.Do(func() {
 		e.d, e.err = NewDesign(nl)

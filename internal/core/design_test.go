@@ -180,7 +180,7 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			comp, err := d.BDDModel(false)
+			comp, err := d.BDDModel()
 			if err != nil {
 				t.Error(err)
 			}
@@ -249,55 +249,107 @@ func TestBatchElaboratesOnce(t *testing.T) {
 	}
 }
 
-// TestSessionSurvivesPostDesignMonitors pins the staleness guards: a
-// session created before monitor logic is synthesized onto the same
-// netlist must still check the new property correctly (fresh ATPG
-// prep, cone fallback walk, BMC template recompile) — the pre-split
-// Checker rebuilt everything per check, so this flow must keep
-// working.
+// TestSessionSurvivesPostDesignMonitors pins the design-resolution
+// rule (Session.designFor): a session opened before its netlist grew —
+// by new monitor logic, or only by a new input the property assumes
+// (signals grow, gates do not) — must check the new property on every
+// engine as a session over a freshly compiled design does. The engines
+// run through safeCheck, so a design that does not cover the property
+// shows up as an error verdict rather than a panic.
 func TestSessionSurvivesPostDesignMonitors(t *testing.T) {
-	nl := netlist.New("late")
-	en := nl.AddInput("en", 1)
-	q := nl.DffPlaceholder(3, bv.FromUint64(3, 0), "q")
-	inc := nl.Binary(netlist.KAdd, q, nl.ConstUint(3, 1))
-	nl.ConnectDff(q, nl.Mux(en, q, inc))
-	sess, err := New(nl, Options{MaxDepth: 8, UseInduction: true})
-	if err != nil {
-		t.Fatal(err)
+	counter := func() (*netlist.Netlist, netlist.SignalID) {
+		nl := netlist.New("late")
+		en := nl.AddInput("en", 1)
+		q := nl.DffPlaceholder(3, bv.FromUint64(3, 0), "q")
+		inc := nl.Binary(netlist.KAdd, q, nl.ConstUint(3, 1))
+		nl.ConnectDff(q, nl.Mux(en, q, inc))
+		return nl, q
 	}
-	// Warm every design cache before the netlist grows.
-	if _, err := sess.Design().ATPGPrep(); err != nil {
-		t.Fatal(err)
+	opts := Options{MaxDepth: 8, UseInduction: true}
+	// open returns a session with every design cache built, so the
+	// netlist grows after its compiled forms exist.
+	open := func(t *testing.T, nl *netlist.Netlist) *Session {
+		sess, err := New(nl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := sess.Design()
+		if _, err := d.ATPGPrep(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.BMCTemplate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.BDDModel(); err != nil {
+			t.Fatal(err)
+		}
+		return sess
 	}
-	if _, err := sess.Design().BMCTemplate(); err != nil {
-		t.Fatal(err)
+	legs := []string{"check", EngineATPG, EngineBMC, EngineBDD, EnginePortfolio}
+	run := func(sess *Session, p property.Property) map[string]Result {
+		ctx := context.Background()
+		prob := Problem{NL: sess.Netlist(), Prop: p, MaxDepth: opts.MaxDepth}
+		return map[string]Result{
+			"check":         sess.Check(p),
+			EngineATPG:      safeCheck(sess.ATPGEngine(), ctx, prob),
+			EngineBMC:       safeCheck(sess.BMCEngine(bmc.Options{}), ctx, prob),
+			EngineBDD:       safeCheck(sess.BDDEngine(mc.Options{}), ctx, prob),
+			EnginePortfolio: safeCheck(sess.Portfolio(), ctx, prob),
+		}
 	}
-
-	// New monitor logic (a comparator and its cone) after the design —
-	// and after the engine caches — were built.
-	pb := property.Builder{NL: nl}
-	p, err := property.NewInvariant(nl, "late-small", pb.InRange(q, 0, 5))
-	if err != nil {
-		t.Fatal(err)
+	compare := func(t *testing.T, stale *Session, p property.Property) {
+		d, err := NewDesign(stale.Netlist())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := d.NewSession(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := run(stale, p), run(fresh, p)
+		for _, leg := range legs {
+			g, w := got[leg], want[leg]
+			// The race picks its winner by timing, so only the
+			// portfolio's verdict is comparable.
+			if g.Verdict != w.Verdict || (leg != EnginePortfolio && g.Depth != w.Depth) {
+				t.Errorf("%s: stale session %v@%d %s, fresh design %v@%d",
+					leg, g.Verdict, g.Depth, g.Err, w.Verdict, w.Depth)
+			}
+			// q first leaves 0..5 in frame 7; BDD reachability reports
+			// the image iteration that reaches it, 6.
+			wantDepth := 7
+			if leg == EngineBDD {
+				wantDepth = 6
+			}
+			if g.Verdict != VerdictFalsified || (leg != EnginePortfolio && g.Depth != wantDepth) {
+				t.Errorf("%s: got %v@%d %s, want falsified@%d", leg, g.Verdict, g.Depth, g.Err, wantDepth)
+			}
+		}
 	}
-	got := sess.Check(p)
-	fresh, err := New(nl, Options{MaxDepth: 8, UseInduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fresh.Check(p)
-	if got.Verdict != want.Verdict || got.Depth != want.Depth {
-		t.Fatalf("stale session: %v@%d, fresh checker %v@%d",
-			got.Verdict, got.Depth, want.Verdict, want.Depth)
-	}
-	if got.Verdict != VerdictFalsified {
-		t.Fatalf("got %v, want falsified (q reaches 6)", got.Verdict)
-	}
-	// The template path must recompile rather than mis-address frames.
-	bmcRes := sess.BMCEngine(bmc.Options{}).Check(context.Background(),
-		Problem{NL: nl, Prop: p, MaxDepth: 8})
-	if bmcRes.Verdict != VerdictFalsified || bmcRes.Depth != got.Depth {
-		t.Fatalf("stale-session bmc: %v@%d, want falsified@%d",
-			bmcRes.Verdict, bmcRes.Depth, got.Depth)
-	}
+	t.Run("monitor", func(t *testing.T) {
+		nl, q := counter()
+		sess := open(t, nl)
+		pb := property.Builder{NL: nl}
+		p, err := property.NewInvariant(nl, "late-small", pb.InRange(q, 0, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compare(t, sess, p)
+	})
+	t.Run("input", func(t *testing.T) {
+		nl, q := counter()
+		pb := property.Builder{NL: nl}
+		small := pb.InRange(q, 0, 5)
+		sess := open(t, nl)
+		gates := nl.NumGates()
+		p, err := property.NewInvariant(nl, "late-input", small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = p.WithAssume(nl.AddInput("go", 1))
+		if nl.NumGates() != gates {
+			t.Fatalf("adding an input added %d gates", nl.NumGates()-gates)
+		}
+		compare(t, sess, p)
+	})
 }

@@ -1,6 +1,6 @@
 // Engine-agnostic verdict layer. The repo reproduces three decision
 // procedures the paper's §1 compares — the word-level ATPG search (the
-// contribution, internal/atpg via Checker), SAT-based BMC (Biere et
+// contribution, internal/atpg via Session), SAT-based BMC (Biere et
 // al. [13], internal/bmc) and BDD reachability (McMillan [9]–[11],
 // internal/mc) — but they grew three disjoint verdict enums, stat
 // structs and deadline mechanisms. This file unifies them behind one
@@ -21,6 +21,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/bmc"
 	"repro/internal/bv"
+	"repro/internal/cnf"
 	"repro/internal/faultinject"
 	"repro/internal/mc"
 	"repro/internal/netlist"
@@ -95,20 +96,9 @@ func metricsFromATPG(st atpg.Stats) EngineMetrics {
 }
 
 // ---------------------------------------------------------------------
-// ATPG adapter.
-
-// checkerEngine adapts a Session — its options, learned ESTG store and
-// the design's local FSMs — as the "atpg" Engine. All Session state is
-// either immutable after construction or internally synchronized
-// (estg.Store), so one checkerEngine serves concurrent Check calls.
-type checkerEngine struct{ c *Session }
-
-// ATPGEngine returns this session's word-level ATPG path as an Engine.
-// The adapter shares the session's learned store, so portfolio members
-// and batch workers built from the same session learn from each other.
-func (c *Session) ATPGEngine() Engine { return &checkerEngine{c} }
-
-func (e *checkerEngine) Name() string { return EngineATPG }
+// Adapters. Each engine has exactly one, bound to a Session: every
+// check resolves its compiled design through Session.designFor, so the
+// three engines agree on which compiled form of a netlist serves it.
 
 // engineFault fires a named fault point at the head of an engine's
 // check loop. Inactive injection costs one atomic load; an armed
@@ -123,87 +113,78 @@ func engineFault(ctx context.Context, point, engine string, prob Problem) (Engin
 	return Result{}, false
 }
 
-func (e *checkerEngine) Check(ctx context.Context, prob Problem) EngineResult {
-	if res, fired := engineFault(ctx, faultinject.PointEngineATPG, EngineATPG, prob); fired {
-		return res
-	}
-	c := e.c
-	if prob.NL != c.nl || (prob.MaxDepth != 0 && prob.MaxDepth != c.opts.MaxDepth) {
-		// A problem over a different design (or bound): open a sibling
-		// session with the same options. The design cache makes this
-		// cheap — compilation runs at most once per netlist.
-		opts := c.opts
-		if prob.MaxDepth != 0 {
-			opts.MaxDepth = prob.MaxDepth
-		}
-		if prob.NL != c.nl {
-			// Never share the learned store across designs: its no-cex
-			// cache is keyed by property name + depth, so a same-named
-			// property of a different netlist could hit a cached
-			// "no counterexample" that is false there. Learning is
-			// shared across properties of one design only.
-			opts.Store = nil
-		}
-		sib, err := New(prob.NL, opts)
-		if err != nil {
-			return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown, Engine: EngineATPG}
-		}
-		c = sib
-	}
-	return c.checkQuiet(ctx, prob.Prop)
-}
+// atpgEngine adapts a Session — its options, learned ESTG store and
+// the design's local FSMs — as the "atpg" Engine. All Session state is
+// either immutable after construction or internally synchronized
+// (estg.Store), so one atpgEngine serves concurrent Check calls.
+type atpgEngine struct{ c *Session }
 
-// NewATPGEngine returns the word-level ATPG engine as a standalone
-// Engine: each Check builds a checker for the problem's netlist with
-// these options (local-FSM extraction is memoized per netlist).
-// Leave opts.Store nil unless every problem this engine will see
-// comes from one design: the store's no-cex cache is keyed by
-// property name + depth, with no netlist component.
-func NewATPGEngine(opts Options) Engine { return &atpgEngine{opts} }
-
-type atpgEngine struct{ opts Options }
+// ATPGEngine returns this session's word-level ATPG path as an Engine.
+// The adapter shares the session's learned store, so portfolio members
+// and batch workers built from the same session learn from each other.
+// A problem over another design or bound runs on a sibling session
+// (Session.sessionFor); the design cache makes that cheap, since
+// compilation runs at most once per netlist build state.
+func (c *Session) ATPGEngine() Engine { return &atpgEngine{c} }
 
 func (e *atpgEngine) Name() string { return EngineATPG }
 
 func (e *atpgEngine) Check(ctx context.Context, prob Problem) EngineResult {
-	opts := e.opts
-	if prob.MaxDepth != 0 {
-		opts.MaxDepth = prob.MaxDepth
+	if res, fired := engineFault(ctx, faultinject.PointEngineATPG, EngineATPG, prob); fired {
+		return res
 	}
-	c, err := New(prob.NL, opts)
+	c, err := e.c.sessionFor(prob.NL, prob.MaxDepth)
 	if err != nil {
 		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown, Engine: EngineATPG}
 	}
 	return c.checkQuiet(ctx, prob.Prop)
 }
 
-// ---------------------------------------------------------------------
-// BMC adapter.
-
-// NewBMCEngine returns the SAT-based bounded model checker as an
-// Engine. Its "falsified" maps to VerdictFalsified (counterexamples are
-// replay-validated exactly like ATPG traces), its bounded-ok to
+// BMCEngine returns the SAT-based bounded model checker bound to this
+// session. Its "falsified" maps to VerdictFalsified (counterexamples
+// are replay-validated exactly like ATPG traces), its bounded-ok to
 // VerdictProvedBounded (VerdictNoWitness for witness properties) — BMC
-// can never return a full proof.
-func NewBMCEngine(opts bmc.Options) Engine { return &bmcEngine{opts} }
+// can never return a full proof. The one-frame CNF template is
+// compiled at most once per design (sync.Once) and each check
+// instantiates it into a private solver, so N workers share the
+// bit-blasting work.
+func (c *Session) BMCEngine(opts bmc.Options) Engine {
+	return &bmcEngine{c: c, opts: opts}
+}
 
-type bmcEngine struct{ opts bmc.Options }
+type bmcEngine struct {
+	c    *Session
+	opts bmc.Options
+}
 
 func (e *bmcEngine) Name() string { return EngineBMC }
 
 func (e *bmcEngine) Check(ctx context.Context, prob Problem) EngineResult {
+	if res, fired := engineFault(ctx, faultinject.PointEngineBMC, EngineBMC, prob); fired {
+		return res
+	}
 	opts := e.opts
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = prob.depth()
 	}
 	start := time.Now()
-	br := bmc.CheckCtx(ctx, prob.NL, prob.Prop, opts)
-	return bmcResult(prob, br, time.Since(start))
+	d, err := e.c.designFor(prob.NL)
+	var tmpl *cnf.Template
+	if err == nil {
+		tmpl, err = d.BMCTemplate()
+	}
+	if err != nil {
+		// Design not bit-blastable at all (e.g. a >64-bit multiplier):
+		// there is no other BMC encoding, so report Unknown without
+		// re-running the failing compile per check.
+		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown,
+			Engine: EngineBMC, Elapsed: time.Since(start)}
+	}
+	return bmcResult(prob, bmc.CheckCompiled(ctx, tmpl, prob.Prop, opts), time.Since(start))
 }
 
 // bmcResult maps a BMC result onto the unified Result, replay-validating
-// counterexamples exactly like ATPG traces. Shared by the standalone
-// and the design-cached BMC engines.
+// counterexamples exactly like ATPG traces.
 func bmcResult(prob Problem, br bmc.Result, elapsed time.Duration) Result {
 	res := Result{
 		Property: prob.Prop.Name,
@@ -245,71 +226,10 @@ func bmcResult(prob Problem, br bmc.Result, elapsed time.Duration) Result {
 	return res
 }
 
-// BMCEngine returns the SAT-based bounded model checker bound to this
-// session's design: the one-frame CNF template is compiled at most
-// once on the Design (sync.Once) and each check instantiates it into a
-// private solver, so N workers share the bit-blasting work. Problems
-// over a different netlist fall back to the standalone path.
-func (c *Session) BMCEngine(opts bmc.Options) Engine {
-	return &sessionBMCEngine{c: c, opts: opts}
-}
-
-type sessionBMCEngine struct {
-	c    *Session
-	opts bmc.Options
-}
-
-func (e *sessionBMCEngine) Name() string { return EngineBMC }
-
-func (e *sessionBMCEngine) Check(ctx context.Context, prob Problem) EngineResult {
-	if res, fired := engineFault(ctx, faultinject.PointEngineBMC, EngineBMC, prob); fired {
-		return res
-	}
-	opts := e.opts
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = prob.depth()
-	}
-	start := time.Now()
-	if prob.NL != e.c.nl {
-		return bmcResult(prob, bmc.CheckCtx(ctx, prob.NL, prob.Prop, opts), time.Since(start))
-	}
-	tmpl, err := e.c.d.BMCTemplate()
-	if err != nil {
-		// Design not bit-blastable at all (e.g. a >64-bit multiplier):
-		// there is no alternative BMC encoding to fall back to — the
-		// pre-template path failed on the same gate — so report Unknown
-		// without re-running the failing compile per check.
-		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown,
-			Engine: EngineBMC, Elapsed: time.Since(start)}
-	}
-	return bmcResult(prob, bmc.CheckCompiled(ctx, tmpl, prob.Prop, opts), time.Since(start))
-}
-
-// ---------------------------------------------------------------------
-// BDD adapter.
-
-// NewBDDEngine returns the BDD reachability engine as an Engine. Its
-// fixpoint "proved" is a full proof (VerdictProved — the verdict that
-// strengthens an ATPG proved-bounded in a portfolio); "falsified" maps
-// to VerdictFalsified / VerdictWitnessFound. The BDD engine produces no
-// input trace, so its counterexamples carry Validated=false.
-func NewBDDEngine(opts mc.Options) Engine { return &bddEngine{opts} }
-
-type bddEngine struct{ opts mc.Options }
-
-func (e *bddEngine) Name() string { return EngineBDD }
-
-func (e *bddEngine) Check(ctx context.Context, prob Problem) EngineResult {
-	start := time.Now()
-	mr := mc.CheckCtx(ctx, prob.NL, prob.Prop, e.opts)
-	return bddResult(prob, mr, time.Since(start))
-}
-
 // BDDStats is the BDD engine's partitioned-image detail: how many
 // conjunctive transition clusters the image fold ran over, the largest
 // intermediate relational product it carried, and the length of the
-// early-quantification schedule. All zero when the image was computed
-// monolithically.
+// early-quantification schedule.
 type BDDStats struct {
 	Partitions     int
 	PeakImageNodes int
@@ -317,7 +237,6 @@ type BDDStats struct {
 }
 
 // bddResult maps a BDD reachability result onto the unified Result.
-// Shared by the standalone and the design-cached BDD engines.
 func bddResult(prob Problem, mr mc.Result, elapsed time.Duration) Result {
 	res := Result{
 		Property: prob.Prop.Name,
@@ -354,41 +273,40 @@ func bddResult(prob Problem, mr mc.Result, elapsed time.Duration) Result {
 	return res
 }
 
-// BDDEngine returns the BDD reachability engine bound to this
-// session's design: the symbolic model (variable order, per-signal
-// functions, transition relation) is compiled at most once on the
-// Design and each check loads the snapshot into a private manager.
-// Designs whose model blows the build-time node budget — and problems
-// over a different netlist — fall back to the standalone per-run path,
-// which stays fully interruptible during construction.
+// BDDEngine returns the BDD reachability engine bound to this session.
+// Its fixpoint "proved" is a full proof (VerdictProved — the verdict
+// that strengthens an ATPG proved-bounded in a portfolio); "falsified"
+// maps to VerdictFalsified / VerdictWitnessFound. The engine produces
+// no input trace, so its counterexamples carry Validated=false. The
+// symbolic model (variable order, per-signal functions, transition
+// relation) is compiled at most once per design and each check loads
+// the snapshot into a private manager. A design whose model blows the
+// build-time node budget reports Unknown on every check from the
+// cached build error.
 func (c *Session) BDDEngine(opts mc.Options) Engine {
-	// The session's ablation switches flow into the BDD path here, so
-	// portfolio members and direct callers agree on the image mode.
-	if c.opts.Features.MonolithicImage {
-		opts.MonolithicImage = true
-	}
-	return &sessionBDDEngine{c: c, opts: opts}
+	return &bddEngine{c: c, opts: opts}
 }
 
-type sessionBDDEngine struct {
+type bddEngine struct {
 	c    *Session
 	opts mc.Options
 }
 
-func (e *sessionBDDEngine) Name() string { return EngineBDD }
+func (e *bddEngine) Name() string { return EngineBDD }
 
-func (e *sessionBDDEngine) Check(ctx context.Context, prob Problem) EngineResult {
+func (e *bddEngine) Check(ctx context.Context, prob Problem) EngineResult {
 	if res, fired := engineFault(ctx, faultinject.PointEngineBDD, EngineBDD, prob); fired {
 		return res
 	}
 	start := time.Now()
-	if prob.NL != e.c.nl {
-		return bddResult(prob, mc.CheckCtx(ctx, prob.NL, prob.Prop, e.opts), time.Since(start))
+	d, err := e.c.designFor(prob.NL)
+	var comp *mc.Compiled
+	if err == nil {
+		comp, err = d.BDDModel()
 	}
-	comp, err := e.c.d.BDDModel(e.opts.MonolithicImage)
 	if err != nil {
-		// Model too big to cache: run the direct interruptible path.
-		return bddResult(prob, mc.CheckCtx(ctx, prob.NL, prob.Prop, e.opts), time.Since(start))
+		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown,
+			Engine: EngineBDD, Elapsed: time.Since(start)}
 	}
 	return bddResult(prob, comp.CheckCtx(ctx, prob.Prop, e.opts), time.Since(start))
 }

@@ -91,7 +91,7 @@ func TestInductionBesideConditions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prep, err := sess.prep()
+		prep, err := sess.Design().ATPGPrep()
 		if err != nil {
 			t.Fatal(err)
 		}

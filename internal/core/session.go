@@ -24,8 +24,8 @@ import (
 )
 
 // Session checks properties of one compiled design. The zero value is
-// not usable; construct with Design.NewSession (or the compatibility
-// constructor New, which compiles/reuses the design first).
+// not usable; construct with Design.NewSession (or New, which
+// compiles/reuses the design first).
 type Session struct {
 	d    *Design
 	nl   *netlist.Netlist
@@ -40,15 +40,11 @@ type Session struct {
 	sharedStore bool
 }
 
-// Checker is the historical name of a Session; the two are one type.
-// New code should hold a Design and create Sessions from it.
-type Checker = Session
-
 // New compiles (or reuses, via the process-wide design cache) the
-// netlist's Design and opens a session over it: the compatibility
-// front door that keeps single-shot callers one call away from a
-// check. The netlist must be valid.
-func New(nl *netlist.Netlist, opts Options) (*Checker, error) {
+// netlist's Design and opens a session over it: the front door that
+// keeps single-shot callers one call away from a check. The netlist
+// must be valid.
+func New(nl *netlist.Netlist, opts Options) (*Session, error) {
 	d, err := DesignFor(nl)
 	if err != nil {
 		return nil, err
@@ -83,6 +79,45 @@ func (c *Session) Machines() []*fsm.Machine { return c.machines }
 
 // Netlist returns the design under check.
 func (c *Session) Netlist() *netlist.Netlist { return c.nl }
+
+// designFor is the one rule that picks the compiled design serving a
+// check over nl, for every engine: this session's own design, unless
+// nl is another netlist or has gained signals or gates since that
+// design was built (monitor logic synthesized after the session
+// opened); then the process-wide DesignFor(nl), which compiles the
+// netlist as it is now at most once.
+func (c *Session) designFor(nl *netlist.Netlist) (*Design, error) {
+	if nl == c.nl && !c.d.stale() {
+		return c.d, nil
+	}
+	return DesignFor(nl)
+}
+
+// sessionFor returns the session that runs an ATPG check over nl with
+// the given frame bound (0 = this session's): this session when
+// designFor picks its design and the bound matches, else a sibling
+// with the same options over the picked design. A sibling over
+// another netlist gets no learned store: the store's no-counterexample
+// cache is keyed by property name and depth, so a same-named property
+// of another netlist could hit an entry that is false there. Learning
+// is shared across properties of one netlist only.
+func (c *Session) sessionFor(nl *netlist.Netlist, depth int) (*Session, error) {
+	d, err := c.designFor(nl)
+	if err != nil {
+		return nil, err
+	}
+	if d == c.d && (depth == 0 || depth == c.opts.MaxDepth) {
+		return c, nil
+	}
+	opts := c.opts
+	if depth != 0 {
+		opts.MaxDepth = depth
+	}
+	if nl != c.nl {
+		opts.Store = nil
+	}
+	return d.NewSession(opts)
+}
 
 // addDomains installs the local-FSM reachable sets: bounded runs use
 // the per-frame unrolled sets, induction runs (any-state start) the
@@ -156,39 +191,25 @@ func (c *Session) checkQuiet(ctx context.Context, p property.Property) Result {
 }
 
 func (c *Session) check(ctx context.Context, p property.Property) Result {
-	res := c.checkSearch(ctx, p)
+	res := Result{Verdict: VerdictUnknown}
+	if s, err := c.sessionFor(c.nl, 0); err == nil {
+		res = s.checkSearch(ctx, p)
+	}
 	res.Engine = EngineATPG
 	res.Metrics = metricsFromATPG(res.Stats)
 	return res
 }
 
-// prep returns the design's shared ATPG tables, rebuilding them
-// per-call when the netlist has grown since the design was compiled
-// (monitor logic synthesized after New on the same netlist): stale
-// tables would under-size ctlPos and skip new comparators in the
-// frontier's identity recheck. The pre-split Checker rebuilt these
-// tables on every check, so the rebuild keeps that flow working; the
-// common path — properties built before the design — shares the
-// design's one analysis.
-func (c *Session) prep() (*atpg.Prep, error) {
-	p, err := c.d.ATPGPrep()
-	if err != nil {
-		return nil, err
-	}
-	if p.Stale() {
-		return atpg.NewPrep(c.nl)
-	}
-	return p, nil
-}
-
-// checkSearch is the Fig. 1 deepening loop proper. The per-depth
-// engines are built over the design's shared ATPG prep: only per-run
-// state (value tables, trail, queues, scratch) is allocated here. When
-// inductionBeside allows it, the induction step starts on its own
-// goroutine at the top of the check and its result is read where the
-// serial flow would run it, so the result is the serial flow's.
+// checkSearch is the Fig. 1 deepening loop proper, run by the session
+// check picked through sessionFor, whose design covers the netlist. The
+// per-depth engines are built over the design's shared ATPG prep: only
+// per-run state (value tables, trail, queues, scratch) is allocated
+// here. When inductionBeside allows it, the induction step starts on
+// its own goroutine at the top of the check and its result is read
+// where the serial flow would run it, so the result is the serial
+// flow's.
 func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
-	prep, err := c.prep()
+	prep, err := c.d.ATPGPrep()
 	if err != nil {
 		return Result{Verdict: VerdictUnknown}
 	}
@@ -345,7 +366,7 @@ func (c *Session) coneIsCombinational(p property.Property) bool {
 	sigs := make([]netlist.SignalID, 0, 1+len(p.Assumes))
 	sigs = append(sigs, p.Monitor)
 	sigs = append(sigs, p.Assumes...)
-	return !c.d.ConeHasState(sigs...)
+	return !c.d.coneHasState(sigs...)
 }
 
 // inductionBeside reports whether the k-induction step may run beside
@@ -411,7 +432,7 @@ func (r *inductionRun) stop() {
 // frames, no transition reaches a violating frame. Unsat means the
 // bounded base case extends to a full proof.
 func (c *Session) inductionStep(ctx context.Context, p property.Property, k int) (atpg.Status, atpg.Stats) {
-	prep, err := c.prep()
+	prep, err := c.d.ATPGPrep()
 	if err != nil {
 		return atpg.StatusAbort, atpg.Stats{}
 	}

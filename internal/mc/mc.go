@@ -1,9 +1,10 @@
 // Package mc is a BDD-based symbolic model checker (McMillan, paper
-// refs. [9]–[11]): forward reachability over a monolithic transition
-// relation. It exists as the baseline whose memory growth §1/§5
-// contrast with the ATPG approach — the node count is the measured
-// analogue of BDD memory, and exceeding the node budget returns
-// Unknown (the "memory explosion" outcome).
+// refs. [9]–[11]): forward reachability over a conjunctively
+// partitioned transition relation with early quantification. It exists
+// as the baseline whose memory growth §1/§5 contrast with the ATPG
+// approach — the node count is the measured analogue of BDD memory,
+// and exceeding the node budget returns Unknown (the "memory
+// explosion" outcome).
 package mc
 
 import (
@@ -42,18 +43,12 @@ func (v Verdict) String() string {
 type Options struct {
 	MaxNodes int // BDD node budget (0 = 4M)
 	MaxIters int // reachability iterations (0 = 10000)
-	// MonolithicImage computes images against the single conjoined
-	// transition relation, exactly as before conjunctive partitioning
-	// existed — the ablation switch. Off (the default) the transition
-	// relation is kept as per-state-variable clusters and the image is
-	// a fold of AndExists relational products with early
-	// quantification: each current-state/input variable is quantified
-	// out at the last cluster that mentions it, so intermediate
-	// products stay small.
-	MonolithicImage bool
 	// PartitionNodes is the node budget one transition cluster may
-	// reach before a new cluster is started (0 = 2048). Ignored under
-	// MonolithicImage.
+	// reach before a new cluster is started (0 = 2048). The transition
+	// relation is kept as per-state-variable clusters and the image is
+	// a fold of AndExists relational products: each current-state/input
+	// variable is quantified out at the last cluster that mentions it,
+	// so intermediate products stay small.
 	PartitionNodes int
 }
 
@@ -69,17 +64,15 @@ type Result struct {
 	States  float64
 	Elapsed time.Duration
 	// Partitions is the number of conjunctive transition-relation
-	// clusters the image fold ran over; 0 in monolithic mode.
+	// clusters the image fold ran over.
 	Partitions int
 	// PeakImageNodes is the largest intermediate relational-product
 	// size (in BDD nodes) observed across all image steps — the live
-	// working-set measure partitioning exists to keep down. 0 in
-	// monolithic mode.
+	// working-set measure partitioning exists to keep down.
 	PeakImageNodes int
 	// QuantDepth is the number of points in the image fold at which at
 	// least one variable is quantified out (the early-quantification
-	// schedule length). 0 in monolithic mode, where all variables are
-	// quantified at once.
+	// schedule length).
 	QuantDepth int
 }
 
@@ -90,15 +83,14 @@ func Check(nl *netlist.Netlist, p property.Property, opts Options) Result {
 }
 
 // model is the symbolic form of a netlist inside one manager: the
-// variable layout, the per-bit signal functions, the transition
-// relation — monolithic (t) or conjunctively partitioned (parts) —
-// and the initial-state set.
+// variable layout, the per-bit signal functions, the conjunctively
+// partitioned transition relation and the initial-state set.
 type model struct {
-	funcs   map[netlist.SignalID][]bdd.Ref
-	t, init bdd.Ref
+	funcs map[netlist.SignalID][]bdd.Ref
+	init  bdd.Ref
 	// parts is the partitioned transition relation: clusters of
 	// next-state constraints (next_i ↔ f_d[i]) grouped in state-bit
-	// order under a per-cluster node budget. nil in monolithic mode.
+	// order under a per-cluster node budget.
 	parts []bdd.Ref
 	// lastAt[v] is the index of the last cluster whose support
 	// contains variable v, or -1 — the early-quantification schedule:
@@ -130,20 +122,17 @@ func layoutSizes(nl *netlist.Netlist) (nState, nIn int) {
 	return nState, nIn
 }
 
-// buildModel constructs the symbolic model in m. Two variable layouts
-// exist, chosen by mode. Monolithic (the ablation): state bit i ->
-// current level 2i, next level 2i+1, all primary-input bits after the
-// state pairs — byte-for-byte the pre-partitioning order. Partitioned:
-// interleaved — input bits with in-signal bit index i sit directly
+// buildModel constructs the symbolic model in m. The variable layout
+// is interleaved: input bits with in-signal bit index i sit directly
 // after state bit i's current/next pair, so globally-shared low-order
 // inputs (an address, a per-bit grant) live near the top of the order
 // and per-bit inputs sit next to the state bit they gate. Without
 // this, a relation like next_i <-> f(state_i, shared_input) forces
 // every partial product to carry the full cross-bit correlation until
-// the shared input is finally quantified, and both the monolithic
-// build and the partitioned fold go exponential. Both layouts keep
-// next = current + 1, which the image's rename step relies on.
-func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) (model, error) {
+// the shared input is finally quantified, and the fold goes
+// exponential. The layout keeps next = current + 1, which the image's
+// rename step relies on.
+func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, error) {
 	nState := 0
 	ffBase := map[netlist.GateID]int{}
 	for _, ff := range nl.FFs {
@@ -153,43 +142,26 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 	curOf := make([]int, nState)
 	nextOf := make([]int, nState)
 	inVarOf := map[netlist.SignalID][]int{}
-	if mono {
-		for k := range curOf {
-			curOf[k], nextOf[k] = 2*k, 2*k+1
+	slots := nState
+	for _, pi := range nl.PIs {
+		inVarOf[pi] = make([]int, nl.Width(pi))
+		if w := nl.Width(pi); w > slots {
+			slots = w
 		}
-		b := 2 * nState
+	}
+	idx := 0
+	for i := 0; i < slots; i++ {
+		if i < nState {
+			curOf[i], nextOf[i] = idx, idx+1
+			idx += 2
+		}
 		for _, pi := range nl.PIs {
-			vs := make([]int, nl.Width(pi))
-			for i := range vs {
-				vs[i] = b
-				b++
-			}
-			inVarOf[pi] = vs
-		}
-	} else {
-		slots := nState
-		for _, pi := range nl.PIs {
-			inVarOf[pi] = make([]int, nl.Width(pi))
-			if w := nl.Width(pi); w > slots {
-				slots = w
-			}
-		}
-		idx := 0
-		for i := 0; i < slots; i++ {
-			if i < nState {
-				curOf[i], nextOf[i] = idx, idx+1
-				idx += 2
-			}
-			for _, pi := range nl.PIs {
-				if i < nl.Width(pi) {
-					inVarOf[pi][i] = idx
-					idx++
-				}
+			if i < nl.Width(pi) {
+				inVarOf[pi][i] = idx
+				idx++
 			}
 		}
 	}
-	curVar := func(stateBit int) int { return curOf[stateBit] }
-	nextVar := func(stateBit int) int { return nextOf[stateBit] }
 
 	// Build per-bit functions of every signal over current-state and
 	// input variables.
@@ -200,7 +172,7 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 		w := nl.Width(out)
 		bits := make([]bdd.Ref, w)
 		for i := 0; i < w; i++ {
-			bits[i] = m.Var(curVar(base + i))
+			bits[i] = m.Var(curOf[base+i])
 		}
 		funcs[out] = bits
 	}
@@ -221,11 +193,9 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 		funcs[g.Out] = buildGate(m, nl, g, funcs)
 	}
 
-	// Transition relation T = ∧ (next_i ↔ f_d[i]): one monolithic
-	// conjunction in ablation mode (exactly the pre-partitioning
-	// construction), otherwise per-state-bit conjuncts greedily packed
-	// into clusters in state-bit order under the node budget.
-	t := bdd.True
+	// Transition relation T = ∧ (next_i ↔ f_d[i]): per-state-bit
+	// conjuncts greedily packed into clusters in state-bit order under
+	// the node budget.
 	var parts []bdd.Ref
 	if partBudget <= 0 {
 		partBudget = 2048
@@ -236,11 +206,7 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 		base := ffBase[ff]
 		d := funcs[g.In[0]]
 		for i := range d {
-			c := m.Xnor(m.Var(nextVar(base+i)), d[i])
-			if mono {
-				t = m.And(t, c)
-				continue
-			}
+			c := m.Xnor(m.Var(nextOf[base+i]), d[i])
 			merged := m.And(cluster, c)
 			if cluster != bdd.True && m.Size(merged) > partBudget {
 				parts = append(parts, cluster)
@@ -250,7 +216,7 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 			}
 		}
 	}
-	if !mono && cluster != bdd.True {
+	if cluster != bdd.True {
 		parts = append(parts, cluster)
 	}
 	// Initial states.
@@ -261,9 +227,9 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 		for i := 0; i < g.Init.Width(); i++ {
 			switch g.Init.Bit(i) {
 			case bv.One:
-				initR = m.And(initR, m.Var(curVar(base+i)))
+				initR = m.And(initR, m.Var(curOf[base+i]))
 			case bv.Zero:
-				initR = m.And(initR, m.NVar(curVar(base+i)))
+				initR = m.And(initR, m.NVar(curOf[base+i]))
 			}
 		}
 	}
@@ -278,42 +244,62 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, mono bool, partBudget int) 
 			quantOK[v] = true
 		}
 	}
-	mo := model{funcs: funcs, t: t, init: initR, parts: parts,
+	mo := model{funcs: funcs, init: initR, parts: parts,
 		quantOK: quantOK, isCur: isCur}
-	if !mono {
-		// Early-quantification schedule: the last cluster mentioning a
-		// variable is where it gets quantified out of the image
-		// product. Variables no cluster reads (unconstrained inputs,
-		// state bits feeding nothing) quantify up front.
-		mo.lastAt = make([]int, m.NumVars())
-		for v := range mo.lastAt {
-			mo.lastAt[v] = -1
+	// Early-quantification schedule: the last cluster mentioning a
+	// variable is where it gets quantified out of the image product.
+	// Variables no cluster reads (unconstrained inputs, state bits
+	// feeding nothing) quantify up front.
+	mo.lastAt = make([]int, m.NumVars())
+	for v := range mo.lastAt {
+		mo.lastAt[v] = -1
+	}
+	mark := make([]bool, m.NumVars())
+	for i, p := range parts {
+		for v := range mark {
+			mark[v] = false
 		}
-		mark := make([]bool, m.NumVars())
-		for i, p := range parts {
-			for v := range mark {
-				mark[v] = false
-			}
-			m.Support(p, mark)
-			for v, in := range mark {
-				if in {
-					mo.lastAt[v] = i
-				}
-			}
-		}
-		owns := make([]bool, len(parts)+1)
-		for v, i := range mo.lastAt {
-			if quantOK[v] {
-				owns[i+1] = true // index 0 = the up-front step
-			}
-		}
-		for _, o := range owns {
-			if o {
-				mo.quantDepth++
+		m.Support(p, mark)
+		for v, in := range mark {
+			if in {
+				mo.lastAt[v] = i
 			}
 		}
 	}
+	owns := make([]bool, len(parts)+1)
+	for v, i := range mo.lastAt {
+		if quantOK[v] {
+			owns[i+1] = true // index 0 = the up-front step
+		}
+	}
+	for _, o := range owns {
+		if o {
+			mo.quantDepth++
+		}
+	}
 	return mo, nil
+}
+
+// image computes ∃ current,input . T ∧ reached ∧ assume, renamed next
+// -> current, by folding the cluster list with AndExists relational
+// products: each variable is quantified at the last cluster that
+// mentions it, so the intermediate products never carry variables no
+// remaining cluster reads. peak is raised to the largest intermediate
+// product seen.
+func (mo *model) image(m *bdd.Manager, reached, assume bdd.Ref, peak *int) bdd.Ref {
+	acc := m.And(reached, assume)
+	acc = m.Exists(acc, func(v int) bool {
+		return mo.quantOK[v] && mo.lastAt[v] < 0
+	})
+	for i, p := range mo.parts {
+		acc = m.AndExists(acc, p, func(v int) bool {
+			return mo.quantOK[v] && mo.lastAt[v] == i
+		})
+		if s := m.Size(acc); s > *peak {
+			*peak = s
+		}
+	}
+	return m.Rename(acc, func(v int) int { return v - 1 })
 }
 
 // checkReach runs the forward-reachability fixpoint of one property
@@ -331,38 +317,8 @@ func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Proper
 	if p.Kind == property.Witness {
 		bad = mon
 	}
-	isCurOrInput := func(v int) bool { return mo.quantOK[v] }
-	if !opts.MonolithicImage {
-		res.Partitions = len(mo.parts)
-		res.QuantDepth = mo.quantDepth
-	}
-
-	// image computes ∃ current,input . T ∧ reached ∧ assume, renamed
-	// next -> current. Monolithic mode conjoins against the single T
-	// and quantifies everything at once (the pre-partitioning
-	// computation, verbatim); partitioned mode folds the cluster list
-	// with AndExists relational products, quantifying each variable at
-	// the last cluster that mentions it so the intermediate products
-	// never carry variables no remaining cluster reads.
-	image := func(reached bdd.Ref) bdd.Ref {
-		if opts.MonolithicImage {
-			img := m.Exists(m.And(m.And(mo.t, reached), assume), isCurOrInput)
-			return m.Rename(img, func(v int) int { return v - 1 })
-		}
-		acc := m.And(reached, assume)
-		acc = m.Exists(acc, func(v int) bool {
-			return isCurOrInput(v) && mo.lastAt[v] < 0
-		})
-		for i, p := range mo.parts {
-			acc = m.AndExists(acc, p, func(v int) bool {
-				return isCurOrInput(v) && mo.lastAt[v] == i
-			})
-			if s := m.Size(acc); s > res.PeakImageNodes {
-				res.PeakImageNodes = s
-			}
-		}
-		return m.Rename(acc, func(v int) int { return v - 1 })
-	}
+	res.Partitions = len(mo.parts)
+	res.QuantDepth = mo.quantDepth
 
 	reached := mo.init
 	for iter := 0; iter <= opts.MaxIters; iter++ {
@@ -381,7 +337,7 @@ func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Proper
 			res.Elapsed = time.Since(start)
 			return
 		}
-		newR := m.Or(reached, image(reached))
+		newR := m.Or(reached, mo.image(m, reached, assume, &res.PeakImageNodes))
 		if newR == reached {
 			res.Verdict = Proved
 			res.Iters = iter
@@ -437,7 +393,7 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 	if ctx.Done() != nil { // cancellable: poll inside node requests
 		m.Interrupt = func() bool { return ctx.Err() != nil }
 	}
-	mo, err := buildModel(m, nl, opts.MonolithicImage, opts.PartitionNodes)
+	mo, err := buildModel(m, nl, opts.PartitionNodes)
 	if err != nil {
 		res.Verdict = Unknown
 		res.Elapsed = time.Since(start)
@@ -456,20 +412,13 @@ type Compiled struct {
 	nl   *netlist.Netlist
 	snap *bdd.Snapshot
 	mo   model
-	mono bool
 }
 
 // CompileOptions bounds the one-time model construction.
 type CompileOptions struct {
 	// MaxNodes is the build-time node budget (0 = 4M). A design whose
-	// transition relation blows past it fails to compile; checks must
-	// then fall back to the direct (per-run, interruptible) path.
+	// transition relation blows past it fails to compile.
 	MaxNodes int
-	// MonolithicImage compiles the single conjoined transition
-	// relation instead of the partitioned clusters. A compiled model
-	// only supports the image mode it was compiled for: check-time
-	// Options.MonolithicImage must match, or CheckCtx reports Unknown.
-	MonolithicImage bool
 	// PartitionNodes is the per-cluster node budget (0 = 2048).
 	PartitionNodes int
 }
@@ -494,11 +443,11 @@ func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) 
 	nState, nIn := layoutSizes(nl)
 	m := bdd.New(2*nState + nIn)
 	m.MaxNodes = opts.MaxNodes
-	mo, err := buildModel(m, nl, opts.MonolithicImage, opts.PartitionNodes)
+	mo, err := buildModel(m, nl, opts.PartitionNodes)
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{nl: nl, snap: m.Snapshot(), mo: mo, mono: opts.MonolithicImage}, nil
+	return &Compiled{nl: nl, snap: m.Snapshot(), mo: mo}, nil
 }
 
 // Netlist returns the compiled design.
@@ -519,14 +468,6 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 		opts.MaxIters = 10000
 	}
 	defer recoverBudget(&res, start, opts.MaxNodes)
-	if opts.MonolithicImage != c.mono {
-		// The snapshot only holds the transition-relation form it was
-		// compiled with; checking in the other mode must go through
-		// the direct path.
-		res.Verdict = Unknown
-		res.Elapsed = time.Since(start)
-		return
-	}
 	m := bdd.NewFromSnapshot(c.snap)
 	m.MaxNodes = opts.MaxNodes
 	if ctx.Done() != nil {

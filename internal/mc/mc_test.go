@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/bv"
+	"repro/internal/circuits"
 	"repro/internal/netlist"
 	"repro/internal/property"
 )
@@ -119,31 +121,30 @@ func TestNodeBudgetGivesUnknown(t *testing.T) {
 	}
 }
 
+// heldCounter is a counter with a wrap plus an input-held branch, and
+// properties that exercise proved, falsified and witness verdicts.
+func heldCounter() (*netlist.Netlist, []property.Property) {
+	nl := netlist.New("cmp")
+	en := nl.AddInput("en", 1)
+	q := nl.DffPlaceholder(3, bv.FromUint64(3, 0), "q")
+	wrap := nl.Binary(netlist.KEq, q, nl.ConstUint(3, 5))
+	inc := nl.Binary(netlist.KAdd, q, nl.ConstUint(3, 1))
+	step := nl.Mux(wrap, inc, nl.ConstUint(3, 0))
+	nl.ConnectDff(q, nl.Mux(en, q, step))
+	pb := property.Builder{NL: nl}
+	inRange, _ := property.NewInvariant(nl, "in-range", pb.InRange(q, 0, 5))
+	never3, _ := property.NewInvariant(nl, "never-3", pb.NeverValue(q, 3))
+	reach5, _ := property.NewWitness(nl, "reach-5", pb.Reaches(q, 5))
+	return nl, []property.Property{inRange, never3, reach5}
+}
+
 // TestCompiledMatchesDirect pins the compile/load path against the
 // direct path: checking through a Compiled model (snapshot loaded into
 // a fresh manager per call) must reproduce the direct CheckCtx result
 // exactly — verdict, iteration count, state count and node count — for
 // every property kind, and repeated/concurrent calls must agree.
 func TestCompiledMatchesDirect(t *testing.T) {
-	// A counter with a wrap plus an input-held branch: exercises
-	// proved, falsified and witness verdicts.
-	build := func() *netlist.Netlist {
-		nl := netlist.New("cmp")
-		en := nl.AddInput("en", 1)
-		q := nl.DffPlaceholder(3, bv.FromUint64(3, 0), "q")
-		wrap := nl.Binary(netlist.KEq, q, nl.ConstUint(3, 5))
-		inc := nl.Binary(netlist.KAdd, q, nl.ConstUint(3, 1))
-		step := nl.Mux(wrap, inc, nl.ConstUint(3, 0))
-		nl.ConnectDff(q, nl.Mux(en, q, step))
-		return nl
-	}
-	nl := build()
-	q, _ := nl.SignalByName("q")
-	pb := property.Builder{NL: nl}
-	inRange, _ := property.NewInvariant(nl, "in-range", pb.InRange(q, 0, 5))
-	never3, _ := property.NewInvariant(nl, "never-3", pb.NeverValue(q, 3))
-	reach5, _ := property.NewWitness(nl, "reach-5", pb.Reaches(q, 5))
-	props := []property.Property{inRange, never3, reach5}
+	nl, props := heldCounter()
 
 	comp, err := Compile(nl, CompileOptions{})
 	if err != nil {
@@ -160,45 +161,10 @@ func TestCompiledMatchesDirect(t *testing.T) {
 		}
 	}
 
-	// Partitioned vs monolithic image: the two modes quantify in a
-	// different order over different variable layouts, but both compute
-	// exact images, so verdict, iteration count and reachable-state
-	// count must agree; node counts may differ (different layouts build
-	// different tables). The partitioned run must report its schedule,
-	// the monolithic run must not.
-	monoComp, err := Compile(nl, CompileOptions{MonolithicImage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range props {
-		part := Check(nl, p, Options{})
-		mono := Check(nl, p, Options{MonolithicImage: true})
-		if part.Verdict != mono.Verdict || part.Iters != mono.Iters || part.States != mono.States {
-			t.Errorf("%s: partitioned {%v iters=%d states=%v}, monolithic {%v iters=%d states=%v}",
-				p.Name, part.Verdict, part.Iters, part.States,
-				mono.Verdict, mono.Iters, mono.States)
-		}
-		if part.Partitions == 0 || part.QuantDepth == 0 {
-			t.Errorf("%s: partitioned run reports no schedule (parts=%d qdepth=%d)",
-				p.Name, part.Partitions, part.QuantDepth)
-		}
-		if mono.Partitions != 0 || mono.PeakImageNodes != 0 || mono.QuantDepth != 0 {
-			t.Errorf("%s: monolithic run leaks partition stats {%d %d %d}",
-				p.Name, mono.Partitions, mono.PeakImageNodes, mono.QuantDepth)
-		}
-		loadedMono := monoComp.CheckCtx(context.Background(), p, Options{MonolithicImage: true})
-		if loadedMono.Verdict != mono.Verdict || loadedMono.Iters != mono.Iters ||
-			loadedMono.States != mono.States || loadedMono.PeakNodes != mono.PeakNodes {
-			t.Errorf("%s: compiled monolithic {%v iters=%d states=%v nodes=%d}, direct {%v iters=%d states=%v nodes=%d}",
-				p.Name, loadedMono.Verdict, loadedMono.Iters, loadedMono.States, loadedMono.PeakNodes,
-				mono.Verdict, mono.Iters, mono.States, mono.PeakNodes)
-		}
-		// A snapshot only supports the image mode it was compiled for.
-		if r := monoComp.CheckCtx(context.Background(), p, Options{}); r.Verdict != Unknown {
-			t.Errorf("%s: mode-mismatched compiled check returned %v, want unknown", p.Name, r.Verdict)
-		}
-		if r := comp.CheckCtx(context.Background(), p, Options{MonolithicImage: true}); r.Verdict != Unknown {
-			t.Errorf("%s: mode-mismatched compiled check returned %v, want unknown", p.Name, r.Verdict)
+		if r := Check(nl, p, Options{}); r.Partitions == 0 || r.QuantDepth == 0 {
+			t.Errorf("%s: run reports no schedule (parts=%d qdepth=%d)",
+				p.Name, r.Partitions, r.QuantDepth)
 		}
 	}
 
@@ -251,5 +217,79 @@ func TestStateCountPastFloatRange(t *testing.T) {
 	res := Check(nl, p, Options{})
 	if res.Verdict != Proved || res.States != 256 {
 		t.Fatalf("got %v with %v states, want proved with 256", res.Verdict, res.States)
+	}
+}
+
+// monolithicImage is the conjoin-then-quantify image the partitioned
+// fold replaced, kept as the reference every fold step must equal: the
+// clusters conjoined into one transition relation T, then
+// ∃ current,input . T ∧ reached ∧ assume in a single quantification.
+func monolithicImage(m *bdd.Manager, mo *model, reached, assume bdd.Ref) bdd.Ref {
+	tr := bdd.True
+	for _, p := range mo.parts {
+		tr = m.And(tr, p)
+	}
+	img := m.Exists(m.And(m.And(tr, reached), assume), func(v int) bool { return mo.quantOK[v] })
+	return m.Rename(img, func(v int) int { return v - 1 })
+}
+
+// TestPartitionedImageMatchesMonolithic walks each property's
+// reachability fixpoint and requires every partitioned image step to be
+// the very node the monolithic reference builds in the same manager
+// (BDDs are canonical, so equal refs are equal state sets). A tiny
+// cluster budget splits every relation into many clusters, so early
+// quantification happens at many points of the fold.
+func TestPartitionedImageMatchesMonolithic(t *testing.T) {
+	type design struct {
+		nl    *netlist.Netlist
+		props []property.Property
+	}
+	nl, props := heldCounter()
+	en, _ := nl.SignalByName("en")
+	held := props[2].WithAssume(nl.Unary(netlist.KNot, en))
+	designs := []design{{nl, append(props, held)}}
+	for _, build := range []func() (*circuits.Design, error){
+		circuits.AlarmClock,
+		func() (*circuits.Design, error) { return circuits.Arbiter(4) },
+		func() (*circuits.Design, error) { return circuits.TokenRing(6) },
+	} {
+		d, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs = append(designs, design{d.NL, d.Props})
+	}
+	for _, d := range designs {
+		for _, budget := range []int{0, 1} {
+			nState, nIn := layoutSizes(d.nl)
+			m := bdd.New(2*nState + nIn)
+			mo, err := buildModel(m, d.nl, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if budget == 1 && len(mo.parts) < 2 {
+				t.Fatalf("%s: budget 1 built %d clusters, want several", d.nl.Name, len(mo.parts))
+			}
+			for _, p := range d.props {
+				assume := bdd.True
+				for _, a := range p.Assumes {
+					assume = m.And(assume, mo.funcs[a][0])
+				}
+				reached := mo.init
+				for iter := 0; ; iter++ {
+					peak := 0
+					img := mo.image(m, reached, assume, &peak)
+					if want := monolithicImage(m, &mo, reached, assume); img != want {
+						t.Fatalf("%s/%s budget %d iteration %d: partitioned image differs from the monolithic one",
+							d.nl.Name, p.Name, budget, iter)
+					}
+					next := m.Or(reached, img)
+					if next == reached {
+						break
+					}
+					reached = next
+				}
+			}
+		}
 	}
 }

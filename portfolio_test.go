@@ -63,7 +63,7 @@ func TestPortfolioTable2(t *testing.T) {
 }
 
 // TestBatchCheckAllJobs8 runs every design's short properties through
-// Checker.CheckAll on an 8-worker pool (the CI -race configuration)
+// Session.CheckAll on an 8-worker pool (the CI -race configuration)
 // and pins that results come back in input order with the verdicts the
 // serial path produces.
 func TestBatchCheckAllJobs8(t *testing.T) {
