@@ -12,18 +12,16 @@
 // Usage:
 //
 //	assertrouter -replicas http://h1:8545,http://h2:8545[,...]
-//	             [-replicas-file PATH] [-addr :8550] [-spread N]
-//	             [-scatter-min N] [-hedge] [-faults] [-health-interval D]
-//	             [-breaker-cooldown D] [-max-attempts N]
-//	             [-retry-same N] [-drain-timeout D] [-version-tag V]
+//	             [-replicas-file PATH] [-addr :8550] [-scatter-min N]
+//	             [-health-interval D] [-drain-timeout D] [-faults]
+//	             [-version-tag V]
 //
 // Failure handling (see internal/cluster): per-replica health checks
 // drive ring membership (draining and dead replicas leave the ring);
 // 429/503 shed answers are retried on the same replica honoring
-// Retry-After; hard failures move the shard along the ring, feed a
-// per-replica circuit breaker, and mid-batch the failed replica's
-// unanswered properties are re-sharded across the survivors. -hedge
-// additionally races slow sub-requests against the next candidate.
+// Retry-After; a hard failure moves the whole shard to the next ring
+// member and feeds the failed replica's circuit breaker, and a replica
+// whose breaker is open sits out of the ring until its cooldown ends.
 //
 // Membership is dynamic: SIGHUP re-reads the replica set — from
 // -replicas-file when given (one URL per line, '#' comments), else by
@@ -86,21 +84,14 @@ func loadReplicas(flagValue, file string) ([]string, error) {
 
 func main() {
 	var (
-		addr            = flag.String("addr", ":8550", "listen address")
-		replicas        = flag.String("replicas", "", "comma-separated assertd base URLs (required unless -replicas-file)")
-		replicasFile    = flag.String("replicas-file", "", "file with one assertd base URL per line ('#' comments); re-read on SIGHUP")
-		spread          = flag.Int("spread", 0, "max replicas one batch is sharded across (0 = all healthy)")
-		scatterMin      = flag.Int("scatter-min", 4, "batches with fewer properties route whole to the primary replica instead of sharding (0 = always shard)")
-		maxAttempts     = flag.Int("max-attempts", 0, "replicas tried per shard before giving up (0 = 3)")
-		retrySame       = flag.Int("retry-same", 0, "same-replica retries of a shed (429/503) answer (0 = 2)")
-		maxFailover     = flag.Int("max-failover", 0, "re-shard recursion depth after replica failures (0 = 3)")
-		healthInterval  = flag.Duration("health-interval", 0, "replica /healthz poll period (0 = 500ms)")
-		breakerCooldown = flag.Duration("breaker-cooldown", 0, "circuit breaker open -> half-open delay (0 = 2s)")
-		hedge           = flag.Bool("hedge", false, "hedge slow sub-requests against the next ring candidate")
-		hedgeMinDelay   = flag.Duration("hedge-min-delay", 0, "floor of the p99-derived hedge delay (0 = 50ms)")
-		drainTimeout    = flag.Duration("drain-timeout", 10*time.Second, "how long to drain in-flight batches on SIGTERM before exiting")
-		faults          = flag.Bool("faults", false, "enable the X-Fault-Inject header incl. route.* points (degradation testing only)")
-		versionTag      = flag.String("version-tag", "dev", "build version reported on /healthz")
+		addr           = flag.String("addr", ":8550", "listen address")
+		replicas       = flag.String("replicas", "", "comma-separated assertd base URLs (required unless -replicas-file)")
+		replicasFile   = flag.String("replicas-file", "", "file with one assertd base URL per line ('#' comments); re-read on SIGHUP")
+		scatterMin     = flag.Int("scatter-min", 4, "batches with fewer properties route whole to the primary replica instead of sharding (0 = always shard)")
+		healthInterval = flag.Duration("health-interval", 0, "replica /healthz poll period (0 = 500ms)")
+		drainTimeout   = flag.Duration("drain-timeout", 10*time.Second, "how long to drain in-flight batches on SIGTERM before exiting")
+		faults         = flag.Bool("faults", false, "enable the X-Fault-Inject header incl. route.* points (degradation testing only)")
+		versionTag     = flag.String("version-tag", "dev", "build version reported on /healthz")
 	)
 	flag.Parse()
 
@@ -115,18 +106,11 @@ func main() {
 	}
 
 	rt, err := cluster.New(cluster.Options{
-		Replicas:        urls,
-		Spread:          *spread,
-		ScatterMin:      *scatterMin,
-		MaxAttempts:     *maxAttempts,
-		RetrySame:       *retrySame,
-		MaxFailover:     *maxFailover,
-		HealthInterval:  *healthInterval,
-		BreakerCooldown: *breakerCooldown,
-		Hedge:           *hedge,
-		HedgeMinDelay:   *hedgeMinDelay,
-		EnableFaults:    *faults,
-		Version:         *versionTag,
+		Replicas:       urls,
+		ScatterMin:     *scatterMin,
+		HealthInterval: *healthInterval,
+		EnableFaults:   *faults,
+		Version:        *versionTag,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "assertrouter:", err)

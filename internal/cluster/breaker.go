@@ -132,7 +132,7 @@ func (b *breaker) Record(ok bool) {
 
 // Release returns an Allow'd slot without recording an outcome — the
 // attempt ended neutrally (shed with Retry-After, a client-side 4xx, a
-// cancelled hedge loser), which says nothing about the replica's
+// cancelled attempt), which says nothing about the replica's
 // health. In half-open it frees the probe slot so a later attempt can
 // probe again; in closed/open it is a no-op.
 func (b *breaker) Release() {
@@ -141,6 +141,15 @@ func (b *breaker) Release() {
 	if b.state == breakerHalfOpen {
 		b.probing = false
 	}
+}
+
+// coolingDown reports whether the breaker is open and its cooldown has
+// not run out, so Allow would refuse every attempt. Once the cooldown
+// is over Allow admits the half-open probe.
+func (b *breaker) coolingDown() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state == breakerOpen && b.now().Sub(b.openedA) < b.cooldown
 }
 
 // reset clears the window and moves to state.

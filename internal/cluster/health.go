@@ -1,12 +1,12 @@
 // Replica health tracking. Each replica is polled on its /healthz
-// endpoint: an "ok" answer keeps (or, after RiseThreshold consecutive
+// endpoint: an "ok" answer keeps (or, after riseThreshold consecutive
 // successes, puts back) the replica in the ring; a "draining" answer
 // removes it immediately — a draining assertd refuses new work with
 // 503, so routing to it only wastes a round trip while its SIGTERM
-// shutdown completes; FailThreshold consecutive poll failures mark it
-// down. The poll also snapshots the replica's capacity limits and
-// served/shed ledger for the router's own /healthz, so one request to
-// the router shows the whole fleet.
+// shutdown completes; failThreshold consecutive poll failures mark it
+// down. The poll also snapshots the replica's in-flight/queued depth
+// and served/shed ledger for the router's own /healthz, so one request
+// to the router shows the whole fleet.
 package cluster
 
 import (
@@ -39,9 +39,8 @@ func (s replicaState) String() string {
 }
 
 // replicaHealth is the subset of the assertd /healthz body the router
-// reads: liveness status, build identity/uptime, plus the
-// capacity/ledger fields (PR 7's limits block) re-exposed on the
-// router's own health endpoint.
+// reads: liveness status, build identity/uptime, plus the load/ledger
+// fields re-exposed on the router's own health endpoint.
 type replicaHealth struct {
 	Status   string  `json:"status"`
 	Version  string  `json:"version"`
@@ -50,10 +49,6 @@ type replicaHealth struct {
 	Queued   int     `json:"queued"`
 	Served   int64   `json:"served"`
 	Shed     int64   `json:"shed"`
-	Limits   struct {
-		MaxConcurrent int `json:"max_concurrent"`
-		MaxQueue      int `json:"max_queue"`
-	} `json:"limits"`
 }
 
 // replica is one assertd backend: its routing state, its circuit
@@ -75,18 +70,20 @@ type replica struct {
 func (r *replica) State() replicaState     { return replicaState(r.state.Load()) }
 func (r *replica) setState(s replicaState) { r.state.Store(int32(s)) }
 
-// routable reports whether new shards may target this replica.
-func (r *replica) routable() bool { return r.State() == stateHealthy }
+// routable reports whether new shards may target this replica: its
+// health state is healthy and its breaker is not open inside the
+// cooldown. Candidate lists, Healthy and /healthz all use this rule.
+func (r *replica) routable() bool { return r.State() == stateHealthy && !r.brk.coolingDown() }
 
 // pollOnce performs one health probe and applies the state machine.
 func (rt *Router) pollOnce(ctx context.Context, rep *replica) {
-	hctx, cancel := context.WithTimeout(ctx, rt.opts.HealthTimeout)
+	hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	h, err := fetchHealth(hctx, rt.client, rep.url)
 	if err != nil {
 		rep.consecOK = 0
 		rep.consecFail++
-		if rep.consecFail >= rt.opts.FailThreshold {
+		if rep.consecFail >= failThreshold {
 			rep.setState(stateDown)
 		}
 		return
@@ -102,7 +99,7 @@ func (rt *Router) pollOnce(ctx context.Context, rep *replica) {
 	}
 	rep.consecFail = 0
 	rep.consecOK++
-	if rep.State() != stateHealthy && rep.consecOK >= rt.opts.RiseThreshold {
+	if rep.State() != stateHealthy && rep.consecOK >= riseThreshold {
 		rep.setState(stateHealthy)
 	}
 }

@@ -1,5 +1,5 @@
 // Consistent-hash ring over the replica set. The router places every
-// replica on the ring at VNodes pseudo-random points (hash of
+// replica on the ring at vnodes pseudo-random points (hash of
 // "url#vnode") and routes a batch by hashing the design's content
 // fingerprint: the walk from that point yields a stable, per-design
 // ordering of replicas — primary first, failover candidates after — so

@@ -6,7 +6,7 @@
 // the ring walk from that point gives a stable primary-plus-failover
 // ordering per design, so each replica's LRU design cache stays hot
 // for its shard of the design space. The batch's properties are split
-// round-robin across the first Spread walk members and dispatched
+// round-robin across the routable walk members and dispatched
 // concurrently; the per-property records come back input-ordered and,
 // because replica record metrics are deterministic and batch records
 // zero the memstats columns, the reassembled response is byte-identical
@@ -14,17 +14,16 @@
 //
 // Failure handling is layered: per-replica health checking drives ring
 // membership (a draining replica leaves the ring before its SIGTERM
-// shutdown completes, a dead one after FailThreshold missed polls);
+// shutdown completes, a dead one after failThreshold missed polls);
 // 429/503 shed responses are retried on the same replica honoring
 // Retry-After with exponential backoff + jitter as the fallback;
-// connection failures and 5xx move the shard to the next ring member,
-// feeding a per-replica circuit breaker (closed/open/half-open) so a
-// dead or panicking replica stops absorbing attempts; an optional
-// hedge fires a duplicate sub-request on the next candidate after a
-// p99-derived delay, first response wins, loser cancelled. When a
-// replica fails after partial dispatch, its unanswered properties are
-// re-sharded across the surviving candidates, so a mid-batch SIGKILL
-// loses no requests and answers none twice.
+// connection failures and 5xx move the whole shard to the next ring
+// member, feeding a per-replica circuit breaker (closed/open/half-open)
+// so a dead or panicking replica stops absorbing attempts. A replica is
+// routable while its health state is healthy and its breaker is not
+// open inside its cooldown; the candidate lists, Healthy and /healthz
+// all apply that one rule. A replica killed mid-batch costs its shard a
+// failover, so no property is lost and none is answered twice.
 //
 // The internal/faultinject route.dial and route.response points (modes
 // refuse / reset-mid-body / sleep) fire inside the router's dispatch
@@ -51,74 +50,56 @@ import (
 	"repro/internal/service"
 )
 
-// Options tunes the router.
+// Fixed routing parameters.
+const (
+	// vnodes is the number of ring points per replica.
+	vnodes = 64
+	// maxAttempts bounds how many replicas one shard is offered to.
+	maxAttempts = 3
+	// retrySame bounds how many times a 429/503 answer is retried on
+	// the same replica.
+	retrySame = 2
+	// baseBackoff seeds the exponential backoff used when a shed answer
+	// carries no Retry-After; maxBackoff caps its growth. maxRetryAfter
+	// caps how long a replica's own hint is honored, so a confused
+	// replica cannot park the router.
+	baseBackoff   = 25 * time.Millisecond
+	maxBackoff    = time.Second
+	maxRetryAfter = 5 * time.Second
+	// healthTimeout bounds one /healthz poll. failThreshold consecutive
+	// failed polls mark a replica down; riseThreshold consecutive good
+	// ones bring it back.
+	healthTimeout = 2 * time.Second
+	failThreshold = 2
+	riseThreshold = 2
+	// A breaker opens once it holds breakerMinSamples outcomes of its
+	// breakerWindow and at least breakerThreshold of them failed; it
+	// admits a half-open probe breakerCooldown later.
+	breakerWindow     = 16
+	breakerThreshold  = 0.5
+	breakerMinSamples = 4
+	breakerCooldown   = 2 * time.Second
+	// maxBodyBytes caps the router's own request bodies and the replica
+	// answers it reads. retryAfter is the hint the router sends with its
+	// own 429/503 responses.
+	maxBodyBytes = 4 << 20
+	retryAfter   = time.Second
+)
+
+// Options configures the router.
 type Options struct {
 	// Replicas are the assertd base URLs (e.g. http://10.0.0.1:8545).
 	Replicas []string
-	// VNodes is the number of ring points per replica (0 = 64).
-	VNodes int
-	// Spread caps how many replicas one batch is sharded across
-	// (0 = all healthy candidates). Lower values trade parallelism for
-	// fewer sub-requests per batch.
-	Spread int
 	// ScatterMin is the small-batch passthrough threshold: a batch with
 	// fewer properties than this routes whole to the design's primary
 	// replica instead of sharding (0 = always shard). Scattering a tiny
 	// batch buys no parallelism and pays per-sub-request overhead — the
 	// PR 7 smoke-batch regression — so routers set this to skip the
 	// scatter/gather machinery when there is nothing to parallelize.
-	// Failover, shed-retry and hedging still apply to the whole batch.
+	// Failover and shed-retry still apply to the whole batch.
 	ScatterMin int
-	// MaxAttempts bounds how many replicas one shard may be offered to
-	// before the dispatch fails over to re-sharding or errors (0 = 3).
-	MaxAttempts int
-	// RetrySame bounds the shed-retry loop: how many times a 429/503
-	// answer from a replica is retried on that same replica, honoring
-	// its Retry-After hint (0 = 2).
-	RetrySame int
-	// BaseBackoff seeds the exponential backoff used when a shed
-	// response carries no Retry-After (0 = 25ms); MaxBackoff caps the
-	// growth (0 = 1s). Full jitter is applied to both.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// MaxRetryAfter caps how long a replica's Retry-After hint is
-	// honored (0 = 5s) so a confused replica cannot park the router.
-	MaxRetryAfter time.Duration
-	// MaxFailover bounds the re-shard recursion depth after replica
-	// failures (0 = 3).
-	MaxFailover int
-
-	// HealthInterval is the /healthz poll period (0 = 500ms);
-	// HealthTimeout bounds each poll (0 = 2s). FailThreshold
-	// consecutive poll failures mark a replica down (0 = 2);
-	// RiseThreshold consecutive successes bring it back (0 = 2).
+	// HealthInterval is the /healthz poll period (0 = 500ms).
 	HealthInterval time.Duration
-	HealthTimeout  time.Duration
-	FailThreshold  int
-	RiseThreshold  int
-
-	// BreakerWindow is the sliding outcome window per replica (0 = 16);
-	// BreakerThreshold the failure rate that opens the breaker
-	// (0 = 0.5); BreakerMinSamples the outcomes required before the
-	// rate counts (0 = 4); BreakerCooldown the open → half-open delay
-	// (0 = 2s).
-	BreakerWindow     int
-	BreakerThreshold  float64
-	BreakerMinSamples int
-	BreakerCooldown   time.Duration
-
-	// Hedge enables tail-latency hedging: when a sub-request has been
-	// in flight longer than the hedge delay, a duplicate is fired at
-	// the next candidate and the first response wins. The delay is the
-	// observed sub-request p99, floored by HedgeMinDelay (0 = 50ms).
-	Hedge         bool
-	HedgeMinDelay time.Duration
-
-	// MaxBodyBytes caps the router's own request bodies (0 = 4 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the hint the router sends with its own 429/503
-	// responses (0 = 1s).
-	RetryAfter time.Duration
 	// EnableFaults turns on the X-Fault-Inject request header
 	// (degradation testing only), including the route.* points fired
 	// inside the router's dispatch path.
@@ -126,44 +107,8 @@ type Options struct {
 	// Version is the build identifier /healthz reports (optional).
 	Version string
 	// Client overrides the HTTP client used for sub-requests and
-	// health polls (nil = a default with sane timeouts).
+	// health polls (nil = a zero http.Client).
 	Client *http.Client
-}
-
-func (o Options) withDefaults() Options {
-	def := func(v *int, d int) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	defD := func(v *time.Duration, d time.Duration) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&o.VNodes, 64)
-	def(&o.MaxAttempts, 3)
-	def(&o.RetrySame, 2)
-	defD(&o.BaseBackoff, 25*time.Millisecond)
-	defD(&o.MaxBackoff, time.Second)
-	defD(&o.MaxRetryAfter, 5*time.Second)
-	def(&o.MaxFailover, 3)
-	defD(&o.HealthInterval, 500*time.Millisecond)
-	defD(&o.HealthTimeout, 2*time.Second)
-	def(&o.FailThreshold, 2)
-	def(&o.RiseThreshold, 2)
-	def(&o.BreakerWindow, 16)
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 0.5
-	}
-	def(&o.BreakerMinSamples, 4)
-	defD(&o.BreakerCooldown, 2*time.Second)
-	defD(&o.HedgeMinDelay, 50*time.Millisecond)
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = 4 << 20
-	}
-	defD(&o.RetryAfter, time.Second)
-	return o
 }
 
 // membership is one immutable generation of the replica set: the ring
@@ -183,7 +128,6 @@ type membership struct {
 type Router struct {
 	opts    Options
 	client  *http.Client
-	lat     *latencyTracker
 	started time.Time
 
 	// mem is the current membership generation; memMu serializes
@@ -202,19 +146,18 @@ type Router struct {
 	failed    atomic.Int64 // batches answered with a routing error
 	retries   atomic.Int64 // shed-retry attempts (Retry-After honored)
 	failovers atomic.Int64 // shards moved off a failed replica
-	resharded atomic.Int64 // shards split across survivors mid-batch
-	hedges    atomic.Int64 // hedge sub-requests fired
-	hedgeWins atomic.Int64 // hedges that answered first
 
 	passthroughs atomic.Int64 // small batches routed whole (ScatterMin)
 }
 
 // New builds a router over the replica set and starts its health
 // monitors. Replicas start healthy (optimistically routable); the
-// monitors and the breakers correct that within FailThreshold polls of
+// monitors and the breakers correct that within failThreshold polls of
 // a dead backend.
 func New(opts Options) (*Router, error) {
-	opts = opts.withDefaults()
+	if opts.HealthInterval == 0 {
+		opts.HealthInterval = 500 * time.Millisecond
+	}
 	if opts.EnableFaults {
 		faultinject.Activate()
 	}
@@ -225,7 +168,6 @@ func New(opts Options) (*Router, error) {
 	rt := &Router{
 		opts:    opts,
 		client:  client,
-		lat:     &latencyTracker{},
 		started: time.Now(),
 		baseCtx: context.Background(),
 		done:    make(chan struct{}),
@@ -266,7 +208,7 @@ func (rt *Router) SetReplicas(urls []string) (added, removed int, err error) {
 			existing[rep.url] = rep
 		}
 	}
-	next := &membership{ring: newRing(deduped, rt.opts.VNodes)}
+	next := &membership{ring: newRing(deduped, vnodes)}
 	for _, u := range deduped {
 		if rep, ok := existing[u]; ok {
 			next.replicas = append(next.replicas, rep)
@@ -276,8 +218,7 @@ func (rt *Router) SetReplicas(urls []string) (added, removed int, err error) {
 		rep := &replica{
 			url:  u,
 			stop: make(chan struct{}),
-			brk: newBreaker(rt.opts.BreakerWindow, rt.opts.BreakerThreshold,
-				rt.opts.BreakerMinSamples, rt.opts.BreakerCooldown),
+			brk:  newBreaker(breakerWindow, breakerThreshold, breakerMinSamples, breakerCooldown),
 		}
 		next.replicas = append(next.replicas, rep)
 		added++
@@ -369,22 +310,6 @@ func shardRequest(base *service.CheckRequest, shard []propRef) *service.CheckReq
 	return &sub
 }
 
-// sortShard orders a shard response-order: invariants before
-// witnesses, each group in original input order. Shards are built in
-// that order already; re-sharding slices preserve it.
-func sortShard(shard []propRef) []propRef {
-	inv := make([]propRef, 0, len(shard))
-	wit := make([]propRef, 0, len(shard))
-	for _, p := range shard {
-		if p.witness {
-			wit = append(wit, p)
-		} else {
-			inv = append(inv, p)
-		}
-	}
-	return append(inv, wit...)
-}
-
 // errNoReplicas is returned when no routable replica remains.
 var errNoReplicas = errors.New("cluster: no healthy replicas")
 
@@ -418,28 +343,26 @@ func (e *shedError) Error() string {
 // errNoReplicas, or a transport-level routing failure.
 func (rt *Router) Check(ctx context.Context, req *service.CheckRequest) ([]core.JSONRecord, string, error) {
 	props := orderedProps(req)
-	hash := core.Fingerprint(req.Design, req.Top)
-	cands := rt.candidates(hash, nil)
+	cands := rt.candidates(core.Fingerprint(req.Design, req.Top))
 	if len(cands) == 0 {
 		return nil, "", errNoReplicas
 	}
-	spread := len(cands)
-	if rt.opts.Spread > 0 && rt.opts.Spread < spread {
-		spread = rt.opts.Spread
-	}
-	if spread > len(props) {
-		spread = len(props)
+	n := len(cands)
+	if n > len(props) {
+		n = len(props)
 	}
 	// Small-batch passthrough: below the scatter threshold the whole
 	// batch goes to the primary (shard 0's candidate walk starts at the
 	// ring primary, so this is exactly the single-replica route).
-	if rt.opts.ScatterMin > 0 && len(props) < rt.opts.ScatterMin && spread > 1 {
-		spread = 1
+	if rt.opts.ScatterMin > 0 && len(props) < rt.opts.ScatterMin && n > 1 {
+		n = 1
 		rt.passthroughs.Add(1)
 	}
-	shards := make([][]propRef, spread)
+	// Dealing the response-ordered props round-robin keeps each shard
+	// in response order too, which is the order its records come back.
+	shards := make([][]propRef, n)
 	for i, p := range props {
-		shards[i%spread] = append(shards[i%spread], p)
+		shards[i%n] = append(shards[i%n], p)
 	}
 
 	records := make([]core.JSONRecord, len(props))
@@ -451,7 +374,7 @@ func (rt *Router) Check(ctx context.Context, req *service.CheckRequest) ([]core.
 		firstErr error
 	)
 	for k, shard := range shards {
-		shard := sortShard(shard)
+		shard := shard // go.mod is go 1.21: loop variables are shared
 		// Rotate the candidate walk so shard k's primary is the k-th
 		// ring member; failover candidates follow in ring order.
 		order := make([]*replica, 0, len(cands))
@@ -461,7 +384,7 @@ func (rt *Router) Check(ctx context.Context, req *service.CheckRequest) ([]core.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			recs, hit, err := rt.dispatch(ctx, req, shard, order, 0)
+			recs, hit, err := rt.dispatch(ctx, req, shard, order)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -473,8 +396,8 @@ func (rt *Router) Check(ctx context.Context, req *service.CheckRequest) ([]core.
 			if !hit {
 				allHit = false
 			}
-			for j, p := range recs.refs {
-				records[p.idx] = recs.records[j]
+			for j, p := range shard {
+				records[p.idx] = recs[j]
 				answered[p.idx]++
 			}
 		}()
@@ -485,7 +408,7 @@ func (rt *Router) Check(ctx context.Context, req *service.CheckRequest) ([]core.
 		return nil, "", firstErr
 	}
 	// The no-lost-no-duplicate invariant: every property answered
-	// exactly once, whatever failovers and re-shards happened above.
+	// exactly once, whatever failovers happened above.
 	for i, n := range answered {
 		if n != 1 {
 			rt.failed.Add(1)
@@ -501,15 +424,11 @@ func (rt *Router) Check(ctx context.Context, req *service.CheckRequest) ([]core.
 }
 
 // candidates returns the routable replicas for a design hash in ring
-// order, excluding any in skip. The whole walk happens against one
-// membership generation, so a concurrent SetReplicas cannot hand back
-// a mixed candidate list.
-func (rt *Router) candidates(hash string, skip map[*replica]bool) []*replica {
+// order. The whole walk happens against one membership generation, so
+// a concurrent SetReplicas cannot hand back a mixed candidate list.
+func (rt *Router) candidates(hash string) []*replica {
 	mem := rt.mem.Load()
-	walk := mem.ring.Walk(hash, func(m int) bool {
-		rep := mem.replicas[m]
-		return rep.routable() && !skip[rep]
-	})
+	walk := mem.ring.Walk(hash, func(m int) bool { return mem.replicas[m].routable() })
 	out := make([]*replica, len(walk))
 	for i, m := range walk {
 		out[i] = mem.replicas[m]
@@ -517,29 +436,19 @@ func (rt *Router) candidates(hash string, skip map[*replica]bool) []*replica {
 	return out
 }
 
-// shardResult pairs a shard's records with the propRefs they answer.
-type shardResult struct {
-	refs    []propRef
-	records []core.JSONRecord
-}
-
-// dispatch delivers one shard to the candidate list: the first
-// breaker-admitted candidate is the primary (with hedging against the
-// next one), and on a hard failure the unanswered properties are
-// re-sharded across the surviving candidates — split when the shard
-// and the survivor set allow it, moved whole otherwise. depth bounds
-// the recursion.
-func (rt *Router) dispatch(ctx context.Context, base *service.CheckRequest, shard []propRef, cands []*replica, depth int) (shardResult, bool, error) {
-	if len(shard) == 0 {
-		return shardResult{}, true, nil
-	}
+// dispatch delivers one shard along its candidate list: the first
+// candidate whose breaker admits an attempt gets the whole shard, and a
+// hard failure moves the whole shard to the next candidate, up to
+// maxAttempts replicas. It returns the shard's records in shard order.
+func (rt *Router) dispatch(ctx context.Context, base *service.CheckRequest, shard []propRef, cands []*replica) ([]core.JSONRecord, bool, error) {
 	var lastErr error
 	attempts := 0
-	for i := 0; i < len(cands); i++ {
-		if attempts >= rt.opts.MaxAttempts {
+	for _, rep := range cands {
+		if attempts >= maxAttempts {
 			break
 		}
-		rep := cands[i]
+		// routable re-checks state that may have moved since the list
+		// was built; Allow admits at most one half-open probe.
 		if !rep.routable() || !rep.brk.Allow() {
 			continue
 		}
@@ -547,199 +456,34 @@ func (rt *Router) dispatch(ctx context.Context, base *service.CheckRequest, shar
 		if attempts > 1 {
 			rt.failovers.Add(1)
 		}
-		recs, hit, err := rt.tryReplica(ctx, base, shard, rep, cands[i+1:])
+		recs, hit, err := rt.attemptWithShedRetry(ctx, base, shard, rep)
 		if err == nil {
-			return shardResult{refs: shard, records: recs}, hit, nil
+			return recs, hit, nil
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
-			return shardResult{}, false, err
+			return nil, false, err
 		}
 		if ctx.Err() != nil {
-			return shardResult{}, false, ctx.Err()
+			return nil, false, ctx.Err()
 		}
 		lastErr = err
-		// Hard failure: try to re-shard the unanswered properties
-		// across the remaining candidates instead of marching on with
-		// the whole shard — survivors share the recovery load and the
-		// batch's tail shrinks.
-		if len(shard) > 1 && depth < rt.opts.MaxFailover {
-			survivors := liveTail(cands[i+1:])
-			if len(survivors) > 1 {
-				rt.resharded.Add(1)
-				return rt.reshard(ctx, base, shard, survivors, depth+1)
-			}
-		}
 	}
 	if lastErr == nil {
 		lastErr = errNoReplicas
 	}
-	return shardResult{}, false, fmt.Errorf("cluster: shard undeliverable after %d attempts: %w", attempts, lastErr)
-}
-
-// liveTail filters a candidate tail down to currently-routable
-// replicas (breaker admission is checked at attempt time, not here).
-func liveTail(cands []*replica) []*replica {
-	out := make([]*replica, 0, len(cands))
-	for _, rep := range cands {
-		if rep.routable() {
-			out = append(out, rep)
-		}
-	}
-	return out
-}
-
-// reshard splits a failed shard's properties across the survivors and
-// dispatches the pieces concurrently, each with the survivor list
-// rotated so the pieces spread instead of piling onto one replica.
-func (rt *Router) reshard(ctx context.Context, base *service.CheckRequest, shard []propRef, survivors []*replica, depth int) (shardResult, bool, error) {
-	n := len(survivors)
-	pieces := make([][]propRef, n)
-	for i, p := range shard {
-		pieces[i%n] = append(pieces[i%n], p)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		merged   shardResult
-		allHit   = true
-	)
-	for k, piece := range pieces {
-		if len(piece) == 0 {
-			continue
-		}
-		piece := sortShard(piece)
-		order := make([]*replica, 0, n)
-		for i := 0; i < n; i++ {
-			order = append(order, survivors[(k+i)%n])
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, hit, err := rt.dispatch(ctx, base, piece, order, depth)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			if !hit {
-				allHit = false
-			}
-			merged.refs = append(merged.refs, res.refs...)
-			merged.records = append(merged.records, res.records...)
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return shardResult{}, false, firstErr
-	}
-	return merged, allHit, nil
-}
-
-// tryReplica delivers a shard to one replica, absorbing shed answers
-// with Retry-After-honoring retries, and hedging the in-flight attempt
-// against the next candidate when enabled. It returns the shard's
-// records on success; a *permanentError must not be retried; any other
-// error means this replica (and, if hedged, the hedge target) could
-// not answer.
-func (rt *Router) tryReplica(ctx context.Context, base *service.CheckRequest, shard []propRef, rep *replica, rest []*replica) ([]core.JSONRecord, bool, error) {
-	if !rt.opts.Hedge {
-		return rt.attemptWithShedRetry(ctx, base, shard, rep)
-	}
-	hedgeTarget := pickHedge(rest)
-	if hedgeTarget == nil {
-		return rt.attemptWithShedRetry(ctx, base, shard, rep)
-	}
-
-	type outcome struct {
-		recs   []core.JSONRecord
-		hit    bool
-		err    error
-		hedged bool
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan outcome, 2)
-	launch := func(target *replica, hedged bool) {
-		recs, hit, err := rt.attemptWithShedRetry(actx, base, shard, target)
-		results <- outcome{recs: recs, hit: hit, err: err, hedged: hedged}
-	}
-	go launch(rep, false)
-
-	delay := rt.hedgeDelay()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	inFlight := 1
-	hedgeFired := false
-	var firstErr error
-	for inFlight > 0 {
-		select {
-		case <-timer.C:
-			if !hedgeFired {
-				hedgeFired = true
-				if hedgeTarget.routable() && hedgeTarget.brk.Allow() {
-					rt.hedges.Add(1)
-					inFlight++
-					go launch(hedgeTarget, true)
-				}
-			}
-		case out := <-results:
-			inFlight--
-			if out.err == nil {
-				// First response wins; cancelling actx aborts the
-				// loser's sub-request, which the replica observes as a
-				// gone client and cancels its batch.
-				if out.hedged {
-					rt.hedgeWins.Add(1)
-				}
-				return out.recs, out.hit, nil
-			}
-			var perm *permanentError
-			if errors.As(out.err, &perm) {
-				return nil, false, out.err
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-		}
-	}
-	return nil, false, firstErr
-}
-
-// pickHedge chooses the hedge target: the first routable candidate
-// after the primary.
-func pickHedge(rest []*replica) *replica {
-	for _, rep := range rest {
-		if rep.routable() {
-			return rep
-		}
-	}
-	return nil
-}
-
-// hedgeDelay derives the hedge trigger from the observed sub-request
-// p99, floored by HedgeMinDelay.
-func (rt *Router) hedgeDelay() time.Duration {
-	d := rt.lat.quantile(0.99)
-	if d < rt.opts.HedgeMinDelay {
-		d = rt.opts.HedgeMinDelay
-	}
-	return d
+	return nil, false, fmt.Errorf("cluster: shard undeliverable after %d attempts: %w", attempts, lastErr)
 }
 
 // attemptWithShedRetry sends the shard to one replica, retrying shed
-// answers (429/503) on the same replica up to RetrySame times. The
+// answers (429/503) on the same replica up to retrySame times. The
 // sleep between retries honors the replica's Retry-After hint (capped
-// by MaxRetryAfter); without a hint it falls back to exponential
+// by maxRetryAfter); without a hint it falls back to exponential
 // backoff. Full jitter on both keeps a recovering fleet from being
 // re-flooded in lockstep.
 func (rt *Router) attemptWithShedRetry(ctx context.Context, base *service.CheckRequest, shard []propRef, rep *replica) ([]core.JSONRecord, bool, error) {
 	var lastErr error
-	for try := 0; try <= rt.opts.RetrySame; try++ {
+	for try := 0; try <= retrySame; try++ {
 		if try > 0 {
 			rt.retries.Add(1)
 		}
@@ -752,18 +496,18 @@ func (rt *Router) attemptWithShedRetry(ctx context.Context, base *service.CheckR
 		if !errors.As(err, &shed) {
 			return nil, false, err
 		}
-		if try == rt.opts.RetrySame {
+		if try == retrySame {
 			break
 		}
 		wait := shed.retryAfter
 		if wait <= 0 {
-			wait = rt.opts.BaseBackoff << uint(try)
+			wait = baseBackoff << uint(try)
 		}
-		if wait > rt.opts.MaxRetryAfter {
-			wait = rt.opts.MaxRetryAfter
+		if wait > maxRetryAfter {
+			wait = maxRetryAfter
 		}
-		if wait > rt.opts.MaxBackoff && shed.retryAfter <= 0 {
-			wait = rt.opts.MaxBackoff
+		if wait > maxBackoff && shed.retryAfter <= 0 {
+			wait = maxBackoff
 		}
 		// Full jitter: sleep U(wait/2, wait) so synchronized retries
 		// decorrelate.
@@ -804,7 +548,6 @@ func (rt *Router) attempt(ctx context.Context, base *service.CheckRequest, shard
 		rep.brk.Release()
 		return nil, false, err
 	}
-	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/check", bytes.NewReader(body))
 	if err != nil {
 		rep.brk.Release()
@@ -814,8 +557,8 @@ func (rt *Router) attempt(ctx context.Context, base *service.CheckRequest, shard
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			// A cancelled attempt (deadline, or a hedge loser) says
-			// nothing about the replica — don't charge its breaker.
+			// A cancelled attempt (deadline, or a client that went away)
+			// says nothing about the replica — don't charge its breaker.
 			rep.brk.Release()
 			return nil, false, ctx.Err()
 		}
@@ -837,7 +580,7 @@ func (rt *Router) attempt(ctx context.Context, base *service.CheckRequest, shard
 			rep.brk.Record(false)
 			return nil, false, fmt.Errorf("read %s: %w", rep.url, err)
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		if err != nil {
 			if ctx.Err() != nil {
 				rep.brk.Release()
@@ -856,7 +599,6 @@ func (rt *Router) attempt(ctx context.Context, base *service.CheckRequest, shard
 			return nil, false, fmt.Errorf("%s: %w", rep.url, err)
 		}
 		rep.brk.Record(true)
-		rt.lat.record(time.Since(start))
 		return recs, resp.Header.Get("X-Design-Cache") == "hit", nil
 
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:

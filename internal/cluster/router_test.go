@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -132,13 +133,7 @@ func newFleet(t *testing.T, n int, wrap func(http.Handler) http.Handler) ([]*htt
 
 func newTestRouter(t *testing.T, urls []string, mod func(*Options)) *Router {
 	t.Helper()
-	o := Options{
-		Replicas:       urls,
-		HealthInterval: 20 * time.Millisecond,
-		HealthTimeout:  time.Second,
-		BaseBackoff:    5 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-	}
+	o := Options{Replicas: urls, HealthInterval: 20 * time.Millisecond}
 	if mod != nil {
 		mod(&o)
 	}
@@ -275,8 +270,8 @@ func TestRouterFailsOverFromDeadReplica(t *testing.T) {
 	if got := normalizeElapsed(encodeRecords(t, recs)); got != want {
 		t.Fatal("failover response differs from single-node run")
 	}
-	if rt.failovers.Load() == 0 && rt.resharded.Load() == 0 {
-		t.Fatal("dead replica cost no failover or reshard")
+	if rt.failovers.Load() == 0 {
+		t.Fatal("dead replica cost no failover")
 	}
 }
 
@@ -430,53 +425,41 @@ func TestRouterRouteFaultInjection(t *testing.T) {
 	}
 }
 
-// TestRouterHedgesSlowPrimary: with hedging on, a primary stuck past
-// the hedge delay is raced by the next candidate and the fast answer
-// wins.
-func TestRouterHedgesSlowPrimary(t *testing.T) {
-	var slowHost atomic.Value // host:port string; set before the check
-	slowHost.Store("")
-	wrap := func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/check" && r.Host == slowHost.Load().(string) {
-				select {
-				case <-time.After(2 * time.Second):
-				case <-r.Context().Done():
-					return // hedge won; the router hung up
-				}
-			}
-			next.ServeHTTP(w, r)
-		})
+// TestOpenBreakerIsNotRoutable pins the one routability rule: while a
+// replica's breaker is open inside its cooldown, Healthy does not count
+// it and no shard is routed to it; once the cooldown has run out it is
+// routable again, and the half-open probe that reaches it closes the
+// breaker.
+func TestOpenBreakerIsNotRoutable(t *testing.T) {
+	_, _, urls := newFleet(t, 1, nil)
+	rt := newTestRouter(t, urls, nil)
+	brk := rt.mem.Load().replicas[0].brk
+	now := time.Unix(0, 0)
+	brk.mu.Lock()
+	brk.now = func() time.Time { return now }
+	brk.mu.Unlock()
+	for i := 0; i < 4; i++ {
+		brk.Record(false)
 	}
-	_, _, urls := newFleet(t, 2, wrap)
-	rt := newTestRouter(t, urls, func(o *Options) {
-		o.Hedge = true
-		o.HedgeMinDelay = 30 * time.Millisecond
-		o.Spread = 1 // one shard, so the slow primary is on the critical path
-	})
+	if got := rt.Healthy(); got != 0 {
+		t.Fatalf("Healthy() = %d with the only breaker open, want 0", got)
+	}
+	if _, _, err := rt.Check(context.Background(), clusterReq()); !errors.Is(err, errNoReplicas) {
+		t.Fatalf("check with the only breaker open: err = %v, want %v", err, errNoReplicas)
+	}
 
-	req := clusterReq()
-	hash := core.Fingerprint(req.Design, req.Top)
-	primary := rt.candidates(hash, nil)[0]
-	slowHost.Store(strings.TrimPrefix(primary.url, "http://"))
-
-	start := time.Now()
-	recs, _, err := rt.Check(context.Background(), req)
-	elapsed := time.Since(start)
+	now = now.Add(3 * time.Second)
+	if got := rt.Healthy(); got != 1 {
+		t.Fatalf("Healthy() = %d after the cooldown, want 1", got)
+	}
+	recs, _, err := rt.Check(context.Background(), clusterReq())
 	if err != nil {
-		t.Fatalf("check: %v", err)
+		t.Fatalf("check after the cooldown: %v", err)
 	}
 	if len(recs) != 8 {
 		t.Fatalf("got %d records, want 8", len(recs))
 	}
-	if rt.hedges.Load() == 0 || rt.hedgeWins.Load() == 0 {
-		t.Fatalf("hedges=%d wins=%d, want both > 0", rt.hedges.Load(), rt.hedgeWins.Load())
-	}
-	if elapsed >= 2*time.Second {
-		t.Fatalf("batch took %v: the hedge did not beat the stuck primary", elapsed)
-	}
-	want := normalizeElapsed(encodeRecords(t, referenceRecords(t)))
-	if got := normalizeElapsed(encodeRecords(t, recs)); got != want {
-		t.Fatal("hedged response differs from single-node run")
+	if got := brk.State(); got != breakerClosed {
+		t.Fatalf("breaker %v after the probe answered, want closed", got)
 	}
 }

@@ -45,11 +45,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (rt *Router) overloaded(w http.ResponseWriter, status int, format string, args ...any) {
-	secs := int(rt.opts.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	httpError(w, status, format, args...)
 }
 
@@ -59,7 +55,7 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.CheckRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -129,9 +125,6 @@ type routerHealth struct {
 	Failed    int64           `json:"failed"`
 	Retries   int64           `json:"retries"`
 	Failovers int64           `json:"failovers"`
-	Resharded int64           `json:"resharded"`
-	Hedges    int64           `json:"hedges"`
-	HedgeWins int64           `json:"hedge_wins"`
 	// Passthroughs counts batches routed whole to their primary because
 	// they were below the ScatterMin threshold.
 	Passthroughs int64 `json:"passthroughs"`
@@ -159,9 +152,6 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Failed:       rt.failed.Load(),
 		Retries:      rt.retries.Load(),
 		Failovers:    rt.failovers.Load(),
-		Resharded:    rt.resharded.Load(),
-		Hedges:       rt.hedges.Load(),
-		HedgeWins:    rt.hedgeWins.Load(),
 		Passthroughs: rt.passthroughs.Load(),
 	}
 	switch {
