@@ -1,9 +1,11 @@
 // Command localfsm demonstrates the implemented §6 extension: local
-// finite state machine extraction. Per-register state transition
-// graphs are built by implication probing; their reachable sets guide
-// the ATPG away from illegal states and make one-hot/range invariants
-// inductive. The token ring's 48-bit rotator and the alarm clock's
-// hour register are the showcase machines.
+// finite state machine extraction. Each register is imaged on its own,
+// as a BDD of its next-state cone with every other register and input
+// left free, from its reset value to the fixpoint; the reachable sets
+// guide the ATPG away from illegal states and make one-hot/range
+// invariants inductive. The token ring's 48-bit rotator, the arbiter's
+// one-hot pointer and the alarm clock's hour register are the showcase
+// machines.
 package main
 
 import (
@@ -30,8 +32,12 @@ func showMachines() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, d := range []*circuits.Design{clock, ring} {
-		ms, err := fsm.Extract(d.NL, fsm.Options{})
+	arb, err := circuits.Arbiter(16)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, d := range []*circuits.Design{clock, ring, arb} {
+		ms, err := fsm.Extract(d.NL)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -39,8 +45,12 @@ func showMachines() {
 		for _, m := range ms {
 			fix := m.Fixpoint()
 			name := d.NL.Signals[m.Q].Name
-			if len(fix) <= 16 {
-				fmt.Printf("  %-12s %2d bits, reachable %v\n", name, m.Width, fix)
+			if len(fix) <= 12 {
+				vals := make([]uint64, len(fix))
+				for i, v := range fix {
+					vals[i], _ = v.Uint64()
+				}
+				fmt.Printf("  %-12s %2d bits, reachable %v\n", name, m.Width, vals)
 			} else {
 				fmt.Printf("  %-12s %2d bits, %d reachable states (of 2^%d)\n",
 					name, m.Width, len(fix), m.Width)

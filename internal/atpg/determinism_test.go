@@ -32,20 +32,24 @@ func buildDomainNetlist() (*netlist.Netlist, netlist.SignalID, []Domain) {
 	// domains.
 	mon := nl.Binary(netlist.KNe, q0, q1)
 
-	mkDomain := func(sig netlist.SignalID, vals []uint64) Domain {
+	mkDomain := func(sig netlist.SignalID, raw []uint64) Domain {
+		vals := make([]bv.BV, len(raw))
+		for i, v := range raw {
+			vals[i] = bv.FromUint64(nl.Width(sig), v)
+		}
 		return Domain{
 			Sig: sig,
 			FeasibleIn: func(_ int, cube bv.BV) bool {
 				for _, v := range vals {
-					if cube.Contains(v) {
+					if cube.Covers(v) {
 						return true
 					}
 				}
 				return false
 			},
-			Enumerate: func(_ int, cube bv.BV, fn func(uint64) bool) {
+			Enumerate: func(_ int, cube bv.BV, fn func(bv.BV) bool) {
 				for _, v := range vals {
-					if cube.Contains(v) {
+					if cube.Covers(v) {
 						if !fn(v) {
 							return
 						}

@@ -215,7 +215,7 @@ type Engine struct {
 	cdCands    []candidate
 	decFree    []*decision
 	decStack   []*decision
-	domVals    []uint64
+	domVals    []bv.BV
 
 	// datapathPhase scratch: sparse equation terms in one backing array,
 	// the variable index map (cleared, never reallocated), the dense
@@ -505,7 +505,7 @@ func NewWithPrep(prep *Prep, frames int, mode Mode, limits Limits, store *estg.S
 	// one backing allocation each (full-slice expressions keep appends
 	// from bleeding across); the decision-BFS accumulators are allocated
 	// lazily on the first control decision, so propagate-only engines
-	// (implication probes, SuccessorSet) never pay for them.
+	// never pay for them.
 	nInst := frames * nGates
 	stampBacking := make([]uint32, 2*nInst)
 	e.queuedStamp = stampBacking[:nInst:nInst]
@@ -609,21 +609,18 @@ func (e *Engine) Value(frame int, sig netlist.SignalID) bv.BV { return e.vals[fr
 type Domain struct {
 	Sig netlist.SignalID
 	// FeasibleIn reports whether some value feasible at frame f lies
-	// inside the cube (the cube width equals the signal width, <= 64).
+	// inside the cube (the cube width equals the signal width).
 	FeasibleIn func(frame int, cube bv.BV) bool
 	// Enumerate calls fn for every feasible value at frame f that lies
 	// inside the cube, until fn returns false. Used to branch directly
 	// over reachable states (a decision over the local FSM's states)
 	// instead of enumerating bits of derived vectors.
-	Enumerate func(frame int, cube bv.BV, fn func(v uint64) bool)
+	Enumerate func(frame int, cube bv.BV, fn func(v bv.BV) bool)
 }
 
-// AddDomain registers a value-domain restriction. Only signals of
-// width <= 64 are supported (wider domains are ignored).
+// AddDomain registers a value-domain restriction on a signal of any
+// width.
 func (e *Engine) AddDomain(d Domain) {
-	if e.nl.Width(d.Sig) > 64 {
-		return
-	}
 	if e.domains == nil {
 		e.domains = map[netlist.SignalID]Domain{}
 	}
@@ -932,83 +929,4 @@ func (e *Engine) stopped() bool {
 		return true
 	}
 	return e.timedOut()
-}
-
-// SuccessorSet computes the candidate successor values of a register:
-// all u for which the joint requirement {Q = v, D = u} is satisfiable
-// with every other register and input unknown. The candidates come
-// from the completions of the implied D cube (so wide registers with
-// tightly-implied next states — one-hot rotators, counters — work even
-// though 2^width is astronomical); each candidate is confirmed by a
-// bounded Solve, and a probe that hits its search budget keeps the
-// candidate (sound over-approximation). This is the state-transition-
-// graph extraction of §6. Returns nil (no information) when the
-// register exceeds 64 bits or the D cube has more than maxCands
-// completions.
-func SuccessorSet(nl *netlist.Netlist, ff netlist.GateID, v uint64, maxCands int) []uint64 {
-	g := &nl.Gates[ff]
-	q, d := g.Out, g.In[0]
-	w := nl.Width(q)
-	if w > 64 {
-		return nil
-	}
-	if maxCands <= 0 {
-		maxCands = 256
-	}
-	e, err := NewWithFeatures(nl, 1, ModeProve, Limits{}, nil, true, Features{})
-	if err != nil {
-		return nil
-	}
-	if !e.assign(0, q, bv.FromUint64(w, v)) || !e.propagate() {
-		return []uint64{} // state v itself is inconsistent
-	}
-	base := e.vals[0][d]
-	if base.CountSolutions() > uint64(maxCands) {
-		return nil // next state too input-dependent: no information
-	}
-	probeLimits := Limits{MaxDecisions: 2000, MaxBacktracks: 4000}
-	var out []uint64
-	enumCubeValues(base, func(u uint64) bool {
-		// Confirm with a bounded search on a fresh engine; ModeWitness
-		// polarity reaches a satisfying assignment fastest.
-		pe, err := NewWithFeatures(nl, 1, ModeWitness, probeLimits, nil, true, Features{})
-		if err != nil {
-			out = append(out, u)
-			return true
-		}
-		ok := pe.Require(0, q, bv.FromUint64(w, v)) && pe.Require(0, d, bv.FromUint64(w, u))
-		if ok && pe.Solve() != StatusUnsat {
-			out = append(out, u)
-		}
-		return true
-	})
-	return out
-}
-
-// enumCubeValues calls fn for every completion of a cube (width <= 64)
-// until fn returns false.
-func enumCubeValues(c bv.BV, fn func(v uint64) bool) {
-	w := c.Width()
-	var xbits []int
-	base := uint64(0)
-	for i := 0; i < w; i++ {
-		switch c.Bit(i) {
-		case bv.X:
-			xbits = append(xbits, i)
-		case bv.One:
-			base |= uint64(1) << uint(i)
-		}
-	}
-	total := uint64(1) << uint(len(xbits))
-	for t := uint64(0); t < total; t++ {
-		v := base
-		for k, pos := range xbits {
-			if t>>uint(k)&1 == 1 {
-				v |= uint64(1) << uint(pos)
-			}
-		}
-		if !fn(v) {
-			return
-		}
-	}
 }

@@ -612,7 +612,7 @@ func (e *Engine) makeDomainDecision() *decision {
 			}
 			vals := e.domVals[:0]
 			full := false
-			d.Enumerate(f, cube, func(v uint64) bool {
+			d.Enumerate(f, cube, func(v bv.BV) bool {
 				vals = append(vals, v)
 				if len(vals) >= bestCount {
 					full = true
@@ -624,10 +624,9 @@ func (e *Engine) makeDomainDecision() *decision {
 			if full || len(vals) == 0 || len(vals) >= bestCount {
 				continue
 			}
-			w := e.nl.Width(d.Sig)
 			alts := make([]alternative, len(vals))
 			for i, v := range vals {
-				alts[i] = alternative{asg: []requirement{{f, d.Sig, bv.FromUint64(w, v)}}}
+				alts[i] = alternative{asg: []requirement{{f, d.Sig, v}}}
 			}
 			bestCount = len(vals)
 			bestAlts = alts

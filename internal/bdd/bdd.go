@@ -134,13 +134,40 @@ func (m *Manager) Snapshot() *Snapshot {
 	return &Snapshot{nVars: m.nVars, nodes: slices.Clone(m.nodes), unique: slices.Clone(m.unique)}
 }
 
+// loadChunk is how many elements a snapshot load copies between two
+// polls of its stop function: 64K nodes is under a millisecond.
+const loadChunk = 1 << 16
+
 // NewFromSnapshot returns a manager whose node store is a private copy
 // of s: two slice copies, with no rehashing and no per-node work. Its
 // computed table starts empty. This is how a compiled transition
 // relation is shared across concurrent sessions: one immutable
-// snapshot, one cheap private manager per session.
-func NewFromSnapshot(s *Snapshot) *Manager {
-	return &Manager{nVars: s.nVars, nodes: slices.Clone(s.nodes), unique: slices.Clone(s.unique)}
+// snapshot, one cheap private manager per session. A non-nil stop is
+// polled before anything is allocated and between fixed-size chunks of
+// the copies; once it reports true the load is abandoned and
+// NewFromSnapshot returns nil.
+func NewFromSnapshot(s *Snapshot, stop func() bool) *Manager {
+	if stop != nil && stop() {
+		return nil
+	}
+	nodes := make([]node, len(s.nodes))
+	unique := make([]Ref, len(s.unique))
+	if !copyChunked(nodes, s.nodes, stop) || !copyChunked(unique, s.unique, stop) {
+		return nil
+	}
+	return &Manager{nVars: s.nVars, nodes: nodes, unique: unique}
+}
+
+// copyChunked copies src into dst loadChunk elements at a time,
+// polling stop between chunks; it reports whether the copy completed.
+func copyChunked[T any](dst, src []T, stop func() bool) bool {
+	for lo := 0; lo < len(src); lo += loadChunk {
+		if stop != nil && lo > 0 && stop() {
+			return false
+		}
+		copy(dst[lo:], src[lo:min(lo+loadChunk, len(src))])
+	}
+	return true
 }
 
 // NumVars returns the variable count.
@@ -181,10 +208,16 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	return r
 }
 
-// grow doubles the unique table and reinserts every node.
+// grow doubles the unique table and reinserts every node. It also
+// reserves room for every node the new table can take before it grows
+// again: left to append, a large node slice grows by a quarter at a
+// time, and each step leaves the old array behind as garbage.
 func (m *Manager) grow() {
 	old := len(m.unique)
 	m.unique = make([]Ref, 2*old)
+	if cap(m.nodes) <= old {
+		m.nodes = slices.Grow(m.nodes, old+1-len(m.nodes))
+	}
 	mask := uint64(len(m.unique) - 1)
 	for r, n := range m.nodes[2:] {
 		i := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & mask
@@ -546,6 +579,35 @@ func (m *Manager) AnySat(f Ref) (map[int]bool, bool) {
 		}
 	}
 	return out, true
+}
+
+// Minterms calls fn for every assignment to vars (ascending variable
+// indices, which must include f's whole support) that satisfies f,
+// until fn returns false; bits[k] is the value of vars[k]. Assignments
+// come in lexicographic order over vars with false first. fn must not
+// retain bits, which is reused between calls.
+func (m *Manager) Minterms(f Ref, vars []int, fn func(bits []bool) bool) {
+	bits := make([]bool, len(vars))
+	var rec func(f Ref, k int) bool
+	rec = func(f Ref, k int) bool {
+		if f == False {
+			return true
+		}
+		if k == len(vars) {
+			return fn(bits)
+		}
+		lo, hi := f, f
+		if n := m.nodes[f]; int(n.level) == vars[k] {
+			lo, hi = n.lo, n.hi
+		}
+		bits[k] = false
+		if !rec(lo, k+1) {
+			return false
+		}
+		bits[k] = true
+		return rec(hi, k+1)
+	}
+	rec(f, 0)
 }
 
 // Eval evaluates f under a complete assignment.

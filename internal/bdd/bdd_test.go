@@ -186,6 +186,82 @@ func TestAnySat(t *testing.T) {
 	}
 }
 
+// TestMinterms: the enumeration yields exactly the satisfying rows,
+// in lexicographic order, with variables outside f's support expanded,
+// and stops when fn returns false.
+func TestMinterms(t *testing.T) {
+	m := New(4)
+	f := m.Or(m.And(m.Var(0), m.NVar(2)), m.Var(3)) // vars 0, 2, 3
+	vars := []int{0, 1, 2, 3}
+	var got []int
+	m.Minterms(f, vars, func(bits []bool) bool {
+		row := 0
+		for k, b := range bits {
+			if b {
+				row |= 1 << k
+			}
+		}
+		got = append(got, row)
+		return true
+	})
+	var want []int
+	// Lexicographic over vars with vars[0] most significant.
+	for lex := 0; lex < 16; lex++ {
+		row := 0
+		for k := range vars {
+			row |= (lex >> (3 - k) & 1) << k
+		}
+		if m.Eval(f, func(v int) bool { return row>>v&1 == 1 }) {
+			want = append(want, row)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("minterms %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("minterms %v, want %v", got, want)
+		}
+	}
+	n := 0
+	m.Minterms(f, vars, func([]bool) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Errorf("enumeration went on for %d calls after fn returned false at 3", n)
+	}
+}
+
+// TestNewFromSnapshotStops: a load polls its stop function before
+// allocating and between chunks of the copy, and returns nil once stop
+// reports true.
+func TestNewFromSnapshotStops(t *testing.T) {
+	m := New(24)
+	r := rand.New(rand.NewSource(1))
+	f := False
+	for m.NumNodes() <= loadChunk {
+		cube := True
+		for v := 0; v < 24; v++ {
+			if r.Intn(2) == 0 {
+				cube = m.And(cube, m.Var(v))
+			} else {
+				cube = m.And(cube, m.NVar(v))
+			}
+		}
+		f = m.Or(f, cube)
+	}
+	s := m.Snapshot()
+	if NewFromSnapshot(s, func() bool { return true }) != nil {
+		t.Error("load under a stopped poll returned a manager")
+	}
+	polls := 0
+	if NewFromSnapshot(s, func() bool { polls++; return polls > 1 }) != nil || polls != 2 {
+		t.Errorf("load stopped after its first chunk returned a manager or polled %d times, want nil after 2", polls)
+	}
+	loaded := NewFromSnapshot(s, func() bool { return false })
+	if loaded == nil || loaded.NumNodes() != m.NumNodes() || loaded.Size(f) != m.Size(f) {
+		t.Error("load under a poll that never stops lost nodes")
+	}
+}
+
 func TestNodeLimit(t *testing.T) {
 	m := New(20)
 	m.MaxNodes = 50
@@ -343,14 +419,14 @@ func TestNewFromSnapshotAllocs(t *testing.T) {
 		f := lessThan(m, vars)
 		s := m.Snapshot()
 		if !raceEnabled {
-			if got := testing.AllocsPerRun(5, func() { sinkManager = NewFromSnapshot(s) }); got > 3 {
+			if got := testing.AllocsPerRun(5, func() { sinkManager = NewFromSnapshot(s, nil) }); got > 3 {
 				t.Errorf("%d-node snapshot: NewFromSnapshot made %v allocations, want at most 3",
 					m.NumNodes(), got)
 			}
 		}
 		// Two loads extended with different functions: neither sees
 		// the other's nodes, and the snapshot's refs stay valid.
-		a, b := NewFromSnapshot(s), NewFromSnapshot(s)
+		a, b := NewFromSnapshot(s, nil), NewFromSnapshot(s, nil)
 		fa := a.Xor(f, a.Var(2*vars-1))
 		fb := b.And(f, b.Var(2*vars-1))
 		if a.NumNodes() <= m.NumNodes() || b.NumNodes() <= m.NumNodes() {

@@ -101,7 +101,7 @@ func runProgram(t *testing.T, setup func(*Manager), n int, prog []byte) []Ref {
 			r = fuzzFn{m.Rename(a.ref, func(v int) int { return v + d }), tt}
 		default:
 			// Reload from a snapshot: every Ref stays valid.
-			m = NewFromSnapshot(m.Snapshot())
+			m = NewFromSnapshot(m.Snapshot(), nil)
 			setup(m)
 			continue
 		}

@@ -276,8 +276,9 @@ func TestEngineCancellationPrompt(t *testing.T) {
 		{"atpg", func(t *testing.T) (Engine, Problem) {
 			// The chronological engine (ablated backjumping and
 			// guidance) needs >8s on the depth-3 arbiter induction
-			// proof.
-			d, sess := arbiter(t, 24, Options{MaxDepth: 3, UseInduction: true,
+			// proof without the local FSMs, whose one-hot ptr and
+			// grant_r machines would let it prove in milliseconds.
+			d, sess := arbiter(t, 24, Options{MaxDepth: 3, UseInduction: true, DisableLocalFSM: true,
 				Features: atpg.Features{NoBackjump: true, NoEstgGuide: true}})
 			if _, err := sess.Design().ATPGPrep(); err != nil {
 				t.Fatal(err)

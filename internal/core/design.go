@@ -167,7 +167,7 @@ func (d *Design) coneHasState(sigs ...netlist.SignalID) bool {
 func (d *Design) Machines() ([]*fsm.Machine, error) {
 	d.fsmOnce.Do(func() {
 		d.fsmBuilds.Add(1)
-		d.machines, d.fsmErr = fsm.Extract(d.nl, fsm.Options{})
+		d.machines, d.fsmErr = fsm.Extract(d.nl)
 	})
 	return d.machines, d.fsmErr
 }

@@ -131,17 +131,12 @@ func (c *Session) addDomains(eng *atpg.Engine, fixpointOnly bool) {
 				FeasibleIn: func(_ int, cube bv.BV) bool {
 					return m.FeasibleEver(cube)
 				},
-				Enumerate: func(_ int, cube bv.BV, fn func(uint64) bool) {
-					m.EnumerateIn(len(m.ReachAt)-1, cube, fn)
+				Enumerate: func(_ int, cube bv.BV, fn func(bv.BV) bool) {
+					m.EnumerateIn(m.Frames, cube, fn)
 				},
 			})
 		} else {
-			eng.AddDomain(atpg.Domain{
-				Sig: m.Q, FeasibleIn: m.FeasibleIn,
-				Enumerate: func(f int, cube bv.BV, fn func(uint64) bool) {
-					m.EnumerateIn(f, cube, fn)
-				},
-			})
+			eng.AddDomain(atpg.Domain{Sig: m.Q, FeasibleIn: m.FeasibleIn, Enumerate: m.EnumerateIn})
 		}
 	}
 }

@@ -188,7 +188,7 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // netlists) disable caching for those engines by returning "".
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v1|%s|d%d.%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
+	meta := fmt.Sprintf("v2|%s|d%d.%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
 		engineName, o.MaxDepth, o.MinDepth,
 		o.UseInduction, o.InductionDecisions,
 		o.Limits.MaxBacktracks, o.Limits.MaxDecisions, int64(o.Limits.Timeout),

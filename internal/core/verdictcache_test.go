@@ -9,6 +9,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/estg"
@@ -218,6 +219,65 @@ func TestVerdictCacheSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(coldBytes, warmBytes) {
 		t.Errorf("post-restore encoding differs:\ncold: %s\nwarm: %s", coldBytes, warmBytes)
+	}
+}
+
+// TestVerdictCacheOldVersionNeverServed: a verdict snapshot persisted
+// under the previous cache-key version ("v1|", before local FSMs were
+// imaged per register) holds records a fresh run no longer produces.
+// Restored, none of them is served: every check runs fresh. The same
+// record restored under the current meta is served, so the keys below
+// are the ones the batch looks up.
+func TestVerdictCacheOldVersionNeverServed(t *testing.T) {
+	d, err := CompileVerilog(coneTestSrc("v1", false, 0, 0), "top")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := d.NewSession(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"ok0", "ok1"}
+	props, err := property.FromNames(d.Netlist(), names, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := sess.cacheMeta(EngineATPG)
+	if !strings.HasPrefix(meta, "v2|") {
+		t.Fatalf("cache meta %q does not carry version v2", meta)
+	}
+	restore := func(meta string) *VerdictCache {
+		persisted := NewVerdictCache(0)
+		for _, p := range props {
+			// A record no fresh run produces: served, it shows.
+			persisted.Put(verdictKey(d.PropertyConeHash(p), p, meta),
+				JSONRecord{Property: p.Name, Engine: EngineATPG, Verdict: "falsified", Implications: 1})
+		}
+		blob, err := persisted.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := NewVerdictCache(0)
+		if n, err := restored.Restore(blob); err != nil || n != len(props) {
+			t.Fatalf("restored %d entries (%v), want %d", n, err, len(props))
+		}
+		return restored
+	}
+	old := restore("v1|" + strings.TrimPrefix(meta, "v2|"))
+	fresh, _ := batchRecords(t, d, names, old)
+	for i, r := range fresh {
+		if r.FromCache || r.Verdict == VerdictFalsified {
+			t.Errorf("%s: served the v1 entry (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
+		}
+	}
+	if st := old.Stats(); st.Hits != 0 {
+		t.Errorf("v1 entries hit %d times, want 0", st.Hits)
+	}
+	current, _ := batchRecords(t, d, names, restore(meta))
+	for i, r := range current {
+		if !r.FromCache || r.Verdict != VerdictFalsified {
+			t.Errorf("%s: the v2 entry was not served (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
+		}
 	}
 }
 

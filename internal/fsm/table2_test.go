@@ -16,7 +16,7 @@ func summary(d *circuits.Design, ms []*fsm.Machine) string {
 	var parts []string
 	for _, m := range ms {
 		parts = append(parts, fmt.Sprintf("%s/%d/%d/%d",
-			d.NL.Signals[m.Q].Name, m.Width, len(m.Fixpoint()), len(m.ReachAt)))
+			d.NL.Signals[m.Q].Name, m.Width, len(m.Fixpoint()), m.Frames))
 	}
 	return strings.Join(parts, " ")
 }
@@ -41,7 +41,7 @@ func TestTable2Machines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range ds {
-		ms, err := fsm.Extract(d.NL, fsm.Options{})
+		ms, err := fsm.Extract(d.NL)
 		if err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
@@ -62,7 +62,7 @@ func TestAddrDecoderExtractionBytes(t *testing.T) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if _, err := fsm.Extract(d.NL, fsm.Options{}); err != nil {
+	if _, err := fsm.Extract(d.NL); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)

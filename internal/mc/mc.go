@@ -122,16 +122,55 @@ func layoutSizes(nl *netlist.Netlist) (nState, nIn int) {
 	return nState, nIn
 }
 
-// buildModel constructs the symbolic model in m. The variable layout
-// is interleaved: input bits with in-signal bit index i sit directly
-// after state bit i's current/next pair, so globally-shared low-order
-// inputs (an address, a per-bit grant) live near the top of the order
-// and per-bit inputs sit next to the state bit they gate. Without
-// this, a relation like next_i <-> f(state_i, shared_input) forces
-// every partial product to carry the full cross-bit correlation until
-// the shared input is finally quantified, and the fold goes
-// exponential. The layout keeps next = current + 1, which the image's
+// layout is an interleaved variable order: slot i holds state bit i's
+// current/next pair, then bit i of every free leaf in leaf order. So
+// globally-shared low-order inputs (an address, a per-bit grant) live
+// near the top of the order and per-bit leaves sit next to the state
+// bit they gate. Without this, a relation like next_i <-> f(state_i,
+// shared_input) forces every partial product to carry the full
+// cross-bit correlation until the shared input is finally quantified,
+// and the fold goes exponential. next = current + 1, which the image's
 // rename step relies on.
+type layout struct {
+	curOf, nextOf []int   // per state bit
+	leafOf        [][]int // per leaf, per bit
+	nVars         int
+}
+
+func interleave(nState int, leafWidths []int) layout {
+	l := layout{curOf: make([]int, nState), nextOf: make([]int, nState), leafOf: make([][]int, len(leafWidths))}
+	slots := nState
+	for k, w := range leafWidths {
+		l.leafOf[k] = make([]int, w)
+		slots = max(slots, w)
+	}
+	for i := 0; i < slots; i++ {
+		if i < nState {
+			l.curOf[i], l.nextOf[i] = l.nVars, l.nVars+1
+			l.nVars += 2
+		}
+		for k, w := range leafWidths {
+			if i < w {
+				l.leafOf[k][i] = l.nVars
+				l.nVars++
+			}
+		}
+	}
+	return l
+}
+
+// vars returns the BDDs of the given variables.
+func vars(m *bdd.Manager, vs []int) []bdd.Ref {
+	bits := make([]bdd.Ref, len(vs))
+	for i, v := range vs {
+		bits[i] = m.Var(v)
+	}
+	return bits
+}
+
+// buildModel constructs the symbolic model of the whole design in m:
+// every flip-flop is a state variable and every primary input a free
+// leaf of the interleaved layout.
 func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, error) {
 	nState := 0
 	ffBase := map[netlist.GateID]int{}
@@ -139,50 +178,21 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, err
 		ffBase[ff] = nState
 		nState += nl.Width(nl.Gates[ff].Out)
 	}
-	curOf := make([]int, nState)
-	nextOf := make([]int, nState)
-	inVarOf := map[netlist.SignalID][]int{}
-	slots := nState
-	for _, pi := range nl.PIs {
-		inVarOf[pi] = make([]int, nl.Width(pi))
-		if w := nl.Width(pi); w > slots {
-			slots = w
-		}
+	piWidths := make([]int, len(nl.PIs))
+	for k, pi := range nl.PIs {
+		piWidths[k] = nl.Width(pi)
 	}
-	idx := 0
-	for i := 0; i < slots; i++ {
-		if i < nState {
-			curOf[i], nextOf[i] = idx, idx+1
-			idx += 2
-		}
-		for _, pi := range nl.PIs {
-			if i < nl.Width(pi) {
-				inVarOf[pi][i] = idx
-				idx++
-			}
-		}
-	}
+	lay := interleave(nState, piWidths)
 
 	// Build per-bit functions of every signal over current-state and
 	// input variables.
 	funcs := map[netlist.SignalID][]bdd.Ref{}
 	for _, ff := range nl.FFs {
-		out := nl.Gates[ff].Out
 		base := ffBase[ff]
-		w := nl.Width(out)
-		bits := make([]bdd.Ref, w)
-		for i := 0; i < w; i++ {
-			bits[i] = m.Var(curOf[base+i])
-		}
-		funcs[out] = bits
+		funcs[nl.Gates[ff].Out] = vars(m, lay.curOf[base:base+nl.Width(nl.Gates[ff].Out)])
 	}
-	for _, pi := range nl.PIs {
-		w := nl.Width(pi)
-		bits := make([]bdd.Ref, w)
-		for i := 0; i < w; i++ {
-			bits[i] = m.Var(inVarOf[pi][i])
-		}
-		funcs[pi] = bits
+	for k, pi := range nl.PIs {
+		funcs[pi] = vars(m, lay.leafOf[k])
 	}
 	order, err := nl.TopoOrder()
 	if err != nil {
@@ -190,62 +200,85 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, err
 	}
 	for _, gid := range order {
 		g := &nl.Gates[gid]
-		funcs[g.Out] = buildGate(m, nl, g, funcs)
+		funcs[g.Out] = buildGate(m, nl, g, funcs, nil)
 	}
 
-	// Transition relation T = ∧ (next_i ↔ f_d[i]): per-state-bit
-	// conjuncts greedily packed into clusters in state-bit order under
-	// the node budget.
+	var d []bdd.Ref
+	for _, ff := range nl.FFs {
+		d = append(d, funcs[nl.Gates[ff].In[0]]...)
+	}
+	mo := newModel(m, lay, clusters(m, constraints(m, lay, d), partBudget))
+	mo.funcs, mo.init = funcs, bdd.True
+	for _, ff := range nl.FFs {
+		mo.init = conjoinInit(m, mo.init, nl.Gates[ff].Init, lay.curOf[ffBase[ff]:])
+	}
+	return mo, nil
+}
+
+// conjoinInit conjoins r with the known bits of init over the
+// current-state variables cur.
+func conjoinInit(m *bdd.Manager, r bdd.Ref, init bv.BV, cur []int) bdd.Ref {
+	for i := 0; i < init.Width(); i++ {
+		switch init.Bit(i) {
+		case bv.One:
+			r = m.And(r, m.Var(cur[i]))
+		case bv.Zero:
+			r = m.And(r, m.NVar(cur[i]))
+		}
+	}
+	return r
+}
+
+// constraints returns the next-state constraints next_i ↔ d[i] of the
+// layout's state bits, whose conjunction is the transition relation.
+func constraints(m *bdd.Manager, lay layout, d []bdd.Ref) []bdd.Ref {
+	cs := make([]bdd.Ref, len(d))
+	for i, f := range d {
+		cs[i] = m.Xnor(m.Var(lay.nextOf[i]), f)
+	}
+	return cs
+}
+
+// clusters greedily packs the constraints, in state-bit order, into
+// conjunctions under the node budget.
+func clusters(m *bdd.Manager, cs []bdd.Ref, partBudget int) []bdd.Ref {
 	var parts []bdd.Ref
 	if partBudget <= 0 {
 		partBudget = 2048
 	}
 	cluster := bdd.True
-	for _, ff := range nl.FFs {
-		g := &nl.Gates[ff]
-		base := ffBase[ff]
-		d := funcs[g.In[0]]
-		for i := range d {
-			c := m.Xnor(m.Var(nextOf[base+i]), d[i])
-			merged := m.And(cluster, c)
-			if cluster != bdd.True && m.Size(merged) > partBudget {
-				parts = append(parts, cluster)
-				cluster = c
-			} else {
-				cluster = merged
-			}
+	for _, c := range cs {
+		merged := m.And(cluster, c)
+		if cluster != bdd.True && m.Size(merged) > partBudget {
+			parts = append(parts, cluster)
+			cluster = c
+		} else {
+			cluster = merged
 		}
 	}
 	if cluster != bdd.True {
 		parts = append(parts, cluster)
 	}
-	// Initial states.
-	initR := bdd.True
-	for _, ff := range nl.FFs {
-		g := &nl.Gates[ff]
-		base := ffBase[ff]
-		for i := 0; i < g.Init.Width(); i++ {
-			switch g.Init.Bit(i) {
-			case bv.One:
-				initR = m.And(initR, m.Var(curOf[base+i]))
-			case bv.Zero:
-				initR = m.And(initR, m.NVar(curOf[base+i]))
-			}
-		}
-	}
+	return parts
+}
+
+// newModel wraps a conjunctively partitioned transition relation over
+// the layout with its early-quantification schedule. Every
+// current-state and leaf variable is quantified by the image;
+// next-state variables survive.
+func newModel(m *bdd.Manager, lay layout, parts []bdd.Ref) model {
 	quantOK := make([]bool, m.NumVars())
 	isCur := make([]bool, m.NumVars())
-	for k := 0; k < nState; k++ {
-		quantOK[curOf[k]] = true
-		isCur[curOf[k]] = true
+	for _, v := range lay.curOf {
+		quantOK[v] = true
+		isCur[v] = true
 	}
-	for _, vs := range inVarOf {
+	for _, vs := range lay.leafOf {
 		for _, v := range vs {
 			quantOK[v] = true
 		}
 	}
-	mo := model{funcs: funcs, init: initR, parts: parts,
-		quantOK: quantOK, isCur: isCur}
+	mo := model{parts: parts, quantOK: quantOK, isCur: isCur}
 	// Early-quantification schedule: the last cluster mentioning a
 	// variable is where it gets quantified out of the image product.
 	// Variables no cluster reads (unconstrained inputs, state bits
@@ -277,15 +310,15 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, err
 			mo.quantDepth++
 		}
 	}
-	return mo, nil
+	return mo
 }
 
 // image computes ∃ current,input . T ∧ reached ∧ assume, renamed next
 // -> current, by folding the cluster list with AndExists relational
 // products: each variable is quantified at the last cluster that
 // mentions it, so the intermediate products never carry variables no
-// remaining cluster reads. peak is raised to the largest intermediate
-// product seen.
+// remaining cluster reads. A non-nil peak is raised to the largest
+// intermediate product seen.
 func (mo *model) image(m *bdd.Manager, reached, assume bdd.Ref, peak *int) bdd.Ref {
 	acc := m.And(reached, assume)
 	acc = m.Exists(acc, func(v int) bool {
@@ -295,8 +328,8 @@ func (mo *model) image(m *bdd.Manager, reached, assume bdd.Ref, peak *int) bdd.R
 		acc = m.AndExists(acc, p, func(v int) bool {
 			return mo.quantOK[v] && mo.lastAt[v] == i
 		})
-		if s := m.Size(acc); s > *peak {
-			*peak = s
+		if peak != nil {
+			*peak = max(*peak, m.Size(acc))
 		}
 	}
 	return m.Rename(acc, func(v int) int { return v - 1 })
@@ -468,11 +501,18 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 		opts.MaxIters = 10000
 	}
 	defer recoverBudget(&res, start, opts.MaxNodes)
-	m := bdd.NewFromSnapshot(c.snap)
-	m.MaxNodes = opts.MaxNodes
+	var stop func() bool
 	if ctx.Done() != nil {
-		m.Interrupt = func() bool { return ctx.Err() != nil }
+		stop = func() bool { return ctx.Err() != nil }
 	}
+	m := bdd.NewFromSnapshot(c.snap, stop)
+	if m == nil { // cancelled before or while loading
+		res.Verdict = Unknown
+		res.Elapsed = time.Since(start)
+		return
+	}
+	m.MaxNodes = opts.MaxNodes
+	m.Interrupt = stop
 	return checkReach(ctx, m, c.mo, p, opts, start)
 }
 
@@ -484,8 +524,13 @@ func countStates(m *bdd.Manager, r bdd.Ref, mo model) float64 {
 	return m.SatCount(p, mo.isCur)
 }
 
-// buildGate constructs the per-bit BDDs of a combinational gate.
-func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[netlist.SignalID][]bdd.Ref) []bdd.Ref {
+// buildGate constructs the per-bit BDDs of a combinational gate. The
+// two gates whose three-valued output can be x whatever their inputs —
+// a constant's x bits, and a mux whose select is past its data list —
+// take their value from free(g), one variable per output bit, when
+// free is non-nil; otherwise they read 0, as the whole-design model
+// always has.
+func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[netlist.SignalID][]bdd.Ref, free func(*netlist.Gate) []bdd.Ref) []bdd.Ref {
 	w := nl.Width(g.Out)
 	in := make([][]bdd.Ref, len(g.In))
 	for i, s := range g.In {
@@ -495,12 +540,17 @@ func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[n
 	switch g.Kind {
 	case netlist.KConst:
 		for i := 0; i < w; i++ {
-			out[i] = bdd.False
-			if g.Const.Bit(i) == bv.One {
+			switch g.Const.Bit(i) {
+			case bv.One:
 				out[i] = bdd.True
+			case bv.X:
+				out[i] = bdd.False
+				if free != nil {
+					out[i] = free(g)[i]
+				}
+			default:
+				out[i] = bdd.False
 			}
-			// x constant bits default to 0 in the BDD model (the
-			// baseline has no third value).
 		}
 	case netlist.KDff:
 		return funcs[g.Out] // state variables, set up by the caller
@@ -590,7 +640,11 @@ func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[n
 	case netlist.KShl, netlist.KShr:
 		cur := append([]bdd.Ref(nil), in[0]...)
 		for level := 0; level < len(in[1]); level++ {
-			shift := 1 << uint(level)
+			// Amount bits at level 30 and up shift every bit out.
+			shift := w
+			if level < 30 {
+				shift = min(1<<uint(level), w)
+			}
 			next := make([]bdd.Ref, w)
 			for i := 0; i < w; i++ {
 				var shifted bdd.Ref = bdd.False
@@ -631,8 +685,15 @@ func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[n
 	case netlist.KMux:
 		sel := in[0]
 		data := in[1:]
+		if len(sel) < 31 && 1<<uint(len(sel)) < len(data) {
+			data = data[:1<<uint(len(sel))] // the rest can never be selected
+		}
+		var past []bdd.Ref
+		if free != nil && muxCanPass(len(sel), len(data)) {
+			past = free(g)
+		}
 		for i := 0; i < w; i++ {
-			acc := bdd.False
+			acc, hit := bdd.False, bdd.False
 			for k, d := range data {
 				cond := bdd.True
 				for j := range sel {
@@ -643,6 +704,12 @@ func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[n
 					}
 				}
 				acc = m.Or(acc, m.And(cond, d[i]))
+				if past != nil {
+					hit = m.Or(hit, cond)
+				}
+			}
+			if past != nil {
+				acc = m.Or(acc, m.And(m.Not(hit), past[i]))
 			}
 			out[i] = acc
 		}
@@ -670,4 +737,10 @@ func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[n
 		}
 	}
 	return out
+}
+
+// muxCanPass reports whether a select of selWidth bits can take a value
+// past a data list of n entries.
+func muxCanPass(selWidth, n int) bool {
+	return selWidth >= 31 || 1<<uint(selWidth) > n
 }

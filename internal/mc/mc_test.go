@@ -2,6 +2,7 @@ package mc
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -186,6 +187,32 @@ func TestCompiledMatchesDirect(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestCancelledCheckSkipsLoad: a compiled check whose context is
+// already cancelled returns unknown without copying the snapshot, which
+// is 38 MB for Industry01(64).
+func TestCancelledCheckSkipsLoad(t *testing.T) {
+	d, err := circuits.Industry01(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := Compile(d.NL, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := comp.CheckCtx(ctx, d.Props[0], Options{})
+	runtime.ReadMemStats(&m1)
+	if res.Verdict != Unknown {
+		t.Errorf("cancelled check returned %v, want unknown", res.Verdict)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Errorf("cancelled check allocated %d KB, want under 1 MB", got>>10)
+	}
 }
 
 // TestCompileRespectsNodeBudget: a design that blows the build budget
