@@ -33,7 +33,7 @@ var goldenCorpus = []goldenATPG{
 	{"addr_decoder/p2", VerdictProved, 1, 1646, 81, 158, 4, 705, 80, 3147, 89},
 	{"token_ring48/p3", VerdictProved, 3, 3894, 16, 124, 0, 414, 10, 519, 107},
 	{"token_ring48/p4", VerdictWitnessFound, 6, 1333, 0, 0, 0, 142, 0, 34, 314},
-	{"arbiter16/p5", VerdictProved, 3, 320077, 573, 1101, 44, 144608, 567, 230984, 1531},
+	{"arbiter16/p5", VerdictProved, 3, 7692, 11, 59, 3, 2643, 8, 811, 1004},
 	{"arbiter16/p6", VerdictWitnessFound, 2, 3787, 0, 0, 0, 904, 0, 1352, 1481},
 	{"alarm_clock/p7", VerdictProved, 3, 656, 0, 0, 0, 0, 0, 0, 86},
 	{"alarm_clock/p8", VerdictWitnessFound, 3, 593, 0, 0, 0, 144, 0, 0, 162},
@@ -43,10 +43,10 @@ var goldenCorpus = []goldenATPG{
 	{"industry_03/p12", VerdictProved, 1, 598, 20, 36, 5, 576, 9, 200, 58},
 	{"industry_04/p13", VerdictProved, 1, 278, 8, 16, 1, 167, 2, 40, 42},
 	{"industry_05/p14", VerdictProved, 3, 526, 0, 0, 0, 0, 0, 0, 93},
-	{"arbiter24/p5", VerdictProved, 3, 1101833, 1245, 2421, 68, 476076, 1239, 990480, 2599},
+	{"arbiter24/p5", VerdictProved, 3, 11444, 11, 83, 3, 3955, 8, 1275, 1484},
 	{"arbiter24/p6", VerdictWitnessFound, 2, 6435, 0, 0, 0, 1352, 0, 3000, 2601},
-	{"token_ring96/p3", VerdictProvedBounded, 3, 289955, 5017, 9832, 0, 178413, 5011, 271146, 1573},
-	{"token_ring96/p4", VerdictWitnessFound, 6, 1529, 0, 0, 0, 142, 0, 36, 314},
+	{"token_ring96/p3", VerdictProved, 3, 12325, 336, 636, 0, 4349, 330, 4591, 313},
+	{"token_ring96/p4", VerdictWitnessFound, 6, 1334, 0, 0, 0, 142, 0, 33, 314},
 	{"industry_0164/p10", VerdictProved, 3, 3257, 1, 2, 0, 123, 1, 0, 124},
 }
 

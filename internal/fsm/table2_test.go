@@ -28,7 +28,7 @@ func TestTable2Machines(t *testing.T) {
 	want := map[string]string{
 		"addr_decoder": "",
 		"token_ring":   "token/48/48/49",
-		"arbiter":      "",
+		"arbiter":      "grant_r/16/17/3 ptr/16/16/3",
 		"alarm_clock":  "alarm_hour/4/1/2 alarm_min/6/1/2 hour/4/12/13 minute/6/60/61",
 		"industry_01":  "state/4/10/7",
 		"industry_02":  "",
