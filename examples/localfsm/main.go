@@ -43,7 +43,7 @@ func showMachines() {
 		}
 		fmt.Printf("%s:\n", d.Name)
 		for _, m := range ms {
-			fix := m.Fixpoint()
+			fix := m.Values
 			name := d.NL.Signals[m.Q].Name
 			if len(fix) <= 12 {
 				vals := make([]uint64, len(fix))

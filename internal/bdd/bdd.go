@@ -151,8 +151,11 @@ func NewFromSnapshot(s *Snapshot, stop func() bool) *Manager {
 		return nil
 	}
 	nodes := make([]node, len(s.nodes))
+	if !copyChunked(nodes, s.nodes, stop) {
+		return nil
+	}
 	unique := make([]Ref, len(s.unique))
-	if !copyChunked(nodes, s.nodes, stop) || !copyChunked(unique, s.unique, stop) {
+	if !copyChunked(unique, s.unique, stop) {
 		return nil
 	}
 	return &Manager{nVars: s.nVars, nodes: nodes, unique: unique}

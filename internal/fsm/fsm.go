@@ -50,10 +50,6 @@ type Machine struct {
 	Frames int
 }
 
-// Fixpoint returns the full reachable set in ascending order. The
-// slice is the machine's own and must not be modified.
-func (m *Machine) Fixpoint() []bv.BV { return m.Values }
-
 // AllowedAt reports whether value v is in the reachable set within
 // frame steps of reset.
 func (m *Machine) AllowedAt(frame int, v bv.BV) bool {

@@ -30,7 +30,7 @@ func TestExtractWrapCounter(t *testing.T) {
 	if m.Q != q || m.Width != 3 {
 		t.Errorf("machine = %+v", m)
 	}
-	fix := m.Fixpoint()
+	fix := m.Values
 	want := []uint64{0, 1, 2, 3, 4, 5}
 	if len(fix) != len(want) {
 		t.Fatalf("fixpoint = %v, want %v", fix, want)
@@ -52,10 +52,10 @@ func TestExtractWrapCounter(t *testing.T) {
 	}
 }
 
-// TestSuccessorSets checks the counter frame by frame: it steps
+// TestPerFrameSets checks the counter frame by frame: it steps
 // deterministically v -> v+1 up to 5, so the set within f steps is
 // {0..f}, and the frame after 5 adds nothing.
-func TestSuccessorSets(t *testing.T) {
+func TestPerFrameSets(t *testing.T) {
 	nl, _ := buildWrapCounter(3, 5)
 	ms, _ := Extract(nl)
 	m := ms[0]
@@ -86,7 +86,7 @@ func TestInputDependentMachineStillSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ms) != 0 {
-		t.Errorf("free-running counter should not restrict; got %v", ms[0].Fixpoint())
+		t.Errorf("free-running counter should not restrict; got %v", ms[0].Values)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestOneHotRotatorSTG(t *testing.T) {
 	if len(ms) != 1 {
 		t.Fatalf("machines = %d", len(ms))
 	}
-	fix := ms[0].Fixpoint()
+	fix := ms[0].Values
 	if len(fix) != 5 {
 		t.Fatalf("fixpoint = %v, want the 5 one-hot values", fix)
 	}

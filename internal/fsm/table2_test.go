@@ -16,14 +16,14 @@ func summary(d *circuits.Design, ms []*fsm.Machine) string {
 	var parts []string
 	for _, m := range ms {
 		parts = append(parts, fmt.Sprintf("%s/%d/%d/%d",
-			d.NL.Signals[m.Q].Name, m.Width, len(m.Fixpoint()), m.Frames))
+			d.NL.Signals[m.Q].Name, m.Width, len(m.Values), m.Frames))
 	}
 	return strings.Join(parts, " ")
 }
 
 // TestTable2Machines pins the local FSMs extracted from the Table-2
-// designs. Extraction stops probing a register as soon as it can no
-// longer restrict; this pin shows the machines it keeps are unchanged.
+// designs. Extraction stops imaging a register as soon as it can no
+// longer restrict; this pin shows the machines it keeps.
 func TestTable2Machines(t *testing.T) {
 	want := map[string]string{
 		"addr_decoder": "",
@@ -52,9 +52,8 @@ func TestTable2Machines(t *testing.T) {
 }
 
 // TestAddrDecoderExtractionBytes bounds the bytes extraction allocates
-// on addr_decoder, whose 8-bit cell registers reach all 256 values from
-// the first probed state: probing every reached state of every cell
-// would build 65,792 probe engines and allocate about 600 MB.
+// on addr_decoder, whose 8-bit cell registers reach all 256 values:
+// extraction must give up on each as soon as its set covers the range.
 func TestAddrDecoderExtractionBytes(t *testing.T) {
 	d, err := circuits.AddrDecoder()
 	if err != nil {

@@ -21,14 +21,13 @@ const reachNodes = 1 << 18
 // whose select is past its data list, each given fresh variables. From
 // the reset value, every image quantifies everything but the register.
 //
-// levels[f] lists, in ascending order, the values first reachable at
-// frame f; the frame after the last adds nothing. Because the model
-// leaves free everything the design constrains, each set contains every
-// value the register can hold within f steps of reset in the design.
-// ok is false when the register's reset value is not fully known, the
-// reachable set grows past maxValues or covers every value of the
-// register, or the image exceeds its node budget: such a register
-// restricts nothing.
+// levels[f] lists the values first reachable at frame f; the frame
+// after the last adds nothing. Because the model leaves free everything
+// the design constrains, the values of levels[0..f] include every value
+// the register can hold f steps after reset in the design. ok is false
+// when the register's reset value is not fully known, the reachable set
+// grows past maxValues or covers every value of the register, or the
+// image exceeds its node budget: such a register restricts nothing.
 func RegisterReach(nl *netlist.Netlist, ff netlist.GateID, maxValues int) (levels [][]bv.BV, ok bool) {
 	g := &nl.Gates[ff]
 	w := nl.Width(g.Out)
@@ -175,8 +174,8 @@ func canBeX(nl *netlist.Netlist, g *netlist.Gate) bool {
 }
 
 // values lists the assignments of f over the current-state variables
-// cur (bit i is cur[i]) as ascending fully-known vectors; ok is false
-// when there are more than limit.
+// cur (bit i is cur[i]) as fully-known vectors; ok is false when there
+// are more than limit.
 func values(m *bdd.Manager, f bdd.Ref, cur []int, limit int) (out []bv.BV, ok bool) {
 	w := len(cur)
 	ok = true
@@ -203,6 +202,5 @@ func values(m *bdd.Manager, f bdd.Ref, cur []int, limit int) (out []bv.BV, ok bo
 		out = append(out, v)
 		return true
 	})
-	slices.SortFunc(out, bv.BV.Cmp)
 	return out, ok
 }
