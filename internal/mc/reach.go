@@ -96,9 +96,6 @@ func RegisterReach(nl *netlist.Netlist, ff netlist.GateID, maxValues int) (level
 // ever freed: imaging the 96-bit token ring ends at 163k nodes through
 // a fold, 103k through the tree.
 func conjoinTree(m *bdd.Manager, cs []bdd.Ref) bdd.Ref {
-	if len(cs) == 0 {
-		return bdd.True
-	}
 	for len(cs) > 1 {
 		next := cs[:0]
 		for i := 0; i < len(cs); i += 2 {
