@@ -43,17 +43,16 @@ func showMachines() {
 		}
 		fmt.Printf("%s:\n", d.Name)
 		for _, m := range ms {
-			fix := m.Values
 			name := d.NL.Signals[m.Q].Name
-			if len(fix) <= 12 {
-				vals := make([]uint64, len(fix))
-				for i, v := range fix {
+			if len(m.Values) <= 12 {
+				vals := make([]uint64, len(m.Values))
+				for i, v := range m.Values {
 					vals[i], _ = v.Uint64()
 				}
 				fmt.Printf("  %-12s %2d bits, reachable %v\n", name, m.Width, vals)
 			} else {
 				fmt.Printf("  %-12s %2d bits, %d reachable states (of 2^%d)\n",
-					name, m.Width, len(fix), m.Width)
+					name, m.Width, len(m.Values), m.Width)
 			}
 		}
 	}

@@ -185,7 +185,10 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // configuration, the search limits and the ablation switches. Non-ATPG
 // engines additionally pin the whole-design fingerprint (see the
 // package comment); designs without a fingerprint (programmatic
-// netlists) disable caching for those engines by returning "".
+// netlists) disable caching for those engines by returning "". The
+// leading version changes whenever a fresh run's record for an
+// unchanged key does, so a persisted entry never replays a record the
+// engine no longer produces (v2: per-register local FSMs).
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
 	meta := fmt.Sprintf("v2|%s|d%d.%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
