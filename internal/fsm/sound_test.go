@@ -160,6 +160,26 @@ func TestXConstantIsFree(t *testing.T) {
 	}
 }
 
+// TestWideShiftAmount: q' = q >> amt or q << amt, where the only amount
+// bit that can be set is bit 63 or bit 64. Either one shifts every bit
+// out, so q goes from 0x18 to 0 in one step. The expected set is stated
+// directly: the simulator's shifts take amounts of at most 64 bits.
+func TestWideShiftAmount(t *testing.T) {
+	want := fmt.Sprint([]bv.BV{bv.FromUint64(8, 0), bv.FromUint64(8, 0x18)}, []int{1, 0})
+	for _, kind := range []netlist.Kind{netlist.KShr, netlist.KShl} {
+		for _, bit := range []int{63, 64} {
+			nl := netlist.New("wideshift")
+			on := nl.AddInput("on", 1)
+			q := nl.DffPlaceholder(8, bv.FromUint64(8, 0x18), "q")
+			nl.ConnectDff(q, nl.Binary(kind, q, nl.Concat(on, nl.ConstUint(bit, 0))))
+			m := oneMachine(t, nl)
+			if got := fmt.Sprint(m.Values, m.First); got != want {
+				t.Errorf("%v by amount bit %d: machine values and first frames %s, want %s", kind, bit, got, want)
+			}
+		}
+	}
+}
+
 // byteSource hands out fuzz bytes, then zeros.
 type byteSource struct{ data []byte }
 
