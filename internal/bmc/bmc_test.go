@@ -250,3 +250,46 @@ func TestCompiledCoversAssumesAndStaleProps(t *testing.T) {
 		t.Fatalf("got %v, want bounded-ok (q wraps at 6)", got2.Verdict)
 	}
 }
+
+// TestWideShiftAmount: q' = q >> amt and q << amt, where only amount
+// bit 63 (a 64-bit amount) or bit 64 (a 65-bit amount) can be set. An
+// amount bit whose weight is at least the width shifts every bit out,
+// so q stays in {0x18, 0} and reaches 0 one step after reset. Both
+// answers come without a trace replay, which the simulator cannot run
+// on amounts wider than 64 bits.
+func TestWideShiftAmount(t *testing.T) {
+	for _, kind := range []netlist.Kind{netlist.KShr, netlist.KShl} {
+		for _, bit := range []int{63, 64} {
+			nl := netlist.New("wideshift")
+			on := nl.AddInput("on", 1)
+			q := nl.DffPlaceholder(8, bv.FromUint64(8, 0x18), "q")
+			nl.ConnectDff(q, nl.Binary(kind, q, nl.Concat(on, nl.ConstUint(bit, 0))))
+			b := property.Builder{NL: nl}
+			inv, _ := property.NewInvariant(nl, "in-set", nl.Binary(netlist.KOr, b.Reaches(q, 0x18), b.Reaches(q, 0)))
+			if res := Check(nl, inv, Options{MaxDepth: 4}); res.Verdict != BoundedOK {
+				t.Errorf("%v by amount bit %d: q in {0x18, 0} is %v, want bounded-ok", kind, bit, res.Verdict)
+			}
+			wit, _ := property.NewWitness(nl, "zero", b.Reaches(q, 0))
+			if res := Check(nl, wit, Options{MaxDepth: 4}); res.Verdict != Falsified || res.Depth != 2 {
+				t.Errorf("%v by amount bit %d: witness q == 0 is %v at depth %d, want found at depth 2", kind, bit, res.Verdict, res.Depth)
+			}
+		}
+	}
+}
+
+// TestMuxPastDataList: a 1-bit select over the data list {0, 1, 2}
+// never selects the third entry, so select 0 gives y = 0 and y != 0
+// is falsified at depth 1.
+func TestMuxPastDataList(t *testing.T) {
+	nl := netlist.New("longmux")
+	sel := nl.AddInput("sel", 1)
+	y := nl.Mux(sel, nl.ConstUint(2, 0), nl.ConstUint(2, 1), nl.ConstUint(2, 2))
+	p, _ := property.NewInvariant(nl, "nonzero", nl.Binary(netlist.KNe, y, nl.ConstUint(2, 0)))
+	res := Check(nl, p, Options{MaxDepth: 4})
+	if res.Verdict != Falsified || res.Depth != 1 {
+		t.Fatalf("y != 0: %v at depth %d, want falsified at depth 1", res.Verdict, res.Depth)
+	}
+	if s, _ := res.Trace.Inputs[0][sel].Uint64(); s != 0 {
+		t.Errorf("counterexample selects %d, want 0", s)
+	}
+}

@@ -340,7 +340,11 @@ func (b *Blaster) blastGate(frame int, g *netlist.Gate) error {
 		cur := in[0]
 		amt := in[1]
 		for level := 0; level < len(amt); level++ {
-			shift := 1 << uint(level)
+			// Amount bits at level 30 and up shift every bit out.
+			shift := w
+			if level < 30 {
+				shift = min(1<<uint(level), w)
+			}
 			next := make([]sat.Lit, w)
 			for i := 0; i < w; i++ {
 				var shifted sat.Lit
@@ -394,10 +398,11 @@ func (b *Blaster) blastGate(frame int, g *netlist.Gate) error {
 	case netlist.KMux:
 		sel := in[0]
 		data := in[1:]
-		m := len(data)
+		if len(sel) < 31 && 1<<uint(len(sel)) < len(data) {
+			data = data[:1<<uint(len(sel))] // the rest can never be selected
+		}
 		// hit_k = (sel == k); y bit equal to data_k bit under hit_k.
-		var hits []sat.Lit
-		for k := 0; k < m; k++ {
+		for k := range data {
 			cond := make([]sat.Lit, len(sel))
 			for j := range sel {
 				if k>>uint(j)&1 == 1 {
@@ -407,7 +412,6 @@ func (b *Blaster) blastGate(frame int, g *netlist.Gate) error {
 				}
 			}
 			hit := b.andReduce(cond)
-			hits = append(hits, hit)
 			for i := 0; i < w; i++ {
 				b.S.AddClause(hit.Not(), y[i], data[k][i].Not())
 				b.S.AddClause(hit.Not(), y[i].Not(), data[k][i])
@@ -415,7 +419,6 @@ func (b *Blaster) blastGate(frame int, g *netlist.Gate) error {
 		}
 		// Out-of-range selects leave y unconstrained (x in the
 		// word-level semantics), so no default clause is added.
-		_ = hits
 	case netlist.KConcat:
 		pos := w
 		for _, lits := range in {
