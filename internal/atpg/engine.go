@@ -450,14 +450,6 @@ func NewPrep(nl *netlist.Netlist) (*Prep, error) {
 // Netlist returns the analysed netlist.
 func (p *Prep) Netlist() *netlist.Netlist { return p.nl }
 
-// UsesStore reports whether engines over this prep read or write the
-// learned ESTG store. The store records and scores abstract control
-// states, which are the 1-bit flip-flops alone; over a netlist without
-// them recordConflictState and estgPolarity return before touching the
-// store, so a search runs identically with a nil, a fresh or a
-// pre-loaded store and leaves it unchanged.
-func (p *Prep) UsesStore() bool { return len(p.controlFFs) > 0 }
-
 // New returns an engine over frames copies of the netlist. Frame-0
 // flip-flop outputs are constrained to their initial values; pass
 // freeInit to leave them unconstrained (used for inductive steps).

@@ -232,8 +232,7 @@ func (e *Engine) applySolver(a alternative) bool {
 // encounters a conflict in an abstract state transition ... the
 // transition in the ESTG is recorded").
 func (e *Engine) recordConflictState() {
-	// No control flip-flops, no abstract state: the store stays
-	// untouched (Prep.UsesStore relies on this guard).
+	// No control flip-flops, no abstract state: nothing to record.
 	if e.store == nil || len(e.controlFFs) == 0 {
 		return
 	}
@@ -519,8 +518,8 @@ const (
 // (and incoming transition) accumulated the higher conflict score is
 // tried last (§5: order decisions away from known-bad regions).
 func (e *Engine) estgPolarity(at sigAt, first bv.Trit) bv.Trit {
-	// ctlPos is nil exactly when there are no control flip-flops; the
-	// store is then never read (Prep.UsesStore relies on this guard).
+	// ctlPos is nil exactly when there are no control flip-flops, and
+	// then no decision signal is an abstract state bit.
 	if e.store == nil || e.features.NoEstgGuide || e.ctlPos == nil {
 		return first
 	}

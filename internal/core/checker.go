@@ -5,8 +5,9 @@
 // word-level ATPG (internal/atpg) and modular arithmetic constraint
 // solver (internal/linsolve). Generated counterexamples are validated
 // by replaying them on the three-valued simulator; proofs are bounded
-// (iterative time-frame deepening) with an optional k-induction step
-// that upgrades a bounded result to a full proof.
+// (iterative time-frame deepening), with optional k-induction steps
+// interleaved with the deepening that upgrade a bounded result to a
+// full proof.
 //
 // The package is organized as a two-level Design/Session architecture:
 // an immutable, concurrency-safe compiled Design (design.go — the
@@ -75,17 +76,19 @@ func (v Verdict) Conclusive() bool {
 type Options struct {
 	// MaxDepth bounds the number of time frames explored (default 16).
 	MaxDepth int
-	// MinDepth is the first depth tried (default 1).
-	MinDepth int
 	// Limits bounds each ATPG run.
 	Limits atpg.Limits
-	// UseInduction attempts a k-induction step after the bounded search
-	// exhausts, upgrading ProvedBounded to Proved when it succeeds.
+	// UseInduction proves invariants by k-induction: a pre-check (the
+	// violation alone, in one free frame under the local-FSM
+	// fixpoints) before any bounded search, then the step at k = d
+	// after each depth d without a counterexample. The first check
+	// that closes gives Proved; if none does, the result stays
+	// ProvedBounded.
 	UseInduction bool
-	// InductionDecisions caps the induction step's search effort: when
-	// the property is not inductive the step search can be far more
-	// expensive than the bounded proof, so it gets its own small budget
-	// (default 5000 decisions).
+	// InductionDecisions caps the decisions of one check's pre-check
+	// and steps together, with twice as many backtracks (default 5000
+	// decisions): when the property is not inductive the steps can cost
+	// far more than the bounded search, so they share one small budget.
 	InductionDecisions int
 	// Store carries learned ESTG state across properties and depths.
 	// When nil, the session creates a private store (so the deepening
@@ -112,9 +115,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxDepth == 0 {
 		o.MaxDepth = 16
 	}
-	if o.MinDepth == 0 {
-		o.MinDepth = 1
-	}
 	return o
 }
 
@@ -129,8 +129,9 @@ type Result struct {
 	// Metrics unifies the effort counters across engines; Stats below
 	// keeps the full ATPG detail when the ATPG engine ran.
 	Metrics EngineMetrics
-	// Depth is the number of frames of the decisive run (length of the
-	// counterexample, or the exhausted bound).
+	// Depth is the length of the counterexample or witness, the k whose
+	// induction step closed a proof (1 for the pre-check and for a
+	// combinational cone), or the exhausted bound.
 	Depth int
 	// Trace is the validated counterexample or witness.
 	Trace *sim.Trace

@@ -160,6 +160,32 @@ func TestGoldenATPGCorpus(t *testing.T) {
 	}
 }
 
+// TestGoldenATPGCorpusAtDepth16 checks every corpus property at the
+// default depth bound of 16: each must reproduce its Table-2 golden row
+// exactly. A witness is found by the same searches at the same depth,
+// and every invariant is proved at the first k that closes, before the
+// bound matters.
+func TestGoldenATPGCorpusAtDepth16(t *testing.T) {
+	seen := 0
+	for _, gd := range goldenDesigns(t) {
+		d, err := DesignFor(gd.d.NL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range gd.d.Props {
+			sess, err := d.NewSession(Options{MaxDepth: 16, UseInduction: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, gd.tag+"/"+gd.d.PropIDs[i], "MaxDepth 16", sess.CheckCtx(context.Background(), p))
+			seen++
+		}
+	}
+	if !testing.Short() && seen != len(goldenCorpus) {
+		t.Errorf("checked %d properties, golden table has %d", seen, len(goldenCorpus))
+	}
+}
+
 func checkGolden(t *testing.T, key, path string, r Result) {
 	t.Helper()
 	want, ok := goldenEntry(key)

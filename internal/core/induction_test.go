@@ -2,109 +2,18 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/atpg"
+	"repro/internal/bv"
 	"repro/internal/circuits"
+	"repro/internal/estg"
 	"repro/internal/netlist"
 	"repro/internal/property"
 	"repro/internal/sim"
 )
-
-// arbiter16 compiles the Table-2 arbiter: a sequential design with no
-// 1-bit flip-flops, so the learned store is inert for it and its p5
-// runs the induction step beside the bounded loop.
-func arbiter16(t *testing.T) (*circuits.Design, *Design) {
-	t.Helper()
-	cd, err := circuits.Arbiter(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := DesignFor(cd.NL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cd, d
-}
-
-// raceMarkEngine records whether it ran under a portfolio race's
-// context.
-type raceMarkEngine struct{ marked atomic.Bool }
-
-func (e *raceMarkEngine) Name() string { return "mark" }
-
-func (e *raceMarkEngine) Check(ctx context.Context, prob Problem) EngineResult {
-	e.marked.Store(ctx.Value(raceKey{}) != nil)
-	return Result{Property: prob.Prop.Name, Verdict: VerdictProvedBounded, Engine: e.Name()}
-}
-
-// TestInductionBesideConditions pins when the induction step runs
-// beside the bounded loop: only for an invariant with state in its
-// cone, with induction on, when the learned store is inert for the
-// netlist, and outside portfolio races.
-func TestInductionBesideConditions(t *testing.T) {
-	arb, arbD := arbiter16(t)
-	alarm, err := circuits.AlarmClock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	alarmD, err := DesignFor(alarm.NL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decNL := elaborate(t, decoderSrc, "dec")
-	y, _ := decNL.SignalByName("y")
-	decInv, err := property.NewInvariant(decNL, "dec-onehot", property.Builder{NL: decNL}.ExactlyOneBus(y))
-	if err != nil {
-		t.Fatal(err)
-	}
-	decD, err := DesignFor(decNL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bg := context.Background()
-	raced := context.WithValue(bg, raceKey{}, true)
-	on := Options{MaxDepth: 3, UseInduction: true}
-	for _, tc := range []struct {
-		name string
-		d    *Design
-		p    property.Property
-		opts Options
-		ctx  context.Context
-		want bool
-	}{
-		{"store-inert invariant", arbD, arb.Props[0], on, bg, true},
-		{"induction off", arbD, arb.Props[0], Options{MaxDepth: 3}, bg, false},
-		{"witness", arbD, arb.Props[1], on, bg, false},
-		{"portfolio race", arbD, arb.Props[0], on, raced, false},
-		{"store in use", alarmD, alarm.Props[2], on, bg, false},
-		{"no store", alarmD, alarm.Props[2], Options{MaxDepth: 3, UseInduction: true, DisableLearnedStore: true}, bg, true},
-		{"combinational cone", decD, decInv, on, bg, false},
-	} {
-		sess, err := tc.d.NewSession(tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prep, err := sess.Design().ATPGPrep()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sess.inductionBeside(tc.ctx, tc.p, prep); got != tc.want {
-			t.Errorf("%s: inductionBeside = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	mark := &raceMarkEngine{}
-	NewPortfolio(mark, &okEngine{name: "ok"}).Check(bg, Problem{NL: arb.NL, Prop: arb.Props[0], MaxDepth: 3})
-	if !mark.marked.Load() {
-		t.Error("a portfolio member's context does not carry the race mark")
-	}
-}
 
 // traceString renders a trace's inputs frame by frame, signals sorted
 // by name.
@@ -121,13 +30,12 @@ func traceString(nl *netlist.Netlist, tr *sim.Trace) string {
 	return strings.Join(frames, " | ")
 }
 
-// TestInductionBesideFalsified checks a falsified invariant on the
-// store-inert arbiter. The bounded loop finds the counterexample at
-// depth 2 while the induction step, started beside it, is still
-// searching; the result — verdict, depth, trace and every counter —
-// must be the serial flow's, pinned below, so the cancelled step's
-// work is never counted.
-func TestInductionBesideFalsified(t *testing.T) {
+// TestInterleavedInductionFalsified checks a falsified invariant on the
+// arbiter: the pre-check, the bounded search at depth 1 and the step at
+// k = 1 all fail to settle it, and the bounded search at depth 2 finds
+// the counterexample. The result keeps the bounded search's verdict,
+// depth and trace; its counters include the two failed steps.
+func TestInterleavedInductionFalsified(t *testing.T) {
 	cd, err := circuits.Arbiter(16)
 	if err != nil {
 		t.Fatal(err)
@@ -159,120 +67,127 @@ func TestInductionBesideFalsified(t *testing.T) {
 	}
 }
 
-// The serial flow's result for TestInductionBesideFalsified.
+// The result of TestInterleavedInductionFalsified.
 var (
 	wantFalsifiedTrace = "clk=1'b0 req=16'b1000000000000000 rst=1'b0 | clk=1'b0 req=16'b0000000000000000 rst=1'b0"
 	wantFalsifiedStats = atpg.Stats{Decisions: 1, Implications: 3689, MaxTrail: 1067, FrontierScans: 2,
 		FrontierChecks: 1081, FrontierSkips: 1067, BitSkips: 1042}
 )
 
-// TestInductionBesideCancel cancels a check while its induction step
-// runs beside the bounded loop: the check returns unknown within the
-// ATPG poll budget and leaves no goroutine behind. Stopping a run
-// cancels it and returns only once its function has returned.
-func TestInductionBesideCancel(t *testing.T) {
-	const cancelAfter = 20 * time.Millisecond
-	const returnBudget = time.Second
-	var sawCancel, returned atomic.Bool
-	startInduction(context.Background(), func(ctx context.Context) (atpg.Status, atpg.Stats) {
-		select {
-		case <-ctx.Done():
-			sawCancel.Store(true)
-		case <-time.After(returnBudget):
-		}
-		time.Sleep(cancelAfter) // still unwinding after the cancel
-		returned.Store(true)
-		return atpg.StatusAbort, atpg.Stats{}
-	}).stop()
-	if !sawCancel.Load() || !returned.Load() {
-		t.Fatalf("stop: run saw its cancel %v, had returned %v; want both", sawCancel.Load(), returned.Load())
-	}
-
-	// Without its local FSMs the arbiter's induction step runs far past
-	// the cancel; with them it proves in milliseconds.
-	cd, d := arbiter16(t)
-	sess, err := d.NewSession(Options{MaxDepth: 3, UseInduction: true, DisableLocalFSM: true})
+// TestStepFollowsBoundedDepth: q resets to 0 and is 1 from then on, so
+// the invariant q fails at reset only. The step at k = 1 closes (q = 1
+// stays 1), so it is sound only after the bounded search at depth 1,
+// which finds the counterexample first.
+func TestStepFollowsBoundedDepth(t *testing.T) {
+	nl := netlist.New("resetonly")
+	q := nl.DffPlaceholder(1, bv.FromUint64(1, 0), "q")
+	nl.ConnectDff(q, nl.ConstUint(1, 1))
+	p, err := property.NewInvariant(nl, "q", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	timer := time.AfterFunc(cancelAfter, cancel)
-	defer timer.Stop()
-	start := time.Now()
-	res := sess.CheckCtx(ctx, cd.Props[0])
-	elapsed := time.Since(start)
-	if res.Verdict != VerdictUnknown {
-		t.Fatalf("cancelled check returned %v, want unknown", res.Verdict)
-	}
-	if elapsed > cancelAfter+returnBudget {
-		t.Errorf("cancelled check took %v, budget %v after the cancel", elapsed, returnBudget)
-	}
-	// The timer's own goroutine may still be returning from cancel.
-	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("%d goroutines after the check, %d before", n, base)
-	}
-}
-
-// besidePanicEngine reads the result of an induction run whose
-// function panics, as checkSearch does.
-type besidePanicEngine struct{}
-
-func (besidePanicEngine) Name() string { return EngineATPG }
-
-func (besidePanicEngine) Check(ctx context.Context, prob Problem) EngineResult {
-	r := startInduction(ctx, panicStep)
-	defer r.stop()
-	r.wait()
-	return Result{Property: prob.Prop.Name, Verdict: VerdictProved, Engine: EngineATPG}
-}
-
-func panicStep(context.Context) (atpg.Status, atpg.Stats) { panic("induction step") }
-
-// TestInductionBesidePanic: a panic on the induction goroutine is
-// raised again where the check reads the step's result, so safeCheck
-// turns it into the error record a panic on the checking goroutine
-// gives and the batch survives; stopping the run never raises it.
-func TestInductionBesidePanic(t *testing.T) {
-	startInduction(context.Background(), panicStep).stop()
-
-	c, props := tinySession(t)
-	results := c.CheckAll(context.Background(), props, BatchOptions{Jobs: 2, Engine: besidePanicEngine{}})
-	for i, r := range results {
-		if r.Verdict != VerdictError || r.Err != "panic: induction step" || r.Property != props[i].Name {
-			t.Errorf("slot %d: %+v, want an error record for %s carrying the panic", i, r, props[i].Name)
+	for _, noFSM := range []bool{false, true} {
+		c, err := New(nl, Options{MaxDepth: 4, UseInduction: true, DisableLocalFSM: noFSM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := c.Check(p)
+		if res.Verdict != VerdictFalsified || res.Depth != 1 || !res.Validated {
+			t.Errorf("local FSMs off %v: got %v at depth %d (validated %v), want a validated falsification at depth 1",
+				noFSM, res.Verdict, res.Depth, res.Validated)
 		}
 	}
 }
 
-// TestInductionBesideConcurrentSessions runs 8 checks of arbiter16/p5
-// at once on one Design, each with its induction step beside its
-// bounded loop; each must reproduce the golden result exactly.
-func TestInductionBesideConcurrentSessions(t *testing.T) {
-	cd, d := arbiter16(t)
-	want, ok := goldenEntry("arbiter16/p5")
-	if !ok {
-		t.Fatal("no golden entry for arbiter16/p5")
+// relSrc keeps two 8-bit registers equal, so a[0] == b[0] always
+// holds. Each register alone takes every value, so the per-register
+// machines cannot see the relation and the pre-check fails; the step
+// at k = 1 closes.
+const relSrc = `
+module rel(clk, en, d, ok);
+  input clk, en;
+  input [7:0] d;
+  output ok;
+  reg [7:0] a;
+  reg [7:0] b;
+  assign ok = a[0] == b[0];
+  always @(posedge clk) begin
+    if (en) begin
+      a <= a + d;
+      b <= b + d;
+    end
+  end
+  initial a = 8'd0;
+  initial b = 8'd0;
+endmodule
+`
+
+func relInvariant(t *testing.T) (*Design, property.Property) {
+	t.Helper()
+	nl := elaborate(t, relSrc, "rel")
+	ps, err := property.FromNames(nl, []string{"ok"}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess, err := d.NewSession(Options{MaxDepth: 3, UseInduction: true})
+	d, err := DesignFor(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, ps[0]
+}
+
+// TestRelationalInvariantProvedAtFirstStep: the pre-check fails, the
+// bounded search at depth 1 finds nothing and the step at k = 1
+// closes, so the invariant is proved at depth 1 with the same counters
+// whatever the depth bound.
+func TestRelationalInvariantProvedAtFirstStep(t *testing.T) {
+	d, p := relInvariant(t)
+	var first Result
+	for _, depth := range []int{4, 16} {
+		sess, err := d.NewSession(Options{MaxDepth: depth, UseInduction: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if depth == 4 {
+			prep, err := d.ATPGPrep()
 			if err != nil {
-				t.Error(err)
-				return
+				t.Fatal(err)
 			}
-			res := sess.ATPGEngine().Check(context.Background(), Problem{NL: cd.NL, Prop: cd.Props[0], MaxDepth: 3})
-			if got := goldenOf(want.key, res); got != want {
-				t.Errorf("worker %d:\n got %+v\nwant %+v", w, got, want)
+			if st, _ := sess.inductionStep(context.Background(), prep, p, 0, atpg.Limits{}); st == atpg.StatusUnsat {
+				t.Fatal("the pre-check closes; the test needs a step after a bounded depth")
 			}
-		}(w)
+		}
+		res := sess.Check(p)
+		if res.Verdict != VerdictProved || res.Depth != 1 {
+			t.Fatalf("MaxDepth %d: got %v at depth %d, want proved at depth 1", depth, res.Verdict, res.Depth)
+		}
+		if depth == 4 {
+			first = res
+		} else if res.Stats != first.Stats {
+			t.Errorf("MaxDepth 16 stats\n %+v\ndiffer from MaxDepth 4\n %+v", res.Stats, first.Stats)
+		}
 	}
-	wg.Wait()
+}
+
+// TestStoreKnownDepthGetsStep: a depth the learned store already knows
+// has no counterexample skips its bounded search but still gets its
+// step. A bounded-only run fills the shared store with depths 1..4;
+// the induction run after it must still prove the invariant.
+func TestStoreKnownDepthGetsStep(t *testing.T) {
+	d, p := relInvariant(t)
+	store := estg.NewStore()
+	bounded, err := d.NewSession(Options{MaxDepth: 4, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := bounded.Check(p); res.Verdict != VerdictProvedBounded {
+		t.Fatalf("bounded-only run: %v, want proved-bounded", res.Verdict)
+	}
+	induct, err := d.NewSession(Options{MaxDepth: 4, UseInduction: true, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := induct.Check(p); res.Verdict != VerdictProved || res.Depth != 1 {
+		t.Errorf("induction run on the warm store: %v at depth %d, want proved at depth 1", res.Verdict, res.Depth)
+	}
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/netlist"
 	"repro/internal/property"
-
-	"repro/internal/bv"
 )
 
 // buildHardInstance creates a wide combinational search problem with no
@@ -95,27 +93,5 @@ func TestWitnessModeRespectsAssumes(t *testing.T) {
 	p2, _ := property.NewWitness(nl, "wa2", target)
 	if res := c.Check(p2); res.Verdict != VerdictWitnessFound {
 		t.Fatalf("verdict = %v, want witness-found", res.Verdict)
-	}
-}
-
-func TestMinDepthSkipsShallow(t *testing.T) {
-	// Counter reaches 2 at depth 3; MinDepth 4 must still find a
-	// (longer) path only if one exists at exactly >= 4... the counter
-	// passes 2 exactly once, so a depth-4 witness cannot end at 2
-	// unless the value recurs. With wrap at 5 it recurs at depth 9.
-	nl := netlist.New("cnt")
-	q := nl.DffPlaceholder(3, bv.FromUint64(3, 0), "q")
-	wrap := nl.Binary(netlist.KEq, q, nl.ConstUint(3, 5))
-	inc := nl.Binary(netlist.KAdd, q, nl.ConstUint(3, 1))
-	nl.ConnectDff(q, nl.Mux(wrap, inc, nl.ConstUint(3, 0)))
-	pb := property.Builder{NL: nl}
-	p, _ := property.NewWitness(nl, "reach2", pb.Reaches(q, 2))
-	c, _ := New(nl, Options{MinDepth: 4, MaxDepth: 12})
-	res := c.Check(p)
-	if res.Verdict != VerdictWitnessFound {
-		t.Fatalf("verdict = %v", res.Verdict)
-	}
-	if res.Depth != 9 {
-		t.Errorf("depth = %d, want 9 (second visit of q=2)", res.Depth)
 	}
 }

@@ -30,11 +30,6 @@ type Portfolio struct {
 	members []Engine
 }
 
-// raceKey marks the context of a portfolio race. The race's members
-// already occupy every core, so a check under it keeps the Fig. 1 loop
-// on one goroutine (Session.inductionBeside).
-type raceKey struct{}
-
 // NewPortfolio builds a portfolio over the given engines; their order
 // is the fixed tie-break priority (earlier wins).
 func NewPortfolio(engines ...Engine) *Portfolio {
@@ -69,7 +64,7 @@ func (p *Portfolio) Check(ctx context.Context, prob Problem) EngineResult {
 	if len(p.members) == 1 {
 		return safeCheck(p.members[0], ctx, prob)
 	}
-	raceCtx, cancel := context.WithCancel(context.WithValue(ctx, raceKey{}, true))
+	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make([]EngineResult, len(p.members))
 	done := make(chan int, len(p.members))

@@ -195,28 +195,30 @@ func (c *Session) check(ctx context.Context, p property.Property) Result {
 	return res
 }
 
-// checkSearch is the Fig. 1 deepening loop proper, run by the session
-// check picked through sessionFor, whose design covers the netlist. The
-// per-depth engines are built over the design's shared ATPG prep: only
+// checkSearch is the Fig. 1 loop proper, run by the session check
+// picked through sessionFor, whose design covers the netlist. The
+// per-phase engines are built over the design's shared ATPG prep: only
 // per-run state (value tables, trail, queues, scratch) is allocated
-// here. When inductionBeside allows it, the induction step starts on
-// its own goroutine at the top of the check and its result is read
-// where the serial flow would run it, so the result is the serial
-// flow's.
+// here.
+//
+// An invariant with state in its cone, with induction on, is first
+// given the pre-check (inductionStep at k = 0); when that closes, the
+// invariant is proved at depth 1. Otherwise the bounded search at each
+// depth d that finds no counterexample is followed by the step at
+// k = d, and the invariant is proved at the first k that closes
+// (Sheeran, Singh & Stalmarck, FMCAD 2000; Een & Sorensson, BMC 2003).
+// The step at k is sound because depths 1..k all had their bounded
+// search first, in this check or in a run the learned store recorded.
+// The pre-check and every step draw on one budget of
+// Options.InductionDecisions, so a property that is not inductive
+// spends at most that budget on all its steps together. Witnesses and
+// combinational cones run the bounded search alone.
 func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	prep, err := c.d.ATPGPrep()
 	if err != nil {
 		return Result{Verdict: VerdictUnknown}
 	}
-	var beside *inductionRun
-	if c.inductionBeside(ctx, p, prep) {
-		beside = startInduction(ctx, func(ctx context.Context) (atpg.Status, atpg.Stats) {
-			return c.inductionStep(ctx, p, c.opts.MaxDepth)
-		})
-		defer beside.stop()
-	}
-	mode := atpg.ModeProve
-	target := bv.FromUint64(1, 0) // counterexample: monitor driven to 0
+	_, target := searchTarget(p)
 	// The learned store's no-counterexample cache is keyed by property
 	// name; qualify witness searches so an invariant and a witness over
 	// the same monitor never share cache entries (an invariant's
@@ -225,116 +227,160 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	// session (CheckAll sharing, the persistent per-design registry).
 	storeName := p.Name
 	if p.Kind == property.Witness {
-		mode = atpg.ModeWitness
-		target = bv.FromUint64(1, 1)
 		storeName = "witness\x00" + p.Name
 	}
 	var agg atpg.Stats
-	aborted := false
+	unknown := func() Result { return Result{Verdict: VerdictUnknown, Depth: c.opts.MaxDepth, Stats: agg} }
 	deadline := time.Time{}
 	if c.opts.Limits.Timeout > 0 {
 		deadline = time.Now().Add(c.opts.Limits.Timeout)
 	}
-	for depth := c.opts.MinDepth; depth <= c.opts.MaxDepth; depth++ {
+	// start returns the limits of a phase that starts now: the
+	// session's, with the time left before the check's deadline. It
+	// reports false when ctx is done or no time is left, and the check
+	// is then unknown.
+	start := func() (atpg.Limits, bool) {
+		limits := c.opts.Limits
 		if ctx.Err() != nil {
-			aborted = true
-			break
+			return limits, false
 		}
+		if !deadline.IsZero() {
+			if limits.Timeout = time.Until(deadline); limits.Timeout <= 0 {
+				return limits, false
+			}
+		}
+		return limits, true
+	}
+	induct := c.opts.UseInduction && p.Kind == property.Invariant && !c.coneIsCombinational(p)
+	decLeft := c.opts.InductionDecisions
+	if decLeft == 0 {
+		decLeft = 5000
+	}
+	btLeft := 2 * decLeft
+	// step runs the induction step at k while the budget lasts and
+	// reports whether it closed; ok is false when it could not start.
+	step := func(k int) (closed, ok bool) {
+		limits, ok := start()
+		if !ok || decLeft <= 0 || btLeft <= 0 {
+			return false, ok
+		}
+		limits.MaxDecisions, limits.MaxBacktracks = decLeft, btLeft
+		st, stats := c.inductionStep(ctx, prep, p, k, limits)
+		agg = addStats(agg, stats)
+		decLeft -= stats.Decisions
+		btLeft -= stats.Backtracks
+		return st == atpg.StatusUnsat, true
+	}
+	if induct {
+		closed, ok := step(0)
+		if !ok {
+			return unknown()
+		}
+		if closed {
+			return Result{Verdict: VerdictProved, Depth: 1, Stats: agg}
+		}
+	}
+	for depth := 1; depth <= c.opts.MaxDepth; depth++ {
 		if c.opts.Store != nil && c.opts.Store.KnownNoCex(storeName, depth) {
 			if res, ok := c.coneExhausted(p, depth, agg); ok {
 				return res
 			}
-			continue
-		}
-		limits := c.opts.Limits
-		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				aborted = true
-				break
-			}
-			limits.Timeout = remaining
-		}
-		eng, err := atpg.NewWithPrep(prep, depth, mode, limits, c.opts.Store, false, c.opts.Features)
-		if err != nil {
-			return Result{Verdict: VerdictUnknown, Depth: depth, Stats: agg}
-		}
-		eng.SetContext(ctx)
-		c.addDomains(eng, false)
-		ok := eng.Require(depth-1, p.Monitor, target)
-		for f := 0; f < depth && ok; f++ {
-			for _, a := range p.Assumes {
-				if !eng.Require(f, a, bv.FromUint64(1, 1)) {
-					ok = false
-					break
-				}
-			}
-		}
-		var st atpg.Status
-		if !ok {
-			st = atpg.StatusUnsat
 		} else {
-			st = eng.Solve()
-		}
-		agg = addStats(agg, eng.Stats())
-		switch st {
-		case atpg.StatusSat:
-			tr, init := c.extractTrace(eng, depth)
-			validated := true
-			if !c.opts.SkipValidation {
-				validated = replayValidates(c.nl, p, tr, init, depth, target)
+			limits, ok := start()
+			if !ok {
+				return unknown()
 			}
-			if validated {
-				v := VerdictFalsified
-				if p.Kind == property.Witness {
-					v = VerdictWitnessFound
+			eng, st, err := c.bounded(ctx, prep, p, depth, limits)
+			if err != nil {
+				return Result{Verdict: VerdictUnknown, Depth: depth, Stats: agg}
+			}
+			agg = addStats(agg, eng.Stats())
+			switch st {
+			case atpg.StatusSat:
+				tr, init := c.extractTrace(eng, depth)
+				validated := true
+				if !c.opts.SkipValidation {
+					validated = replayValidates(c.nl, p, tr, init, depth, target)
 				}
-				return Result{Verdict: v, Depth: depth, Trace: tr, InitState: init, Stats: agg, Validated: validated}
+				if validated {
+					v := VerdictFalsified
+					if p.Kind == property.Witness {
+						v = VerdictWitnessFound
+					}
+					return Result{Verdict: v, Depth: depth, Trace: tr, InitState: init, Stats: agg, Validated: validated}
+				}
+				// A solution that fails replay indicates an implication
+				// soundness gap; treat conservatively.
+				return Result{Verdict: VerdictUnknown, Depth: depth, Trace: tr, InitState: init, Stats: agg}
+			case atpg.StatusUnsat:
+				if c.opts.Store != nil {
+					c.opts.Store.RecordNoCex(storeName, depth)
+				}
+				if res, ok := c.coneExhausted(p, depth, agg); ok {
+					return res
+				}
+			case atpg.StatusAbort:
+				return unknown()
 			}
-			// A solution that fails replay indicates an implication
-			// soundness gap; treat conservatively.
-			return Result{Verdict: VerdictUnknown, Depth: depth, Trace: tr, InitState: init, Stats: agg}
-		case atpg.StatusUnsat:
-			if c.opts.Store != nil {
-				c.opts.Store.RecordNoCex(storeName, depth)
-			}
-			if res, ok := c.coneExhausted(p, depth, agg); ok {
-				return res
-			}
-		case atpg.StatusAbort:
-			aborted = true
 		}
-		if aborted {
-			break
+		if induct {
+			closed, ok := step(depth)
+			if !ok {
+				return unknown()
+			}
+			if closed {
+				return Result{Verdict: VerdictProved, Depth: depth, Stats: agg}
+			}
 		}
-	}
-	if aborted {
-		return Result{Verdict: VerdictUnknown, Depth: c.opts.MaxDepth, Stats: agg}
 	}
 	if p.Kind == property.Witness {
 		return Result{Verdict: VerdictNoWitness, Depth: c.opts.MaxDepth, Stats: agg}
 	}
-	if c.opts.UseInduction && ctx.Err() == nil {
-		var st atpg.Status
-		var stats atpg.Stats
-		if beside != nil {
-			st, stats = beside.wait()
-		} else {
-			st, stats = c.inductionStep(ctx, p, c.opts.MaxDepth)
-		}
-		agg = addStats(agg, stats)
-		if st == atpg.StatusUnsat {
-			return Result{Verdict: VerdictProved, Depth: c.opts.MaxDepth, Stats: agg}
-		}
-		if ctx.Err() != nil {
-			// Cancelled mid-induction: the bounded phase did complete,
-			// but the Engine contract promises Unknown for a cancelled
-			// check (a portfolio loser must not report a verdict for a
-			// run it never finished).
-			return Result{Verdict: VerdictUnknown, Depth: c.opts.MaxDepth, Stats: agg}
-		}
+	if induct && ctx.Err() != nil {
+		// Cancelled in the last step: the bounded search did complete,
+		// but the Engine contract promises Unknown for a cancelled check
+		// (a portfolio loser must not report a verdict for a run it
+		// never finished).
+		return unknown()
 	}
 	return Result{Verdict: VerdictProvedBounded, Depth: c.opts.MaxDepth, Stats: agg}
+}
+
+// searchTarget is the mode and the monitor value a bounded search
+// looks for: a counterexample drives an invariant's monitor to 0, a
+// witness drives its monitor to 1.
+func searchTarget(p property.Property) (atpg.Mode, bv.BV) {
+	if p.Kind == property.Witness {
+		return atpg.ModeWitness, bv.FromUint64(1, 1)
+	}
+	return atpg.ModeProve, bv.FromUint64(1, 0)
+}
+
+// bounded is the bounded search at one depth: frames 0..depth-1 from
+// the initial state under the per-frame local-FSM sets, every
+// assumption on every frame and the search target on the last frame.
+// It returns the engine, whose values hold a found trace.
+func (c *Session) bounded(ctx context.Context, prep *atpg.Prep, p property.Property, depth int, limits atpg.Limits) (*atpg.Engine, atpg.Status, error) {
+	mode, target := searchTarget(p)
+	eng, err := atpg.NewWithPrep(prep, depth, mode, limits, c.opts.Store, false, c.opts.Features)
+	if err != nil {
+		return nil, atpg.StatusAbort, err
+	}
+	eng.SetContext(ctx)
+	c.addDomains(eng, false)
+	ok := eng.Require(depth-1, p.Monitor, target)
+	for f := 0; f < depth && ok; f++ {
+		for _, a := range p.Assumes {
+			if !eng.Require(f, a, bv.FromUint64(1, 1)) {
+				ok = false
+				break
+			}
+		}
+	}
+	if !ok {
+		return eng, atpg.StatusUnsat, nil
+	}
+	return eng, eng.Solve(), nil
 }
 
 // coneExhausted applies the combinational-cone rule to a depth with no
@@ -364,98 +410,14 @@ func (c *Session) coneIsCombinational(p property.Property) bool {
 	return !c.d.coneHasState(sigs...)
 }
 
-// inductionBeside reports whether the k-induction step may run beside
-// the bounded loop rather than after it. The step is an independent
-// query over any-state frames (Sheeran/Singh/Stalmarck, FMCAD 2000).
-// It could depend on the bounded loop only through the learned store,
-// and engines over prep never touch that store when the netlist has no
-// 1-bit flip-flops (Prep.UsesStore). Only an invariant whose cone has
-// state reaches the step: witnesses and combinational cones end in the
-// loop. A portfolio race already occupies every core, so its members
-// keep the serial flow.
-func (c *Session) inductionBeside(ctx context.Context, p property.Property, prep *atpg.Prep) bool {
-	return c.opts.UseInduction && p.Kind == property.Invariant &&
-		(c.opts.Store == nil || !prep.UsesStore()) &&
-		ctx.Value(raceKey{}) == nil && !c.coneIsCombinational(p)
-}
-
-// inductionRun is an induction step running on its own goroutine under
-// a child of the check's context.
-type inductionRun struct {
-	cancel context.CancelFunc
-	done   chan struct{}
-	st     atpg.Status
-	stats  atpg.Stats
-	// panicked is the value fn panicked with, if it did.
-	panicked any
-}
-
-// startInduction runs fn on a new goroutine under a child of ctx. The
-// caller must call stop before it returns, on every path.
-func startInduction(ctx context.Context, fn func(context.Context) (atpg.Status, atpg.Stats)) *inductionRun {
-	ctx, cancel := context.WithCancel(ctx)
-	r := &inductionRun{cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		defer func() { r.panicked = recover() }()
-		r.st, r.stats = fn(ctx)
-	}()
-	return r
-}
-
-// wait returns fn's result once fn has returned. A panic in fn is
-// raised again here, on the checking goroutine, so the caller's
-// recover (safeCheck) turns it into the same error record a panic in
-// the serial flow gives.
-func (r *inductionRun) wait() (atpg.Status, atpg.Stats) {
-	<-r.done
-	if r.panicked != nil {
-		panic(r.panicked)
-	}
-	return r.st, r.stats
-}
-
-// stop cancels fn's context and returns once its goroutine has exited.
-// It never raises fn's panic, so it is safe to defer.
-func (r *inductionRun) stop() {
-	r.cancel()
-	<-r.done
-}
-
-// inductionStep checks the k-induction step: from *any* state (free
-// initial registers) in which the monitor holds for k consecutive
-// frames, no transition reaches a violating frame. Unsat means the
-// bounded base case extends to a full proof.
-func (c *Session) inductionStep(ctx context.Context, p property.Property, k int) (atpg.Status, atpg.Stats) {
-	prep, err := c.d.ATPGPrep()
-	if err != nil {
-		return atpg.StatusAbort, atpg.Stats{}
-	}
-	limits := c.opts.Limits
-	limits.MaxDecisions = c.opts.InductionDecisions
-	if limits.MaxDecisions == 0 {
-		limits.MaxDecisions = 5000
-	}
-	limits.MaxBacktracks = 2 * limits.MaxDecisions
-	// Cheap pre-check: is the violation alone — any-state start plus
-	// the local-FSM fixpoint domains, without the induction-hypothesis
-	// frames — already unsatisfiable? If so the full step is too
-	// (removing constraints preserves Unsat), and we skip the expensive
-	// constructive justification of the hypothesis frames.
-	if pre, err := atpg.NewWithPrep(prep, 1, atpg.ModeProve, limits, c.opts.Store, true, c.opts.Features); err == nil {
-		pre.SetContext(ctx)
-		c.addDomains(pre, true)
-		ok := pre.Require(0, p.Monitor, bv.FromUint64(1, 0))
-		for _, a := range p.Assumes {
-			ok = ok && pre.Require(0, a, bv.FromUint64(1, 1))
-		}
-		if !ok {
-			return atpg.StatusUnsat, pre.Stats()
-		}
-		if st := pre.Solve(); st == atpg.StatusUnsat {
-			return atpg.StatusUnsat, pre.Stats()
-		}
-	}
+// inductionStep checks the k-induction step: from any state inside the
+// local-FSM fixpoints in which the monitor holds for k consecutive
+// frames, no transition reaches a violating frame. Unsat proves the
+// invariant once depths 1..k have no counterexample. At k = 0 it is
+// the pre-check, the violation alone in one free frame: Unsat then
+// proves the invariant with no base case, since the fixpoints contain
+// every reachable state.
+func (c *Session) inductionStep(ctx context.Context, prep *atpg.Prep, p property.Property, k int, limits atpg.Limits) (atpg.Status, atpg.Stats) {
 	eng, err := atpg.NewWithPrep(prep, k+1, atpg.ModeProve, limits, c.opts.Store, true, c.opts.Features)
 	if err != nil {
 		return atpg.StatusAbort, atpg.Stats{}
@@ -483,8 +445,7 @@ func (c *Session) inductionStep(ctx context.Context, p property.Property, k int)
 	if !ok {
 		return atpg.StatusUnsat, eng.Stats()
 	}
-	st := eng.Solve()
-	return st, eng.Stats()
+	return eng.Solve(), eng.Stats()
 }
 
 // extractTrace reads the minimum completion of the primary-input cubes

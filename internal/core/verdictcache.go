@@ -181,7 +181,7 @@ func verdictKey(cone string, p property.Property, meta string) string {
 }
 
 // cacheMeta canonically encodes everything outside the cone that a
-// record depends on: the engine, the depth bounds, the induction
+// record depends on: the engine, the depth bound, the induction
 // configuration, the search limits and the ablation switches. Non-ATPG
 // engines additionally pin the whole-design fingerprint (see the
 // package comment); designs without a fingerprint (programmatic
@@ -191,8 +191,8 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // engine no longer produces (v2: per-register local FSMs).
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v2|%s|d%d.%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
-		engineName, o.MaxDepth, o.MinDepth,
+	meta := fmt.Sprintf("v2|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
+		engineName, o.MaxDepth,
 		o.UseInduction, o.InductionDecisions,
 		o.Limits.MaxBacktracks, o.Limits.MaxDecisions, int64(o.Limits.Timeout),
 		o.DisableLocalFSM, o.DisableLearnedStore, o.SkipValidation, o.Features)
