@@ -9,8 +9,8 @@ import (
 )
 
 // goldenATPG is one corpus property's ATPG result at its Table-2 depth
-// with induction on: the verdict, the depth reached and the exact
-// search counters records carry.
+// with induction on: the verdict, the depth reached (for a proof, the
+// k whose step closed) and the exact search counters records carry.
 type goldenATPG struct {
 	key      string // "<design>/<id>"
 	verdict  Verdict
@@ -31,23 +31,23 @@ type goldenATPG struct {
 var goldenCorpus = []goldenATPG{
 	{"addr_decoder/p1", VerdictWitnessFound, 2, 196, 5, 2, 0, 103, 5, 12, 79},
 	{"addr_decoder/p2", VerdictProved, 1, 1646, 81, 158, 4, 705, 80, 3147, 89},
-	{"token_ring48/p3", VerdictProved, 3, 3894, 16, 124, 0, 414, 10, 519, 107},
+	{"token_ring48/p3", VerdictProved, 1, 2872, 4, 100, 0, 38, 2, 145, 26},
 	{"token_ring48/p4", VerdictWitnessFound, 6, 1333, 0, 0, 0, 142, 0, 34, 314},
-	{"arbiter16/p5", VerdictProved, 3, 7692, 11, 59, 3, 2643, 8, 811, 1004},
+	{"arbiter16/p5", VerdictProved, 1, 1343, 2, 18, 1, 457, 2, 139, 343},
 	{"arbiter16/p6", VerdictWitnessFound, 2, 3787, 0, 0, 0, 904, 0, 1352, 1481},
-	{"alarm_clock/p7", VerdictProved, 3, 656, 0, 0, 0, 0, 0, 0, 86},
+	{"alarm_clock/p7", VerdictProved, 1, 130, 0, 0, 0, 0, 0, 0, 48},
 	{"alarm_clock/p8", VerdictWitnessFound, 3, 593, 0, 0, 0, 144, 0, 0, 162},
-	{"alarm_clock/p9", VerdictProved, 8, 1953, 0, 0, 0, 0, 0, 0, 134},
-	{"industry_0124/p10", VerdictProved, 3, 1697, 1, 2, 0, 83, 1, 0, 124},
-	{"industry_02/p11", VerdictProved, 3, 2628, 62, 110, 16, 2422, 27, 612, 150},
+	{"alarm_clock/p9", VerdictProved, 1, 49, 0, 0, 0, 0, 0, 0, 15},
+	{"industry_0124/p10", VerdictProved, 1, 309, 1, 2, 0, 83, 1, 0, 59},
+	{"industry_02/p11", VerdictProved, 1, 627, 20, 36, 5, 598, 9, 200, 66},
 	{"industry_03/p12", VerdictProved, 1, 598, 20, 36, 5, 576, 9, 200, 58},
 	{"industry_04/p13", VerdictProved, 1, 278, 8, 16, 1, 167, 2, 40, 42},
-	{"industry_05/p14", VerdictProved, 3, 526, 0, 0, 0, 0, 0, 0, 93},
-	{"arbiter24/p5", VerdictProved, 3, 11444, 11, 83, 3, 3955, 8, 1275, 1484},
+	{"industry_05/p14", VerdictProved, 1, 71, 0, 0, 0, 0, 0, 0, 28},
+	{"arbiter24/p5", VerdictProved, 1, 2007, 2, 26, 1, 689, 2, 219, 511},
 	{"arbiter24/p6", VerdictWitnessFound, 2, 6435, 0, 0, 0, 1352, 0, 3000, 2601},
-	{"token_ring96/p3", VerdictProved, 3, 12325, 336, 636, 0, 4349, 330, 4591, 313},
+	{"token_ring96/p3", VerdictProved, 1, 11303, 324, 612, 0, 3973, 322, 4534, 313},
 	{"token_ring96/p4", VerdictWitnessFound, 6, 1334, 0, 0, 0, 142, 0, 33, 314},
-	{"industry_0164/p10", VerdictProved, 3, 3257, 1, 2, 0, 123, 1, 0, 124},
+	{"industry_0164/p10", VerdictProved, 1, 549, 1, 2, 0, 123, 1, 0, 59},
 }
 
 // goldenDesign is one corpus design with the tag the benchmark corpus

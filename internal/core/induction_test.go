@@ -70,8 +70,8 @@ func TestInterleavedInductionFalsified(t *testing.T) {
 // The result of TestInterleavedInductionFalsified.
 var (
 	wantFalsifiedTrace = "clk=1'b0 req=16'b1000000000000000 rst=1'b0 | clk=1'b0 req=16'b0000000000000000 rst=1'b0"
-	wantFalsifiedStats = atpg.Stats{Decisions: 1, Implications: 3689, MaxTrail: 1067, FrontierScans: 2,
-		FrontierChecks: 1081, FrontierSkips: 1067, BitSkips: 1042}
+	wantFalsifiedStats = atpg.Stats{Decisions: 5, Implications: 7519, ArithCalls: 2, MaxTrail: 1111, FrontierScans: 8,
+		FrontierChecks: 2433, FrontierSkips: 5085, BitSkips: 2139}
 )
 
 // TestStepFollowsBoundedDepth: q resets to 0 and is 1 from then on, so

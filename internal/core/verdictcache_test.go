@@ -223,8 +223,8 @@ func TestVerdictCacheSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestVerdictCacheOldVersionNeverServed: a verdict snapshot persisted
-// under the previous cache-key version ("v1|", before local FSMs were
-// imaged per register) holds records a fresh run no longer produces.
+// under the previous cache-key version ("v2|", before proofs closed at
+// the first k) holds records a fresh run no longer produces.
 // Restored, none of them is served: every check runs fresh. The same
 // record restored under the current meta is served, so the keys below
 // are the ones the batch looks up.
@@ -243,8 +243,8 @@ func TestVerdictCacheOldVersionNeverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := sess.cacheMeta(EngineATPG)
-	if !strings.HasPrefix(meta, "v2|") {
-		t.Fatalf("cache meta %q does not carry version v2", meta)
+	if !strings.HasPrefix(meta, "v3|") {
+		t.Fatalf("cache meta %q does not carry version v3", meta)
 	}
 	restore := func(meta string) *VerdictCache {
 		persisted := NewVerdictCache(0)
@@ -263,20 +263,20 @@ func TestVerdictCacheOldVersionNeverServed(t *testing.T) {
 		}
 		return restored
 	}
-	old := restore("v1|" + strings.TrimPrefix(meta, "v2|"))
+	old := restore("v2|" + strings.TrimPrefix(meta, "v3|"))
 	fresh, _ := batchRecords(t, d, names, old)
 	for i, r := range fresh {
 		if r.FromCache || r.Verdict == VerdictFalsified {
-			t.Errorf("%s: served the v1 entry (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
+			t.Errorf("%s: served the v2 entry (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
 		}
 	}
 	if st := old.Stats(); st.Hits != 0 {
-		t.Errorf("v1 entries hit %d times, want 0", st.Hits)
+		t.Errorf("v2 entries hit %d times, want 0", st.Hits)
 	}
 	current, _ := batchRecords(t, d, names, restore(meta))
 	for i, r := range current {
 		if !r.FromCache || r.Verdict != VerdictFalsified {
-			t.Errorf("%s: the v2 entry was not served (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
+			t.Errorf("%s: the v3 entry was not served (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
 		}
 	}
 }
