@@ -92,7 +92,7 @@ type Options struct {
 	InductionDecisions int
 	// Store carries learned ESTG state across properties and depths.
 	// When nil, the session creates a private store (so the deepening
-	// runs and the induction step of one Check still learn from each
+	// runs and the induction steps of one Check still learn from each
 	// other) unless DisableLearnedStore is set; pass an explicit store
 	// to share learning across properties or sessions.
 	Store *estg.Store

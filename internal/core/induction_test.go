@@ -191,3 +191,30 @@ func TestStoreKnownDepthGetsStep(t *testing.T) {
 		t.Errorf("induction run on the warm store: %v at depth %d, want proved at depth 1", res.Verdict, res.Depth)
 	}
 }
+
+// TestInductionBudgetPerCheck: without its local FSMs token_ring48/p3
+// is not inductive at any k up to 3, and the pre-check and the three
+// steps share one InductionDecisions budget. They take at most one
+// decision past it together; with a budget per step they took that
+// much each.
+func TestInductionBudgetPerCheck(t *testing.T) {
+	cd, err := circuits.TokenRing(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 200
+	run := func(induct bool) Result {
+		c, err := New(cd.NL, Options{MaxDepth: 3, UseInduction: induct, InductionDecisions: budget, DisableLocalFSM: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Check(cd.Props[0])
+	}
+	bounded, res := run(false), run(true)
+	if res.Verdict != VerdictProvedBounded {
+		t.Fatalf("verdict %v, want proved-bounded", res.Verdict)
+	}
+	if steps := res.Stats.Decisions - bounded.Stats.Decisions; steps != budget+1 {
+		t.Errorf("the pre-check and steps took %d decisions, want the budget %d plus the one that stops the search", steps, budget)
+	}
+}

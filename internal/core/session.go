@@ -147,7 +147,7 @@ func (c *Session) Check(p property.Property) Result {
 }
 
 // CheckCtx is Check under a cancellation context: the ATPG search, the
-// deepening loop and the induction step all observe ctx and return
+// deepening loop and the induction steps all observe ctx and return
 // VerdictUnknown promptly after cancellation. The allocation columns
 // are measured from process-wide memstats (two stop-the-world reads),
 // so they are only attributable when checks run one at a time;
@@ -257,27 +257,27 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		decLeft = 5000
 	}
 	btLeft := 2 * decLeft
-	// step runs the induction step at k while the budget lasts and
-	// reports whether it closed; ok is false when it could not start.
-	step := func(k int) (closed, ok bool) {
+	// step runs the induction step at k while the budget lasts. It
+	// returns the check's result, and true, when the step proves the
+	// invariant or cannot start.
+	step := func(k int) (Result, bool) {
 		limits, ok := start()
-		if !ok || decLeft <= 0 || btLeft <= 0 {
-			return false, ok
+		if !ok {
+			return unknown(), true
+		}
+		if decLeft <= 0 || btLeft <= 0 {
+			return Result{}, false
 		}
 		limits.MaxDecisions, limits.MaxBacktracks = decLeft, btLeft
 		st, stats := c.inductionStep(ctx, prep, p, k, limits)
 		agg = addStats(agg, stats)
 		decLeft -= stats.Decisions
 		btLeft -= stats.Backtracks
-		return st == atpg.StatusUnsat, true
+		return Result{Verdict: VerdictProved, Depth: max(k, 1), Stats: agg}, st == atpg.StatusUnsat
 	}
 	if induct {
-		closed, ok := step(0)
-		if !ok {
-			return unknown()
-		}
-		if closed {
-			return Result{Verdict: VerdictProved, Depth: 1, Stats: agg}
+		if res, done := step(0); done {
+			return res
 		}
 	}
 	for depth := 1; depth <= c.opts.MaxDepth; depth++ {
@@ -324,12 +324,8 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 			}
 		}
 		if induct {
-			closed, ok := step(depth)
-			if !ok {
-				return unknown()
-			}
-			if closed {
-				return Result{Verdict: VerdictProved, Depth: depth, Stats: agg}
+			if res, done := step(depth); done {
+				return res
 			}
 		}
 	}

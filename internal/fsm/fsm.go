@@ -19,8 +19,8 @@
 // lost. The sets are exact for that model at any width: a 96-bit
 // one-hot token has its 96 values. The ATPG engine consults the
 // per-frame sets to reject assignments that would enter unreachable
-// ("illegal") states, and the k-induction step uses the fixpoint as a
-// strengthening invariant.
+// ("illegal") states, and the induction pre-check and steps use the
+// fixpoint as a strengthening invariant.
 package fsm
 
 import (
