@@ -11,7 +11,7 @@
 //	        [-max-depth N] [-timeout D] [-max-timeout D] [-drain-timeout D]
 //	        [-cache-designs N] [-cache-verdicts N] [-faults] [-faults-spec SPEC]
 //	        [-state-dir DIR] [-state-interval D] [-state-max-bytes N]
-//	        [-state-rewarm N] [-state-estg] [-version-tag V]
+//	        [-state-rewarm N] [-version-tag V]
 //
 // Endpoints:
 //
@@ -49,12 +49,9 @@
 // *.corrupt with a logged line and the server starts that state cold;
 // it never crashes, loops, or changes a verdict. The cone-keyed
 // verdict cache (see -cache-verdicts) persists alongside the manifest,
-// so cached verdicts survive restarts — including crashes. -state-estg
-// additionally persists per-design learned ESTG stores so search
-// guidance accumulates across requests and restarts — this makes
-// per-request search metrics depend on traffic history (responses stay
-// correct but are no longer byte-reproducible), so it is a separate
-// opt-in.
+// so cached verdicts survive restarts — including crashes. Learned ESTG
+// search guidance lives within one request's check session and is
+// never shared or persisted, so every response is byte-reproducible.
 //
 // On SIGTERM/SIGINT the server stops admitting work (503), drains
 // in-flight batches for up to -drain-timeout, snapshots its state, and
@@ -93,14 +90,13 @@ func main() {
 		maxTimeout    = flag.Duration("max-timeout", 0, "ceiling on per-request timeout overrides (0 = none)")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "how long to drain in-flight work on SIGTERM before exiting")
 		cacheDesigns  = flag.Int("cache-designs", 0, "compiled-design cache entries (0 = 64, negative = unbounded)")
-		cacheVerdicts = flag.Int("cache-verdicts", 0, "cone-keyed verdict cache entries (0 = 4096, negative = disabled); forced off under -state-estg")
+		cacheVerdicts = flag.Int("cache-verdicts", 0, "cone-keyed verdict cache entries (0 = 4096, negative = disabled)")
 		faults        = flag.Bool("faults", false, "enable the X-Fault-Inject header (degradation testing only)")
 		faultsSpec    = flag.String("faults-spec", "", "arm a process-global fault rule set, e.g. 'persist.write=short-write:16' (degradation testing only)")
 		stateDir      = flag.String("state-dir", "", "directory for crash-safe durable state (empty = stateless)")
 		stateInterval = flag.Duration("state-interval", 0, "periodic state flush cadence (0 = 30s)")
 		stateMaxBytes = flag.Int64("state-max-bytes", 0, "on-disk snapshot byte budget with LRU eviction (0 = 64 MiB, negative = unbounded)")
 		stateRewarm   = flag.Int("state-rewarm", 0, "most-recently-used designs recompiled at startup (0 = 16)")
-		stateESTG     = flag.Bool("state-estg", false, "persist per-design learned ESTG stores (metrics become traffic-dependent; see docs)")
 		versionTag    = flag.String("version-tag", "dev", "build version reported on /healthz")
 	)
 	flag.Parse()
@@ -131,7 +127,6 @@ func main() {
 		StateInterval:       *stateInterval,
 		StateMaxBytes:       *stateMaxBytes,
 		StateRewarm:         *stateRewarm,
-		StateESTG:           *stateESTG,
 		Version:             *versionTag,
 		Logf:                logf,
 	})

@@ -25,10 +25,9 @@ type BatchOptions struct {
 	// Cache, when non-nil, short-circuits properties whose cone-keyed
 	// verdict is already cached (verdictcache.go): hits are replayed
 	// verbatim (FromCache set) without dispatching a worker, and fresh
-	// deterministic verdicts are stored back. Ignored when the session
-	// was built over an externally shared learned store, or when a
-	// custom Engine outside the canonical set is passed (its
-	// configuration is invisible to the cache key).
+	// deterministic verdicts are stored back. Ignored when a custom
+	// Engine outside the canonical set is passed (its configuration is
+	// invisible to the cache key).
 	Cache *VerdictCache
 }
 
@@ -52,18 +51,16 @@ func (c *Session) CheckAll(ctx context.Context, props []property.Property, opts 
 		eng = c.ATPGEngine()
 	}
 	// Verdict-cache consultation: resolve the key meta once (it gates
-	// itself off for shared-store sessions, unkeyable engines and
-	// fingerprint-less designs on non-ATPG engines), then split the
-	// batch into replayed hits and pending re-checks.
+	// itself off for unkeyable engines and fingerprint-less designs on
+	// non-ATPG engines), then split the batch into replayed hits and
+	// pending re-checks.
 	cache := opts.Cache
 	var keys []string
 	if cache != nil {
 		meta := ""
-		if !c.sharedStore {
-			switch eng.Name() {
-			case EngineATPG, EngineBMC, EngineBDD, EnginePortfolio:
-				meta = c.cacheMeta(eng.Name())
-			}
+		switch eng.Name() {
+		case EngineATPG, EngineBMC, EngineBDD, EnginePortfolio:
+			meta = c.cacheMeta(eng.Name())
 		}
 		if meta == "" {
 			cache = nil

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/bv"
-	"repro/internal/estg"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 )
@@ -90,15 +89,11 @@ type Options struct {
 	// decisions): when the property is not inductive the steps can cost
 	// far more than the bounded search, so they share one small budget.
 	InductionDecisions int
-	// Store carries learned ESTG state across properties and depths.
-	// When nil, the session creates a private store (so the deepening
-	// runs and the induction steps of one Check still learn from each
-	// other) unless DisableLearnedStore is set; pass an explicit store
-	// to share learning across properties or sessions.
-	Store *estg.Store
-	// DisableLearnedStore turns off the default per-session ESTG store
-	// (conflict recording, no-cex caching and ESTG-guided decision
-	// ordering). For ablation; ignored when Store is non-nil.
+	// DisableLearnedStore turns off the session's ESTG store (conflict
+	// recording, no-cex caching and ESTG-guided decision ordering),
+	// which otherwise lets the deepening runs, the induction steps and
+	// the properties of one session learn from each other. For
+	// ablation, and for sessions that run only BMC or BDD.
 	DisableLearnedStore bool
 	// SkipValidation disables counterexample replay (tests only).
 	SkipValidation bool

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bv"
 	"repro/internal/elab"
-	"repro/internal/estg"
 	"repro/internal/netlist"
 	"repro/internal/property"
 	"repro/internal/verilog"
@@ -304,11 +303,10 @@ func TestEstgStoreAccelerates(t *testing.T) {
 	b := property.Builder{NL: nl}
 	q, _ := nl.SignalByName("q")
 	mon := b.InRange(q, 0, 5)
-	store := estg.NewStore()
-	c, _ := New(nl, Options{MaxDepth: 6, Store: store})
+	c, _ := New(nl, Options{MaxDepth: 6})
 	p, _ := property.NewInvariant(nl, "counter-range", mon)
 	r1 := c.Check(p)
-	r2 := c.Check(p) // second run hits the cached no-cex results
+	r2 := c.Check(p) // second run hits the session store's no-cex results
 	if r1.Verdict != r2.Verdict {
 		t.Fatalf("verdicts differ: %v vs %v", r1.Verdict, r2.Verdict)
 	}

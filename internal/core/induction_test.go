@@ -9,7 +9,6 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/bv"
 	"repro/internal/circuits"
-	"repro/internal/estg"
 	"repro/internal/netlist"
 	"repro/internal/property"
 	"repro/internal/sim"
@@ -171,19 +170,19 @@ func TestRelationalInvariantProvedAtFirstStep(t *testing.T) {
 
 // TestStoreKnownDepthGetsStep: a depth the learned store already knows
 // has no counterexample skips its bounded search but still gets its
-// step. A bounded-only run fills the shared store with depths 1..4;
-// the induction run after it must still prove the invariant.
+// step. A bounded-only run fills its session's store with depths
+// 1..4; the induction run on that store after it must still prove the
+// invariant.
 func TestStoreKnownDepthGetsStep(t *testing.T) {
 	d, p := relInvariant(t)
-	store := estg.NewStore()
-	bounded, err := d.NewSession(Options{MaxDepth: 4, Store: store})
+	bounded, err := d.NewSession(Options{MaxDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res := bounded.Check(p); res.Verdict != VerdictProvedBounded {
 		t.Fatalf("bounded-only run: %v, want proved-bounded", res.Verdict)
 	}
-	induct, err := d.NewSession(Options{MaxDepth: 4, UseInduction: true, Store: store})
+	induct, err := d.newSession(Options{MaxDepth: 4, UseInduction: true}, bounded.store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 // Session: the cheap per-run half of the Design/Session split. A
 // Session borrows everything compiled — the netlist, the local FSMs,
 // the per-engine caches — from its immutable Design and owns only the
-// per-run mutable state: its options, its learned ESTG store handle
-// and the search engines it constructs per check. Creating a session
-// is allocation-cheap (no re-elaboration, no re-analysis), which is
-// what makes batch workers, portfolio members and serving requests
-// scale: N concurrent sessions over one Design never contend on
-// anything but the internally-synchronized learned store.
+// per-run mutable state: its options, its learned ESTG store and the
+// search engines it constructs per check. Creating a session is
+// allocation-cheap (no re-elaboration, no re-analysis), which is what
+// makes batch workers, portfolio members and serving requests scale:
+// concurrent checks over one Design contend on nothing but the
+// internally-synchronized learned store of the session they share.
 package core
 
 import (
@@ -33,11 +33,10 @@ type Session struct {
 	// machines are the design's local FSMs, nil when the session
 	// disabled them.
 	machines []*fsm.Machine
-	// sharedStore records that the caller passed in an external learned
-	// store (as opposed to the session's private default): shared
-	// guidance makes search metrics depend on traffic history, so such
-	// sessions never consult the verdict cache (CheckAll).
-	sharedStore bool
+	// store is the session's learned ESTG store, nil when the options
+	// disable it. It lives as long as the session; a sessionFor
+	// sibling over the same netlist shares it.
+	store *estg.Store
 }
 
 // New compiles (or reuses, via the process-wide design cache) the
@@ -54,13 +53,19 @@ func New(nl *netlist.Netlist, opts Options) (*Session, error) {
 
 // NewSession opens a per-run session over the design. Local FSMs are
 // taken from the design cache (built on first use) unless the options
-// disable them; a private learned store is created unless one is
-// passed in or disabled.
+// disable them; the session gets a fresh learned store unless the
+// options disable it.
 func (d *Design) NewSession(opts Options) (*Session, error) {
-	s := &Session{d: d, nl: d.nl, opts: opts.withDefaults(), sharedStore: opts.Store != nil}
-	if s.opts.Store == nil && !s.opts.DisableLearnedStore {
-		s.opts.Store = estg.NewStore()
+	var store *estg.Store
+	if !opts.DisableLearnedStore {
+		store = estg.NewStore()
 	}
+	return d.newSession(opts, store)
+}
+
+// newSession opens a session over the design that learns into store.
+func (d *Design) newSession(opts Options, store *estg.Store) (*Session, error) {
+	s := &Session{d: d, nl: d.nl, opts: opts.withDefaults(), store: store}
 	if !s.opts.DisableLocalFSM {
 		ms, err := d.Machines()
 		if err != nil {
@@ -96,11 +101,11 @@ func (c *Session) designFor(nl *netlist.Netlist) (*Design, error) {
 // sessionFor returns the session that runs an ATPG check over nl with
 // the given frame bound (0 = this session's): this session when
 // designFor picks its design and the bound matches, else a sibling
-// with the same options over the picked design. A sibling over
-// another netlist gets no learned store: the store's no-counterexample
-// cache is keyed by property name and depth, so a same-named property
-// of another netlist could hit an entry that is false there. Learning
-// is shared across properties of one netlist only.
+// with the same options over the picked design. A sibling over the
+// same netlist shares this session's learned store; one over another
+// netlist gets a fresh store: the store's no-counterexample cache is
+// keyed by property name and depth, so a same-named property of
+// another netlist could hit an entry that is false there.
 func (c *Session) sessionFor(nl *netlist.Netlist, depth int) (*Session, error) {
 	d, err := c.designFor(nl)
 	if err != nil {
@@ -114,9 +119,9 @@ func (c *Session) sessionFor(nl *netlist.Netlist, depth int) (*Session, error) {
 		opts.MaxDepth = depth
 	}
 	if nl != c.nl {
-		opts.Store = nil
+		return d.NewSession(opts)
 	}
-	return d.NewSession(opts)
+	return d.newSession(opts, c.store)
 }
 
 // addDomains installs the local-FSM reachable sets: bounded runs use
@@ -223,8 +228,8 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	// name; qualify witness searches so an invariant and a witness over
 	// the same monitor never share cache entries (an invariant's
 	// "no violation at depth d" must not make a witness search skip a
-	// depth where its witness lives). Matters once stores outlive one
-	// session (CheckAll sharing, the persistent per-design registry).
+	// depth where its witness lives). Every check of a session, and of
+	// its siblings over the same netlist, shares the store.
 	storeName := p.Name
 	if p.Kind == property.Witness {
 		storeName = "witness\x00" + p.Name
@@ -281,7 +286,7 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		}
 	}
 	for depth := 1; depth <= c.opts.MaxDepth; depth++ {
-		if c.opts.Store != nil && c.opts.Store.KnownNoCex(storeName, depth) {
+		if c.store != nil && c.store.KnownNoCex(storeName, depth) {
 			if res, ok := c.coneExhausted(p, depth, agg); ok {
 				return res
 			}
@@ -313,8 +318,8 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 				// soundness gap; treat conservatively.
 				return Result{Verdict: VerdictUnknown, Depth: depth, Trace: tr, InitState: init, Stats: agg}
 			case atpg.StatusUnsat:
-				if c.opts.Store != nil {
-					c.opts.Store.RecordNoCex(storeName, depth)
+				if c.store != nil {
+					c.store.RecordNoCex(storeName, depth)
 				}
 				if res, ok := c.coneExhausted(p, depth, agg); ok {
 					return res
@@ -358,7 +363,7 @@ func searchTarget(p property.Property) (atpg.Mode, bv.BV) {
 // It returns the engine, whose values hold a found trace.
 func (c *Session) bounded(ctx context.Context, prep *atpg.Prep, p property.Property, depth int, limits atpg.Limits) (*atpg.Engine, atpg.Status, error) {
 	mode, target := searchTarget(p)
-	eng, err := atpg.NewWithPrep(prep, depth, mode, limits, c.opts.Store, false, c.opts.Features)
+	eng, err := atpg.NewWithPrep(prep, depth, mode, limits, c.store, false, c.opts.Features)
 	if err != nil {
 		return nil, atpg.StatusAbort, err
 	}
@@ -414,7 +419,7 @@ func (c *Session) coneIsCombinational(p property.Property) bool {
 // proves the invariant with no base case, since the fixpoints contain
 // every reachable state.
 func (c *Session) inductionStep(ctx context.Context, prep *atpg.Prep, p property.Property, k int, limits atpg.Limits) (atpg.Status, atpg.Stats) {
-	eng, err := atpg.NewWithPrep(prep, k+1, atpg.ModeProve, limits, c.opts.Store, true, c.opts.Features)
+	eng, err := atpg.NewWithPrep(prep, k+1, atpg.ModeProve, limits, c.store, true, c.opts.Features)
 	if err != nil {
 		return atpg.StatusAbort, atpg.Stats{}
 	}

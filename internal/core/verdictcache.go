@@ -12,15 +12,11 @@
 // invariants the serving contracts pin), so a stored JSONRecord
 // replayed verbatim is exactly what a fresh re-check would produce —
 // the cache is transparent to every consumer of the record bytes.
-// Three guards keep that true:
+// Two guards keep that true:
 //
 //   - only deterministic verdicts are stored (proved, proved-bounded,
 //     falsified, witness-found, no-witness) — unknown depends on
 //     wall-clock deadlines and error on injected faults;
-//   - sessions with an externally shared learned store (the -state-estg
-//     path) never consult the cache: accumulated guidance makes search
-//     metrics depend on traffic history, so cached records could
-//     disagree with fresh runs (the PR 8 gating precedent);
 //   - non-ATPG engines key on the whole-design fingerprint in addition
 //     to the cone: BMC variable numbering and the BDD variable order
 //     are design-global, so their effort counters can drift under

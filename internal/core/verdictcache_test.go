@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/estg"
 	"repro/internal/property"
 )
 
@@ -119,38 +118,6 @@ func trimBrackets(b []byte) []byte {
 	b = bytes.TrimPrefix(b, []byte("["))
 	b = bytes.TrimSuffix(b, []byte("]"))
 	return bytes.TrimSpace(b)
-}
-
-func TestVerdictCacheSharedStoreSessionBypasses(t *testing.T) {
-	// An externally shared learned store makes search metrics depend on
-	// traffic history; the cache must refuse to serve or store for such
-	// sessions (this is what gates it off under assertd -state-estg).
-	d, err := CompileVerilog(coneTestSrc("v1", false, 0, 0), "top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := d.NewSession(Options{Store: estg.NewStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	props, err := property.FromNames(d.Netlist(), []string{"ok0", "ok1"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := NewVerdictCache(0)
-	results := sess.CheckAll(context.Background(), props, BatchOptions{Cache: cache})
-	for i, r := range results {
-		if r.FromCache {
-			t.Errorf("result %d served from cache on a shared-store session", i)
-		}
-	}
-	if cache.Len() != 0 {
-		t.Errorf("shared-store session stored %d entries", cache.Len())
-	}
-	st := cache.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Stores != 0 {
-		t.Errorf("shared-store session touched the cache: %+v", st)
-	}
 }
 
 func TestVerdictCacheUnknownNotStored(t *testing.T) {

@@ -29,10 +29,7 @@
 // abandoned regions fade instead of steering searches forever.
 package estg
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // maxDecayShift bounds how far a stale count can be right-shifted; 31
 // epochs already take any uint32 count to zero.
@@ -70,11 +67,6 @@ type Store struct {
 	// provedNoCex caches property+depth combinations exhausted without
 	// a counterexample.
 	provedNoCex map[string]bool
-	// reachable caches state keys observed on validated traces.
-	reachable map[string]bool
-	// muts counts writes (see Mutations in snapshot.go); atomic so the
-	// snapshot flusher can poll it without contending for mu.
-	muts atomic.Uint64
 }
 
 // NewStore returns an empty store.
@@ -83,7 +75,6 @@ func NewStore() *Store {
 		conflicts:   map[string]entry{},
 		transitions: map[string]entry{},
 		provedNoCex: map[string]bool{},
-		reachable:   map[string]bool{},
 	}
 }
 
@@ -98,21 +89,13 @@ func (s *Store) RecordConflict(stateKey string) {
 	s.mu.Lock()
 	bump(s.conflicts, stateKey, s.epoch)
 	s.mu.Unlock()
-	s.muts.Add(1)
 }
 
-// ConflictCount returns how often the state dead-ended, decayed to the
-// current epoch.
-func (s *Store) ConflictCount(stateKey string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.conflicts[stateKey].value(s.epoch)
-}
-
-// ConflictScore is ConflictCount over a byte-slice key: the engine
-// builds candidate state keys in a pooled scratch buffer, and the
-// string(key) map index below is recognized by the compiler, so the
-// lookup does not allocate.
+// ConflictScore returns how often the state dead-ended, decayed to the
+// current epoch. The key is a byte slice: the engine builds candidate
+// state keys in a pooled scratch buffer, and the string(key) map index
+// below is recognized by the compiler, so the lookup does not
+// allocate.
 func (s *Store) ConflictScore(key []byte) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -125,20 +108,11 @@ func (s *Store) RecordConflictTransition(fromKey, toKey string) {
 	s.mu.Lock()
 	bump(s.transitions, fromKey+"\x00"+toKey, s.epoch)
 	s.mu.Unlock()
-	s.muts.Add(1)
 }
 
-// TransitionConflicts returns the decayed conflict count of a
-// transition.
-func (s *Store) TransitionConflicts(fromKey, toKey string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.transitions[fromKey+"\x00"+toKey].value(s.epoch)
-}
-
-// TransitionScore is TransitionConflicts over a single pre-joined
-// byte-slice key (fromKey + "\x00" + toKey), allocation-free for
-// engine-pooled scratch.
+// TransitionScore returns the decayed conflict count of a transition,
+// keyed by the pre-joined byte slice fromKey + "\x00" + toKey,
+// allocation-free for engine-pooled scratch.
 func (s *Store) TransitionScore(joined []byte) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -152,22 +126,6 @@ func (s *Store) Decay() {
 	s.mu.Lock()
 	s.epoch++
 	s.mu.Unlock()
-	s.muts.Add(1)
-}
-
-// RecordReachable notes a state seen on a validated trace.
-func (s *Store) RecordReachable(stateKey string) {
-	s.mu.Lock()
-	s.reachable[stateKey] = true
-	s.mu.Unlock()
-	s.muts.Add(1)
-}
-
-// Reachable reports whether the state was seen on a validated trace.
-func (s *Store) Reachable(stateKey string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.reachable[stateKey]
 }
 
 // RecordNoCex caches that property prop has no counterexample within
@@ -176,7 +134,6 @@ func (s *Store) RecordNoCex(prop string, depth int) {
 	s.mu.Lock()
 	s.provedNoCex[noCexKey(prop, depth)] = true
 	s.mu.Unlock()
-	s.muts.Add(1)
 }
 
 // KnownNoCex reports whether a no-counterexample result is cached for
@@ -190,21 +147,4 @@ func (s *Store) KnownNoCex(prop string, depth int) bool {
 func noCexKey(prop string, depth int) string {
 	// depth is small; a two-byte suffix keeps keys compact.
 	return prop + "\x00" + string(rune(depth))
-}
-
-// Stats summarizes the store contents.
-type Stats struct {
-	Conflicts, Transitions, Reachable, CachedProofs int
-}
-
-// Stats returns summary counts.
-func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Stats{
-		Conflicts:    len(s.conflicts),
-		Transitions:  len(s.transitions),
-		Reachable:    len(s.reachable),
-		CachedProofs: len(s.provedNoCex),
-	}
 }

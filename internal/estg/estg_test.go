@@ -9,10 +9,10 @@ func TestConflictRecording(t *testing.T) {
 	s := NewStore()
 	s.RecordConflict("0101")
 	s.RecordConflict("0101")
-	if got := s.ConflictCount("0101"); got != 2 {
+	if got := s.ConflictScore([]byte("0101")); got != 2 {
 		t.Errorf("count = %d, want 2", got)
 	}
-	if got := s.ConflictCount("1111"); got != 0 {
+	if got := s.ConflictScore([]byte("1111")); got != 0 {
 		t.Errorf("unseen count = %d, want 0", got)
 	}
 }
@@ -20,15 +20,15 @@ func TestConflictRecording(t *testing.T) {
 func TestTransitions(t *testing.T) {
 	s := NewStore()
 	s.RecordConflictTransition("00", "01")
-	if s.TransitionConflicts("00", "01") != 1 {
+	if s.TransitionScore([]byte("00\x0001")) != 1 {
 		t.Error("transition not recorded")
 	}
-	if s.TransitionConflicts("01", "00") != 0 {
+	if s.TransitionScore([]byte("01\x0000")) != 0 {
 		t.Error("reverse transition should be distinct")
 	}
 	// Key separator must prevent ambiguity: ("a", "bc") vs ("ab", "c").
 	s.RecordConflictTransition("a", "bc")
-	if s.TransitionConflicts("ab", "c") != 0 {
+	if s.TransitionScore([]byte("ab\x00c")) != 0 {
 		t.Error("transition keys collide")
 	}
 }
@@ -44,26 +44,6 @@ func TestNoCexCache(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	s := NewStore()
-	s.RecordReachable("0011")
-	if !s.Reachable("0011") || s.Reachable("1100") {
-		t.Error("reachable store broken")
-	}
-}
-
-func TestStats(t *testing.T) {
-	s := NewStore()
-	s.RecordConflict("a")
-	s.RecordConflictTransition("a", "b")
-	s.RecordReachable("c")
-	s.RecordNoCex("p", 1)
-	st := s.Stats()
-	if st.Conflicts != 1 || st.Transitions != 1 || st.Reachable != 1 || st.CachedProofs != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	s := NewStore()
 	var wg sync.WaitGroup
@@ -73,15 +53,15 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				s.RecordConflict("x")
-				s.ConflictCount("x")
+				s.ConflictScore([]byte("x"))
 				s.RecordNoCex("p", j)
 				s.KnownNoCex("p", j)
 			}
 		}()
 	}
 	wg.Wait()
-	if s.ConflictCount("x") != 800 {
-		t.Errorf("count = %d, want 800", s.ConflictCount("x"))
+	if s.ConflictScore([]byte("x")) != 800 {
+		t.Errorf("count = %d, want 800", s.ConflictScore([]byte("x")))
 	}
 }
 
@@ -112,12 +92,12 @@ func TestConcurrentBatchWorkers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.ConflictCount("shared"); got != workers*rounds {
+	if got := s.ConflictScore([]byte("shared")); got != workers*rounds {
 		t.Errorf("shared conflicts = %d, want %d", got, workers*rounds)
 	}
 	for w := 0; w < workers; w++ {
 		own := string(rune('a' + w))
-		if got := s.TransitionConflicts(own, "shared"); got != rounds {
+		if got := s.TransitionScore([]byte(own + "\x00shared")); got != rounds {
 			t.Errorf("transition %s->shared = %d, want %d", own, got, rounds)
 		}
 	}
@@ -130,31 +110,31 @@ func TestBoundedDecay(t *testing.T) {
 	}
 	s.RecordConflictTransition("a", "b")
 	s.RecordConflictTransition("a", "b")
-	if got := s.ConflictCount("s"); got != 8 {
+	if got := s.ConflictScore([]byte("s")); got != 8 {
 		t.Fatalf("pre-decay count = %d, want 8", got)
 	}
 	s.Decay()
-	if got := s.ConflictCount("s"); got != 4 {
+	if got := s.ConflictScore([]byte("s")); got != 4 {
 		t.Errorf("after one decay: %d, want 4", got)
 	}
-	if got := s.TransitionConflicts("a", "b"); got != 1 {
+	if got := s.TransitionScore([]byte("a\x00b")); got != 1 {
 		t.Errorf("transition after one decay: %d, want 1", got)
 	}
 	s.Decay()
 	s.Decay()
-	if got := s.ConflictCount("s"); got != 1 {
+	if got := s.ConflictScore([]byte("s")); got != 1 {
 		t.Errorf("after three decays: %d, want 1", got)
 	}
 	// Recording re-bases on the decayed value.
 	s.RecordConflict("s")
-	if got := s.ConflictCount("s"); got != 2 {
+	if got := s.ConflictScore([]byte("s")); got != 2 {
 		t.Errorf("re-based count = %d, want 2", got)
 	}
 	// A long-stale entry bottoms out at zero instead of wrapping.
 	for i := 0; i < 100; i++ {
 		s.Decay()
 	}
-	if got := s.ConflictCount("s"); got != 0 {
+	if got := s.ConflictScore([]byte("s")); got != 0 {
 		t.Errorf("fully decayed count = %d, want 0", got)
 	}
 }
@@ -207,13 +187,11 @@ func TestConcurrentReadersWithDecay(t *testing.T) {
 				if s.TransitionScore(joined) < 0 {
 					t.Error("negative transition score")
 				}
-				s.Stats()
-				s.Reachable("0101")
 			}
 		}()
 	}
 	wg.Wait()
-	if s.ConflictScore(key) == 0 && s.ConflictCount("0101") == 0 {
+	if s.ConflictScore(key) == 0 {
 		t.Error("conflicts vanished entirely")
 	}
 }

@@ -1,6 +1,6 @@
 // Package persist is the crash-safe snapshot store under the serving
-// stack's durable state: per-design ESTG learned stores and the
-// design-cache manifest survive process death in a -state-dir, and no
+// stack's durable state: the design-cache manifest and the verdict
+// cache survive process death in a -state-dir, and no
 // failure mode of the disk — a torn write, a truncated file, flipped
 // bits, a SIGKILL between write and fsync — may ever surface as
 // anything worse than a cold start.
@@ -17,8 +17,8 @@
 // checksum mismatch, trailing garbage, a file renamed under a
 // different key — quarantines the file (renamed to *.corrupt, one log
 // line) and returns ErrCorrupt, which every caller treats as "start
-// empty". Corruption can cost learned guidance and cache warmth; it
-// cannot cost a verdict, a crash, or a crash loop.
+// empty". Corruption can cost cache warmth; it cannot cost a verdict,
+// a crash, or a crash loop.
 //
 // The store is also bounded: Options.MaxBytes caps the total bytes of
 // resident snapshots, evicting least-recently-used files (mtime order;
@@ -41,7 +41,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -393,31 +392,6 @@ func (s *Store) Load(ctx context.Context, kind, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Has reports whether a snapshot is resident under kind/key (without
-// validating it).
-func (s *Store) Has(kind, key string) bool {
-	name, err := fileName(kind, key)
-	if err != nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.sizes[name]
-	return ok
-}
-
-// Remove drops the snapshot for kind/key, if resident.
-func (s *Store) Remove(kind, key string) {
-	name, err := fileName(kind, key)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = os.Remove(filepath.Join(s.dir, name))
-	delete(s.sizes, name)
-}
-
 // quarantine renames a failed snapshot to *.corrupt (replacing any
 // previous quarantine of the same name) so an operator can inspect it,
 // and logs the one recovery line the crash-smoke contract greps for.
@@ -445,19 +419,4 @@ func (s *Store) Stats() Stats {
 		st.Bytes += n
 	}
 	return st
-}
-
-// Keys lists the resident snapshot keys of one kind, sorted.
-func (s *Store) Keys(kind string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prefix := kind + "-"
-	var out []string
-	for name := range s.sizes {
-		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, snapExt) {
-			out = append(out, strings.TrimSuffix(strings.TrimPrefix(name, prefix), snapExt))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

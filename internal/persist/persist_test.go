@@ -40,8 +40,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Reopen indexes the snapshot.
 	s2 := mustOpen(t, dir, Options{})
-	if !s2.Has("estg", "abc123") {
-		t.Fatal("reopened store lost the snapshot")
+	if n := s2.Stats().Snapshots; n != 1 {
+		t.Fatalf("reopened store indexes %d snapshots, want 1", n)
 	}
 	got, err = s2.Load(context.Background(), "estg", "abc123")
 	if err != nil || !bytes.Equal(got, payload) {
@@ -286,11 +286,11 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 	if err := s.Save(ctx, "estg", "newest", pay); err != nil {
 		t.Fatal(err)
 	}
-	if s.Has("estg", "old") {
-		t.Fatal("oldest snapshot not evicted")
+	if _, err := s.Load(ctx, "estg", "old"); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("oldest snapshot not evicted: Load = %v", err)
 	}
-	if !s.Has("estg", "newest") {
-		t.Fatal("just-written snapshot evicted")
+	if _, err := s.Load(ctx, "estg", "newest"); err != nil {
+		t.Fatalf("just-written snapshot evicted: Load = %v", err)
 	}
 	st := s.Stats()
 	if st.Bytes > 200 {
@@ -301,23 +301,34 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestKeysListsKind: the directory lists each snapshot under its
+// kind's prefix, so one key saved under two kinds keeps two payloads.
 func TestKeysListsKind(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
 	ctx := context.Background()
 	for _, k := range []string{"b", "a", "c"} {
 		if err := s.Save(ctx, "estg", k, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Save(ctx, "manifest", "cache", []byte("y")); err != nil {
+	if err := s.Save(ctx, "manifest", "a", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Keys("estg")
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("Keys: %v", got)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Keys("manifest"); len(got) != 1 || got[0] != "cache" {
-		t.Fatalf("Keys(manifest): %v", got)
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	want := []string{"estg-a.snap", "estg-b.snap", "estg-c.snap", "manifest-a.snap"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("directory lists %v, want %v", got, want)
+	}
+	if got, err := s.Load(ctx, "manifest", "a"); err != nil || string(got) != "y" {
+		t.Fatalf("Load(manifest, a) = %q, %v; want \"y\"", got, err)
 	}
 }
 

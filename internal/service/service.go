@@ -84,17 +84,15 @@ type Options struct {
 	// VerdictCacheEntries bounds the cone-keyed verdict cache (0 = the
 	// core default 4096, < 0 = disabled). Cached records replay
 	// byte-identically (the cache is transparent to every response
-	// contract), so it is on by default; it is forced off under
-	// StateESTG, whose shared learned stores make fresh metrics drift
-	// from cached ones.
+	// contract), so it is on by default.
 	VerdictCacheEntries int
 	// EnableFaults turns on the X-Fault-Inject request header (parsed
 	// into request-scoped internal/faultinject rules). For degradation
 	// testing only — never enable it on a production server.
 	EnableFaults bool
 	// StateDir, when non-empty, roots the crash-safe durable-state store
-	// (design-cache manifest; plus learned ESTG snapshots with
-	// StateESTG). An unopenable dir is reported by StateError, not New.
+	// (design-cache manifest and verdict cache). An unopenable dir is
+	// reported by StateError, not New.
 	StateDir string
 	// StateInterval is the periodic flush cadence (0 = 30s).
 	StateInterval time.Duration
@@ -104,13 +102,6 @@ type Options struct {
 	// StateRewarm bounds how many MRU designs the manifest records and
 	// Rewarm recompiles at startup (0 = 16).
 	StateRewarm int
-	// StateESTG opts into the per-design-hash persistent ESTG registry:
-	// learned guidance is shared across requests and restarts. Verdicts
-	// are unaffected by construction, but search metrics (implications,
-	// decisions) come to depend on accumulated state — which breaks the
-	// byte-identity serving contracts — so it is off by default and
-	// requires StateDir.
-	StateESTG bool
 	// Version is the build identifier /healthz reports (optional).
 	Version string
 	// Logf receives serving-layer log lines (state recovery, flush
@@ -202,13 +193,12 @@ type Server struct {
 	// why a requested StateDir could not open.
 	state    *persist.Store
 	stateErr error
-	learned  *core.LearnedRegistry
 
-	// verdicts is the cone-keyed verdict cache (nil = disabled:
-	// VerdictCacheEntries < 0, or gated off under StateESTG). The
-	// implication counters feed /healthz: spent sums freshly computed
-	// records, saved sums replayed ones — the incremental-serving win,
-	// measurable because cached records carry their original counts.
+	// verdicts is the cone-keyed verdict cache (nil = disabled by
+	// VerdictCacheEntries < 0). The implication counters feed /healthz:
+	// spent sums freshly computed records, saved sums replayed ones —
+	// the incremental-serving win, measurable because cached records
+	// carry their original counts.
 	verdicts        *core.VerdictCache
 	vImplSpent      atomic.Int64
 	vImplSaved      atomic.Int64
@@ -262,12 +252,7 @@ func New(opts Options) *Server {
 		started: time.Now(),
 		logf:    logf,
 	}
-	switch {
-	case opts.VerdictCacheEntries < 0:
-		// Disabled by the operator.
-	case opts.StateESTG:
-		logf("verdict cache disabled: -state-estg shared learned stores drift search metrics")
-	default:
+	if opts.VerdictCacheEntries >= 0 {
 		s.verdicts = core.NewVerdictCache(opts.VerdictCacheEntries)
 	}
 	if opts.StateDir != "" {
@@ -281,9 +266,6 @@ func New(opts Options) *Server {
 			return s
 		}
 		s.state = st
-		if opts.StateESTG {
-			s.learned = core.NewLearnedRegistry(core.LearnedOptions{Persist: st, Logf: logf})
-		}
 	}
 	return s
 }
@@ -603,13 +585,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		// Baseline engines never read the ATPG-side session state.
 		opts.DisableLocalFSM = true
 		opts.DisableLearnedStore = true
-	} else if s.learned != nil {
-		// Opt-in persistent learned store: every ATPG-path request for
-		// this design shares (and durably accumulates) one ESTG store.
-		// Guidance only — the gate exists because shared state makes the
-		// search metrics depend on traffic history, which the ungated
-		// byte-identity contracts forbid.
-		opts.Store = s.learned.StoreFor(ctx, core.Fingerprint(req.Design, req.Top))
 	}
 	if err := faultinject.Fire(ctx, faultinject.PointSession); err != nil {
 		httpError(w, http.StatusInternalServerError, "session: %v", err)

@@ -2,13 +2,13 @@
 // server keeps two kinds of snapshots in an internal/persist store —
 // a design-cache manifest (the most-recently-used designs' sources, so
 // a restarted server recompiles them before taking traffic and the
-// first post-restart request is a design-cache hit) and, behind the
-// separate StateESTG opt-in, per-design-hash ESTG learned stores (so
-// conflict knowledge accumulates across requests and restarts). The
-// flush path runs periodically and at drain; the load path runs once
-// at startup (Rewarm). Every disk failure mode degrades to a cold
-// start by the persist layer's contract — this file never has to
-// reason about torn or corrupt files.
+// first post-restart request is a design-cache hit) and the verdict
+// cache (so repeat traffic replays from cache after a restart).
+// Learned ESTG search state is never persisted: it lives in one
+// session. The flush path runs periodically and at drain; the load
+// path runs once at startup (Rewarm). Every disk failure mode degrades
+// to a cold start by the persist layer's contract — this file never
+// has to reason about torn or corrupt files.
 package service
 
 import (
@@ -59,18 +59,13 @@ func (s *Server) StateError() error { return s.stateErr }
 
 // FlushState writes the design-cache manifest (when its MRU content
 // changed since the last write — except the first flush of a process,
-// which always writes) and snapshots every mutated learned store. Safe
+// which always writes) and the verdict cache (when it mutated). Safe
 // for concurrent use; errors are also latched for /healthz.
 func (s *Server) FlushState(ctx context.Context) error {
 	if s.state == nil {
 		return nil
 	}
 	err := s.flushManifest(ctx)
-	if s.learned != nil {
-		if _, lerr := s.learned.Flush(ctx); lerr != nil && err == nil {
-			err = lerr
-		}
-	}
 	if s.verdicts != nil {
 		if verr := s.flushVerdicts(ctx); verr != nil && err == nil {
 			err = verr
@@ -234,15 +229,13 @@ func (s *Server) RunStateFlusher(ctx context.Context) {
 // healthState is the /healthz state block: snapshot inventory, the
 // recovery counters, and the age/outcome of the last flush.
 type healthState struct {
-	Enabled      bool    `json:"enabled"`
-	Snapshots    int     `json:"snapshots"`
-	Bytes        int64   `json:"bytes"`
-	Quarantines  int64   `json:"quarantines"`
-	Evictions    int64   `json:"evictions"`
-	Rehydrations int64   `json:"rehydrations"`
-	Flushes      int64   `json:"flushes"`
-	FlushAgeS    float64 `json:"flush_age_s"` // -1 until the first flush
-	LastError    string  `json:"last_error,omitempty"`
+	Enabled     bool    `json:"enabled"`
+	Snapshots   int     `json:"snapshots"`
+	Bytes       int64   `json:"bytes"`
+	Quarantines int64   `json:"quarantines"`
+	Evictions   int64   `json:"evictions"`
+	FlushAgeS   float64 `json:"flush_age_s"` // -1 until the first flush
+	LastError   string  `json:"last_error,omitempty"`
 }
 
 // stateHealth snapshots the state block for /healthz.
@@ -257,11 +250,6 @@ func (s *Server) stateHealth() healthState {
 	hs.Bytes = st.Bytes
 	hs.Quarantines = st.Quarantines
 	hs.Evictions = st.Evictions
-	if s.learned != nil {
-		ls := s.learned.Stats()
-		hs.Rehydrations = ls.Rehydrations
-		hs.Flushes = ls.Flushes
-	}
 	if nano := s.lastFlushNano.Load(); nano > 0 {
 		hs.FlushAgeS = time.Since(time.Unix(0, nano)).Seconds()
 	}

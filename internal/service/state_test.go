@@ -87,10 +87,12 @@ func TestStateDirWarmRestart(t *testing.T) {
 	}
 }
 
-// TestStateDirDoesNotChangeResponses: the manifest-only state path
-// (StateESTG off) must leave response bytes identical to a stateless
-// server — the acceptance criterion behind keeping the byte-identity
-// smoke contracts running ungated.
+// TestStateDirDoesNotChangeResponses: the durable-state path must
+// leave response bytes identical to a stateless server — the
+// acceptance criterion behind keeping the byte-identity smoke
+// contracts running ungated. No search state outlives a request
+// either: with the verdict cache off, the serve-smoke batch answered
+// again after another design's batch matches its first answer.
 func TestStateDirDoesNotChangeResponses(t *testing.T) {
 	plain := httptest.NewServer(New(Options{}).Handler())
 	defer plain.Close()
@@ -104,45 +106,26 @@ func TestStateDirDoesNotChangeResponses(t *testing.T) {
 			t.Fatalf("round %d: stateful response diverged", i)
 		}
 	}
-}
 
-func TestStateESTGPersistsLearnedStore(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	s1 := New(Options{StateDir: dir, StateESTG: true})
-	ts1 := httptest.NewServer(s1.Handler())
-	if resp, body := postCheck(t, ts1, stateRequest()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if err := s1.FlushState(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-	st := s1.StateStats()
-	if st.Snapshots < 2 { // manifest + at least one estg store
-		t.Fatalf("snapshots = %d, want manifest + estg", st.Snapshots)
-	}
-
-	s2 := New(Options{StateDir: dir, StateESTG: true})
-	s2.Rewarm(ctx)
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	if resp, body := postCheck(t, ts2, stateRequest()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var hb struct {
-		State healthState `json:"state"`
-	}
-	hresp, err := http.Get(ts2.URL + "/healthz")
+	uncached := httptest.NewServer(New(Options{StateDir: t.TempDir(), VerdictCacheEntries: -1}).Handler())
+	defer uncached.Close()
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "serve_smoke.v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer hresp.Body.Close()
-	if err := json.NewDecoder(hresp.Body).Decode(&hb); err != nil {
-		t.Fatal(err)
+	smoke := CheckRequest{Design: string(src), Top: "smoke",
+		Invariants: []string{"tok_onehot", "quiet_ok"}, Witnesses: []string{"g5"}, Depth: 8, Jobs: 8}
+	post := func(r CheckRequest) string {
+		resp, body := postCheck(t, uncached, r)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", r.Top, resp.StatusCode, body)
+		}
+		return zeroElapsed(body)
 	}
-	if hb.State.Rehydrations != 1 {
-		t.Fatalf("rehydrations = %d, want 1 (learned store restored)", hb.State.Rehydrations)
+	first := post(smoke)
+	post(laneRequest(laneSrc(0, 1, 2), 3))
+	if again := post(smoke); again != first {
+		t.Fatalf("serve-smoke answer changed after another design's request:\n%s\nvs\n%s", first, again)
 	}
 }
 

@@ -3,9 +3,9 @@ package service
 // Serving-layer contract of the cone-keyed verdict cache: a warm
 // response is FULLY byte-identical to the cold response that populated
 // the cache — elapsed_ns included, since hits replay the stored record
-// verbatim — an edit re-verifies exactly the dirtied cones, the cache
-// is off under -state-estg, and cached verdicts survive a restart
-// through the durable-state snapshots.
+// verbatim — an edit re-verifies exactly the dirtied cones, the
+// operator can switch the cache off, and cached verdicts survive a
+// restart through the durable-state snapshots.
 
 import (
 	"bytes"
@@ -133,19 +133,6 @@ func TestServeVerdictCacheDisabled(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Verdict-Cache"); got != "" {
 		t.Errorf("disabled cache still sets X-Verdict-Cache = %q", got)
-	}
-
-	// -state-estg shares learned stores across requests, which makes
-	// search metrics traffic-dependent: the cache must force itself off.
-	estg := New(Options{StateDir: t.TempDir(), StateESTG: true})
-	if estg.verdicts != nil {
-		t.Errorf("verdict cache enabled under StateESTG")
-	}
-	ets := httptest.NewServer(estg.Handler())
-	defer ets.Close()
-	resp, _ = postCheck(t, ets, laneRequest(laneSrc(0), 1))
-	if got := resp.Header.Get("X-Verdict-Cache"); got != "" {
-		t.Errorf("StateESTG server sets X-Verdict-Cache = %q", got)
 	}
 }
 
