@@ -389,6 +389,57 @@ func TestShifts(t *testing.T) {
 	if got.Contains(4) {
 		t.Errorf("dynamic shl %v should not contain 4", got)
 	}
+	// Amounts at or past the width shift every bit out, whether or not
+	// the width itself is in the cube.
+	ff := MustParse("8'b11111111")
+	for amt, want := range map[string]string{
+		"8'b1xxxxxxx": "8'b00000000", // every amount past the width
+		"8'b0000x1xx": "8'bxxxx0000", // 4..7 and 12..15, not 8
+		"8'b0000x0xx": "8'bxxxxxxxx", // 0..3, 8..11
+	} {
+		if got := ff.Shl(MustParse(amt)); got.String() != want {
+			t.Errorf("8'hff << %s = %v, want %s", amt, got, want)
+		}
+	}
+}
+
+// TestWideShiftAmounts: an amount bit of weight 2^64 or more shifts
+// every bit out when it is 1, leaves the low 64 bits to decide when
+// all such bits are 0, and adds zero to the low-bit result when one
+// is x.
+func TestWideShiftAmounts(t *testing.T) {
+	a := MustParse("8'b00000011")
+	amt := func(high string, low BV) BV { return Concat(MustParse(high), low) }
+	lo := func(v uint64) BV { return FromUint64(64, v) }
+	for _, tc := range []struct {
+		name     string
+		amt      BV
+		shl, shr string
+	}{
+		{"65-bit, high 0", amt("1'b0", lo(1)), "8'b00000110", "8'b00000001"},
+		{"65-bit, high 1", amt("1'b1", lo(1)), "8'b00000000", "8'b00000000"},
+		{"65-bit, high x", amt("1'bx", lo(1)), "8'b00000xx0", "8'b0000000x"},
+		{"65-bit, high 0, low past the width", amt("1'b0", lo(1<<63)), "8'b00000000", "8'b00000000"},
+		{"70-bit, high 0", amt("6'b000000", lo(2)), "8'b00001100", "8'b00000000"},
+		{"70-bit, high 0, low x", amt("6'b000000", Concat(lo(0).Slice(61, 0), MustParse("2'bx1"))), "8'b000xxxx0", "8'b0000000x"},
+		{"70-bit, one high bit x", amt("6'b00x000", lo(1)), "8'b00000xx0", "8'b0000000x"},
+		{"70-bit, top bit 1, rest x", amt("6'b1xxxxx", NewX(64)), "8'b00000000", "8'b00000000"},
+	} {
+		if got := a.Shl(tc.amt); got.String() != tc.shl {
+			t.Errorf("%s: shl = %v, want %s", tc.name, got, tc.shl)
+		}
+		if got := a.Shr(tc.amt); got.String() != tc.shr {
+			t.Errorf("%s: shr = %v, want %s", tc.name, got, tc.shr)
+		}
+	}
+	// Wide data: the rule does not depend on the data width.
+	w := Ones(96)
+	if got := w.Shl(amt("6'b000001", lo(4))); !got.Equal(FromUint64(96, 0)) {
+		t.Errorf("96-bit shl by 2^64+4 = %v, want zero", got)
+	}
+	if got, want := w.Shr(amt("6'b000000", lo(4))), w.Shr(FromUint64(8, 4)); !got.Equal(want) {
+		t.Errorf("96-bit shr by a 70-bit 4 = %v, want %v", got, want)
+	}
 }
 
 func TestQuickIntersectSound(t *testing.T) {

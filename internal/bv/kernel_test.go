@@ -134,6 +134,28 @@ func shrRef(b BV, n int) BV {
 	return r
 }
 
+// shiftRef is the union of ref(b, v) over every amount v in the cube
+// amt, an amount at or past the width giving zero.
+func shiftRef(b, amt BV, ref func(BV, int) BV) BV {
+	var acc BV
+	first := true
+	for v := 0; v < 1<<amt.width; v++ {
+		if !amt.Contains(uint64(v)) {
+			continue
+		}
+		r := FromUint64(b.width, 0)
+		if v < b.width {
+			r = ref(b, v)
+		}
+		if first {
+			acc, first = r, false
+		} else {
+			acc = acc.Union(r)
+		}
+	}
+	return acc
+}
+
 func hasOneInRef(b BV, lo, n int) bool {
 	for i := lo; i < lo+n; i++ {
 		if b.getTrit(i) == One {
@@ -246,6 +268,9 @@ func checkArith(t testing.TB, a, b BV) {
 	}
 	same("Sub", a.Sub(b), wantD)
 	same("Concat", Concat(a, b), concatRef(a, b))
+	amt := b.Slice(min(b.width, 5)-1, 0)
+	same("Shl", a.Shl(amt), shiftRef(a, amt, shlRef))
+	same("Shr", a.Shr(amt), shiftRef(a, amt, shrRef))
 	same("RedAnd", a.RedAnd(), reduceRef(a, One, tritAnd))
 	same("RedOr", a.RedOr(), reduceRef(a, Zero, tritOr))
 	same("RedXor", a.RedXor(), reduceRef(a, Zero, tritXor))

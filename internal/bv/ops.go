@@ -286,40 +286,36 @@ func (b BV) Shr(o BV) BV {
 	return b.shiftDynamic(o, BV.shiftRightKnown)
 }
 
+// shiftDynamic shifts b by every amount in the cube o with f and
+// returns the union of the results. An amount at or past the width
+// shifts every bit out. An amount bit of weight 2^64 or more that is 1
+// does so too; when all such bits are 0 the low 64 bits decide, and
+// when some are x the result is the union of the low-bit result and
+// zero.
 func (b BV) shiftDynamic(o BV, f func(BV, int) BV) BV {
-	if v, ok := o.Uint64(); ok {
-		if v >= uint64(b.width) {
+	if o.width > wordBits {
+		switch o.Slice(o.width-1, wordBits).RedOr().Bit(0) {
+		case One:
 			return FromUint64(b.width, 0)
-		}
-		return f(b, int(v))
-	}
-	lo, hi := o.MinUint64(), o.MaxUint64()
-	if hi > uint64(b.width) {
-		hi = uint64(b.width)
-	}
-	var acc BV
-	first := true
-	for s := lo; s <= hi; s++ {
-		var r BV
-		if s >= uint64(b.width) {
-			r = FromUint64(b.width, 0)
-		} else {
-			r = f(b, int(s))
-		}
-		if !o.Contains(s) {
-			continue
-		}
-		if first {
-			acc, first = r, false
-		} else {
-			acc.UnionInPlace(r)
-		}
-		if s == uint64(b.width) {
-			break
+		case Zero:
+			return b.shiftDynamic(o.Slice(wordBits-1, 0), f)
+		default:
+			return b.shiftDynamic(o.Slice(wordBits-1, 0), f).Union(FromUint64(b.width, 0))
 		}
 	}
-	if first {
-		return NewX(b.width)
+	// The least and the greatest amount are both in the cube.
+	lo, hi, w := o.MinUint64(), o.MaxUint64(), uint64(b.width)
+	if lo >= w {
+		return FromUint64(b.width, 0)
+	}
+	acc := f(b, int(lo))
+	if hi >= w {
+		acc.UnionInPlace(FromUint64(b.width, 0))
+	}
+	for s := lo + 1; s <= hi && s < w; s++ {
+		if o.Contains(s) {
+			acc.UnionInPlace(f(b, int(s)))
+		}
 	}
 	return acc
 }

@@ -315,6 +315,46 @@ func TestEstgStoreAccelerates(t *testing.T) {
 	}
 }
 
+// TestShiftAmountChecks: a shift amount wider than 64 bits goes
+// through the search and the counterexample replay. ok is the
+// invariant the BDD engine proves; ok2 fails for a = 8'hff shifted by
+// 8 or more. ok3 fails for c = 12, an amount past the width that the
+// cube c[2] = 1 allows although 8 is not in it.
+func TestShiftAmountChecks(t *testing.T) {
+	src := `
+module wshift(a, b, c, ok, ok2, ok3);
+  input [7:0] a;
+  input [64:0] b;
+  input [7:0] c;
+  output ok, ok2, ok3;
+  wire [7:0] y;
+  wire [7:0] z;
+  assign y = a << b;
+  assign z = a << c;
+  assign ok = (y != 8'd255) | 1'b1;
+  assign ok2 = ~((a == 8'hff) & (y == 8'd0));
+  assign ok3 = ~(c[2] & (a == 8'hff) & (z == 8'd0));
+endmodule
+`
+	nl := elaborate(t, src, "wshift")
+	props, err := property.FromNames(nl, []string{"ok", "ok2", "ok3"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(nl, Options{MaxDepth: 2, UseInduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := c.Check(props[0]); res.Verdict != VerdictProved {
+		t.Errorf("ok: %v, want proved", res.Verdict)
+	}
+	for _, p := range props[1:] {
+		if res := c.Check(p); res.Verdict != VerdictFalsified || !res.Validated {
+			t.Errorf("%s: %v (validated %t), want a validated falsification", p.Name, res.Verdict, res.Validated)
+		}
+	}
+}
+
 func TestUninitializedRegisterCex(t *testing.T) {
 	// An uninitialized 1-bit register can violate "q is always 0".
 	src := `
