@@ -258,12 +258,3 @@ func (s *Server) stateHealth() healthState {
 	}
 	return hs
 }
-
-// StateStats exposes the persist store counters (zero when state is
-// disabled) — a test and ops hook.
-func (s *Server) StateStats() persist.Stats {
-	if s.state == nil {
-		return persist.Stats{}
-	}
-	return s.state.Stats()
-}
