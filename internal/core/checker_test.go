@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bv"
@@ -312,6 +313,14 @@ func TestEstgStoreAccelerates(t *testing.T) {
 	}
 	if r2.Stats.Decisions > r1.Stats.Decisions {
 		t.Errorf("cached rerun used more decisions (%d > %d)", r2.Stats.Decisions, r1.Stats.Decisions)
+	}
+	// A check at a deeper bound runs on a sibling session that shares
+	// the store, so it skips the depths the checks above searched.
+	deep := c.ATPGEngine().Check(context.Background(), Problem{NL: nl, Prop: p, MaxDepth: 8})
+	fresh, _ := New(nl, Options{MaxDepth: 8})
+	if f := fresh.Check(p); deep.Verdict != f.Verdict || deep.Stats.Implications >= f.Stats.Implications {
+		t.Errorf("depth-8 sibling: %v in %d implications, fresh session: %v in %d; want the sibling cheaper",
+			deep.Verdict, deep.Stats.Implications, f.Verdict, f.Stats.Implications)
 	}
 }
 
