@@ -287,6 +287,14 @@ func (m *Manager) NVar(v int) Ref {
 	return m.mk(int32(v), True, False)
 }
 
+// Const returns the terminal of v.
+func (m *Manager) Const(v bool) Ref {
+	if v {
+		return True
+	}
+	return False
+}
+
 // Not returns ¬f.
 func (m *Manager) Not(f Ref) Ref { return m.Xor(f, True) }
 

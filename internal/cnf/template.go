@@ -23,7 +23,8 @@ import (
 // Template is the compiled one-frame CNF of a netlist: clauses over
 // frame-local variables (1-based, dense in [1, FrameVars]), the
 // register transition pairs linking adjacent frames, and the frame-0
-// initial-value units. Immutable after Compile.
+// initial-value units. Variable 1 is the frame's constant-true
+// variable, pinned by the first frame clause. Immutable after Compile.
 type Template struct {
 	NL *netlist.Netlist
 	// FrameVars is the variable count of one frame; the global solver
@@ -34,13 +35,14 @@ type Template struct {
 	lits []sat.Lit
 	ends []int32
 	// linkQ/linkD pair register output bits with their next-state input
-	// bits: Q@f+1 (local linkQ[i]) equals D@f (local linkD[i]).
-	linkQ, linkD []int32
+	// bits: Q@f+1 (local literal linkQ[i]) equals D@f (local literal
+	// linkD[i]).
+	linkQ, linkD []sat.Lit
 	// initLits are the frame-0 unit clauses pinning declared register
 	// initial bits, over frame-local variables.
 	initLits []sat.Lit
-	// local maps a signal bit to its frame-local variable.
-	local map[varKey]int
+	// bits maps each signal bit to its frame-local literal: bits[sig][i].
+	bits [][]sat.Lit
 }
 
 // recorder is the Sink that captures one frame's clauses with
@@ -65,71 +67,39 @@ func (r *recorder) AddClause(lits ...sat.Lit) bool {
 // template. The returned Template is immutable; build it once per
 // design and instantiate it into as many solvers as needed.
 func Compile(nl *netlist.Netlist) (*Template, error) {
-	if _, err := nl.TopoOrder(); err != nil {
-		return nil, err
-	}
-	t := &Template{NL: nl, local: map[varKey]int{}}
+	t := &Template{NL: nl}
 	rec := &recorder{t: t}
-	b := &Blaster{NL: nl, S: rec, vars: t.local}
-	// Register bits first (matching the PinInit-first var order of the
-	// direct path), then every combinational gate of the frame.
-	for _, ff := range nl.FFs {
-		g := &nl.Gates[ff]
-		w := nl.Width(g.Out)
-		for i := 0; i < w; i++ {
-			switch g.Init.Bit(i) {
-			case bv.One:
-				t.initLits = append(t.initLits, b.Lit(0, g.Out, i))
-			case bv.Zero:
-				t.initLits = append(t.initLits, b.Lit(0, g.Out, i).Not())
-			}
-		}
-	}
+	b := newBlaster(nl, rec)
+	// Register bits first, then every combinational gate of the frame.
+	t.initLits = b.initLits()
 	if err := b.BlastFrame(0); err != nil {
 		return nil, err
 	}
-	// Transition pairs; force the D bits' variables to exist even when
-	// the next-state net feeds nothing else.
 	for _, ff := range nl.FFs {
 		g := &nl.Gates[ff]
-		w := nl.Width(g.Out)
-		for i := 0; i < w; i++ {
-			t.linkQ = append(t.linkQ, int32(b.Var(0, g.Out, i)))
-			t.linkD = append(t.linkD, int32(b.Var(0, g.In[0], i)))
+		for i := 0; i < nl.Width(g.Out); i++ {
+			t.linkQ = append(t.linkQ, b.Lit(0, g.Out, i))
+			t.linkD = append(t.linkD, b.Lit(0, g.In[0], i))
 		}
 	}
-	// Give every remaining signal bit a local variable too (signals no
-	// gate references, e.g. declared-but-unread inputs an assumption
-	// might name). The per-frame variable blocks must stay dense —
-	// frame f's global variables are exactly (f*FrameVars, (f+1)*
-	// FrameVars] — so Instance.Lit can never be allowed to mint
-	// variables outside the blocks: a later frame's relocated clauses
-	// would alias them.
+	// Give every remaining signal bit a local variable too (inputs no
+	// gate reads, which an assumption might name). The per-frame
+	// variable blocks must stay dense — frame f's global variables are
+	// exactly (f*FrameVars, (f+1)*FrameVars] — so Instance.Lit can never
+	// be allowed to mint variables outside the blocks: a later frame's
+	// relocated clauses would alias them.
 	for sig := range nl.Signals {
-		w := nl.Signals[sig].Width
-		for i := 0; i < w; i++ {
-			b.Var(0, netlist.SignalID(sig), i)
-		}
+		b.sig(0, netlist.SignalID(sig))
 	}
+	t.bits = b.frames[0]
 	t.FrameVars = rec.nVars
 	return t, nil
 }
 
-// Covers reports whether every bit of the signal has a slot in the
+// Covers reports whether every bit of the signal has a literal in the
 // template — false only for signals added to the netlist after Compile
 // (a stale template; recompile to address them).
-func (t *Template) Covers(sig netlist.SignalID) bool {
-	if int(sig) >= len(t.NL.Signals) {
-		return false
-	}
-	w := t.NL.Width(sig)
-	for i := 0; i < w; i++ {
-		if _, ok := t.local[varKey{0, sig, int32(i)}]; !ok {
-			return false
-		}
-	}
-	return true
-}
+func (t *Template) Covers(sig netlist.SignalID) bool { return int(sig) < len(t.bits) }
 
 // NumFrameClauses returns the clause count of one instantiated frame
 // (excluding links and init units).
@@ -187,8 +157,7 @@ func (in *Instance) EnsureFrames(n int) {
 		if f > 0 {
 			prev := sat.Lit((f-1)*t.FrameVars) << 1
 			for i := range t.linkQ {
-				q := sat.NewLit(int(t.linkQ[i]), false) + off
-				d := sat.NewLit(int(t.linkD[i]), false) + prev
+				q, d := t.linkQ[i]+off, t.linkD[i]+prev
 				in.S.AddClause(q.Not(), d)
 				in.S.AddClause(q, d.Not())
 			}
@@ -197,38 +166,26 @@ func (in *Instance) EnsureFrames(n int) {
 	}
 }
 
-// Lit returns the positive literal of a signal bit at a frame; the
-// frame must have been instantiated and the signal covered by the
-// template (check Covers for signals that may postdate Compile —
-// minting fresh variables here would alias a later frame's block).
+// Lit returns the literal of a signal bit at a frame; the frame must
+// have been instantiated and the signal covered by the template (check
+// Covers for signals that may postdate Compile — minting fresh
+// variables here would alias a later frame's block).
 func (in *Instance) Lit(frame int, sig netlist.SignalID, bit int) sat.Lit {
 	if frame >= in.frames {
 		panic(fmt.Sprintf("cnf: literal requested at frame %d of %d", frame, in.frames))
 	}
-	v, ok := in.T.local[varKey{0, sig, int32(bit)}]
-	if !ok {
-		panic(fmt.Sprintf("cnf: signal %d bit %d not covered by the template (stale template? check Covers)", sig, bit))
+	if !in.T.Covers(sig) {
+		panic(fmt.Sprintf("cnf: signal %d not covered by the template (stale template? check Covers)", sig))
 	}
-	return sat.NewLit(frame*in.T.FrameVars+v, false)
+	return in.T.bits[sig][bit] + sat.Lit(frame*in.T.FrameVars)<<1
 }
 
 // ModelValue reads a signal value of the model after a Sat answer;
-// bits the template does not cover read as 0, exactly like the direct
-// Blaster's never-created vars.
+// bits of a signal the template does not cover read as 0.
 func (in *Instance) ModelValue(frame int, sig netlist.SignalID) bv.BV {
-	w := in.T.NL.Width(sig)
-	out := bv.NewX(w)
-	for i := 0; i < w; i++ {
-		v, ok := in.T.local[varKey{0, sig, int32(i)}]
-		if !ok {
-			out = out.WithBit(i, bv.Zero)
-			continue
-		}
-		if in.S.ModelValue(frame*in.T.FrameVars + v) {
-			out = out.WithBit(i, bv.One)
-		} else {
-			out = out.WithBit(i, bv.Zero)
-		}
+	var l []sat.Lit
+	if in.T.Covers(sig) {
+		l = in.T.bits[sig]
 	}
-	return out
+	return modelValue(in.S, in.T.NL.Width(sig), l, frame*in.T.FrameVars)
 }

@@ -10,6 +10,7 @@ package mc
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bdd"
@@ -109,19 +110,6 @@ type model struct {
 	quantOK, isCur []bool
 }
 
-// layoutSizes returns the state-bit and input-bit counts of the
-// variable layout — the single sizing rule for the managers buildModel
-// populates (2 variables per state bit + 1 per input bit).
-func layoutSizes(nl *netlist.Netlist) (nState, nIn int) {
-	for _, ff := range nl.FFs {
-		nState += nl.Width(nl.Gates[ff].Out)
-	}
-	for _, pi := range nl.PIs {
-		nIn += nl.Width(pi)
-	}
-	return nState, nIn
-}
-
 // layout is an interleaved variable order: slot i holds state bit i's
 // current/next pair, then bit i of every free leaf in leaf order. So
 // globally-shared low-order inputs (an address, a per-bit grant) live
@@ -168,40 +156,53 @@ func vars(m *bdd.Manager, vs []int) []bdd.Ref {
 	return bits
 }
 
-// buildModel constructs the symbolic model of the whole design in m:
-// every flip-flop is a state variable and every primary input a free
-// leaf of the interleaved layout.
-func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, error) {
-	nState := 0
-	ffBase := map[netlist.GateID]int{}
-	for _, ff := range nl.FFs {
-		ffBase[ff] = nState
-		nState += nl.Width(nl.Gates[ff].Out)
-	}
-	piWidths := make([]int, len(nl.PIs))
-	for k, pi := range nl.PIs {
-		piWidths[k] = nl.Width(pi)
-	}
-	lay := interleave(nState, piWidths)
-
-	// Build per-bit functions of every signal over current-state and
-	// input variables.
-	funcs := map[netlist.SignalID][]bdd.Ref{}
-	for _, ff := range nl.FFs {
-		base := ffBase[ff]
-		funcs[nl.Gates[ff].Out] = vars(m, lay.curOf[base:base+nl.Width(nl.Gates[ff].Out)])
-	}
-	for k, pi := range nl.PIs {
-		funcs[pi] = vars(m, lay.leafOf[k])
-	}
+// buildModel constructs the symbolic model of the whole design in a
+// new manager under the node budget. Every flip-flop is a state
+// variable. The free leaves of the interleaved layout are the primary
+// inputs and then the outputs of the x sources (netlist.CanBeX): an
+// image quantifies an x source like an input, so each frame chooses it
+// afresh.
+func buildModel(nl *netlist.Netlist, maxNodes, partBudget int, interrupt func() bool) (*bdd.Manager, model, error) {
 	order, err := nl.TopoOrder()
 	if err != nil {
-		return model{}, err
+		return nil, model{}, err
 	}
+	nState := 0
+	for _, ff := range nl.FFs {
+		nState += nl.Width(nl.Gates[ff].Out)
+	}
+	leaves := slices.Clone(nl.PIs)
 	for _, gid := range order {
-		g := &nl.Gates[gid]
-		funcs[g.Out] = buildGate(m, nl, g, funcs, nil)
+		if g := &nl.Gates[gid]; nl.CanBeX(g) {
+			leaves = append(leaves, g.Out)
+		}
 	}
+	widths := make([]int, len(leaves))
+	for k, s := range leaves {
+		widths[k] = nl.Width(s)
+	}
+	lay := interleave(nState, widths)
+	m := bdd.New(lay.nVars)
+	m.MaxNodes, m.Interrupt = maxNodes, interrupt
+
+	// Build per-bit functions of every signal over current-state and
+	// leaf variables.
+	funcs := map[netlist.SignalID][]bdd.Ref{}
+	free := map[netlist.SignalID][]bdd.Ref{}
+	cur := lay.curOf
+	for _, ff := range nl.FFs {
+		q := nl.Gates[ff].Out
+		funcs[q] = vars(m, cur[:nl.Width(q)])
+		cur = cur[nl.Width(q):]
+	}
+	for k, s := range leaves {
+		if k < len(nl.PIs) {
+			funcs[s] = vars(m, lay.leafOf[k])
+		} else {
+			free[s] = vars(m, lay.leafOf[k])
+		}
+	}
+	blastGates(m, nl, order, funcs, free)
 
 	var d []bdd.Ref
 	for _, ff := range nl.FFs {
@@ -209,10 +210,28 @@ func buildModel(m *bdd.Manager, nl *netlist.Netlist, partBudget int) (model, err
 	}
 	mo := newModel(m, lay, clusters(m, constraints(m, lay, d), partBudget))
 	mo.funcs, mo.init = funcs, bdd.True
+	cur = lay.curOf
 	for _, ff := range nl.FFs {
-		mo.init = conjoinInit(m, mo.init, nl.Gates[ff].Init, lay.curOf[ffBase[ff]:])
+		g := &nl.Gates[ff]
+		mo.init = conjoinInit(m, mo.init, g.Init, cur)
+		cur = cur[nl.Width(g.Out):]
 	}
-	return mo, nil
+	return m, mo, nil
+}
+
+// blastGates sets funcs[g.Out] for each gate of the topologically
+// ordered gates from the functions of its inputs. An x source's free
+// bits are the variables free[g.Out].
+func blastGates(m *bdd.Manager, nl *netlist.Netlist, gates []netlist.GateID, funcs, free map[netlist.SignalID][]bdd.Ref) {
+	for _, gid := range gates {
+		g := &nl.Gates[gid]
+		in := make([][]bdd.Ref, len(g.In))
+		for i, s := range g.In {
+			in[i] = funcs[s]
+		}
+		x := free[g.Out]
+		funcs[g.Out] = netlist.Blast[bdd.Ref](m, nl, g, in, func(i int) bdd.Ref { return x[i] })
+	}
 }
 
 // conjoinInit conjoins r with the known bits of init over the
@@ -420,13 +439,11 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 	}
 	defer recoverBudget(&res, start, opts.MaxNodes)
 
-	nState, nIn := layoutSizes(nl)
-	m := bdd.New(2*nState + nIn)
-	m.MaxNodes = opts.MaxNodes
+	var interrupt func() bool
 	if ctx.Done() != nil { // cancellable: poll inside node requests
-		m.Interrupt = func() bool { return ctx.Err() != nil }
+		interrupt = func() bool { return ctx.Err() != nil }
 	}
-	mo, err := buildModel(m, nl, opts.PartitionNodes)
+	m, mo, err := buildModel(nl, opts.MaxNodes, opts.PartitionNodes, interrupt)
 	if err != nil {
 		res.Verdict = Unknown
 		res.Elapsed = time.Since(start)
@@ -473,10 +490,7 @@ func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) 
 			panic(r)
 		}
 	}()
-	nState, nIn := layoutSizes(nl)
-	m := bdd.New(2*nState + nIn)
-	m.MaxNodes = opts.MaxNodes
-	mo, err := buildModel(m, nl, opts.PartitionNodes)
+	m, mo, err := buildModel(nl, opts.MaxNodes, opts.PartitionNodes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -522,225 +536,4 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 func countStates(m *bdd.Manager, r bdd.Ref, mo model) float64 {
 	p := m.Exists(r, func(v int) bool { return !mo.isCur[v] })
 	return m.SatCount(p, mo.isCur)
-}
-
-// buildGate constructs the per-bit BDDs of a combinational gate. The
-// two gates whose three-valued output can be x whatever their inputs —
-// a constant's x bits, and a mux whose select is past its data list —
-// take their value from free(g), one variable per output bit, when
-// free is non-nil; otherwise they read 0, as the whole-design model
-// always has.
-func buildGate(m *bdd.Manager, nl *netlist.Netlist, g *netlist.Gate, funcs map[netlist.SignalID][]bdd.Ref, free func(*netlist.Gate) []bdd.Ref) []bdd.Ref {
-	w := nl.Width(g.Out)
-	in := make([][]bdd.Ref, len(g.In))
-	for i, s := range g.In {
-		in[i] = funcs[s]
-	}
-	out := make([]bdd.Ref, w)
-	switch g.Kind {
-	case netlist.KConst:
-		for i := 0; i < w; i++ {
-			switch g.Const.Bit(i) {
-			case bv.One:
-				out[i] = bdd.True
-			case bv.X:
-				out[i] = bdd.False
-				if free != nil {
-					out[i] = free(g)[i]
-				}
-			default:
-				out[i] = bdd.False
-			}
-		}
-	case netlist.KDff:
-		return funcs[g.Out] // state variables, set up by the caller
-	case netlist.KBuf:
-		copy(out, in[0])
-	case netlist.KNot:
-		for i := range out {
-			out[i] = m.Not(in[0][i])
-		}
-	case netlist.KAnd:
-		for i := range out {
-			out[i] = m.And(in[0][i], in[1][i])
-		}
-	case netlist.KOr:
-		for i := range out {
-			out[i] = m.Or(in[0][i], in[1][i])
-		}
-	case netlist.KXor:
-		for i := range out {
-			out[i] = m.Xor(in[0][i], in[1][i])
-		}
-	case netlist.KNand:
-		for i := range out {
-			out[i] = m.Not(m.And(in[0][i], in[1][i]))
-		}
-	case netlist.KNor:
-		for i := range out {
-			out[i] = m.Not(m.Or(in[0][i], in[1][i]))
-		}
-	case netlist.KXnor:
-		for i := range out {
-			out[i] = m.Xnor(in[0][i], in[1][i])
-		}
-	case netlist.KRedAnd:
-		acc := bdd.True
-		for _, b := range in[0] {
-			acc = m.And(acc, b)
-		}
-		out[0] = acc
-	case netlist.KRedOr:
-		acc := bdd.False
-		for _, b := range in[0] {
-			acc = m.Or(acc, b)
-		}
-		out[0] = acc
-	case netlist.KRedXor:
-		acc := bdd.False
-		for _, b := range in[0] {
-			acc = m.Xor(acc, b)
-		}
-		out[0] = acc
-	case netlist.KAdd:
-		carry := bdd.False
-		for i := range out {
-			out[i] = m.Xor(m.Xor(in[0][i], in[1][i]), carry)
-			carry = m.Or(m.And(in[0][i], in[1][i]), m.And(carry, m.Or(in[0][i], in[1][i])))
-		}
-	case netlist.KSub:
-		carry := bdd.True
-		for i := range out {
-			nb := m.Not(in[1][i])
-			out[i] = m.Xor(m.Xor(in[0][i], nb), carry)
-			carry = m.Or(m.And(in[0][i], nb), m.And(carry, m.Or(in[0][i], nb)))
-		}
-	case netlist.KMul:
-		acc := make([]bdd.Ref, w)
-		for i := range acc {
-			acc[i] = bdd.False
-		}
-		for i := 0; i < w; i++ {
-			row := make([]bdd.Ref, w)
-			for j := range row {
-				if j < i {
-					row[j] = bdd.False
-				} else {
-					row[j] = m.And(in[1][j-i], in[0][i])
-				}
-			}
-			carry := bdd.False
-			for j := range acc {
-				s := m.Xor(m.Xor(acc[j], row[j]), carry)
-				carry = m.Or(m.And(acc[j], row[j]), m.And(carry, m.Or(acc[j], row[j])))
-				acc[j] = s
-			}
-		}
-		copy(out, acc)
-	case netlist.KShl, netlist.KShr:
-		cur := append([]bdd.Ref(nil), in[0]...)
-		for level := 0; level < len(in[1]); level++ {
-			// Amount bits at level 30 and up shift every bit out.
-			shift := w
-			if level < 30 {
-				shift = min(1<<uint(level), w)
-			}
-			next := make([]bdd.Ref, w)
-			for i := 0; i < w; i++ {
-				var shifted bdd.Ref = bdd.False
-				if g.Kind == netlist.KShl {
-					if i-shift >= 0 {
-						shifted = cur[i-shift]
-					}
-				} else if i+shift < w {
-					shifted = cur[i+shift]
-				}
-				next[i] = m.Ite(in[1][level], shifted, cur[i])
-			}
-			cur = next
-		}
-		copy(out, cur)
-	case netlist.KEq, netlist.KNe:
-		acc := bdd.True
-		for i := range in[0] {
-			acc = m.And(acc, m.Xnor(in[0][i], in[1][i]))
-		}
-		if g.Kind == netlist.KNe {
-			acc = m.Not(acc)
-		}
-		out[0] = acc
-	case netlist.KLt, netlist.KGt, netlist.KLe, netlist.KGe:
-		a, b := in[0], in[1]
-		if g.Kind == netlist.KGt || g.Kind == netlist.KLe {
-			a, b = b, a
-		}
-		lt := bdd.False
-		for i := 0; i < len(a); i++ {
-			lt = m.Or(m.And(m.Not(a[i]), b[i]), m.And(m.Xnor(a[i], b[i]), lt))
-		}
-		if g.Kind == netlist.KLe || g.Kind == netlist.KGe {
-			lt = m.Not(lt)
-		}
-		out[0] = lt
-	case netlist.KMux:
-		sel := in[0]
-		data := in[1:]
-		if len(sel) < 31 && 1<<uint(len(sel)) < len(data) {
-			data = data[:1<<uint(len(sel))] // the rest can never be selected
-		}
-		var past []bdd.Ref
-		if free != nil && muxCanPass(len(sel), len(data)) {
-			past = free(g)
-		}
-		for i := 0; i < w; i++ {
-			acc, hit := bdd.False, bdd.False
-			for k, d := range data {
-				cond := bdd.True
-				for j := range sel {
-					if k>>uint(j)&1 == 1 {
-						cond = m.And(cond, sel[j])
-					} else {
-						cond = m.And(cond, m.Not(sel[j]))
-					}
-				}
-				acc = m.Or(acc, m.And(cond, d[i]))
-				if past != nil {
-					hit = m.Or(hit, cond)
-				}
-			}
-			if past != nil {
-				acc = m.Or(acc, m.And(m.Not(hit), past[i]))
-			}
-			out[i] = acc
-		}
-	case netlist.KConcat:
-		pos := w
-		for _, bits := range in {
-			copy(out[pos-len(bits):pos], bits)
-			pos -= len(bits)
-		}
-	case netlist.KSlice:
-		for i := g.Lo; i <= g.Hi; i++ {
-			out[i-g.Lo] = in[0][i]
-		}
-	case netlist.KZext:
-		for i := 0; i < w; i++ {
-			if i < len(in[0]) {
-				out[i] = in[0][i]
-			} else {
-				out[i] = bdd.False
-			}
-		}
-	default:
-		for i := range out {
-			out[i] = bdd.False
-		}
-	}
-	return out
-}
-
-// muxCanPass reports whether a select of selWidth bits can take a value
-// past a data list of n entries.
-func muxCanPass(selWidth, n int) bool {
-	return selWidth >= 31 || 1<<uint(selWidth) > n
 }

@@ -288,9 +288,7 @@ func TestPartitionedImageMatchesMonolithic(t *testing.T) {
 	}
 	for _, d := range designs {
 		for _, budget := range []int{0, 1} {
-			nState, nIn := layoutSizes(d.nl)
-			m := bdd.New(2*nState + nIn)
-			mo, err := buildModel(m, d.nl, budget)
+			m, mo, err := buildModel(d.nl, 0, budget, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

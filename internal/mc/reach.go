@@ -63,11 +63,7 @@ func RegisterReach(nl *netlist.Netlist, ff netlist.GateID, maxValues int) (level
 			funcs[s] = vars(m, lay.leafOf[k])
 		}
 	}
-	freeOf := func(g *netlist.Gate) []bdd.Ref { return free[g.Out] }
-	for _, gid := range gates {
-		g := &nl.Gates[gid]
-		funcs[g.Out] = buildGate(m, nl, g, funcs, freeOf)
-	}
+	blastGates(m, nl, gates, funcs, free)
 	mo := newModel(m, lay, []bdd.Ref{conjoinTree(m, constraints(m, lay, funcs[g.In[0]]))})
 
 	// The image distributes over union, so each step images only the
@@ -116,7 +112,7 @@ func conjoinTree(m *bdd.Manager, cs []bdd.Ref) bdd.Ref {
 // topological order, and its leaves in ascending signal order: the
 // flip-flop outputs (other than ff's own) and primary inputs it reads,
 // and the outputs of its gates that can be x whatever their inputs
-// (see buildGate).
+// (netlist.CanBeX).
 func nextStateCone(nl *netlist.Netlist, ff netlist.GateID) (gates []netlist.GateID, leaves []netlist.SignalID) {
 	q := nl.Gates[ff].Out
 	seen := map[netlist.SignalID]bool{q: true}
@@ -150,26 +146,13 @@ func nextStateCone(nl *netlist.Netlist, ff netlist.GateID) (gates []netlist.Gate
 			continue
 		}
 		gates = append(gates, d)
-		if canBeX(nl, g) {
+		if nl.CanBeX(g) {
 			leaves = append(leaves, g.Out)
 		}
 		stack = stack[:len(stack)-1]
 	}
 	slices.Sort(leaves)
 	return gates, leaves
-}
-
-// canBeX reports whether a gate's output can be x with fully known
-// inputs: a constant with x bits, or a mux whose select can pass its
-// data list.
-func canBeX(nl *netlist.Netlist, g *netlist.Gate) bool {
-	switch g.Kind {
-	case netlist.KConst:
-		return !g.Const.IsFullyKnown()
-	case netlist.KMux:
-		return muxCanPass(nl.Width(g.In[0]), len(g.In)-1)
-	}
-	return false
 }
 
 // values lists the assignments of f over the current-state variables
