@@ -185,10 +185,13 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // leading version changes whenever a fresh run's record for an
 // unchanged key does, so a persisted entry never replays a record the
 // engine no longer produces (v2: per-register local FSMs; v3: proofs
-// at the first k that closes, with the depth of that k).
+// at the first k that closes, with the depth of that k; v4: one
+// bit-level expander, which changes BMC records' effort counters, and
+// x sources free in the whole-design BDD model, which changes
+// mem_units in BDD records on designs with x sources).
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v3|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
+	meta := fmt.Sprintf("v4|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
 		engineName, o.MaxDepth,
 		o.UseInduction, o.InductionDecisions,
 		o.Limits.MaxBacktracks, o.Limits.MaxDecisions, int64(o.Limits.Timeout),

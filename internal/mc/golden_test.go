@@ -27,8 +27,8 @@ var goldenTable2 = []goldenBDD{
 	{"addr_decoder", "p2", Proved, 32, 113506, 4606, 2, 3, 5.51903297536e+11},
 	{"token_ring", "p3", Proved, 47, 69654, 95, 1, 2, 48},
 	{"token_ring", "p4", Falsified, 5, 66282, 53, 1, 2, 6},
-	{"arbiter", "p5", Proved, 2, 64116, 5466, 7, 2, 32},
-	{"arbiter", "p6", Falsified, 1, 42815, 363, 7, 2, 17},
+	{"arbiter", "p5", Proved, 2, 64228, 5466, 7, 2, 32},
+	{"arbiter", "p6", Falsified, 1, 42927, 363, 7, 2, 17},
 	{"alarm_clock", "p7", Proved, 59, 69466, 86, 2, 3, 724},
 	{"alarm_clock", "p8", Falsified, 2, 50111, 56, 2, 3, 13},
 	{"alarm_clock", "p9", Proved, 59, 69466, 86, 2, 3, 724},
