@@ -10,7 +10,10 @@ import (
 )
 
 // randomSeq builds a small random sequential netlist with a 1-bit
-// comparator monitor.
+// comparator monitor. Its gates cover every kind: inverters and
+// slices, concatenations and extensions (negated and shared literals),
+// reductions, shifts, muxes (one whose 2-bit select can pass its three
+// entries) and a constant operand with x bits.
 func randomSeq(r *rand.Rand) (*netlist.Netlist, netlist.SignalID) {
 	nl := netlist.New("rand")
 	w := 2 + r.Intn(3)
@@ -20,15 +23,36 @@ func randomSeq(r *rand.Rand) (*netlist.Netlist, netlist.SignalID) {
 	}
 	q := nl.DffPlaceholder(w, bv.FromUint64(w, uint64(r.Intn(1<<uint(w)))), "q")
 	sigs = append(sigs, q)
-	kinds := []netlist.Kind{netlist.KAnd, netlist.KOr, netlist.KXor, netlist.KAdd, netlist.KSub, netlist.KMul}
-	for i := 0; i < 3+r.Intn(3); i++ {
-		a := sigs[r.Intn(len(sigs))]
-		b := sigs[r.Intn(len(sigs))]
-		sigs = append(sigs, nl.Binary(kinds[r.Intn(len(kinds))], a, b))
+	pick := func() netlist.SignalID { return sigs[r.Intn(len(sigs))] }
+	kinds := []netlist.Kind{
+		netlist.KAnd, netlist.KOr, netlist.KXor, netlist.KNand, netlist.KNor, netlist.KXnor,
+		netlist.KAdd, netlist.KSub, netlist.KMul, netlist.KShl, netlist.KShr,
+	}
+	reductions := []netlist.Kind{netlist.KRedAnd, netlist.KRedOr, netlist.KRedXor}
+	for i := 0; i < 3+r.Intn(4); i++ {
+		var y netlist.SignalID
+		switch r.Intn(7) {
+		case 0:
+			y = nl.Unary(netlist.KNot, pick())
+		case 1:
+			y = nl.Mux(nl.Slice(pick(), 0, 0), pick(), pick())
+		case 2:
+			y = nl.Mux(nl.Slice(pick(), 1, 0), pick(), pick(), pick())
+		case 3:
+			y = nl.Slice(nl.Concat(pick(), pick()), w+1, 2)
+		case 4:
+			y = nl.Zext(nl.Unary(reductions[r.Intn(len(reductions))], pick()), w)
+		case 5:
+			c := bv.FromUint64(w, r.Uint64()).WithBit(r.Intn(w), bv.X)
+			y = nl.Binary(kinds[r.Intn(len(kinds))], pick(), nl.Const(c))
+		default:
+			y = nl.Binary(kinds[r.Intn(len(kinds))], pick(), pick())
+		}
+		sigs = append(sigs, y)
 	}
 	nl.ConnectDff(q, sigs[len(sigs)-1])
 	cmp := []netlist.Kind{netlist.KEq, netlist.KNe, netlist.KLt, netlist.KGe}
-	mon := nl.Binary(cmp[r.Intn(len(cmp))], sigs[r.Intn(len(sigs))], sigs[r.Intn(len(sigs))])
+	mon := nl.Binary(cmp[r.Intn(len(cmp))], pick(), pick())
 	return nl, mon
 }
 

@@ -11,14 +11,17 @@ import (
 	"repro/internal/bmc"
 	"repro/internal/bv"
 	"repro/internal/circuits"
+	"repro/internal/cnf"
 	"repro/internal/mc"
 	"repro/internal/netlist"
 	"repro/internal/property"
 )
 
 // randomSequential builds a random small sequential circuit with a mix
-// of control and datapath logic plus a 1-bit monitor signal.
-func randomSequential(r *rand.Rand) (*netlist.Netlist, netlist.SignalID) {
+// of control and datapath logic plus a 1-bit monitor signal. With
+// withX set it also has two x sources: a constant operand with x bits, and a
+// mux whose 2-bit select can pass its three entries.
+func randomSequential(r *rand.Rand, withX bool) (*netlist.Netlist, netlist.SignalID) {
 	nl := netlist.New("rand")
 	w := 2 + r.Intn(3) // datapath width 2..4
 	var sigs []netlist.SignalID
@@ -48,6 +51,18 @@ func randomSequential(r *rand.Rand) (*netlist.Netlist, netlist.SignalID) {
 		k := kinds[r.Intn(len(kinds))]
 		sigs = append(sigs, nl.Binary(k, a, bb))
 	}
+	if withX {
+		c := bv.FromUint64(w, r.Uint64())
+		for i := 0; i < w; i++ {
+			if i == 0 || r.Intn(3) == 0 {
+				c = c.WithBit((i+r.Intn(w))%w, bv.X)
+			}
+		}
+		a := sigs[r.Intn(len(sigs))]
+		sigs = append(sigs, nl.Binary(kinds[r.Intn(len(kinds))], a, nl.Const(c)))
+		sel := nl.Slice(sigs[r.Intn(len(sigs))], 1, 0)
+		sigs = append(sigs, nl.Mux(sel, sigs[r.Intn(len(sigs))], sigs[r.Intn(len(sigs))], sigs[r.Intn(len(sigs))]))
+	}
 	// A mux keyed on the control input.
 	a := sigs[r.Intn(len(sigs))]
 	bb := sigs[r.Intn(len(sigs))]
@@ -75,7 +90,7 @@ func TestCrossCheckATPGvsBMC(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
 	agree := 0
 	for trial := 0; trial < 120; trial++ {
-		nl, mon := randomSequential(r)
+		nl, mon := randomSequential(r, false)
 		if err := nl.Validate(); err != nil {
 			continue // rare: degenerate feedback; skip
 		}
@@ -114,13 +129,56 @@ func TestCrossCheckATPGvsBMC(t *testing.T) {
 	}
 }
 
+// TestCrossCheckBMCvsBDDOverX requires the two bit-level engines to
+// read x alike, as an unconstrained value chosen afresh in every frame:
+// on random sequential netlists with x sources, BMC finds a
+// counterexample at depth d exactly when BDD reachability first hits a
+// bad state at iteration d-1.
+func TestCrossCheckBMCvsBDDOverX(t *testing.T) {
+	const depth = 4
+	compared := 0
+	for seed := int64(0); seed < 200; seed++ {
+		nl, mon := randomSequential(rand.New(rand.NewSource(seed)), true)
+		if err := nl.Validate(); err != nil {
+			continue
+		}
+		p, err := property.NewInvariant(nl, "rand-x", mon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tmpl, err := cnf.Compile(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := bmc.CheckCompiled(context.Background(), tmpl, p, bmc.Options{MaxDepth: depth})
+		d := mc.Check(nl, p, mc.Options{})
+		if b.Verdict == bmc.Unknown || d.Verdict == mc.Unknown {
+			continue
+		}
+		bmcAt, bddAt := 0, 0
+		if b.Verdict == bmc.Falsified {
+			bmcAt = b.Depth
+		}
+		if d.Verdict == mc.Falsified && d.Iters+1 <= depth {
+			bddAt = d.Iters + 1
+		}
+		if bmcAt != bddAt {
+			t.Errorf("seed %d: bmc %v at depth %d, bdd %v at iteration %d", seed, b.Verdict, b.Depth, d.Verdict, d.Iters)
+		}
+		compared++
+	}
+	if compared < 190 {
+		t.Errorf("only %d of 200 netlists compared", compared)
+	}
+}
+
 // TestCrossCheckWitnessDepths requires the two engines to find
 // counterexamples of the same (shortest) depth when one exists.
 func TestCrossCheckWitnessDepths(t *testing.T) {
 	r := rand.New(rand.NewSource(777))
 	checked := 0
 	for trial := 0; trial < 100 && checked < 25; trial++ {
-		nl, mon := randomSequential(r)
+		nl, mon := randomSequential(r, false)
 		if err := nl.Validate(); err != nil {
 			continue
 		}
@@ -166,7 +224,7 @@ func TestCrossCheckThreeWayEngines(t *testing.T) {
 	r := rand.New(rand.NewSource(4242))
 	agree := 0
 	for trial := 0; trial < trials; trial++ {
-		nl, mon := randomSequential(r)
+		nl, mon := randomSequential(r, false)
 		if err := nl.Validate(); err != nil {
 			continue
 		}

@@ -318,3 +318,39 @@ func TestPartitionedImageMatchesMonolithic(t *testing.T) {
 		}
 	}
 }
+
+// TestXSourcesAreFree: a register reset to 0 whose update is x — a
+// constant 1'bx, a 1'bx behind a mux arm, or a mux whose 2-bit select
+// can pass its three entries — can hold 1 one step after reset, so
+// the invariant q == 0 is falsified at iteration 1 on both the direct
+// and the compiled path. Reading x as 0 would prove it.
+func TestXSourcesAreFree(t *testing.T) {
+	zero := bv.FromUint64(1, 0)
+	for name, next := range map[string]func(nl *netlist.Netlist) netlist.SignalID{
+		"const": func(nl *netlist.Netlist) netlist.SignalID { return nl.Const(bv.NewX(1)) },
+		"mux-arm": func(nl *netlist.Netlist) netlist.SignalID {
+			return nl.Mux(nl.AddInput("a", 1), nl.Const(zero), nl.Const(bv.NewX(1)))
+		},
+		"mux-past": func(nl *netlist.Netlist) netlist.SignalID {
+			z := nl.Const(zero)
+			return nl.Mux(nl.AddInput("s", 2), z, z, z)
+		},
+	} {
+		nl := netlist.New("xq")
+		q := nl.DffPlaceholder(1, zero, "q")
+		nl.ConnectDff(q, next(nl))
+		p, _ := property.NewInvariant(nl, "q0", nl.Binary(netlist.KEq, q, nl.Const(zero)))
+		comp, err := Compile(nl, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for path, res := range map[string]Result{
+			"direct":   Check(nl, p, Options{}),
+			"compiled": comp.CheckCtx(context.Background(), p, Options{}),
+		} {
+			if res.Verdict != Falsified || res.Iters != 1 {
+				t.Errorf("%s %s: %v at iteration %d, want falsified at 1", name, path, res.Verdict, res.Iters)
+			}
+		}
+	}
+}
