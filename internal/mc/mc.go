@@ -189,11 +189,12 @@ func buildModel(nl *netlist.Netlist, maxNodes, partBudget int, interrupt func() 
 	// leaf variables.
 	funcs := map[netlist.SignalID][]bdd.Ref{}
 	free := map[netlist.SignalID][]bdd.Ref{}
-	cur := lay.curOf
+	init, cur := bdd.True, lay.curOf
 	for _, ff := range nl.FFs {
-		q := nl.Gates[ff].Out
-		funcs[q] = vars(m, cur[:nl.Width(q)])
-		cur = cur[nl.Width(q):]
+		g := &nl.Gates[ff]
+		funcs[g.Out] = vars(m, cur[:nl.Width(g.Out)])
+		init = conjoinInit(m, init, g.Init, cur)
+		cur = cur[nl.Width(g.Out):]
 	}
 	for k, s := range leaves {
 		if k < len(nl.PIs) {
@@ -209,13 +210,7 @@ func buildModel(nl *netlist.Netlist, maxNodes, partBudget int, interrupt func() 
 		d = append(d, funcs[nl.Gates[ff].In[0]]...)
 	}
 	mo := newModel(m, lay, clusters(m, constraints(m, lay, d), partBudget))
-	mo.funcs, mo.init = funcs, bdd.True
-	cur = lay.curOf
-	for _, ff := range nl.FFs {
-		g := &nl.Gates[ff]
-		mo.init = conjoinInit(m, mo.init, g.Init, cur)
-		cur = cur[nl.Width(g.Out):]
-	}
+	mo.funcs, mo.init = funcs, init
 	return m, mo, nil
 }
 
