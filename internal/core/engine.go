@@ -211,8 +211,10 @@ func bmcResult(prob Problem, br bmc.Result, elapsed time.Duration) Result {
 		if replayValidates(prob.NL, prob.Prop, br.Trace, br.InitState, br.Depth, target) {
 			res.Validated = true
 		} else {
-			// A model that fails replay indicates a bit-blasting gap;
-			// treat conservatively, exactly as the ATPG path does.
+			// A model that fails replay depends on an x source's
+			// value, which the simulator reads as X, or shows a
+			// bit-blasting gap; treat conservatively, exactly as the
+			// ATPG path does.
 			res.Verdict = VerdictUnknown
 		}
 	case bmc.BoundedOK:
