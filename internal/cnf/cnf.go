@@ -23,26 +23,26 @@ type Sink interface {
 	AddClause(lits ...sat.Lit) bool
 }
 
-// lits is the Boolean algebra netlist.Blast expands gates over: a value
-// is a literal, and an operation that does not fold to a constant or an
+// tseitin is the Boolean algebra netlist.Blast expands gates over: a
+// value is a literal, and an operation that does not fold to a constant or an
 // operand defines a fresh variable by its Tseitin clauses.
-type lits struct {
+type tseitin struct {
 	s   Sink
 	one sat.Lit // the constant-true literal
 }
 
-func (l *lits) fresh() sat.Lit { return sat.NewLit(l.s.NewVar(), false) }
+func (l *tseitin) fresh() sat.Lit { return sat.NewLit(l.s.NewVar(), false) }
 
-func (l *lits) Const(v bool) sat.Lit {
+func (l *tseitin) Const(v bool) sat.Lit {
 	if v {
 		return l.one
 	}
 	return l.one.Not()
 }
 
-func (l *lits) Not(a sat.Lit) sat.Lit { return a.Not() }
+func (l *tseitin) Not(a sat.Lit) sat.Lit { return a.Not() }
 
-func (l *lits) And(a, b sat.Lit) sat.Lit {
+func (l *tseitin) And(a, b sat.Lit) sat.Lit {
 	switch {
 	case a == l.one.Not() || b == l.one.Not() || a == b.Not():
 		return l.one.Not()
@@ -58,9 +58,9 @@ func (l *lits) And(a, b sat.Lit) sat.Lit {
 	return y
 }
 
-func (l *lits) Or(a, b sat.Lit) sat.Lit { return l.And(a.Not(), b.Not()).Not() }
+func (l *tseitin) Or(a, b sat.Lit) sat.Lit { return l.And(a.Not(), b.Not()).Not() }
 
-func (l *lits) Xor(a, b sat.Lit) sat.Lit {
+func (l *tseitin) Xor(a, b sat.Lit) sat.Lit {
 	switch {
 	case a == l.one.Not():
 		return b
@@ -83,7 +83,7 @@ func (l *lits) Xor(a, b sat.Lit) sat.Lit {
 	return y
 }
 
-func (l *lits) Ite(c, t, e sat.Lit) sat.Lit {
+func (l *tseitin) Ite(c, t, e sat.Lit) sat.Lit {
 	switch {
 	case c == l.one || t == e:
 		return t
@@ -115,7 +115,7 @@ func (l *lits) Ite(c, t, e sat.Lit) sat.Lit {
 type Blaster struct {
 	NL  *netlist.Netlist
 	S   Sink
-	alg lits
+	alg tseitin
 	// frames[f][sig] holds the literals of signal sig at frame f, or
 	// nil before the signal is encoded there.
 	frames [][][]sat.Lit
@@ -134,7 +134,7 @@ func New(nl *netlist.Netlist, s *sat.Solver) *Blaster {
 // newBlaster returns a blaster over a sink, whose first variable is
 // the constant-true one.
 func newBlaster(nl *netlist.Netlist, s Sink) *Blaster {
-	b := &Blaster{NL: nl, S: s, alg: lits{s: s}}
+	b := &Blaster{NL: nl, S: s, alg: tseitin{s: s}}
 	b.alg.one = b.alg.fresh()
 	s.AddClause(b.alg.one)
 	return b
@@ -177,6 +177,7 @@ func (b *Blaster) BlastFrame(frame int) error {
 	if err != nil {
 		return err
 	}
+	fresh := func(int) sat.Lit { return b.alg.fresh() }
 	for _, gid := range order {
 		g := &b.NL.Gates[gid]
 		if g.Kind == netlist.KMul && b.NL.Width(g.Out) > 64 {
@@ -186,7 +187,7 @@ func (b *Blaster) BlastFrame(frame int) error {
 		for i, s := range g.In {
 			in[i] = b.sig(frame, s)
 		}
-		b.table(frame)[g.Out] = netlist.Blast[sat.Lit](&b.alg, b.NL, g, in, func(int) sat.Lit { return b.alg.fresh() })
+		b.table(frame)[g.Out] = netlist.Blast[sat.Lit](&b.alg, b.NL, g, in, fresh)
 	}
 	return nil
 }

@@ -137,12 +137,8 @@ func Blast[T any](a Algebra[T], n *Netlist, g *Gate, in [][]T, free func(bit int
 	case KSlice:
 		copy(out, in[0][g.Lo:g.Hi+1])
 	case KZext:
-		for i := range out {
-			if i < len(in[0]) {
-				out[i] = in[0][i]
-			} else {
-				out[i] = a.Const(false)
-			}
+		for i := copy(out, in[0]); i < len(out); i++ {
+			out[i] = a.Const(false)
 		}
 	default:
 		panic(fmt.Sprintf("netlist: Blast on %s", g.Kind))
