@@ -215,7 +215,10 @@ type Engine struct {
 	cdCands    []candidate
 	decFree    []*decision
 	decStack   []*decision
-	domVals    []bv.BV
+	// domVals and domBest are makeDomainDecision's enumeration scratch:
+	// the values of the domain being counted, and of the best so far.
+	domVals []bv.BV
+	domBest []bv.BV
 
 	// datapathPhase scratch: sparse equation terms in one backing array,
 	// the variable index map (cleared, never reallocated), the dense

@@ -27,11 +27,12 @@ type decision struct {
 	// decisions whose alternative set was enumerated from current cubes
 	// (a skipped level might have widened the enumeration).
 	chron bool
-	// Inline storage for the ubiquitous two-alternative single-
-	// requirement decisions (control and fallback branches), so pooled
-	// decisions allocate nothing.
-	altArr [2]alternative
-	reqArr [2]requirement
+	// altBuf and reqBuf back the single-requirement alternatives of
+	// control, fallback and domain branches. They survive recycling, so
+	// a pooled decision allocates nothing once it has held its widest
+	// branch.
+	altBuf []alternative
+	reqBuf []requirement
 }
 
 // getDecision returns a reset decision shell from the engine's free
@@ -55,15 +56,19 @@ func (e *Engine) putDecision(d *decision) {
 	e.decFree = append(e.decFree, d)
 }
 
-// binaryDecision builds a pooled decision over one signal instance with
-// the two given values tried in order.
-func (e *Engine) binaryDecision(frame int, sig netlist.SignalID, first, second bv.BV) *decision {
+// branch builds a pooled decision that tries the given values of one
+// signal instance in order, one alternative each.
+func (e *Engine) branch(frame int, sig netlist.SignalID, vals ...bv.BV) *decision {
 	d := e.getDecision()
-	d.reqArr[0] = requirement{frame, sig, first}
-	d.reqArr[1] = requirement{frame, sig, second}
-	d.altArr[0] = alternative{asg: d.reqArr[0:1:1]}
-	d.altArr[1] = alternative{asg: d.reqArr[1:2:2]}
-	d.alts = d.altArr[:2]
+	d.reqBuf = d.reqBuf[:0]
+	for _, v := range vals {
+		d.reqBuf = append(d.reqBuf, requirement{frame, sig, v})
+	}
+	d.altBuf = d.altBuf[:0]
+	for i := range d.reqBuf {
+		d.altBuf = append(d.altBuf, alternative{asg: d.reqBuf[i : i+1 : i+1]})
+	}
+	d.alts = d.altBuf
 	return d
 }
 
@@ -465,7 +470,7 @@ func (e *Engine) makeControlDecision(unjust []gateAt) *decision {
 			return int(a.at.sig) - int(b.at.sig)
 		})
 		best := cands[0]
-		return e.binaryDecision(int(best.at.frame), best.at.sig,
+		return e.branch(int(best.at.frame), best.at.sig,
 			bv.NewX(1).WithBit(0, bv.Zero), bv.NewX(1).WithBit(0, bv.One))
 	}
 	// Conflict-activity first (branch where the conflicts are — the
@@ -496,7 +501,7 @@ func (e *Engine) makeControlDecision(unjust []gateAt) *decision {
 		first = complement(first)
 	}
 	first = e.estgPolarity(best.at, first)
-	return e.binaryDecision(int(best.at.frame), best.at.sig,
+	return e.branch(int(best.at.frame), best.at.sig,
 		bv.NewX(1).WithBit(0, first), bv.NewX(1).WithBit(0, complement(first)))
 }
 
@@ -595,54 +600,57 @@ func complement(t bv.Trit) bv.Trit {
 // makeDomainDecision branches over the feasible values of a
 // domain-restricted register that is not yet fully known: any solution
 // must assign it one of its reachable values, so the alternatives are
-// exhaustive. The register with the fewest feasible values is chosen.
+// exhaustive. The register with the fewest feasible values is chosen,
+// among those with at most 64.
 func (e *Engine) makeDomainDecision() *decision {
 	bestCount := 65
-	var bestAlts []alternative
 	bestFrame, bestSig := 0, netlist.SignalID(netlist.None)
 	e.EachDomain(func(d Domain) {
-		if d.Enumerate == nil {
-			return
-		}
 		for f := 0; f < e.frames; f++ {
-			cube := e.vals[f][d.Sig]
-			if cube.IsFullyKnown() {
+			if e.vals[f][d.Sig].IsFullyKnown() {
 				continue
 			}
-			vals := e.domVals[:0]
-			full := false
-			d.Enumerate(f, cube, func(v bv.BV) bool {
-				vals = append(vals, v)
-				if len(vals) >= bestCount {
-					full = true
-					return false
-				}
-				return true
-			})
-			e.domVals = vals[:0]
-			if full || len(vals) == 0 || len(vals) >= bestCount {
-				continue
+			if vals := e.domainValues(d, f, bestCount); len(vals) > 0 && len(vals) < bestCount {
+				bestCount, bestFrame, bestSig = len(vals), f, d.Sig
+				e.domVals, e.domBest = e.domBest, vals
 			}
-			alts := make([]alternative, len(vals))
-			for i, v := range vals {
-				alts[i] = alternative{asg: []requirement{{f, d.Sig, v}}}
-			}
-			bestCount = len(vals)
-			bestAlts = alts
-			bestFrame, bestSig = f, d.Sig
 		}
 	})
-	if bestAlts == nil {
+	if bestSig == netlist.None {
 		return nil
 	}
-	d := e.getDecision()
-	d.alts = bestAlts
-	// The alternatives enumerate the feasible values *inside the
-	// current cube*: exhausting them refutes the cube, not the domain.
-	// Seed the conflict set with the levels that narrowed the cube, so
-	// a backjump never skips a level that could have widened the
-	// enumeration.
-	e.traceSignalInto(&d.confSet, bestFrame, bestSig)
+	return e.domainDecision(bestFrame, bestSig, e.domBest)
+}
+
+// domainValues enumerates into pooled scratch the feasible values of
+// domain d at frame f inside the signal's current cube. It stops at
+// limit values and returns nil when the domain has no enumerator or
+// the limit was reached.
+func (e *Engine) domainValues(d Domain, f, limit int) []bv.BV {
+	if d.Enumerate == nil {
+		return nil
+	}
+	vals := e.domVals[:0]
+	d.Enumerate(f, e.vals[f][d.Sig], func(v bv.BV) bool {
+		vals = append(vals, v)
+		return len(vals) < limit
+	})
+	e.domVals = vals
+	if len(vals) >= limit {
+		return nil
+	}
+	return vals
+}
+
+// domainDecision branches over the given feasible values of a domain
+// register at frame f. The alternatives enumerate the feasible values
+// *inside the current cube*: exhausting them refutes the cube, not the
+// domain. So the conflict set starts with the levels that narrowed the
+// cube, and a backjump never skips a level that could have widened the
+// enumeration.
+func (e *Engine) domainDecision(f int, sig netlist.SignalID, vals []bv.BV) *decision {
+	d := e.branch(f, sig, vals...)
+	e.traceSignalInto(&d.confSet, f, sig)
 	return d
 }
 
@@ -655,8 +663,8 @@ func (e *Engine) EachDomain(fn func(Domain)) {
 	}
 }
 
-// makeFallbackDecision branches on a single unknown bit of a signal
-// feeding an unjustified gate. Candidate preference, in order:
+// makeFallbackDecision branches on a signal feeding an unjustified
+// gate. Candidate preference, in order:
 //
 //  1. highest conflict-activity score (branch inside the region that
 //     is currently producing conflicts — see bumpActivity; before the
@@ -672,9 +680,12 @@ func (e *Engine) EachDomain(fn func(Domain)) {
 // NoEstgGuide disables tiers 1 and 2 (the PR-3 ordering changes),
 // restoring the pre-PR-3 narrowest-first-encountered rule exactly, so
 // the ablation pair {NoBackjump, NoEstgGuide} reproduces the old
-// engine's search. Within the chosen signal the most significant
-// unknown bit is taken (word-level implication extracts the most from
-// high bits — cf. Rule 2).
+// engine's search. A chosen register with a local FSM is branched over
+// its reachable values inside its current cube, like a domain decision
+// but without the 64-value cap: splitting a one-hot register bit by bit
+// would cost a decision per position. Any other signal is split on its
+// most significant unknown bit (word-level implication extracts the
+// most from high bits — cf. Rule 2).
 func (e *Engine) makeFallbackDecision(unjust []gateAt) *decision {
 	useGuided := !e.features.NoEstgGuide
 	bestSig := netlist.SignalID(netlist.None)
@@ -711,6 +722,13 @@ func (e *Engine) makeFallbackDecision(unjust []gateAt) *decision {
 		return nil
 	}
 	f := bestFrame
+	if d, ok := e.domains[bestSig]; ok {
+		// A register with a local FSM: branch over its reachable values
+		// rather than split it one bit at a time.
+		if vals := e.domainValues(d, f, math.MaxInt); len(vals) > 0 {
+			return e.domainDecision(f, bestSig, vals)
+		}
+	}
 	v := e.vals[f][bestSig]
 	for i := v.Width() - 1; i >= 0; i-- {
 		if v.Bit(i) != bv.X {
@@ -720,7 +738,7 @@ func (e *Engine) makeFallbackDecision(unjust []gateAt) *decision {
 		if e.mode == ModeProve {
 			first = bv.Zero
 		}
-		return e.binaryDecision(f, bestSig,
+		return e.branch(f, bestSig,
 			bv.NewX(v.Width()).WithBit(i, first),
 			bv.NewX(v.Width()).WithBit(i, complement(first)))
 	}
