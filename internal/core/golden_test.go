@@ -45,7 +45,7 @@ var goldenCorpus = []goldenATPG{
 	{"industry_05/p14", VerdictProved, 1, 71, 0, 0, 0, 0, 0, 0, 28},
 	{"arbiter24/p5", VerdictProved, 1, 2007, 2, 26, 1, 689, 2, 219, 511},
 	{"arbiter24/p6", VerdictWitnessFound, 2, 6435, 0, 0, 0, 1352, 0, 3000, 2601},
-	{"token_ring96/p3", VerdictProved, 1, 11303, 324, 612, 0, 3973, 322, 4534, 313},
+	{"token_ring96/p3", VerdictProved, 1, 5818, 10, 205, 0, 99, 8, 224, 29},
 	{"token_ring96/p4", VerdictWitnessFound, 6, 1334, 0, 0, 0, 142, 0, 33, 314},
 	{"industry_0164/p10", VerdictProved, 1, 549, 1, 2, 0, 123, 1, 0, 59},
 }

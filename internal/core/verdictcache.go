@@ -188,10 +188,12 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // at the first k that closes, with the depth of that k; v4: one
 // bit-level expander, which changes BMC records' effort counters, and
 // x sources free in the whole-design BDD model, which changes
-// mem_units in BDD records on designs with x sources).
+// mem_units in BDD records on designs with x sources; v5: the fallback
+// decision branches over a local FSM's values, which changes ATPG
+// records on designs whose registers pass 64 reachable values).
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v4|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
+	meta := fmt.Sprintf("v5|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
 		engineName, o.MaxDepth,
 		o.UseInduction, o.InductionDecisions,
 		o.Limits.MaxBacktracks, o.Limits.MaxDecisions, int64(o.Limits.Timeout),
