@@ -56,6 +56,50 @@ func TestPropagateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPropagateZeroAllocWide pins the same pass on 96-bit signals,
+// which bv keeps inline: assignment, queueing, forward evaluation,
+// back-implication over a subtractor, an AND and an equality, and the
+// trail perform zero heap allocations.
+func TestPropagateZeroAllocWide(t *testing.T) {
+	nl := netlist.New("alloc96")
+	a := nl.AddInput("a", 96)
+	b := nl.AddInput("b", 96)
+	c := nl.AddInput("c", 96)
+	diff := nl.Binary(netlist.KSub, a, b)
+	masked := nl.Binary(netlist.KAnd, diff, c)
+	eq := nl.Binary(netlist.KEq, masked, b)
+
+	e, err := New(nl, 1, ModeProve, Limits{}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.propagate() {
+		t.Fatal("initial propagation conflicts")
+	}
+	va := bv.FromUint64(64, 0x0123_4567_89ab_cdef).Zext(96).WithBit(90, bv.X).WithBit(7, bv.X)
+	vc := bv.Ones(96).WithBit(80, bv.X).WithBit(3, bv.X)
+	veq := bv.FromUint64(1, 1)
+	pass := func() {
+		e.pushLevel()
+		if !e.assign(0, a, va) || !e.assign(0, c, vc) || !e.assign(0, eq, veq) {
+			t.Fatal("assign conflict")
+		}
+		if !e.propagate() {
+			t.Fatal("propagation conflict")
+		}
+		e.popLevel()
+	}
+	pass()
+	if raceEnabled {
+		t.Log("race detector enabled: exercising the pass without pinning the alloc count")
+		pass()
+		return
+	}
+	if got := testing.AllocsPerRun(100, pass); got != 0 {
+		t.Errorf("full propagate pass: %.2f allocs/op on a 96-bit netlist, want 0", got)
+	}
+}
+
 // TestDecisionCycleZeroAlloc pins the PR 2 property of the search
 // layer: one steady-state decision cycle — incremental unjustified
 // frontier scan, probability-guided control decision (BFS with flat

@@ -28,11 +28,14 @@ type decision struct {
 	// (a skipped level might have widened the enumeration).
 	chron bool
 	// altBuf and reqBuf back the single-requirement alternatives of
-	// control, fallback and domain branches. They survive recycling, so
-	// a pooled decision allocates nothing once it has held its widest
-	// branch.
+	// control, fallback and domain branches. They start on the inline
+	// arrays, which hold the ubiquitous two-way branches, and survive
+	// recycling, so a pooled decision allocates nothing once it has held
+	// its widest branch.
 	altBuf []alternative
 	reqBuf []requirement
+	altArr [2]alternative
+	reqArr [2]requirement
 }
 
 // getDecision returns a reset decision shell from the engine's free
@@ -47,7 +50,9 @@ func (e *Engine) getDecision() *decision {
 		d.chron = false
 		return d
 	}
-	return &decision{}
+	d := &decision{}
+	d.altBuf, d.reqBuf = d.altArr[:0], d.reqArr[:0]
+	return d
 }
 
 // putDecision recycles a decision the search has popped.

@@ -74,62 +74,76 @@ func TestSmallOpsZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWideOpsAllocOnlyResult pins the 96-bit kernels to allocating
-// only their result: its two spill slices. A per-bit rebuild through
-// WithBit clones would allocate two slices per bit.
+// TestWideOpsAllocOnlyResult pins the wide kernels' allocations: up to
+// 128 bits a vector is inline, so a 96-bit kernel allocates nothing;
+// past 128 bits (152 here) a kernel allocates only its result's spill
+// storage. A per-bit rebuild through WithBit clones would allocate per
+// bit.
 func TestWideOpsAllocOnlyResult(t *testing.T) {
-	a := MustParse("96'hxx_0123_4567_89ab_cdef_x123_45x7")
-	b := Ones(96).WithBit(70, X).WithBit(5, X)
-	half := MustParse("48'h12x4_5678_9abc")
-	ops := map[string]func(){
-		"Add":       func() { sinkBV = a.Add(b) },
-		"Sub":       func() { sinkBV = a.Sub(b) },
-		"SubBorrow": func() { sinkBV, sinkTrit = a.SubBorrow(b) },
-		"Slice":     func() { sinkBV = a.Slice(90, 3) },
-		"Concat":    func() { sinkBV = Concat(half, half) },
-		"Zext":      func() { sinkBV = half.Zext(96) },
-		"Deposit":   func() { sinkBV = Deposit(96, 17, a, 5, 70) },
-		"BackZext":  func() { sinkBV = BackZext(a, 80) },
-		"RedAnd":    func() { sinkBV = a.RedAnd() },
-		"HasOneIn":  func() { sinkBool = a.HasOneIn(9, 80) },
-	}
-	for name, fn := range ops {
-		if raceEnabled {
-			fn()
-			continue
+	for _, c := range []struct {
+		width int
+		want  float64
+	}{{96, 0}, {152, 2}} {
+		w := c.width
+		a := FromUint64(64, 0x0123_4567_89ab_cdef).Zext(w).WithBit(w-3, X).WithBit(w-40, One).WithBit(9, X)
+		b := Ones(w).WithBit(70, X).WithBit(5, X)
+		half := MustParse("48'h12x4_5678_9abc").Zext(w / 2)
+		ops := map[string]func(){
+			"Add":       func() { sinkBV = a.Add(b) },
+			"Sub":       func() { sinkBV = a.Sub(b) },
+			"SubBorrow": func() { sinkBV, sinkTrit = a.SubBorrow(b) },
+			"And":       func() { sinkBV = a.And(b) },
+			"Intersect": func() { sinkBV, sinkBool = a.Intersect(b) },
+			"Refine":    func() { sinkBV, _, sinkBool = a.Refine(b) },
+			"Slice":     func() { sinkBV = a.Slice(w-6, 3) },
+			"Concat":    func() { sinkBV = Concat(half, half) },
+			"Zext":      func() { sinkBV = half.Zext(w) },
+			"Deposit":   func() { sinkBV = Deposit(w, 17, a, 5, 70) },
+			"BackAnd":   func() { sinkBV = BackAnd(a, b) },
+			"BackZext":  func() { sinkBV = BackZext(a, w-16) },
+			"RedAnd":    func() { sinkBV = a.RedAnd() },
+			"HasOneIn":  func() { sinkBool = a.HasOneIn(9, w-16) },
 		}
-		want := 2.0
-		if name == "RedAnd" || name == "HasOneIn" {
-			want = 0 // 1-bit or boolean result: nothing to allocate
-		}
-		if got := testing.AllocsPerRun(100, fn); got > want {
-			t.Errorf("%s: %.2f allocs/op on 96-bit vectors, want <= %.0f", name, got, want)
+		for name, fn := range ops {
+			if raceEnabled {
+				fn()
+				continue
+			}
+			want := c.want
+			if name == "RedAnd" || name == "HasOneIn" {
+				want = 0 // 1-bit or boolean result: nothing to allocate
+			}
+			if got := testing.AllocsPerRun(100, fn); got > want {
+				t.Errorf("%s: %.2f allocs/op on %d-bit vectors, want <= %.0f", name, got, w, want)
+			}
 		}
 	}
 }
 
 func TestInPlaceVariantsZeroAllocWide(t *testing.T) {
-	// Wide vectors allocate on construction, but the in-place variants
-	// must reuse the receiver's spill storage.
-	a := NewX(100)
-	b := Ones(100).WithBit(70, X)
-	dst := NewX(100)
-	ops := map[string]func(){
-		"RefineInPlace": func() { _, _ = a.RefineInPlace(b) },
-		"UnionInPlace":  func() { a.UnionInPlace(b) },
-		"AndInto":       func() { AndInto(&dst, a, b) },
-		"OrInto":        func() { OrInto(&dst, a, b) },
-		"XorInto":       func() { XorInto(&dst, a, b) },
-		"NotInto":       func() { NotInto(&dst, a) },
-		"CopyInto":      func() { CopyInto(&dst, a) },
-	}
-	for name, fn := range ops {
-		fn() // warm any one-time growth
-		if raceEnabled {
-			continue
+	// Spilled vectors allocate on construction, but the in-place
+	// variants must reuse the receiver's spill storage.
+	for _, w := range []int{100, 200} {
+		a := NewX(w)
+		b := Ones(w).WithBit(70, X)
+		dst := NewX(w)
+		ops := map[string]func(){
+			"RefineInPlace": func() { _, _ = a.RefineInPlace(b) },
+			"UnionInPlace":  func() { a.UnionInPlace(b) },
+			"AndInto":       func() { AndInto(&dst, a, b) },
+			"OrInto":        func() { OrInto(&dst, a, b) },
+			"XorInto":       func() { XorInto(&dst, a, b) },
+			"NotInto":       func() { NotInto(&dst, a) },
+			"CopyInto":      func() { CopyInto(&dst, a) },
 		}
-		if got := testing.AllocsPerRun(100, fn); got != 0 {
-			t.Errorf("%s: %.2f allocs/op, want 0", name, got)
+		for name, fn := range ops {
+			fn() // warm any one-time growth
+			if raceEnabled {
+				continue
+			}
+			if got := testing.AllocsPerRun(100, fn); got != 0 {
+				t.Errorf("%s: %.2f allocs/op at width %d, want 0", name, got, w)
+			}
 		}
 	}
 }
@@ -139,7 +153,7 @@ func TestInPlaceVariantsZeroAllocWide(t *testing.T) {
 // including the documented dst-aliases-operand case.
 func TestIntoKernelsMatchImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, w := range []int{1, 16, 64, 65, 100, 200} {
+	for _, w := range []int{1, 16, 64, 65, 100, 128, 129, 200} {
 		for trial := 0; trial < 200; trial++ {
 			a, b := randCube(rng, w), randCube(rng, w)
 			dst := randCube(rng, w) // pre-populated garbage to overwrite

@@ -11,18 +11,20 @@ package bv
 func BackAnd(out, other BV) BV {
 	checkSameWidth(out, other, "BackAnd")
 	if out.small() {
-		one := out.v0
-		zero := (out.k0 &^ out.v0) & other.v0
-		return BV{width: out.width, v0: one, k0: one | zero}
+		one := out.v[0]
+		zero := (out.k[0] &^ out.v[0]) & other.v[0]
+		return single(out.width, one, one|zero)
 	}
 	r := NewX(out.width)
-	for i := range r.vs {
-		one := out.ks[i] & out.vs[i]
-		zero := (out.ks[i] &^ out.vs[i]) & other.ks[i] & other.vs[i]
-		r.vs[i] = one
-		r.ks[i] = one | zero
+	rvs, rks := r.ws()
+	ovs, oks := out.ws()
+	bvs, _ := other.ws()
+	for i := range rvs {
+		one := ovs[i]
+		zero := (oks[i] &^ ovs[i]) & bvs[i]
+		rvs[i] = one
+		rks[i] = one | zero
 	}
-	r.normalize()
 	return r
 }
 
@@ -32,18 +34,20 @@ func BackAnd(out, other BV) BV {
 func BackOr(out, other BV) BV {
 	checkSameWidth(out, other, "BackOr")
 	if out.small() {
-		zero := out.k0 &^ out.v0
-		one := out.v0 & (other.k0 &^ other.v0)
-		return BV{width: out.width, v0: one, k0: one | zero}
+		zero := out.k[0] &^ out.v[0]
+		one := out.v[0] & (other.k[0] &^ other.v[0])
+		return single(out.width, one, one|zero)
 	}
 	r := NewX(out.width)
-	for i := range r.vs {
-		zero := out.ks[i] &^ out.vs[i]
-		one := out.ks[i] & out.vs[i] & other.ks[i] &^ other.vs[i]
-		r.vs[i] = one
-		r.ks[i] = one | zero
+	rvs, rks := r.ws()
+	ovs, oks := out.ws()
+	bvs, bks := other.ws()
+	for i := range rvs {
+		zero := oks[i] &^ ovs[i]
+		one := ovs[i] & (bks[i] &^ bvs[i])
+		rvs[i] = one
+		rks[i] = one | zero
 	}
-	r.normalize()
 	return r
 }
 
@@ -51,18 +55,7 @@ func BackOr(out, other BV) BV {
 // wherever both are known.
 func BackXor(out, other BV) BV {
 	checkSameWidth(out, other, "BackXor")
-	if out.small() {
-		k := out.k0 & other.k0
-		return BV{width: out.width, v0: (out.v0 ^ other.v0) & k, k0: k}
-	}
-	r := NewX(out.width)
-	for i := range r.vs {
-		k := out.ks[i] & other.ks[i]
-		r.ks[i] = k
-		r.vs[i] = (out.vs[i] ^ other.vs[i]) & k
-	}
-	r.normalize()
-	return r
+	return out.Xor(other)
 }
 
 // BackNot returns the implication on the input of an inverter.

@@ -13,11 +13,12 @@
 // val. Unknown positions keep val at 0 so that equal cubes are
 // representation-equal, which makes Equal and hashing cheap.
 //
-// Widths up to 64 bits — every signal of the paper's Table-2 designs —
-// store their two words inline in the struct with nil spill slices, so
-// small vectors live entirely in registers or on the stack and the hot
-// implication operations perform no heap allocation. Wider vectors
-// spill to a pair of word slices. The split is invisible outside the
+// Widths up to 128 bits — every signal of the paper's Table-2 designs
+// and the 96-bit registers of the scaled token ring — store two
+// (val, known) word pairs inline in the struct with a nil spill slice,
+// so such vectors live entirely in registers or on the stack and the
+// hot implication operations perform no heap allocation. Wider vectors
+// spill to one slice of words. The split is invisible outside the
 // package: the exported API is unchanged and remains immutable by
 // convention (in-place variants, documented as engine-internal, are the
 // exception; see fast.go).
@@ -51,7 +52,10 @@ func (t Trit) String() string {
 	}
 }
 
-const wordBits = 64
+const (
+	wordBits   = 64
+	inlineBits = 2 * wordBits // widest vector stored without a spill slice
+)
 
 // BV is a three-valued bit-vector. The zero value is a width-0 vector.
 // BV values are immutable by convention: all operations return new
@@ -59,20 +63,39 @@ const wordBits = 64
 // *Into variants in fast.go are the documented exception, for callers
 // that own their storage.)
 //
-// Representation invariant: width <= 64 stores val/known inline in
-// v0/k0 with vs/ks nil; width > 64 uses the vs/ks slices and leaves
-// v0/k0 zero. In both forms val bits are set only where known, and bits
-// beyond width are clear.
+// Representation invariant: width <= 128 stores word i of val/known
+// inline in v[i]/k[i] with spill nil; width > 128 keeps the val words
+// and then the known words in spill (2*words(width) entries) and leaves
+// v/k zero. In both forms val bits are set only where known, and bits
+// beyond width (inline words past the width included) are clear.
 type BV struct {
-	width  int
-	v0, k0 uint64   // inline words, valid iff width <= 64
-	vs, ks []uint64 // spill words, non-nil iff width > 64
+	width int
+	v, k  [2]uint64 // inline words, valid iff width <= 128
+	spill []uint64  // val words then known words, non-nil iff width > 128
 }
 
 func words(width int) int { return (width + wordBits - 1) / wordBits }
 
-// small reports whether the vector uses the inline representation.
+// small reports whether the vector is a single inline word, the fast
+// path of most operations.
 func (b *BV) small() bool { return b.width <= wordBits }
+
+// single returns the one-word vector of the given width with val v and
+// known k.
+func single(width int, v, k uint64) BV {
+	return BV{width: width, v: [2]uint64{v}, k: [2]uint64{k}}
+}
+
+// ws returns the val and known words of b. Up to 128 bits they are
+// views of b's inline arrays, so they are valid only while b is.
+func (b *BV) ws() (vs, ks []uint64) {
+	if b.spill != nil {
+		n := len(b.spill) / 2
+		return b.spill[:n:n], b.spill[n:]
+	}
+	n := words(b.width)
+	return b.v[:n], b.k[:n]
+}
 
 // lastMask returns the mask of valid bits in the final word.
 func lastMask(width int) uint64 {
@@ -97,10 +120,10 @@ func NewX(width int) BV {
 	if width < 0 {
 		panic("bv: negative width")
 	}
-	if width <= wordBits {
+	if width <= inlineBits {
 		return BV{width: width}
 	}
-	return BV{width: width, vs: make([]uint64, words(width)), ks: make([]uint64, words(width))}
+	return BV{width: width, spill: make([]uint64, 2*words(width))}
 }
 
 // FromUint64 returns a fully-known vector holding v truncated to width.
@@ -110,14 +133,15 @@ func FromUint64(width int, v uint64) BV {
 			panic("bv: negative width")
 		}
 		m := lowMask(width)
-		return BV{width: width, v0: v & m, k0: m}
+		return single(width, v&m, m)
 	}
 	b := NewX(width)
-	b.vs[0] = v
-	for i := range b.ks {
-		b.ks[i] = ^uint64(0)
+	vs, ks := b.ws()
+	vs[0] = v
+	for i := range ks {
+		ks[i] = ^uint64(0)
 	}
-	b.ks[len(b.ks)-1] &= lastMask(width)
+	ks[len(ks)-1] &= lastMask(width)
 	return b
 }
 
@@ -128,16 +152,17 @@ func Ones(width int) BV {
 			panic("bv: negative width")
 		}
 		m := lowMask(width)
-		return BV{width: width, v0: m, k0: m}
+		return single(width, m, m)
 	}
 	b := NewX(width)
-	for i := range b.vs {
-		b.vs[i] = ^uint64(0)
-		b.ks[i] = ^uint64(0)
+	vs, ks := b.ws()
+	for i := range vs {
+		vs[i] = ^uint64(0)
+		ks[i] = ^uint64(0)
 	}
 	m := lastMask(width)
-	b.vs[len(b.vs)-1] &= m
-	b.ks[len(b.ks)-1] &= m
+	vs[len(vs)-1] &= m
+	ks[len(ks)-1] &= m
 	return b
 }
 
@@ -300,24 +325,24 @@ func (b BV) WithBit(i int, t Trit) BV {
 	return c
 }
 
-// Clone returns a deep copy. Small vectors are plain values, so for
-// them this is a no-op copy with no allocation.
+// Clone returns a deep copy. Vectors up to 128 bits are plain values,
+// so for them this is a copy with no allocation.
 func (b BV) Clone() BV {
-	if b.small() {
+	if b.spill == nil {
 		return b
 	}
-	c := BV{width: b.width, vs: make([]uint64, len(b.vs)), ks: make([]uint64, len(b.ks))}
-	copy(c.vs, b.vs)
-	copy(c.ks, b.ks)
+	c := BV{width: b.width, spill: make([]uint64, len(b.spill))}
+	copy(c.spill, b.spill)
 	return c
 }
 
 // IsAllX reports whether every bit is unknown.
 func (b BV) IsAllX() bool {
-	if b.small() {
-		return b.k0 == 0
+	if b.spill == nil {
+		return b.k[0]|b.k[1] == 0
 	}
-	for _, k := range b.ks {
+	_, ks := b.ws()
+	for _, k := range ks {
 		if k != 0 {
 			return false
 		}
@@ -328,27 +353,26 @@ func (b BV) IsAllX() bool {
 // IsFullyKnown reports whether no bit is unknown.
 func (b BV) IsFullyKnown() bool {
 	if b.small() {
-		return b.k0 == lowMask(b.width)
+		return b.k[0] == lowMask(b.width)
 	}
-	for i, k := range b.ks {
-		m := ^uint64(0)
-		if i == len(b.ks)-1 {
-			m = lastMask(b.width)
-		}
-		if k&m != m {
+	_, ks := b.ws()
+	last := len(ks) - 1
+	for _, k := range ks[:last] {
+		if k != ^uint64(0) {
 			return false
 		}
 	}
-	return true
+	return ks[last] == lastMask(b.width)
 }
 
 // KnownCount returns the number of known bits.
 func (b BV) KnownCount() int {
-	if b.small() {
-		return bits.OnesCount64(b.k0)
+	if b.spill == nil {
+		return bits.OnesCount64(b.k[0]) + bits.OnesCount64(b.k[1])
 	}
+	_, ks := b.ws()
 	n := 0
-	for _, k := range b.ks {
+	for _, k := range ks {
 		n += bits.OnesCount64(k)
 	}
 	return n
@@ -357,10 +381,10 @@ func (b BV) KnownCount() int {
 // Uint64 returns the value if the vector is fully known and fits in 64
 // bits; ok is false otherwise.
 func (b BV) Uint64() (v uint64, ok bool) {
-	if b.width > wordBits || b.k0 != lowMask(b.width) {
+	if b.width > wordBits || b.k[0] != lowMask(b.width) {
 		return 0, false
 	}
-	return b.v0, true
+	return b.v[0], true
 }
 
 // Equal reports whether a and b have identical width and trits.
@@ -368,11 +392,11 @@ func (b BV) Equal(o BV) bool {
 	if b.width != o.width {
 		return false
 	}
-	if b.small() {
-		return b.v0 == o.v0 && b.k0 == o.k0
+	if b.spill == nil {
+		return b.v == o.v && b.k == o.k
 	}
-	for i := range b.vs {
-		if b.vs[i] != o.vs[i] || b.ks[i] != o.ks[i] {
+	for i, w := range b.spill {
+		if w != o.spill[i] {
 			return false
 		}
 	}
@@ -414,28 +438,29 @@ func (b BV) Key() string {
 func (b *BV) normalize() {
 	if b.small() {
 		m := lowMask(b.width)
-		b.k0 &= m
-		b.v0 &= b.k0
+		b.k[0] &= m
+		b.v[0] &= b.k[0]
 		return
 	}
-	for i := range b.vs {
-		b.vs[i] &= b.ks[i]
+	vs, ks := b.ws()
+	for i := range vs {
+		vs[i] &= ks[i]
 	}
 	m := lastMask(b.width)
-	b.vs[len(b.vs)-1] &= m
-	b.ks[len(b.ks)-1] &= m
+	vs[len(vs)-1] &= m
+	ks[len(ks)-1] &= m
 }
 
 // Min returns the smallest fully-known vector in the cube (every x set
 // to 0). Interpreting vectors as unsigned integers.
 func (b BV) Min() BV {
 	if b.small() {
-		m := lowMask(b.width)
-		return BV{width: b.width, v0: b.v0, k0: m}
+		return single(b.width, b.v[0], lowMask(b.width))
 	}
 	c := b.Clone()
-	for i := range c.ks {
-		c.ks[i] = ^uint64(0)
+	_, ks := c.ws()
+	for i := range ks {
+		ks[i] = ^uint64(0)
 	}
 	c.normalize()
 	return c
@@ -445,12 +470,13 @@ func (b BV) Min() BV {
 func (b BV) Max() BV {
 	if b.small() {
 		m := lowMask(b.width)
-		return BV{width: b.width, v0: (b.v0 | ^b.k0) & m, k0: m}
+		return single(b.width, (b.v[0]|^b.k[0])&m, m)
 	}
 	c := b.Clone()
-	for i := range c.vs {
-		c.vs[i] |= ^c.ks[i]
-		c.ks[i] = ^uint64(0)
+	vs, ks := c.ws()
+	for i := range vs {
+		vs[i] |= ^ks[i]
+		ks[i] = ^uint64(0)
 	}
 	c.normalize()
 	return c
@@ -461,7 +487,7 @@ func (b BV) MinUint64() uint64 {
 	if b.width > wordBits {
 		panic("bv: MinUint64 on wide vector")
 	}
-	return b.v0
+	return b.v[0]
 }
 
 // MaxUint64 returns Max as a uint64; only valid for width <= 64.
@@ -469,7 +495,7 @@ func (b BV) MaxUint64() uint64 {
 	if b.width > wordBits {
 		panic("bv: MaxUint64 on wide vector")
 	}
-	return b.v0 | (^b.k0 & lowMask(b.width))
+	return b.v[0] | (^b.k[0] & lowMask(b.width))
 }
 
 // Cmp compares two fully-known vectors of equal width as unsigned
@@ -481,18 +507,11 @@ func (b BV) Cmp(o BV) int {
 	if !b.IsFullyKnown() || !o.IsFullyKnown() {
 		panic("bv: Cmp on partially-known vectors")
 	}
-	if b.small() {
-		switch {
-		case b.v0 < o.v0:
-			return -1
-		case b.v0 > o.v0:
-			return 1
-		}
-		return 0
-	}
-	for i := len(b.vs) - 1; i >= 0; i-- {
-		if b.vs[i] != o.vs[i] {
-			if b.vs[i] < o.vs[i] {
+	bvs, _ := b.ws()
+	ovs, _ := o.ws()
+	for i := len(bvs) - 1; i >= 0; i-- {
+		if bvs[i] != ovs[i] {
+			if bvs[i] < ovs[i] {
 				return -1
 			}
 			return 1
@@ -510,21 +529,22 @@ func (b BV) Intersect(o BV) (BV, bool) {
 		panic("bv: Intersect width mismatch")
 	}
 	if b.small() {
-		if b.k0&o.k0&(b.v0^o.v0) != 0 {
+		if b.k[0]&o.k[0]&(b.v[0]^o.v[0]) != 0 {
 			return BV{}, false
 		}
-		return BV{width: b.width, v0: b.v0 | o.v0, k0: b.k0 | o.k0}, true
+		return single(b.width, b.v[0]|o.v[0], b.k[0]|o.k[0]), true
 	}
 	c := NewX(b.width)
-	for i := range c.vs {
-		conflict := b.ks[i] & o.ks[i] & (b.vs[i] ^ o.vs[i])
-		if conflict != 0 {
+	cvs, cks := c.ws()
+	bvs, bks := b.ws()
+	ovs, oks := o.ws()
+	for i := range cvs {
+		if bks[i]&oks[i]&(bvs[i]^ovs[i]) != 0 {
 			return BV{}, false
 		}
-		c.ks[i] = b.ks[i] | o.ks[i]
-		c.vs[i] = b.vs[i] | o.vs[i]
+		cks[i] = bks[i] | oks[i]
+		cvs[i] = bvs[i] | ovs[i]
 	}
-	c.normalize()
 	return c, true
 }
 
@@ -535,16 +555,18 @@ func (b BV) Union(o BV) BV {
 		panic("bv: Union width mismatch")
 	}
 	if b.small() {
-		agree := b.k0 & o.k0 & ^(b.v0 ^ o.v0)
-		return BV{width: b.width, v0: b.v0 & agree, k0: agree}
+		agree := b.k[0] & o.k[0] & ^(b.v[0] ^ o.v[0])
+		return single(b.width, b.v[0]&agree, agree)
 	}
 	c := NewX(b.width)
-	for i := range c.vs {
-		agree := b.ks[i] & o.ks[i] & ^(b.vs[i] ^ o.vs[i])
-		c.ks[i] = agree
-		c.vs[i] = b.vs[i] & agree
+	cvs, cks := c.ws()
+	bvs, bks := b.ws()
+	ovs, oks := o.ws()
+	for i := range cvs {
+		agree := bks[i] & oks[i] & ^(bvs[i] ^ ovs[i])
+		cks[i] = agree
+		cvs[i] = bvs[i] & agree
 	}
-	c.normalize()
 	return c
 }
 
@@ -555,13 +577,12 @@ func (b BV) Covers(o BV) bool {
 		panic("bv: Covers width mismatch")
 	}
 	if b.small() {
-		return b.k0&^o.k0 == 0 && b.k0&(b.v0^o.v0) == 0
+		return b.k[0]&^o.k[0] == 0 && b.k[0]&(b.v[0]^o.v[0]) == 0
 	}
-	for i := range b.vs {
-		if b.ks[i]&^o.ks[i] != 0 {
-			return false
-		}
-		if b.ks[i]&(b.vs[i]^o.vs[i]) != 0 {
+	bvs, bks := b.ws()
+	ovs, oks := o.ws()
+	for i := range bvs {
+		if bks[i]&^oks[i] != 0 || bks[i]&(bvs[i]^ovs[i]) != 0 {
 			return false
 		}
 	}
@@ -579,15 +600,7 @@ func (b BV) Refine(o BV) (r BV, changed, ok bool) {
 	if !ok {
 		return BV{}, false, false
 	}
-	if b.small() {
-		return r, r.k0 != b.k0, true
-	}
-	for i := range r.ks {
-		if r.ks[i] != b.ks[i] {
-			return r, true, true
-		}
-	}
-	return r, false, true
+	return r, r.KnownCount() != b.KnownCount(), true
 }
 
 // Contains reports whether the fully-known vector v (given as uint64,
@@ -596,7 +609,7 @@ func (b BV) Contains(v uint64) bool {
 	if b.width > wordBits {
 		panic("bv: Contains on wide vector")
 	}
-	return (v^b.v0)&b.k0 == 0
+	return (v^b.v[0])&b.k[0] == 0
 }
 
 // CountSolutions returns the number of fully-known vectors in the cube,

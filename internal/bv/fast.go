@@ -4,10 +4,10 @@ import "math/bits"
 
 // Allocation-conscious primitives and the engine-internal mutating API.
 // The exported immutable API (bv.go, ops.go, back.go) is unchanged;
-// small vectors (width <= 64) are plain values, so the immutable
-// operations on them already allocate nothing. The *InPlace and *Into
-// variants below additionally let owners of wide vectors reuse their
-// spill storage. They are for callers that exclusively own the
+// vectors up to 128 bits are plain values, so the immutable operations
+// on them already allocate nothing. The *InPlace and *Into variants
+// below additionally let owners of wider vectors reuse their spill
+// storage. They are for callers that exclusively own the
 // receiver's storage (the engine's cube-union accumulators, EvalGate's
 // intermediate results) and must never be applied to a vector that
 // another holder may still read.
@@ -15,57 +15,38 @@ import "math/bits"
 // setBit mutates a bit of an *unshared* vector (freshly allocated by
 // the caller, never an operand).
 func (b *BV) setBit(i int, t Trit) {
-	if b.vs == nil {
-		s := uint(i)
-		switch t {
-		case X:
-			b.k0 &^= uint64(1) << s
-			b.v0 &^= uint64(1) << s
-		case Zero:
-			b.k0 |= uint64(1) << s
-			b.v0 &^= uint64(1) << s
-		case One:
-			b.k0 |= uint64(1) << s
-			b.v0 |= uint64(1) << s
-		}
-		return
-	}
-	w, s := i/wordBits, uint(i%wordBits)
+	vs, ks := b.ws()
+	w, m := i/wordBits, uint64(1)<<uint(i%wordBits)
 	switch t {
 	case X:
-		b.ks[w] &^= uint64(1) << s
-		b.vs[w] &^= uint64(1) << s
+		ks[w] &^= m
+		vs[w] &^= m
 	case Zero:
-		b.ks[w] |= uint64(1) << s
-		b.vs[w] &^= uint64(1) << s
+		ks[w] |= m
+		vs[w] &^= m
 	case One:
-		b.ks[w] |= uint64(1) << s
-		b.vs[w] |= uint64(1) << s
+		ks[w] |= m
+		vs[w] |= m
 	}
 }
 
 // getTrit reads a bit without bounds checking beyond slice safety.
 func (b *BV) getTrit(i int) Trit {
-	if b.vs == nil {
-		s := uint(i)
-		if b.k0>>s&1 == 0 {
-			return X
-		}
-		return Trit(b.v0 >> s & 1)
-	}
-	w, s := i/wordBits, uint(i%wordBits)
-	if b.ks[w]>>s&1 == 0 {
+	v, k := b.word(i / wordBits)
+	s := uint(i % wordBits)
+	if k>>s&1 == 0 {
 		return X
 	}
-	return Trit(b.vs[w] >> s & 1)
+	return Trit(v >> s & 1)
 }
 
 // word returns the i-th (val, known) word pair of either representation.
 func (b *BV) word(i int) (v, k uint64) {
-	if b.vs == nil {
-		return b.v0, b.k0
+	if b.spill == nil {
+		return b.v[i], b.k[i]
 	}
-	return b.vs[i], b.ks[i]
+	n := len(b.spill) / 2
+	return b.spill[i], b.spill[n+i]
 }
 
 // RefineScan reports whether refining b with o would add known bits
@@ -74,16 +55,18 @@ func (b *BV) word(i int) (v, k uint64) {
 // the overwhelmingly common case is "no change".
 func (b BV) RefineScan(o BV) (changed, conflict bool) {
 	if b.small() {
-		if b.k0&o.k0&(b.v0^o.v0) != 0 {
+		if b.k[0]&o.k[0]&(b.v[0]^o.v[0]) != 0 {
 			return false, true
 		}
-		return o.k0&^b.k0 != 0, false
+		return o.k[0]&^b.k[0] != 0, false
 	}
-	for i := range b.vs {
-		if b.ks[i]&o.ks[i]&(b.vs[i]^o.vs[i]) != 0 {
+	bvs, bks := b.ws()
+	ovs, oks := o.ws()
+	for i := range bvs {
+		if bks[i]&oks[i]&(bvs[i]^ovs[i]) != 0 {
 			return false, true
 		}
-		if o.ks[i]&^b.ks[i] != 0 {
+		if oks[i]&^bks[i] != 0 {
 			changed = true
 		}
 	}
@@ -101,13 +84,15 @@ func (b BV) RefineScan(o BV) (changed, conflict bool) {
 // and useful across arbitrarily wide signals.
 func DeltaKnown(prev, next BV) uint64 {
 	if next.small() {
-		return next.k0 &^ prev.k0
+		return next.k[0] &^ prev.k[0]
 	}
+	_, nks := next.ws()
+	_, pks := prev.ws()
 	var m uint64
-	for i, k := range next.ks {
+	for i, k := range nks {
 		var pk uint64
-		if i < len(prev.ks) {
-			pk = prev.ks[i]
+		if i < len(pks) {
+			pk = pks[i]
 		}
 		m |= k &^ pk
 	}
@@ -120,34 +105,38 @@ func DeltaKnown(prev, next BV) uint64 {
 // equal widths (and therefore the same representation).
 func ConflictMask(a, b BV) uint64 {
 	if a.small() {
-		return a.k0 & b.k0 & (a.v0 ^ b.v0)
+		return a.k[0] & b.k[0] & (a.v[0] ^ b.v[0])
 	}
+	avs, aks := a.ws()
+	bvs, bks := b.ws()
 	var m uint64
-	for i := range a.ks {
-		m |= a.ks[i] & b.ks[i] & (a.vs[i] ^ b.vs[i])
+	for i := range aks {
+		m |= aks[i] & bks[i] & (avs[i] ^ bvs[i])
 	}
 	return m
 }
 
 // setWord stores the i-th (val, known) word pair of an unshared vector.
 func (b *BV) setWord(i int, v, k uint64) {
-	if b.vs == nil {
-		b.v0, b.k0 = v, k
+	if b.spill == nil {
+		b.v[i], b.k[i] = v, k
 		return
 	}
-	b.vs[i], b.ks[i] = v, k
+	n := len(b.spill) / 2
+	b.spill[i], b.spill[n+i] = v, k
 }
 
 // orWord ORs a (val, known) pair into the i-th word of an unshared
 // vector.
 func (b *BV) orWord(i int, v, k uint64) {
-	if b.vs == nil {
-		b.v0 |= v
-		b.k0 |= k
+	if b.spill == nil {
+		b.v[i] |= v
+		b.k[i] |= k
 		return
 	}
-	b.vs[i] |= v
-	b.ks[i] |= k
+	n := len(b.spill) / 2
+	b.spill[i] |= v
+	b.spill[n+i] |= k
 }
 
 // bitsAt returns the (val, known) bits at positions [pos, pos+64) of
@@ -156,9 +145,10 @@ func (b *BV) bitsAt(pos int) (v, k uint64) {
 	i, s := pos/wordBits, uint(pos%wordBits)
 	v, k = b.word(i)
 	v, k = v>>s, k>>s
-	if s != 0 && i+1 < len(b.vs) {
-		v |= b.vs[i+1] << (wordBits - s)
-		k |= b.ks[i+1] << (wordBits - s)
+	if s != 0 && i+1 < words(b.width) {
+		v1, k1 := b.word(i + 1)
+		v |= v1 << (wordBits - s)
+		k |= k1 << (wordBits - s)
 	}
 	return v, k
 }
@@ -210,28 +200,15 @@ func (b *BV) RefineInPlace(o BV) (changed, ok bool) {
 	if b.width != o.width {
 		panic("bv: RefineInPlace width mismatch")
 	}
-	if b.small() {
-		if b.k0&o.k0&(b.v0^o.v0) != 0 {
-			return false, false
-		}
-		nk := b.k0 | o.k0
-		changed = nk != b.k0
-		b.v0 |= o.v0
-		b.k0 = nk
-		return changed, true
+	changed, conflict := b.RefineScan(o)
+	if conflict {
+		return false, false
 	}
-	for i := range b.vs {
-		if b.ks[i]&o.ks[i]&(b.vs[i]^o.vs[i]) != 0 {
-			return false, false
-		}
-	}
-	for i := range b.vs {
-		nk := b.ks[i] | o.ks[i]
-		if nk != b.ks[i] {
-			changed = true
-		}
-		b.vs[i] |= o.vs[i]
-		b.ks[i] = nk
+	bvs, bks := b.ws()
+	ovs, oks := o.ws()
+	for i := range bvs {
+		bvs[i] |= ovs[i]
+		bks[i] |= oks[i]
 	}
 	return changed, true
 }
@@ -249,50 +226,43 @@ func (b *BV) UnionInPlace(o BV) {
 	if b.width != o.width {
 		panic("bv: UnionInPlace width mismatch")
 	}
-	if b.small() {
-		agree := b.k0 & o.k0 & ^(b.v0 ^ o.v0)
-		b.v0 &= agree
-		b.k0 = agree
-		return
-	}
-	for i := range b.vs {
-		agree := b.ks[i] & o.ks[i] & ^(b.vs[i] ^ o.vs[i])
-		b.vs[i] &= agree
-		b.ks[i] = agree
+	bvs, bks := b.ws()
+	ovs, oks := o.ws()
+	for i := range bvs {
+		agree := bks[i] & oks[i] & ^(bvs[i] ^ ovs[i])
+		bvs[i] &= agree
+		bks[i] = agree
 	}
 }
 
 // reshape resizes dst to the given width, reusing its spill storage
-// when the capacity fits. Words are NOT cleared: every caller below
-// overwrites all of them, which is also what makes the *Into kernels
-// safe when dst aliases an operand (reads of word i complete before
-// word i is written).
+// when the capacity fits. Spilled words are NOT cleared: every caller
+// below overwrites all of them, which is also what makes the *Into
+// kernels safe when dst aliases an operand (reads of word i complete
+// before word i is written). An inline operand is a copy, so it never
+// aliases dst.
 func (dst *BV) reshape(width int) {
-	if width <= wordBits {
+	if width <= inlineBits {
 		*dst = BV{width: width}
 		return
 	}
-	nw := words(width)
-	if cap(dst.vs) < nw || cap(dst.ks) < nw {
+	n := 2 * words(width)
+	if cap(dst.spill) < n {
 		*dst = NewX(width)
 		return
 	}
-	dst.width = width
-	dst.vs = dst.vs[:nw]
-	dst.ks = dst.ks[:nw]
-	dst.v0, dst.k0 = 0, 0
+	*dst = BV{width: width, spill: dst.spill[:n]}
 }
 
 // CopyInto replaces *dst with a copy of src, reusing dst's spill
 // storage when possible. dst must own its storage.
 func CopyInto(dst *BV, src BV) {
-	if src.small() {
+	if src.spill == nil {
 		*dst = src
 		return
 	}
 	dst.reshape(src.width)
-	copy(dst.vs, src.vs)
-	copy(dst.ks, src.ks)
+	copy(dst.spill, src.spill)
 }
 
 // AndInto stores the three-valued bitwise AND of a and o into dst,
@@ -304,13 +274,15 @@ func AndInto(dst *BV, a, o BV) {
 		return
 	}
 	dst.reshape(a.width)
-	for i := range dst.vs {
-		one := a.ks[i] & a.vs[i] & o.ks[i] & o.vs[i]
-		zero := (a.ks[i] &^ a.vs[i]) | (o.ks[i] &^ o.vs[i])
-		dst.vs[i] = one
-		dst.ks[i] = one | zero
+	dvs, dks := dst.ws()
+	avs, aks := a.ws()
+	ovs, oks := o.ws()
+	for i := range dvs {
+		one := avs[i] & ovs[i]
+		zero := (aks[i] &^ avs[i]) | (oks[i] &^ ovs[i])
+		dvs[i] = one
+		dks[i] = one | zero
 	}
-	dst.normalize()
 }
 
 // OrInto stores the three-valued bitwise OR of a and o into dst.
@@ -322,13 +294,15 @@ func OrInto(dst *BV, a, o BV) {
 		return
 	}
 	dst.reshape(a.width)
-	for i := range dst.vs {
-		one := (a.ks[i] & a.vs[i]) | (o.ks[i] & o.vs[i])
-		zero := (a.ks[i] &^ a.vs[i]) & (o.ks[i] &^ o.vs[i])
-		dst.vs[i] = one
-		dst.ks[i] = one | zero
+	dvs, dks := dst.ws()
+	avs, aks := a.ws()
+	ovs, oks := o.ws()
+	for i := range dvs {
+		one := avs[i] | ovs[i]
+		zero := (aks[i] &^ avs[i]) & (oks[i] &^ ovs[i])
+		dvs[i] = one
+		dks[i] = one | zero
 	}
-	dst.normalize()
 }
 
 // XorInto stores the three-valued bitwise XOR of a and o into dst.
@@ -340,12 +314,14 @@ func XorInto(dst *BV, a, o BV) {
 		return
 	}
 	dst.reshape(a.width)
-	for i := range dst.vs {
-		k := a.ks[i] & o.ks[i]
-		dst.ks[i] = k
-		dst.vs[i] = (a.vs[i] ^ o.vs[i]) & k
+	dvs, dks := dst.ws()
+	avs, aks := a.ws()
+	ovs, oks := o.ws()
+	for i := range dvs {
+		k := aks[i] & oks[i]
+		dks[i] = k
+		dvs[i] = (avs[i] ^ ovs[i]) & k
 	}
-	dst.normalize()
 }
 
 // NotInto stores the bitwise complement of a into dst. dst may alias a.
@@ -355,9 +331,10 @@ func NotInto(dst *BV, a BV) {
 		return
 	}
 	dst.reshape(a.width)
-	for i := range dst.vs {
-		dst.vs[i] = ^a.vs[i] & a.ks[i]
-		dst.ks[i] = a.ks[i]
+	dvs, dks := dst.ws()
+	avs, aks := a.ws()
+	for i := range dvs {
+		dvs[i] = ^avs[i] & aks[i]
+		dks[i] = aks[i]
 	}
-	dst.normalize()
 }

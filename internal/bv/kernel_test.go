@@ -379,7 +379,7 @@ func TestKernelsExhaustiveSmall(t *testing.T) {
 }
 
 // kernelWidths straddle the word boundaries of both representations.
-var kernelWidths = []int{31, 32, 63, 64, 65, 96, 128, 152}
+var kernelWidths = []int{31, 32, 63, 64, 65, 96, 127, 128, 129, 152}
 
 // edgeCube returns structured operands random cubes rarely produce:
 // long carry and borrow chains across word boundaries, and a single

@@ -10,10 +10,9 @@ import "math/bits"
 //
 // The bitwise, add/subtract, reduction, shift and slice kernels work a
 // 64-bit word at a time at every width (Mul adds one word-parallel row
-// per multiplier bit); small vectors (width <= 64) additionally skip
-// the spill slices. The
-// canonical invariant val ⊆ known makes known-1 simply val and known-0
-// known&^val.
+// per multiplier bit); single-word vectors (width <= 64) additionally
+// take a straight-line path. The canonical invariant val ⊆ known makes
+// known-1 simply val and known-0 known&^val.
 
 func checkSameWidth(a, b BV, op string) {
 	if a.width != b.width {
@@ -24,13 +23,13 @@ func checkSameWidth(a, b BV, op string) {
 // Not returns the bitwise complement (x stays x).
 func (b BV) Not() BV {
 	if b.small() {
-		return BV{width: b.width, v0: ^b.v0 & b.k0, k0: b.k0}
+		return single(b.width, ^b.v[0]&b.k[0], b.k[0])
 	}
 	c := b.Clone()
-	for i := range c.vs {
-		c.vs[i] = ^c.vs[i] & c.ks[i]
+	vs, ks := c.ws()
+	for i := range vs {
+		vs[i] = ^vs[i] & ks[i]
 	}
-	c.normalize()
 	return c
 }
 
@@ -38,18 +37,12 @@ func (b BV) Not() BV {
 func (b BV) And(o BV) BV {
 	checkSameWidth(b, o, "And")
 	if b.small() {
-		one := b.v0 & o.v0
-		zero := (b.k0 &^ b.v0) | (o.k0 &^ o.v0)
-		return BV{width: b.width, v0: one, k0: one | zero}
+		one := b.v[0] & o.v[0]
+		zero := (b.k[0] &^ b.v[0]) | (o.k[0] &^ o.v[0])
+		return single(b.width, one, one|zero)
 	}
 	c := NewX(b.width)
-	for i := range c.vs {
-		one := b.vs[i] & o.vs[i]
-		zero := (b.ks[i] &^ b.vs[i]) | (o.ks[i] &^ o.vs[i])
-		c.vs[i] = one
-		c.ks[i] = one | zero
-	}
-	c.normalize()
+	AndInto(&c, b, o)
 	return c
 }
 
@@ -57,18 +50,12 @@ func (b BV) And(o BV) BV {
 func (b BV) Or(o BV) BV {
 	checkSameWidth(b, o, "Or")
 	if b.small() {
-		one := b.v0 | o.v0
-		zero := (b.k0 &^ b.v0) & (o.k0 &^ o.v0)
-		return BV{width: b.width, v0: one, k0: one | zero}
+		one := b.v[0] | o.v[0]
+		zero := (b.k[0] &^ b.v[0]) & (o.k[0] &^ o.v[0])
+		return single(b.width, one, one|zero)
 	}
 	c := NewX(b.width)
-	for i := range c.vs {
-		one := b.vs[i] | o.vs[i]
-		zero := (b.ks[i] &^ b.vs[i]) & (o.ks[i] &^ o.vs[i])
-		c.vs[i] = one
-		c.ks[i] = one | zero
-	}
-	c.normalize()
+	OrInto(&c, b, o)
 	return c
 }
 
@@ -76,16 +63,11 @@ func (b BV) Or(o BV) BV {
 func (b BV) Xor(o BV) BV {
 	checkSameWidth(b, o, "Xor")
 	if b.small() {
-		k := b.k0 & o.k0
-		return BV{width: b.width, v0: (b.v0 ^ o.v0) & k, k0: k}
+		k := b.k[0] & o.k[0]
+		return single(b.width, (b.v[0]^o.v[0])&k, k)
 	}
 	c := NewX(b.width)
-	for i := range c.vs {
-		k := b.ks[i] & o.ks[i]
-		c.ks[i] = k
-		c.vs[i] = (b.vs[i] ^ o.vs[i]) & k
-	}
-	c.normalize()
+	XorInto(&c, b, o)
 	return c
 }
 
@@ -245,9 +227,9 @@ func (b BV) shiftLeftKnown(n int) BV {
 		m := lowMask(b.width)
 		low := lowMask(n) & m
 		if n >= b.width {
-			return BV{width: b.width, v0: 0, k0: m}
+			return single(b.width, 0, m)
 		}
-		return BV{width: b.width, v0: b.v0 << uint(n) & m, k0: b.k0<<uint(n)&m | low}
+		return single(b.width, b.v[0]<<uint(n)&m, b.k[0]<<uint(n)&m|low)
 	}
 	c := NewX(b.width)
 	c.knownZero(0, min(n, b.width))
@@ -262,10 +244,10 @@ func (b BV) shiftRightKnown(n int) BV {
 	if b.small() {
 		m := lowMask(b.width)
 		if n >= b.width {
-			return BV{width: b.width, v0: 0, k0: m}
+			return single(b.width, 0, m)
 		}
 		high := m &^ lowMask(b.width-n)
-		return BV{width: b.width, v0: b.v0 >> uint(n), k0: b.k0>>uint(n) | high}
+		return single(b.width, b.v[0]>>uint(n), b.k[0]>>uint(n)|high)
 	}
 	c := NewX(b.width)
 	keep := max(b.width-n, 0)
@@ -387,17 +369,7 @@ func LtThree(a, b BV) Trit {
 // equal; Zero if some bit is known unequal; X otherwise.
 func EqThree(a, b BV) Trit {
 	checkSameWidth(a, b, "Eq")
-	if a.small() {
-		if a.k0&b.k0&(a.v0^b.v0) != 0 {
-			return Zero
-		}
-		m := lowMask(a.width)
-		if a.k0 == m && b.k0 == m {
-			return One
-		}
-		return X
-	}
-	if _, ok := a.Intersect(b); !ok {
+	if ConflictMask(a, b) != 0 {
 		return Zero
 	}
 	if a.IsFullyKnown() && b.IsFullyKnown() {

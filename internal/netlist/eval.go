@@ -117,7 +117,7 @@ func evalMux(in []bv.BV, width int) bv.BV {
 			out, first = d, false
 		} else {
 			if !owned {
-				// Widths > 64 share spill storage with the caller's value
+				// Widths > 128 share spill storage with the caller's value
 				// table; take ownership before mutating in place.
 				out, owned = out.Clone(), true
 			}
