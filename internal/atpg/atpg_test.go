@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bv"
@@ -388,6 +389,65 @@ func TestEqNeImplication(t *testing.T) {
 	}
 	if got := e2.Value(0, b2); got.String() != "3'b100" {
 		t.Errorf("b = %v, want 3'b100", got)
+	}
+}
+
+// forcedDiffRef is the bit loop forcedDiff replaced, kept as its
+// oracle: scan part bit by bit against the fully-known known.
+func forcedDiffRef(known, part bv.BV) (want bv.BV, force, conflict bool) {
+	idx := -1
+	for i := 0; i < part.Width(); i++ {
+		switch part.Bit(i) {
+		case bv.X:
+			if idx >= 0 {
+				return bv.BV{}, false, false // more than one unknown: no implication
+			}
+			idx = i
+		default:
+			if part.Bit(i) != known.Bit(i) {
+				return bv.BV{}, false, false // already differ: satisfied
+			}
+		}
+	}
+	if idx < 0 {
+		return bv.BV{}, false, true // fully equal: conflict with ≠
+	}
+	t := bv.One
+	if known.Bit(idx) == bv.One {
+		t = bv.Zero
+	}
+	return part.WithBit(idx, t), true, false
+}
+
+// TestForcedDiffMatchesBitLoop checks the word-level ≠ kernel against
+// the bit loop on cubes that agree with a known vector except for a few
+// unknown bits and, sometimes, one flipped bit, at widths around both
+// word boundaries of bv's inline storage.
+func TestForcedDiffMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, w := range []int{1, 2, 7, 63, 64, 65, 96, 127, 128, 129, 200} {
+		for trial := 0; trial < 300; trial++ {
+			known := bv.FromUint64(64, rng.Uint64()).Zext(w)
+			for i := 64; i < w; i++ {
+				known = known.WithBit(i, bv.Trit(rng.Intn(2)))
+			}
+			part := known
+			for n := rng.Intn(4); n > 0; n-- {
+				part = part.WithBit(rng.Intn(w), bv.X)
+			}
+			if rng.Intn(4) == 0 {
+				i := rng.Intn(w)
+				if b := part.Bit(i); b != bv.X {
+					part = part.WithBit(i, 1-b)
+				}
+			}
+			want, force, conflict := forcedDiff(known, part)
+			rwant, rforce, rconflict := forcedDiffRef(known, part)
+			if force != rforce || conflict != rconflict || (force && !want.Equal(rwant)) {
+				t.Fatalf("forcedDiff(%v, %v) = (%v, %v, %v), bit loop (%v, %v, %v)",
+					known, part, want, force, conflict, rwant, rforce, rconflict)
+			}
+		}
 	}
 }
 

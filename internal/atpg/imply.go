@@ -290,33 +290,39 @@ func (e *Engine) implyForcedDiff(frame int, sa, sb netlist.SignalID) bool {
 		if !known.IsFullyKnown() {
 			return true
 		}
-		idx := -1
-		for i := 0; i < part.Width(); i++ {
-			switch part.Bit(i) {
-			case bv.X:
-				if idx >= 0 {
-					return true // more than one unknown: no implication
-				}
-				idx = i
-			default:
-				if part.Bit(i) != known.Bit(i) {
-					return true // already differ: satisfied
-				}
-			}
+		want, force, conflict := forcedDiff(known, part)
+		if conflict {
+			return false
 		}
-		if idx < 0 {
-			return false // fully equal: conflict with ≠
-		}
-		want := bv.One
-		if known.Bit(idx) == bv.One {
-			want = bv.Zero
-		}
-		return e.assign(frame, partSig, part.WithBit(idx, want))
+		return !force || e.assign(frame, partSig, want)
 	}
 	if !try(a, b, sb) {
 		return false
 	}
 	return try(b, a, sa)
+}
+
+// forcedDiff decides part ≠ known for a fully-known vector known, a
+// word at a time: conflict when part can only equal known; force, with
+// the value part must take, when part has exactly one unknown bit and
+// every known bit agrees with known; neither when some known bit
+// already differs or two bits are still unknown.
+func forcedDiff(known, part bv.BV) (want bv.BV, force, conflict bool) {
+	if bv.ConflictMask(known, part) != 0 {
+		return bv.BV{}, false, false
+	}
+	switch part.Width() - part.KnownCount() {
+	case 0:
+		return bv.BV{}, false, true
+	case 1:
+		// The sole unknown bit takes the value known does not have there.
+		want = part.Max()
+		if want.Equal(known) {
+			want = part.Min()
+		}
+		return want, true, false
+	}
+	return bv.BV{}, false, false
 }
 
 // implyCmpBack implements the comparator implication of Fig. 4: the
