@@ -6,7 +6,10 @@
 // (§1, Biere et al. [13]).
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Lit is a literal: variable v (1-based) is encoded as 2v for the
 // positive and 2v+1 for the negated literal.
@@ -167,8 +170,9 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause after decisions")
 	}
 	// Simplify: drop false/duplicate literals, detect tautologies.
-	var out []Lit
-	seen := map[Lit]bool{}
+	// Clauses are short, so a scan of the literals kept so far finds
+	// duplicates and complements without a set.
+	out := make([]Lit, 0, len(lits))
 	for _, l := range lits {
 		if l.Var() > s.nVars {
 			s.grow(l.Var())
@@ -179,11 +183,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		case lFalse:
 			continue
 		}
-		if seen[l.Not()] {
+		if slices.Contains(out, l.Not()) {
 			return true // tautology
 		}
-		if !seen[l] {
-			seen[l] = true
+		if !slices.Contains(out, l) {
 			out = append(out, l)
 		}
 	}

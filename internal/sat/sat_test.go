@@ -231,3 +231,22 @@ func TestLitEncoding(t *testing.T) {
 		t.Error("String broken")
 	}
 }
+
+// TestAddClauseAllocs pins AddClause to two allocations for a
+// three-literal clause: the simplified literal slice and the clause.
+// The solver is warmed first so the clause list and watch lists have
+// room, as they do while a BMC instance relocates a frame's clauses.
+func TestAddClauseAllocs(t *testing.T) {
+	s := NewSolver()
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	add := func() { s.AddClause(NewLit(a, false), NewLit(b, true), NewLit(c, false)) }
+	for i := 0; i < 1000; i++ {
+		add()
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(100, add); got > 2 {
+		t.Errorf("AddClause: %.2f allocs for a 3-literal clause, want <= 2", got)
+	}
+}
