@@ -39,6 +39,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -151,7 +152,7 @@ func main() {
 		}
 	} else {
 		for _, res := range results {
-			printResult(nl, res)
+			printResult(os.Stdout, nl, res)
 		}
 	}
 	os.Exit(exitCode(results))
@@ -210,38 +211,44 @@ func exitCode(results []core.Result) int {
 // printResult renders one result the same way for every engine:
 // verdict, engine attribution, depth, elapsed time and the unified
 // effort counters, with the ATPG-specific detail lines following when
-// the ATPG engine ran.
-func printResult(nl *netlist.Netlist, res core.Result) {
+// the ATPG engine ran. A trace is printed only when it is a validated
+// counterexample or witness; a model that failed replay gets one line
+// saying so instead.
+func printResult(w io.Writer, nl *netlist.Netlist, res core.Result) {
 	m := res.Metrics
-	fmt.Printf("%s: %v [%s] (depth %d, %d decisions, %d conflicts, %d implications, %d mem units, %v",
+	fmt.Fprintf(w, "%s: %v [%s] (depth %d, %d decisions, %d conflicts, %d implications, %d mem units, %v",
 		res.Property, res.Verdict, res.Engine, res.Depth,
 		m.Decisions, m.Conflicts, m.Implications, m.MemUnits,
 		res.Elapsed.Round(100000))
 	if res.AllocBytes > 0 {
-		fmt.Printf(", %.2f MB allocated, %.2f allocs/implication, %.2f allocs/decision",
+		fmt.Fprintf(w, ", %.2f MB allocated, %.2f allocs/implication, %.2f allocs/decision",
 			float64(res.AllocBytes)/1e6, res.AllocsPerImpl, res.AllocsPerDecision)
 	}
-	fmt.Println(")")
+	fmt.Fprintln(w, ")")
 	if res.Stats.FrontierScans > 0 {
-		fmt.Printf("  frontier: %d scans, %d gate checks, %d skipped (%.1f%% of a full-scan engine's work avoided)\n",
+		fmt.Fprintf(w, "  frontier: %d scans, %d gate checks, %d skipped (%.1f%% of a full-scan engine's work avoided)\n",
 			res.Stats.FrontierScans, res.Stats.FrontierChecks, res.Stats.FrontierSkips,
 			100*float64(res.Stats.FrontierSkips)/float64(res.Stats.FrontierChecks+res.Stats.FrontierSkips))
 	}
 	if res.Stats.Backtracks > 0 {
-		fmt.Printf("  conflicts: %d backtracks, %d backjumps skipping %d levels, %d estg reorders (%d past the prune threshold)\n",
+		fmt.Fprintf(w, "  conflicts: %d backtracks, %d backjumps skipping %d levels, %d estg reorders (%d past the prune threshold)\n",
 			res.Stats.Backtracks, res.Stats.Backjumps, res.Stats.LevelsSkipped,
 			res.Stats.EstgReorders, res.Stats.EstgPrunes)
 	}
 	if res.Stats.BitSkips > 0 || res.Stats.BitChainHops > 0 {
-		fmt.Printf("  bit-grain: %d chain entries followed, %d skipped (changed bits disjoint from needed bits)\n",
+		fmt.Fprintf(w, "  bit-grain: %d chain entries followed, %d skipped (changed bits disjoint from needed bits)\n",
 			res.Stats.BitChainHops, res.Stats.BitSkips)
 	}
 	if res.BDD.Partitions > 0 {
-		fmt.Printf("  image: %d transition partitions, peak %d live product nodes, quantification depth %d\n",
+		fmt.Fprintf(w, "  image: %d transition partitions, peak %d live product nodes, quantification depth %d\n",
 			res.BDD.Partitions, res.BDD.PeakImageNodes, res.BDD.QuantDepth)
 	}
-	if res.Trace != nil {
-		fmt.Print(res.Trace.Format(nl))
+	switch {
+	case res.Trace == nil:
+	case res.Validated && res.Verdict.Conclusive():
+		fmt.Fprint(w, res.Trace.Format(nl))
+	default:
+		fmt.Fprintln(w, "  the engine's model failed replay on the simulator: not a counterexample")
 	}
 }
 
