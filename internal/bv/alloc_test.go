@@ -3,6 +3,7 @@ package bv
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The inline small-vector representation must make every hot operation
@@ -71,6 +72,15 @@ func TestSmallOpsZeroAlloc(t *testing.T) {
 		if got := testing.AllocsPerRun(100, fn); got != 0 {
 			t.Errorf("%s: %.2f allocs/op on single-word vectors, want 0", name, got)
 		}
+	}
+}
+
+// TestBVSize pins the struct at 64 bytes: the width, two inline
+// (val, known) word pairs and the spill slice header. The engine's
+// value tables and trail hold one per signal instance and refinement.
+func TestBVSize(t *testing.T) {
+	if got := unsafe.Sizeof(BV{}); got > 64 {
+		t.Errorf("bv.BV is %d bytes, want <= 64", got)
 	}
 }
 

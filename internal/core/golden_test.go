@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/circuits"
@@ -194,5 +197,57 @@ func checkGolden(t *testing.T, key, path string, r Result) {
 	}
 	if got := goldenOf(key, r); got != want {
 		t.Errorf("%s %s:\n got %+v\nwant %+v", key, path, got, want)
+	}
+}
+
+// goldenWide pins the width sweep: the token ring's one-hot token and
+// the arbiter's grant register at and past 64 bits, where bv moves a
+// value from one inline word to two and the proactive domain decision
+// stops covering a register's reachable values (it takes at most 64).
+var goldenWide = []goldenATPG{
+	{"token_ring64/p3", VerdictProved, 1, 3816, 4, 132, 0, 38, 2, 193, 26},
+	{"token_ring65/p3", VerdictProved, 1, 3988, 10, 143, 0, 99, 8, 196, 29},
+	{"token_ring96/p3", VerdictProved, 1, 5818, 10, 205, 0, 99, 8, 224, 29},
+	{"token_ring128/p3", VerdictProved, 1, 7706, 10, 269, 0, 99, 8, 256, 29},
+	{"arbiter65/p5", VerdictProved, 1, 3154, 9, 76, 0, 698, 9, 389, 284},
+	{"arbiter96/p5", VerdictProved, 1, 5541, 133, 262, 0, 1690, 133, 1720, 501},
+}
+
+// TestGoldenATPGWideRegisters checks the width sweep at each
+// property's Table-2 depth with induction on. Past 64 values the
+// fallback branches over the token's reachable values instead of its
+// bits, so the ring takes the same number of decisions at every width
+// past 64 instead of ten more per extra bit.
+func TestGoldenATPGWideRegisters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("width sweep: scaled designs")
+	}
+	build := map[string]func(int) (*circuits.Design, error){
+		"token_ring": circuits.TokenRing, "arbiter": circuits.Arbiter,
+	}
+	for _, want := range goldenWide {
+		tag, id, _ := strings.Cut(want.key, "/")
+		name := strings.TrimRight(tag, "0123456789")
+		n, err := strconv.Atoi(tag[len(name):])
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := build[name](n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.Index(d.PropIDs, id)
+		sess, err := New(d.NL, Options{MaxDepth: circuits.TableDepth(id), UseInduction: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := goldenOf(want.key, sess.CheckCtx(context.Background(), d.Props[i])); got != want {
+			t.Errorf("%s:\n got %+v\nwant %+v", want.key, got, want)
+		}
+	}
+	for _, g := range goldenWide[2:4] {
+		if g.dec != goldenWide[1].dec {
+			t.Errorf("%s takes %d decisions, token_ring65/p3 %d: the ring's search grows with its width", g.key, g.dec, goldenWide[1].dec)
+		}
 	}
 }
