@@ -615,7 +615,7 @@ func (e *Engine) makeDomainDecision() *decision {
 			if e.vals[f][d.Sig].IsFullyKnown() {
 				continue
 			}
-			if vals := e.domainValues(d, f, bestCount); len(vals) > 0 && len(vals) < bestCount {
+			if vals := e.domainValues(d, f, bestCount); len(vals) > 0 {
 				bestCount, bestFrame, bestSig = len(vals), f, d.Sig
 				e.domVals, e.domBest = e.domBest, vals
 			}
@@ -728,8 +728,6 @@ func (e *Engine) makeFallbackDecision(unjust []gateAt) *decision {
 	}
 	f := bestFrame
 	if d, ok := e.domains[bestSig]; ok {
-		// A register with a local FSM: branch over its reachable values
-		// rather than split it one bit at a time.
 		if vals := e.domainValues(d, f, math.MaxInt); len(vals) > 0 {
 			return e.domainDecision(f, bestSig, vals)
 		}
