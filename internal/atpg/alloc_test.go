@@ -22,38 +22,12 @@ func TestPropagateZeroAlloc(t *testing.T) {
 	gt := nl.Binary(netlist.KGt, sum, c)
 	ored := nl.Binary(netlist.KOr, diff, a)
 	_ = nl.Unary(netlist.KRedOr, ored)
-	_ = gt
 
-	e, err := New(nl, 1, ModeProve, Limits{}, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.propagate() {
-		t.Fatal("initial propagation conflicts")
-	}
-	va := bv.MustParse("8'b1x0x_01x1")
-	vgt := bv.FromUint64(1, 1)
-	vc := bv.MustParse("8'bxxxx_10xx")
-	// One warm-up pass lets every pre-sized buffer reach steady state.
-	pass := func() {
-		e.pushLevel()
-		if !e.assign(0, a, va) || !e.assign(0, gt, vgt) || !e.assign(0, c, vc) {
-			t.Fatal("assign conflict")
-		}
-		if !e.propagate() {
-			t.Fatal("propagation conflict")
-		}
-		e.popLevel()
-	}
-	pass()
-	if raceEnabled {
-		t.Log("race detector enabled: exercising the pass without pinning the alloc count")
-		pass()
-		return
-	}
-	if got := testing.AllocsPerRun(100, pass); got != 0 {
-		t.Errorf("full propagate pass: %.2f allocs/op on a single-word netlist, want 0", got)
-	}
+	pinPassZeroAlloc(t, nl, "a single-word netlist", []requirement{
+		{0, a, bv.MustParse("8'b1x0x_01x1")},
+		{0, gt, bv.FromUint64(1, 1)},
+		{0, c, bv.MustParse("8'bxxxx_10xx")},
+	})
 }
 
 // TestPropagateZeroAllocWide pins the same pass on 96-bit signals,
@@ -69,6 +43,18 @@ func TestPropagateZeroAllocWide(t *testing.T) {
 	masked := nl.Binary(netlist.KAnd, diff, c)
 	eq := nl.Binary(netlist.KEq, masked, b)
 
+	pinPassZeroAlloc(t, nl, "a 96-bit netlist", []requirement{
+		{0, a, bv.FromUint64(64, 0x0123_4567_89ab_cdef).Zext(96).WithBit(90, bv.X).WithBit(7, bv.X)},
+		{0, c, bv.Ones(96).WithBit(80, bv.X).WithBit(3, bv.X)},
+		{0, eq, bv.FromUint64(1, 1)},
+	})
+}
+
+// pinPassZeroAlloc builds a one-frame engine over nl and pins one
+// implication pass at zero allocations: open a level, assign the
+// requirements, propagate, backtrack.
+func pinPassZeroAlloc(t *testing.T, nl *netlist.Netlist, what string, reqs []requirement) {
+	t.Helper()
 	e, err := New(nl, 1, ModeProve, Limits{}, nil, false)
 	if err != nil {
 		t.Fatal(err)
@@ -76,19 +62,19 @@ func TestPropagateZeroAllocWide(t *testing.T) {
 	if !e.propagate() {
 		t.Fatal("initial propagation conflicts")
 	}
-	va := bv.FromUint64(64, 0x0123_4567_89ab_cdef).Zext(96).WithBit(90, bv.X).WithBit(7, bv.X)
-	vc := bv.Ones(96).WithBit(80, bv.X).WithBit(3, bv.X)
-	veq := bv.FromUint64(1, 1)
 	pass := func() {
 		e.pushLevel()
-		if !e.assign(0, a, va) || !e.assign(0, c, vc) || !e.assign(0, eq, veq) {
-			t.Fatal("assign conflict")
+		for _, r := range reqs {
+			if !e.assign(r.frame, r.sig, r.val) {
+				t.Fatal("assign conflict")
+			}
 		}
 		if !e.propagate() {
 			t.Fatal("propagation conflict")
 		}
 		e.popLevel()
 	}
+	// One warm-up pass lets every pre-sized buffer reach steady state.
 	pass()
 	if raceEnabled {
 		t.Log("race detector enabled: exercising the pass without pinning the alloc count")
@@ -96,7 +82,7 @@ func TestPropagateZeroAllocWide(t *testing.T) {
 		return
 	}
 	if got := testing.AllocsPerRun(100, pass); got != 0 {
-		t.Errorf("full propagate pass: %.2f allocs/op on a 96-bit netlist, want 0", got)
+		t.Errorf("full propagate pass: %.2f allocs/op on %s, want 0", got, what)
 	}
 }
 
