@@ -80,9 +80,8 @@ func main() {
 		runTables()
 		return
 	}
-	if flag.NArg() != 1 || *top == "" {
-		fmt.Fprintln(os.Stderr, "usage: assertcheck [-tables] | design.v -top mod [-stats | -invariant sigs | -witness sigs]")
-		os.Exit(exitUsage)
+	if code := checkUsage(os.Stderr, flag.NArg(), *top, *depth); code != exitOK {
+		os.Exit(code)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -110,10 +109,9 @@ func main() {
 	copts := core.Options{MaxDepth: *depth, UseInduction: *induction}
 	if *engine == core.EngineBMC || *engine == core.EngineBDD {
 		// The session only supplies problem/worker-pool plumbing for the
-		// baseline engines; skip the ATPG-side startup (local-FSM
-		// extraction, learned store) they never read.
+		// baseline engines; skip the local-FSM extraction they never
+		// read.
 		copts.DisableLocalFSM = true
-		copts.DisableLearnedStore = true
 	}
 	c, err := d.NewSession(copts)
 	if err != nil {
@@ -156,6 +154,20 @@ func main() {
 		}
 	}
 	os.Exit(exitCode(results))
+}
+
+// checkUsage returns exitUsage, after saying why on w, when the parsed
+// flags name no run: a run needs one design file and a top module, and
+// its depth may not be negative (0 selects the default of 16). It
+// returns exitOK otherwise.
+func checkUsage(w io.Writer, nargs int, top string, depth int) int {
+	if depth < 0 {
+		fmt.Fprintf(w, "assertcheck: depth %d is negative\n", depth)
+	} else if nargs == 1 && top != "" {
+		return exitOK
+	}
+	fmt.Fprintln(w, "usage: assertcheck [-tables] | design.v -top mod [-stats | -invariant sigs | -witness sigs]")
+	return exitUsage
 }
 
 // splitNames parses a comma-separated signal-name list.
@@ -231,9 +243,8 @@ func printResult(w io.Writer, nl *netlist.Netlist, res core.Result) {
 			100*float64(res.Stats.FrontierSkips)/float64(res.Stats.FrontierChecks+res.Stats.FrontierSkips))
 	}
 	if res.Stats.Backtracks > 0 {
-		fmt.Fprintf(w, "  conflicts: %d backtracks, %d backjumps skipping %d levels, %d estg reorders (%d past the prune threshold)\n",
-			res.Stats.Backtracks, res.Stats.Backjumps, res.Stats.LevelsSkipped,
-			res.Stats.EstgReorders, res.Stats.EstgPrunes)
+		fmt.Fprintf(w, "  conflicts: %d backtracks, %d backjumps skipping %d levels\n",
+			res.Stats.Backtracks, res.Stats.Backjumps, res.Stats.LevelsSkipped)
 	}
 	if res.Stats.BitSkips > 0 || res.Stats.BitChainHops > 0 {
 		fmt.Fprintf(w, "  bit-grain: %d chain entries followed, %d skipped (changed bits disjoint from needed bits)\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func checkBMC(t *testing.T, src, top, invariant string) (core.Result, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := d.NewSession(core.Options{MaxDepth: 4, UseInduction: true, DisableLocalFSM: true, DisableLearnedStore: true})
+	c, err := d.NewSession(core.Options{MaxDepth: 4, UseInduction: true, DisableLocalFSM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +73,26 @@ endmodule`
 	}
 	if n := strings.Count(out, "failed replay"); n != 1 {
 		t.Errorf("want one line saying the model failed replay, got %d:\n%s", n, out)
+	}
+}
+
+// TestNegativeDepthIsUsageError: a negative -depth is a usage mistake
+// (exit status 2), as assertd answers 400 for it; -depth 0 selects the
+// default.
+func TestNegativeDepthIsUsageError(t *testing.T) {
+	var out bytes.Buffer
+	if code := checkUsage(&out, 1, "smoke", -2); code != exitUsage {
+		t.Errorf("-depth -2: exit status %d, want %d", code, exitUsage)
+	}
+	if !strings.Contains(out.String(), "depth -2 is negative") {
+		t.Errorf("-depth -2: the message does not name the depth:\n%s", out.String())
+	}
+	for _, depth := range []int{0, 16} {
+		if code := checkUsage(io.Discard, 1, "smoke", depth); code != exitOK {
+			t.Errorf("-depth %d: exit status %d, want %d", depth, code, exitOK)
+		}
+	}
+	if code := checkUsage(io.Discard, 1, "", 16); code != exitUsage {
+		t.Errorf("no -top: exit status %d, want %d", code, exitUsage)
 	}
 }

@@ -49,9 +49,9 @@
 // *.corrupt with a logged line and the server starts that state cold;
 // it never crashes, loops, or changes a verdict. The cone-keyed
 // verdict cache (see -cache-verdicts) persists alongside the manifest,
-// so cached verdicts survive restarts — including crashes. Learned ESTG
-// search guidance lives within one request's check session and is
-// never shared or persisted, so every response is byte-reproducible.
+// so cached verdicts survive restarts — including crashes. No search
+// state outlives a check, so every record depends only on its own
+// property and every response is byte-reproducible.
 //
 // On SIGTERM/SIGINT the server stops admitting work (503), drains
 // in-flight batches for up to -drain-timeout, snapshots its state, and

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bv"
-	"repro/internal/estg"
 	"repro/internal/netlist"
 )
 
@@ -301,18 +300,13 @@ func TestLegalProbabilityRules(t *testing.T) {
 	}
 }
 
-func TestEstgRecordsConflicts(t *testing.T) {
-	nl := netlist.New("estg")
+func TestToggleRegisterUnsat(t *testing.T) {
+	nl := netlist.New("toggle")
 	q := nl.DffPlaceholder(1, bv.FromUint64(1, 0), "q")
 	nl.ConnectDff(q, nl.Unary(netlist.KNot, q))
-	store := estg.NewStore()
-	e, err := New(nl, 3, ModeProve, Limits{}, store, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// q alternates 0,1,0: requiring q=1 at frame 2 conflicts. The
-	// initial-value implication chain conflicts without decisions, so
-	// the store may stay empty; the search must still see the conflict.
+	e := newEngine(t, nl, 3, ModeProve)
+	// q alternates 0,1,0: requiring q=1 at frame 2 conflicts through
+	// the initial-value implication chain, without a decision.
 	if e.Require(2, q, bv.FromUint64(1, 1)) && e.Solve() != StatusUnsat {
 		t.Error("q = 1 at frame 2 should be unsatisfiable")
 	}

@@ -71,7 +71,7 @@ func randSeqNetlist(rng *rand.Rand) (*netlist.Netlist, netlist.SignalID) {
 func runEngine(t *testing.T, nl *netlist.Netlist, mon netlist.SignalID, frames int, mode Mode, target uint64, feats Features) (Status, *Engine) {
 	t.Helper()
 	limits := Limits{MaxDecisions: 50000, MaxBacktracks: 100000}
-	e, err := NewWithFeatures(nl, frames, mode, limits, nil, false, feats)
+	e, err := New(nl, frames, mode, limits, &feats, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +170,17 @@ func replayWitness(t *testing.T, nl *netlist.Netlist, e *Engine, mon netlist.Sig
 }
 
 // TestBackjumpMatchesChrono is the PR-3 cross-check: on randomized
-// sequential netlists, the backjumping engine (with and without ESTG/
-// activity guidance) must reach the same verdict as the chronological
+// sequential netlists, the backjumping engine (with and without
+// conflict-activity guidance) must reach the same verdict as the chronological
 // engine, and every satisfying assignment must replay on the
 // simulator. Backjumping may only change the order and amount of work
 // — never the answer.
 func TestBackjumpMatchesChrono(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260730))
 	configs := []Features{
-		{NoBackjump: true, NoEstgGuide: true}, // reference: chronological
-		{},                                    // full: backjump + guidance + bit-grain
-		{NoEstgGuide: true},                   // backjump only
+		{NoBackjump: true, NoConflictGuide: true}, // reference: chronological
+		{},                      // full: backjump + guidance + bit-grain
+		{NoConflictGuide: true}, // backjump only
 	}
 	runs := 300
 	if testing.Short() {

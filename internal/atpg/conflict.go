@@ -243,7 +243,7 @@ func (e *Engine) analyzeConflictInto(dst *[]uint64, cur int) {
 	kind := e.confKind
 	e.confKind = confNone
 	// Activity scores are only bumped when something reads them.
-	bump := !e.features.NoEstgGuide
+	bump := !e.features.NoConflictGuide
 	switch kind {
 	case confGateKind:
 		e.beginTrace()
@@ -949,8 +949,7 @@ func (e *Engine) expandGateNeed(dst *[]uint64, g *netlist.Gate, f int, bound int
 // bumpActivity raises the conflict-activity score of a decision
 // signal. The increment grows geometrically per conflict (see
 // endConflict), so ordering by score favors recently-conflicting
-// signals — the same bounded-decay idea the ESTG store applies to
-// abstract states, at signal granularity.
+// signals (VSIDS-style bounded decay).
 func (e *Engine) bumpActivity(frame int, sig netlist.SignalID) {
 	if e.actScore == nil {
 		e.actScore = make([]float64, e.frames*e.nl.NumSignals())
@@ -961,7 +960,7 @@ func (e *Engine) bumpActivity(frame int, sig netlist.SignalID) {
 // endConflict inflates the activity increment after a conflict
 // analysis, rescaling everything down when it approaches overflow.
 func (e *Engine) endConflict() {
-	if e.features.NoEstgGuide {
+	if e.features.NoConflictGuide {
 		return
 	}
 	e.actInc *= 1.05
@@ -993,7 +992,6 @@ func (e *Engine) backjump(stack *[]*decision) bool {
 		d := (*stack)[n-1]
 		e.analyzeConflictInto(&d.confSet, n)
 		e.endConflict()
-		e.recordConflictState()
 		e.popLevel()
 		d.idx++
 		if d.idx < len(d.alts) {

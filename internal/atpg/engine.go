@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/bv"
-	"repro/internal/estg"
 	"repro/internal/linsolve"
 	"repro/internal/netlist"
 )
@@ -65,10 +64,11 @@ type Features struct {
 	// identical either way (cross-checked by TestBackjumpMatchesChrono);
 	// only search effort differs.
 	NoBackjump bool
-	// NoEstgGuide disables ESTG-guided decision ordering: learned
-	// conflict counts on abstract states/transitions are still recorded
-	// but no longer read back to order decision polarities.
-	NoEstgGuide bool
+	// NoConflictGuide disables conflict-guided decision ordering:
+	// control decisions no longer put conflict-hot candidates first, and
+	// the fallback decision no longer prefers hot and late-frame
+	// signals (see makeFallbackDecision).
+	NoConflictGuide bool
 }
 
 // Stats reports search effort.
@@ -95,16 +95,6 @@ type Stats struct {
 	// backtracking).
 	Backjumps     int
 	LevelsSkipped int
-	// ESTG guidance: EstgReorders counts decision polarities swapped
-	// because the learned store scored the preferred abstract state
-	// worse, EstgPrunes the subset whose combined score gap (state
-	// conflicts + weighted transition conflicts) reached the prune
-	// threshold — the decisive "try known-bad regions last" soft
-	// prunes. Hard pruning would be unsound: recorded conflicts are
-	// search dead-ends under particular constraints, not proofs of
-	// infeasibility.
-	EstgReorders int
-	EstgPrunes   int
 	// Bit-granular filtering effectiveness: BitSkips counts trail
 	// entries the needed-bit masks proved irrelevant during chain walks
 	// (entries a word-level analysis would have charged), BitChainHops
@@ -141,7 +131,6 @@ type Engine struct {
 	mode     Mode
 	limits   Limits
 	features Features
-	store    *estg.Store // optional learned-state store
 
 	vals  [][]bv.BV // [frame][signal], frames slices of one backing array
 	trail []trailEntry
@@ -237,24 +226,12 @@ type Engine struct {
 	// muxFeasible is implyMuxBack's feasible-select scratch.
 	muxFeasible []uint64
 
-	// stateKey scratch: the per-frame control cube is built into keyBuf
-	// and interned, so recording conflict states allocates only the
-	// first time a distinct abstract state appears.
-	keyBuf    []byte
-	internTab map[string]string
-
 	// domains restricts feasible values of selected signals (local FSM
 	// reachable sets, §6); checked whenever a value becomes fully known.
 	domains map[netlist.SignalID]Domain
 	// domainOrder keeps the registered domain signals sorted so domain
 	// iteration (and therefore domain decisions) is deterministic.
 	domainOrder []netlist.SignalID
-
-	// controlFFs lists 1-bit flip-flops (abstract state variables).
-	controlFFs []netlist.GateID
-	// ctlPos maps a control flip-flop's output signal to its position
-	// in the abstract state key (-1 otherwise); see stateKey.
-	ctlPos []int32
 
 	// Conflict analysis (conflict.go). lastTouch[frame*numSignals+sig]
 	// indexes the newest trail entry of a signal instance (-1 = never
@@ -292,9 +269,6 @@ type Engine struct {
 	curFlags uint8
 	// ufPathBuf is addUfLevelsFor's proof-forest path scratch.
 	ufPathBuf []int32
-	// guideBuf builds candidate abstract-state keys (and joined
-	// transition keys) for ESTG scoring without allocating.
-	guideBuf []byte
 	// actScore is the conflict-activity score per signal instance
 	// (frame*numSignals+sig): every decision assignment charged by a
 	// conflict analysis bumps its signal's score by actInc, and actInc
@@ -305,8 +279,6 @@ type Engine struct {
 	// signals below it.
 	actScore []float64
 	actInc   float64
-	// conflictsRecorded triggers bounded decay of the learned store.
-	conflictsRecorded int
 }
 
 // Conflict-source kinds (confKind).
@@ -396,10 +368,6 @@ type Prep struct {
 	// cmpGates lists the comparator gate instances (frontier re-check
 	// set on identity events).
 	cmpGates []netlist.GateID
-	// controlFFs lists 1-bit flip-flops (abstract state variables);
-	// ctlPos maps their output signals to positions (-1 elsewhere).
-	controlFFs []netlist.GateID
-	ctlPos     []int32
 }
 
 // NewPrep analyses a netlist into the shared engine tables. The
@@ -427,60 +395,40 @@ func NewPrep(nl *netlist.Netlist) (*Prep, error) {
 			}
 		}
 	}
-	nCtl := 0
-	for _, ff := range nl.FFs {
-		if nl.Width(nl.Gates[ff].Out) == 1 {
-			nCtl++
-		}
-	}
-	if nCtl > 0 {
-		p.controlFFs = make([]netlist.GateID, 0, nCtl)
-		p.ctlPos = make([]int32, nl.NumSignals())
-		for i := range p.ctlPos {
-			p.ctlPos[i] = -1
-		}
-		for _, ff := range nl.FFs {
-			g := &nl.Gates[ff]
-			if nl.Width(g.Out) == 1 {
-				p.ctlPos[g.Out] = int32(len(p.controlFFs))
-				p.controlFFs = append(p.controlFFs, ff)
-			}
-		}
-	}
 	return p, nil
 }
 
 // Netlist returns the analysed netlist.
 func (p *Prep) Netlist() *netlist.Netlist { return p.nl }
 
-// New returns an engine over frames copies of the netlist. Frame-0
-// flip-flop outputs are constrained to their initial values; pass
-// freeInit to leave them unconstrained (used for inductive steps).
-func New(nl *netlist.Netlist, frames int, mode Mode, limits Limits, store *estg.Store, freeInit bool) (*Engine, error) {
-	return NewWithFeatures(nl, frames, mode, limits, store, freeInit, Features{})
-}
-
-// NewWithFeatures is New with ablation switches.
-func NewWithFeatures(nl *netlist.Netlist, frames int, mode Mode, limits Limits, store *estg.Store, freeInit bool, feats Features) (*Engine, error) {
+// New returns an engine over frames copies of the netlist, with the
+// ablation switches in feats (nil: the full engine). Frame-0 flip-flop
+// outputs are constrained to their initial values; pass freeInit to
+// leave them unconstrained (used for inductive steps).
+func New(nl *netlist.Netlist, frames int, mode Mode, limits Limits, feats *Features, freeInit bool) (*Engine, error) {
 	prep, err := NewPrep(nl)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithPrep(prep, frames, mode, limits, store, freeInit, feats)
+	var f Features
+	if feats != nil {
+		f = *feats
+	}
+	return NewWithPrep(prep, frames, mode, limits, freeInit, f)
 }
 
-// NewWithPrep is NewWithFeatures over a pre-analysed netlist: the
-// shared tables come from prep, only the per-run mutable state (value
-// tables, trail, queues, scratch pools) is allocated. Engines built
-// from the same Prep are fully independent and behave bit-identically
-// to engines built by NewWithFeatures.
-func NewWithPrep(prep *Prep, frames int, mode Mode, limits Limits, store *estg.Store, freeInit bool, feats Features) (*Engine, error) {
+// NewWithPrep is New over a pre-analysed netlist: the shared tables
+// come from prep, only the per-run mutable state (value tables, trail,
+// queues, scratch pools) is allocated. Engines built from the same
+// Prep are fully independent and behave bit-identically to engines
+// built by New.
+func NewWithPrep(prep *Prep, frames int, mode Mode, limits Limits, freeInit bool, feats Features) (*Engine, error) {
 	nl := prep.nl
 	if frames < 1 {
 		return nil, fmt.Errorf("atpg: need at least one frame")
 	}
 	e := &Engine{
-		nl: nl, frames: frames, mode: mode, limits: limits, store: store,
+		nl: nl, frames: frames, mode: mode, limits: limits,
 		features: feats,
 	}
 	if e.limits.MaxBacktracks == 0 {
@@ -514,9 +462,6 @@ func NewWithPrep(prep *Prep, frames int, mode Mode, limits Limits, store *estg.S
 	e.cdGen = 1
 	e.trail = make([]trailEntry, 0, frames*nSigs)
 	e.cmpGates = prep.cmpGates
-	if store != nil {
-		e.internTab = make(map[string]string)
-	}
 	e.lastTouch = make([]int32, frames*nSigs)
 	for i := range e.lastTouch {
 		e.lastTouch[i] = -1
@@ -529,8 +474,6 @@ func NewWithPrep(prep *Prep, frames int, mode Mode, limits Limits, store *estg.S
 			e.vals[f][s] = bv.NewX(nl.Signals[s].Width)
 		}
 	}
-	e.controlFFs = prep.controlFFs
-	e.ctlPos = prep.ctlPos
 	for _, ff := range nl.FFs {
 		g := &nl.Gates[ff]
 		if !freeInit && !g.Init.IsAllX() {
@@ -873,30 +816,6 @@ func (e *Engine) popLevel() {
 
 // level returns the current decision depth.
 func (e *Engine) level() int { return len(e.levelMarks) }
-
-// stateKey returns the abstract control state (1-bit flip-flop cube) at
-// a frame, for the extended state transition graph. The key is built in
-// a reusable byte scratch and interned: each distinct abstract state is
-// materialized as a string once, and every later occurrence (conflict
-// recording runs on every backtrack) returns the interned copy without
-// allocating.
-func (e *Engine) stateKey(frame int) string {
-	buf := e.keyBuf[:0]
-	for _, ff := range e.controlFFs {
-		out := e.nl.Gates[ff].Out
-		buf = append(buf, byte('0'+uint8(e.vals[frame][out].Bit(0))))
-	}
-	e.keyBuf = buf
-	if s, ok := e.internTab[string(buf)]; ok {
-		return s
-	}
-	s := string(buf)
-	if e.internTab == nil {
-		e.internTab = make(map[string]string)
-	}
-	e.internTab[s] = s
-	return s
-}
 
 // timedOut reports whether the deadline passed.
 func (e *Engine) timedOut() bool {

@@ -94,7 +94,6 @@ func (e *Engine) Solve() Status {
 	chronological := func() bool {
 		for len(stack) > 0 {
 			d := stack[len(stack)-1]
-			e.recordConflictState()
 			e.popLevel()
 			d.idx++
 			if d.idx < len(d.alts) {
@@ -233,45 +232,6 @@ func (e *Engine) applySolver(a alternative) bool {
 		}
 	}
 	return true
-}
-
-// recordConflictState feeds the extended state transition graph: the
-// abstract control state of every frame whose state is fully known at
-// the moment of a conflict is recorded, along with conflicting
-// transitions between adjacent known frames (§1: "whenever the search
-// encounters a conflict in an abstract state transition ... the
-// transition in the ESTG is recorded").
-func (e *Engine) recordConflictState() {
-	// No control flip-flops, no abstract state: nothing to record.
-	if e.store == nil || len(e.controlFFs) == 0 {
-		return
-	}
-	// Bounded decay: periodically age the learned counts so regions the
-	// search abandoned long ago stop steering decision order.
-	e.conflictsRecorded++
-	if e.conflictsRecorded%4096 == 0 {
-		e.store.Decay()
-	}
-	prevKnown := ""
-	for f := 0; f < e.frames; f++ {
-		key := e.stateKey(f)
-		known := true
-		for i := 0; i < len(key); i++ {
-			if key[i] == '0'+byte(bv.X) {
-				known = false
-				break
-			}
-		}
-		if known {
-			e.store.RecordConflict(key)
-			if prevKnown != "" {
-				e.store.RecordConflictTransition(prevKnown, key)
-			}
-			prevKnown = key
-		} else {
-			prevKnown = ""
-		}
-	}
 }
 
 // sigAt identifies a signal instance in one frame.
@@ -435,7 +395,7 @@ func (e *Engine) makeControlDecision(unjust []gateAt) *decision {
 	// cmpActivity orders conflict-hot candidates first (0 when equal or
 	// when guidance is off); both sorts below use it as their primary
 	// key so truncation and final selection agree on what "hot" means.
-	useActivity := !e.features.NoEstgGuide && e.actScore != nil
+	useActivity := !e.features.NoConflictGuide && e.actScore != nil
 	cmpActivity := func(a, b candidate) int {
 		if !useActivity {
 			return 0
@@ -478,11 +438,11 @@ func (e *Engine) makeControlDecision(unjust []gateAt) *decision {
 		return e.branch(int(best.at.frame), best.at.sig,
 			bv.NewX(1).WithBit(0, bv.Zero), bv.NewX(1).WithBit(0, bv.One))
 	}
-	// Conflict-activity first (branch where the conflicts are — the
-	// learned-guidance read-back of §5), legal-assignment bias
-	// (Definition 2) within equally-hot candidates. Before the first
-	// conflict every activity is zero and the order is the pure §3.2
-	// bias order.
+	// Conflict-activity first (branch where the conflicts are: §5's
+	// learning from conflicts, kept inside one search), legal-assignment
+	// bias (Definition 2) within equally-hot candidates. Before the
+	// first conflict every activity is zero and the order is the pure
+	// §3.2 bias order.
 	slices.SortFunc(cands, func(a, b candidate) int {
 		if c := cmpActivity(a, b); c != 0 {
 			return c
@@ -505,94 +465,8 @@ func (e *Engine) makeControlDecision(unjust []gateAt) *decision {
 		// Assign the complement first so conflicts surface early.
 		first = complement(first)
 	}
-	first = e.estgPolarity(best.at, first)
 	return e.branch(int(best.at.frame), best.at.sig,
 		bv.NewX(1).WithBit(0, first), bv.NewX(1).WithBit(0, complement(first)))
-}
-
-// ESTG guidance tuning: a transition conflict weighs heavier than a
-// state conflict. Any score gap swaps the polarity order (the worse
-// state is tried last); a gap at or beyond the prune threshold is
-// additionally counted in Stats.EstgPrunes as a decisive "soft prune".
-// The threshold deliberately has no effect on the search itself —
-// demote-to-last is the strongest sound response, because recorded
-// conflicts are search dead-ends under particular constraints, not
-// proofs, so actually skipping the alternative could lose solutions.
-const (
-	estgTransitionWeight = 4
-	estgPruneThreshold   = 8
-)
-
-// estgPolarity consults the learned store when the decision signal is
-// an abstract state bit: the polarity whose resulting abstract state
-// (and incoming transition) accumulated the higher conflict score is
-// tried last (§5: order decisions away from known-bad regions).
-func (e *Engine) estgPolarity(at sigAt, first bv.Trit) bv.Trit {
-	// ctlPos is nil exactly when there are no control flip-flops, and
-	// then no decision signal is an abstract state bit.
-	if e.store == nil || e.features.NoEstgGuide || e.ctlPos == nil {
-		return first
-	}
-	pos := e.ctlPos[at.sig]
-	if pos < 0 {
-		return first
-	}
-	s0, s1 := e.statePairScore(int(at.frame), int(pos))
-	sFirst, sSecond := s0, s1
-	if first == bv.One {
-		sFirst, sSecond = s1, s0
-	}
-	if sFirst > sSecond {
-		e.stats.EstgReorders++
-		if sFirst-sSecond >= estgPruneThreshold {
-			e.stats.EstgPrunes++
-		}
-		return complement(first)
-	}
-	return first
-}
-
-// statePairScore is the learned conflict score of the abstract state
-// at frame f with state bit pos hypothetically 0 and hypothetically 1:
-// the state's own conflict count plus the weighted conflict count of
-// the transition from the previous frame's state (when that one is
-// fully known). The shared key — previous-frame prefix, separator,
-// current state — is built once in pooled scratch and only the
-// hypothesized bit is flipped between the two lookups; nothing
-// allocates.
-func (e *Engine) statePairScore(f, pos int) (s0, s1 int) {
-	buf := e.guideBuf[:0]
-	prevKnown := f > 0
-	if prevKnown {
-		for _, ff := range e.controlFFs {
-			b := e.vals[f-1][e.nl.Gates[ff].Out].Bit(0)
-			if b == bv.X {
-				prevKnown = false
-				break
-			}
-			buf = append(buf, byte('0'+uint8(b)))
-		}
-	}
-	if !prevKnown {
-		buf = buf[:0]
-	} else {
-		buf = append(buf, 0)
-	}
-	cur := len(buf)
-	for _, ff := range e.controlFFs {
-		b := e.vals[f][e.nl.Gates[ff].Out].Bit(0)
-		buf = append(buf, byte('0'+uint8(b)))
-	}
-	e.guideBuf = buf
-	score := func(t bv.Trit) int {
-		buf[cur+pos] = byte('0' + uint8(t))
-		s := e.store.ConflictScore(buf[cur:])
-		if prevKnown {
-			s += estgTransitionWeight * e.store.TransitionScore(buf)
-		}
-		return s
-	}
-	return score(bv.Zero), score(bv.One)
 }
 
 func complement(t bv.Trit) bv.Trit {
@@ -682,9 +556,9 @@ func (e *Engine) EachDomain(fn func(Domain)) {
 //  3. narrowest signal — narrow signals are select/address-like and
 //     prune the most per decision.
 //
-// NoEstgGuide disables tiers 1 and 2 (the PR-3 ordering changes),
+// NoConflictGuide disables tiers 1 and 2 (the PR-3 ordering changes),
 // restoring the pre-PR-3 narrowest-first-encountered rule exactly, so
-// the ablation pair {NoBackjump, NoEstgGuide} reproduces the old
+// the ablation pair {NoBackjump, NoConflictGuide} reproduces the old
 // engine's search. A chosen register with a local FSM is branched over
 // its reachable values inside its current cube, like a domain decision
 // but without the 64-value cap: splitting a one-hot register bit by bit
@@ -692,7 +566,7 @@ func (e *Engine) EachDomain(fn func(Domain)) {
 // most significant unknown bit (word-level implication extracts the
 // most from high bits — cf. Rule 2).
 func (e *Engine) makeFallbackDecision(unjust []gateAt) *decision {
-	useGuided := !e.features.NoEstgGuide
+	useGuided := !e.features.NoConflictGuide
 	bestSig := netlist.SignalID(netlist.None)
 	bestFrame := 0
 	bestW := 1 << 30

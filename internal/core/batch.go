@@ -19,8 +19,7 @@ type BatchOptions struct {
 	// Engine selects the decision procedure each worker runs. Nil means
 	// this checker's ATPG path (equivalent to passing c.ATPGEngine());
 	// pass c.Portfolio() to race engines per property, or any custom
-	// Engine. Engines derived from the checker share its learned ESTG
-	// store, so concurrent workers feed each other's decision guidance.
+	// Engine.
 	Engine Engine
 	// Cache, when non-nil, short-circuits properties whose cone-keyed
 	// verdict is already cached (verdictcache.go): hits are replayed

@@ -89,14 +89,6 @@ type Options struct {
 	// decisions): when the property is not inductive the steps can cost
 	// far more than the bounded search, so they share one small budget.
 	InductionDecisions int
-	// DisableLearnedStore turns off the session's ESTG store (conflict
-	// recording, no-cex caching and ESTG-guided decision ordering),
-	// which otherwise lets the deepening runs, the induction steps and
-	// the properties of one session learn from each other. For
-	// ablation, and for sessions that run only BMC or BDD.
-	DisableLearnedStore bool
-	// SkipValidation disables counterexample replay (tests only).
-	SkipValidation bool
 	// DisableLocalFSM turns off the §6 local-FSM guidance (extraction
 	// of per-register state transition graphs whose reachable sets
 	// prune illegal states and strengthen induction). On by default;

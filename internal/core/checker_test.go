@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/bv"
 	"repro/internal/elab"
 	"repro/internal/netlist"
@@ -61,10 +62,10 @@ func TestCombinationalInvariantProved(t *testing.T) {
 }
 
 // TestCombinationalRecheckKeepsDepth checks a combinational-cone
-// property again and again on one session: its store's no-counterexample
-// cache covers the depths earlier checks exhausted, and a covered depth
-// must end the check exactly as its search did — proved (or no witness)
-// at depth 1 every time, never a later depth or a bounded verdict.
+// property again and again on one session. A session keeps no search
+// state between checks, so every repeat must be the first check again:
+// proved (or no witness) at depth 1, never a later depth or a bounded
+// verdict, with the same effort counters.
 func TestCombinationalRecheckKeepsDepth(t *testing.T) {
 	nl := elaborate(t, decoderSrc, "dec")
 	b := property.Builder{NL: nl}
@@ -91,9 +92,16 @@ func TestCombinationalRecheckKeepsDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var first atpg.Stats
 		for i := 0; i < 6; i++ {
-			if res := c.Check(tc.p); res.Verdict != tc.want || res.Depth != 1 {
+			res := c.Check(tc.p)
+			if res.Verdict != tc.want || res.Depth != 1 {
 				t.Errorf("%s check %d: %v at depth %d, want %v at depth 1", tc.name, i+1, res.Verdict, res.Depth, tc.want)
+			}
+			if i == 0 {
+				first = res.Stats
+			} else if res.Stats != first {
+				t.Errorf("%s check %d: stats\n %+v\ndiffer from the first check's\n %+v", tc.name, i+1, res.Stats, first)
 			}
 		}
 	}
@@ -167,9 +175,8 @@ func TestSequentialInvariantBounded(t *testing.T) {
 	}
 }
 
-func TestSequentialFalsified(t *testing.T) {
-	// Buggy wrap at 6 means q reaches 6: violates q <= 5.
-	src := `
+// counterBugSrc wraps at 6, so q reaches 6 and violates q <= 5.
+const counterBugSrc = `
 module counter(clk, rst, en, q);
   input clk, rst, en;
   output [2:0] q;
@@ -184,7 +191,9 @@ module counter(clk, rst, en, q);
   initial q = 3'd0;
 endmodule
 `
-	nl := elaborate(t, src, "counter")
+
+func TestSequentialFalsified(t *testing.T) {
+	nl := elaborate(t, counterBugSrc, "counter")
 	b := property.Builder{NL: nl}
 	q, _ := nl.SignalByName("q")
 	mon := b.InRange(q, 0, 5)
@@ -199,6 +208,34 @@ endmodule
 	}
 	if !res.Validated {
 		t.Error("trace failed validation")
+	}
+}
+
+// TestSameNameOtherAssumptions: one session checks q in [0,5] of the
+// wrap-at-6 counter under en == 0, where it holds, and then the same
+// named property alone. The second check must search for itself and
+// find the violation at depth 7 (q counts 0..6 over frames 0..6).
+func TestSameNameOtherAssumptions(t *testing.T) {
+	nl := elaborate(t, counterBugSrc, "counter")
+	b := property.Builder{NL: nl}
+	q, _ := nl.SignalByName("q")
+	en, _ := nl.SignalByName("en")
+	p, err := property.NewInvariant(nl, "counter-bug", b.InRange(q, 0, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := p.WithAssume(b.Equals(en, 0))
+	c, err := New(nl, Options{MaxDepth: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := c.Check(idle); res.Verdict != VerdictProvedBounded {
+		t.Fatalf("under en == 0: %v, want proved-bounded", res.Verdict)
+	}
+	res := c.Check(p)
+	if res.Verdict != VerdictFalsified || res.Depth != 7 || !res.Validated {
+		t.Errorf("alone after the assumed check: %v at depth %d (validated %v, %d implications), want a validated falsification at depth 7",
+			res.Verdict, res.Depth, res.Validated, res.Stats.Implications)
 	}
 }
 
@@ -299,28 +336,38 @@ endmodule
 	}
 }
 
-func TestEstgStoreAccelerates(t *testing.T) {
+// TestCheckAllRepeatedPropertyMatchesFresh: a batch that names one
+// true invariant twice gives both records the effort counters of a
+// fresh single check, with one worker and with two. Neither copy may
+// learn from the other.
+func TestCheckAllRepeatedPropertyMatchesFresh(t *testing.T) {
 	nl := elaborate(t, counterSrc, "counter")
 	b := property.Builder{NL: nl}
 	q, _ := nl.SignalByName("q")
-	mon := b.InRange(q, 0, 5)
-	c, _ := New(nl, Options{MaxDepth: 6})
-	p, _ := property.NewInvariant(nl, "counter-range", mon)
-	r1 := c.Check(p)
-	r2 := c.Check(p) // second run hits the session store's no-cex results
-	if r1.Verdict != r2.Verdict {
-		t.Fatalf("verdicts differ: %v vs %v", r1.Verdict, r2.Verdict)
+	p, err := property.NewInvariant(nl, "counter-range", b.InRange(q, 0, 5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r2.Stats.Decisions > r1.Stats.Decisions {
-		t.Errorf("cached rerun used more decisions (%d > %d)", r2.Stats.Decisions, r1.Stats.Decisions)
+	opts := Options{MaxDepth: 6}
+	fresh, err := New(nl, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A check at a deeper bound runs on a sibling session that shares
-	// the store, so it skips the depths the checks above searched.
-	deep := c.ATPGEngine().Check(context.Background(), Problem{NL: nl, Prop: p, MaxDepth: 8})
-	fresh, _ := New(nl, Options{MaxDepth: 8})
-	if f := fresh.Check(p); deep.Verdict != f.Verdict || deep.Stats.Implications >= f.Stats.Implications {
-		t.Errorf("depth-8 sibling: %v in %d implications, fresh session: %v in %d; want the sibling cheaper",
-			deep.Verdict, deep.Stats.Implications, f.Verdict, f.Stats.Implications)
+	want := fresh.Check(p)
+	if want.Verdict != VerdictProvedBounded || want.Stats.Implications == 0 {
+		t.Fatalf("fresh check: %v after %d implications, want proved-bounded after a search", want.Verdict, want.Stats.Implications)
+	}
+	for _, jobs := range []int{1, 2} {
+		c, err := New(nl, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range c.CheckAll(context.Background(), []property.Property{p, p}, BatchOptions{Jobs: jobs}) {
+			if res.Verdict != want.Verdict || res.Depth != want.Depth || res.Stats != want.Stats {
+				t.Errorf("jobs %d, copy %d: %v at depth %d with stats\n %+v\nwant the fresh check's %v at depth %d with\n %+v",
+					jobs, i, res.Verdict, res.Depth, res.Stats, want.Verdict, want.Depth, want.Stats)
+			}
+		}
 	}
 }
 

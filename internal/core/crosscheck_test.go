@@ -337,7 +337,7 @@ func TestEngineCancellationPrompt(t *testing.T) {
 			// proof without the local FSMs, whose one-hot ptr and
 			// grant_r machines would let it prove in milliseconds.
 			d, sess := arbiter(t, 24, Options{MaxDepth: 3, UseInduction: true, DisableLocalFSM: true,
-				Features: atpg.Features{NoBackjump: true, NoEstgGuide: true}})
+				Features: atpg.Features{NoBackjump: true, NoConflictGuide: true}})
 			if _, err := sess.Design().ATPGPrep(); err != nil {
 				t.Fatal(err)
 			}

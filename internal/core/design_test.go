@@ -118,15 +118,13 @@ func TestDesignSharedSessionsRace(t *testing.T) {
 
 // checkVia opens a fresh session over d and checks one property
 // through the named engine — the per-check unit both the serial
-// baseline and the concurrent workers use, so learned-store state
-// never leaks between compared runs.
+// baseline and the concurrent workers use.
 func checkVia(t *testing.T, d *Design, engine string, cd *circuits.Design, propIdx int) Result {
 	t.Helper()
 	depth := circuits.TableDepth(cd.PropIDs[propIdx])
 	opts := Options{MaxDepth: depth, UseInduction: true}
 	if engine != EngineATPG {
 		opts.DisableLocalFSM = true
-		opts.DisableLearnedStore = true
 	}
 	sess, err := d.NewSession(opts)
 	if err != nil {

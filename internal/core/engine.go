@@ -113,15 +113,12 @@ func engineFault(ctx context.Context, point, engine string, prob Problem) (Engin
 	return Result{}, false
 }
 
-// atpgEngine adapts a Session — its options, learned ESTG store and
-// the design's local FSMs — as the "atpg" Engine. All Session state is
-// either immutable after construction or internally synchronized
-// (estg.Store), so one atpgEngine serves concurrent Check calls.
+// atpgEngine adapts a Session — its options and the design's local
+// FSMs — as the "atpg" Engine. All Session state is immutable after
+// construction, so one atpgEngine serves concurrent Check calls.
 type atpgEngine struct{ c *Session }
 
 // ATPGEngine returns this session's word-level ATPG path as an Engine.
-// The adapter shares the session's learned store, so portfolio members
-// and batch workers built from the same session learn from each other.
 // A problem over another design or bound runs on a sibling session
 // (Session.sessionFor); the design cache makes that cheap, since
 // compilation runs at most once per netlist build state.

@@ -168,29 +168,6 @@ func TestRelationalInvariantProvedAtFirstStep(t *testing.T) {
 	}
 }
 
-// TestStoreKnownDepthGetsStep: a depth the learned store already knows
-// has no counterexample skips its bounded search but still gets its
-// step. A bounded-only run fills its session's store with depths
-// 1..4; the induction run on that store after it must still prove the
-// invariant.
-func TestStoreKnownDepthGetsStep(t *testing.T) {
-	d, p := relInvariant(t)
-	bounded, err := d.NewSession(Options{MaxDepth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := bounded.Check(p); res.Verdict != VerdictProvedBounded {
-		t.Fatalf("bounded-only run: %v, want proved-bounded", res.Verdict)
-	}
-	induct, err := d.newSession(Options{MaxDepth: 4, UseInduction: true}, bounded.store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := induct.Check(p); res.Verdict != VerdictProved || res.Depth != 1 {
-		t.Errorf("induction run on the warm store: %v at depth %d, want proved at depth 1", res.Verdict, res.Depth)
-	}
-}
-
 // TestInductionBudgetPerCheck: without its local FSMs token_ring48/p3
 // is not inductive at any k up to 3, and the pre-check and the three
 // steps share one InductionDecisions budget. They take at most one

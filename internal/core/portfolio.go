@@ -107,9 +107,8 @@ func (p *Portfolio) Check(ctx context.Context, prob Problem) EngineResult {
 }
 
 // Portfolio returns the default engine race for this session's design:
-// the session's own ATPG path (sharing its learned store), SAT-BMC and
-// BDD reachability — in that fixed priority order. The BMC and BDD
-// members run over the design's compiled caches (frame template, model
+// the session's own ATPG path, SAT-BMC and BDD reachability — in that
+// fixed priority order. The BMC and BDD members run over the design's compiled caches (frame template, model
 // snapshot), so every race after the first pays only per-run setup.
 func (c *Session) Portfolio() *Portfolio {
 	return NewPortfolio(

@@ -1,12 +1,12 @@
 // Session: the cheap per-run half of the Design/Session split. A
 // Session borrows everything compiled — the netlist, the local FSMs,
-// the per-engine caches — from its immutable Design and owns only the
-// per-run mutable state: its options, its learned ESTG store and the
-// search engines it constructs per check. Creating a session is
-// allocation-cheap (no re-elaboration, no re-analysis), which is what
-// makes batch workers, portfolio members and serving requests scale:
-// concurrent checks over one Design contend on nothing but the
-// internally-synchronized learned store of the session they share.
+// the per-engine caches — from its immutable Design and holds only its
+// options; every check builds its own search engines and keeps no
+// search state after it returns, so a check's result depends only on
+// its own property. Creating a session is allocation-cheap (no
+// re-elaboration, no re-analysis), which is what makes batch workers,
+// portfolio members and serving requests scale: concurrent checks over
+// one Design contend on nothing.
 package core
 
 import (
@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/bv"
-	"repro/internal/estg"
 	"repro/internal/fsm"
 	"repro/internal/netlist"
 	"repro/internal/property"
@@ -33,10 +32,6 @@ type Session struct {
 	// machines are the design's local FSMs, nil when the session
 	// disabled them.
 	machines []*fsm.Machine
-	// store is the session's learned ESTG store, nil when the options
-	// disable it. It lives as long as the session; a sessionFor
-	// sibling over the same netlist shares it.
-	store *estg.Store
 }
 
 // New compiles (or reuses, via the process-wide design cache) the
@@ -53,19 +48,9 @@ func New(nl *netlist.Netlist, opts Options) (*Session, error) {
 
 // NewSession opens a per-run session over the design. Local FSMs are
 // taken from the design cache (built on first use) unless the options
-// disable them; the session gets a fresh learned store unless the
-// options disable it.
+// disable them.
 func (d *Design) NewSession(opts Options) (*Session, error) {
-	var store *estg.Store
-	if !opts.DisableLearnedStore {
-		store = estg.NewStore()
-	}
-	return d.newSession(opts, store)
-}
-
-// newSession opens a session over the design that learns into store.
-func (d *Design) newSession(opts Options, store *estg.Store) (*Session, error) {
-	s := &Session{d: d, nl: d.nl, opts: opts.withDefaults(), store: store}
+	s := &Session{d: d, nl: d.nl, opts: opts.withDefaults()}
 	if !s.opts.DisableLocalFSM {
 		ms, err := d.Machines()
 		if err != nil {
@@ -101,11 +86,7 @@ func (c *Session) designFor(nl *netlist.Netlist) (*Design, error) {
 // sessionFor returns the session that runs an ATPG check over nl with
 // the given frame bound (0 = this session's): this session when
 // designFor picks its design and the bound matches, else a sibling
-// with the same options over the picked design. A sibling over the
-// same netlist shares this session's learned store; one over another
-// netlist gets a fresh store: the store's no-counterexample cache is
-// keyed by property name and depth, so a same-named property of
-// another netlist could hit an entry that is false there.
+// with the same options over the picked design.
 func (c *Session) sessionFor(nl *netlist.Netlist, depth int) (*Session, error) {
 	d, err := c.designFor(nl)
 	if err != nil {
@@ -118,10 +99,7 @@ func (c *Session) sessionFor(nl *netlist.Netlist, depth int) (*Session, error) {
 	if depth != 0 {
 		opts.MaxDepth = depth
 	}
-	if nl != c.nl {
-		return d.NewSession(opts)
-	}
-	return d.newSession(opts, c.store)
+	return d.NewSession(opts)
 }
 
 // addDomains installs the local-FSM reachable sets: bounded runs use
@@ -213,8 +191,7 @@ func (c *Session) check(ctx context.Context, p property.Property) Result {
 // k = d, and the invariant is proved at the first k that closes
 // (Sheeran, Singh & Stalmarck, FMCAD 2000; Een & Sorensson, BMC 2003).
 // The step at k is sound because depths 1..k all had their bounded
-// search first, in this check or in a run the learned store recorded.
-// The pre-check and every step draw on one budget of
+// search first, in this check. The pre-check and every step draw on one budget of
 // Options.InductionDecisions, so a property that is not inductive
 // spends at most that budget on all its steps together. Witnesses and
 // combinational cones run the bounded search alone.
@@ -224,16 +201,6 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		return Result{Verdict: VerdictUnknown}
 	}
 	_, target := searchTarget(p)
-	// The learned store's no-counterexample cache is keyed by property
-	// name; qualify witness searches so an invariant and a witness over
-	// the same monitor never share cache entries (an invariant's
-	// "no violation at depth d" must not make a witness search skip a
-	// depth where its witness lives). Every check of a session, and of
-	// its siblings over the same netlist, shares the store.
-	storeName := p.Name
-	if p.Kind == property.Witness {
-		storeName = "witness\x00" + p.Name
-	}
 	var agg atpg.Stats
 	unknown := func() Result { return Result{Verdict: VerdictUnknown, Depth: c.opts.MaxDepth, Stats: agg} }
 	deadline := time.Time{}
@@ -286,47 +253,34 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		}
 	}
 	for depth := 1; depth <= c.opts.MaxDepth; depth++ {
-		if c.store != nil && c.store.KnownNoCex(storeName, depth) {
+		limits, ok := start()
+		if !ok {
+			return unknown()
+		}
+		eng, st, err := c.bounded(ctx, prep, p, depth, limits)
+		if err != nil {
+			return Result{Verdict: VerdictUnknown, Depth: depth, Stats: agg}
+		}
+		agg = addStats(agg, eng.Stats())
+		switch st {
+		case atpg.StatusSat:
+			tr, init := c.extractTrace(eng, depth)
+			if replayValidates(c.nl, p, tr, init, depth, target) {
+				v := VerdictFalsified
+				if p.Kind == property.Witness {
+					v = VerdictWitnessFound
+				}
+				return Result{Verdict: v, Depth: depth, Trace: tr, InitState: init, Stats: agg, Validated: true}
+			}
+			// A solution that fails replay indicates an implication
+			// soundness gap; treat conservatively.
+			return Result{Verdict: VerdictUnknown, Depth: depth, Trace: tr, InitState: init, Stats: agg}
+		case atpg.StatusUnsat:
 			if res, ok := c.coneExhausted(p, depth, agg); ok {
 				return res
 			}
-		} else {
-			limits, ok := start()
-			if !ok {
-				return unknown()
-			}
-			eng, st, err := c.bounded(ctx, prep, p, depth, limits)
-			if err != nil {
-				return Result{Verdict: VerdictUnknown, Depth: depth, Stats: agg}
-			}
-			agg = addStats(agg, eng.Stats())
-			switch st {
-			case atpg.StatusSat:
-				tr, init := c.extractTrace(eng, depth)
-				validated := true
-				if !c.opts.SkipValidation {
-					validated = replayValidates(c.nl, p, tr, init, depth, target)
-				}
-				if validated {
-					v := VerdictFalsified
-					if p.Kind == property.Witness {
-						v = VerdictWitnessFound
-					}
-					return Result{Verdict: v, Depth: depth, Trace: tr, InitState: init, Stats: agg, Validated: validated}
-				}
-				// A solution that fails replay indicates an implication
-				// soundness gap; treat conservatively.
-				return Result{Verdict: VerdictUnknown, Depth: depth, Trace: tr, InitState: init, Stats: agg}
-			case atpg.StatusUnsat:
-				if c.store != nil {
-					c.store.RecordNoCex(storeName, depth)
-				}
-				if res, ok := c.coneExhausted(p, depth, agg); ok {
-					return res
-				}
-			case atpg.StatusAbort:
-				return unknown()
-			}
+		case atpg.StatusAbort:
+			return unknown()
 		}
 		if induct {
 			if res, done := step(depth); done {
@@ -363,7 +317,7 @@ func searchTarget(p property.Property) (atpg.Mode, bv.BV) {
 // It returns the engine, whose values hold a found trace.
 func (c *Session) bounded(ctx context.Context, prep *atpg.Prep, p property.Property, depth int, limits atpg.Limits) (*atpg.Engine, atpg.Status, error) {
 	mode, target := searchTarget(p)
-	eng, err := atpg.NewWithPrep(prep, depth, mode, limits, c.store, false, c.opts.Features)
+	eng, err := atpg.NewWithPrep(prep, depth, mode, limits, false, c.opts.Features)
 	if err != nil {
 		return nil, atpg.StatusAbort, err
 	}
@@ -385,11 +339,10 @@ func (c *Session) bounded(ctx context.Context, prep *atpg.Prep, p property.Prope
 }
 
 // coneExhausted applies the combinational-cone rule to a depth with no
-// counterexample, whether it was searched now or is known from the
-// store's no-counterexample cache: when the monitor (and assumption)
-// cone contains no state, one frame covers all behaviours, so the
-// absence of a counterexample is a full proof (no witness exists at
-// any depth). It reports false when the cone has state.
+// counterexample: when the monitor (and assumption) cone contains no
+// state, one frame covers all behaviours, so the absence of a
+// counterexample is a full proof (no witness exists at any depth). It
+// reports false when the cone has state.
 func (c *Session) coneExhausted(p property.Property, depth int, agg atpg.Stats) (Result, bool) {
 	if !c.coneIsCombinational(p) {
 		return Result{}, false
@@ -419,7 +372,7 @@ func (c *Session) coneIsCombinational(p property.Property) bool {
 // proves the invariant with no base case, since the fixpoints contain
 // every reachable state.
 func (c *Session) inductionStep(ctx context.Context, prep *atpg.Prep, p property.Property, k int, limits atpg.Limits) (atpg.Status, atpg.Stats) {
-	eng, err := atpg.NewWithPrep(prep, k+1, atpg.ModeProve, limits, c.store, true, c.opts.Features)
+	eng, err := atpg.NewWithPrep(prep, k+1, atpg.ModeProve, limits, true, c.opts.Features)
 	if err != nil {
 		return atpg.StatusAbort, atpg.Stats{}
 	}
@@ -520,8 +473,6 @@ func addStats(a, b atpg.Stats) atpg.Stats {
 	a.FrontierSkips += b.FrontierSkips
 	a.Backjumps += b.Backjumps
 	a.LevelsSkipped += b.LevelsSkipped
-	a.EstgReorders += b.EstgReorders
-	a.EstgPrunes += b.EstgPrunes
 	a.BitSkips += b.BitSkips
 	a.BitChainHops += b.BitChainHops
 	if b.MaxTrail > a.MaxTrail {

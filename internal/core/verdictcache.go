@@ -190,14 +190,16 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // x sources free in the whole-design BDD model, which changes
 // mem_units in BDD records on designs with x sources; v5: the fallback
 // decision branches over a local FSM's values, which changes ATPG
-// records on designs whose registers pass 64 reachable values).
+// records on designs whose registers pass 64 reachable values). A
+// change to the key's fields alone, with every fresh record the same,
+// keeps the version: older keys have another shape and never match.
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v5|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|store%t|val%t|%+v",
+	meta := fmt.Sprintf("v5|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|%+v",
 		engineName, o.MaxDepth,
 		o.UseInduction, o.InductionDecisions,
 		o.Limits.MaxBacktracks, o.Limits.MaxDecisions, int64(o.Limits.Timeout),
-		o.DisableLocalFSM, o.DisableLearnedStore, o.SkipValidation, o.Features)
+		o.DisableLocalFSM, o.Features)
 	if engineName != EngineATPG {
 		fp := c.d.fingerprint
 		if fp == "" {

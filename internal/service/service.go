@@ -582,9 +582,8 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		engineName = core.EngineATPG
 	}
 	if engineName == core.EngineBMC || engineName == core.EngineBDD {
-		// Baseline engines never read the ATPG-side session state.
+		// Baseline engines never read the local FSMs.
 		opts.DisableLocalFSM = true
-		opts.DisableLearnedStore = true
 	}
 	if err := faultinject.Fire(ctx, faultinject.PointSession); err != nil {
 		httpError(w, http.StatusInternalServerError, "session: %v", err)

@@ -3,9 +3,8 @@
 // a design-cache manifest (the most-recently-used designs' sources, so
 // a restarted server recompiles them before taking traffic and the
 // first post-restart request is a design-cache hit) and the verdict
-// cache (so repeat traffic replays from cache after a restart).
-// Learned ESTG search state is never persisted: it lives in one
-// session. The flush path runs periodically and at drain; the load
+// cache (so repeat traffic replays from cache after a restart). No
+// search state is persisted: none outlives a check. The flush path runs periodically and at drain; the load
 // path runs once at startup (Rewarm). Every disk failure mode degrades
 // to a cold start by the persist layer's contract — this file never
 // has to reason about torn or corrupt files.

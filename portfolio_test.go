@@ -1,7 +1,7 @@
 // Batch + portfolio suite over the Table-2 properties: the CI batch
 // race job runs this under -race with -jobs=8 to exercise the
 // concurrent scheduling layer (worker pool, engine racing with
-// cancellation, the shared learned store) on real designs.
+// cancellation, the shared compiled designs) on real designs.
 package repro
 
 import (
