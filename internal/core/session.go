@@ -191,10 +191,10 @@ func (c *Session) check(ctx context.Context, p property.Property) Result {
 // k = d, and the invariant is proved at the first k that closes
 // (Sheeran, Singh & Stalmarck, FMCAD 2000; Een & Sorensson, BMC 2003).
 // The step at k is sound because depths 1..k all had their bounded
-// search first, in this check. The pre-check and every step draw on one budget of
-// Options.InductionDecisions, so a property that is not inductive
-// spends at most that budget on all its steps together. Witnesses and
-// combinational cones run the bounded search alone.
+// search first, in this check. The pre-check and every step draw on
+// one budget of Options.InductionDecisions, so a property that is not
+// inductive spends at most that budget on all its steps together.
+// Witnesses and combinational cones run the bounded search alone.
 func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	prep, err := c.d.ATPGPrep()
 	if err != nil {
