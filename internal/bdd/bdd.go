@@ -6,7 +6,10 @@
 // BDD Package", DAC 1990): a flat node slice, an open-addressed unique
 // table over it, and one lossy computed table that memoizes every
 // operation. None of the three holds a Go pointer, so the garbage
-// collector never scans them and a snapshot loads by plain copy.
+// collector never scans them. A manager loaded from a snapshot reads
+// the snapshot's node slice and unique table in place and keeps only
+// the nodes it creates, so a load costs the same whatever the
+// snapshot's size.
 package bdd
 
 import (
@@ -52,26 +55,43 @@ const (
 )
 
 const (
-	// minUnique is the unique-table size of a new manager.
+	// minUnique is the size of a new manager's own unique table.
 	minUnique = 1024
 	// maxCacheSlots caps the computed table (16 MB).
 	maxCacheSlots = 1 << 20
+	// cacheWork is how many node requests per slot a computed table
+	// serves before it doubles.
+	cacheWork = 1
+	// markPage is how many refs one page of walk's visited marks
+	// covers.
+	markPage = 1 << 12
 )
 
-// Manager owns the node pool. The zero value is not usable; call New.
+// Manager owns the node pool. The zero value is not usable; call New
+// or NewFromSnapshot.
 type Manager struct {
-	nodes []node
+	// base is the immutable store the manager extends: refs below
+	// len(base.nodes) are its nodes, read in place and never written.
+	// baseNodes is base.nodes, kept here to spare every read a load.
+	base      *Snapshot
+	baseNodes []node
+	// own holds the nodes the manager created: own[i] has the ref
+	// len(baseNodes)+i.
+	own []node
 	// unique is the open-addressed hash table (linear probing) over
-	// nodes: a slot holds the Ref of a non-terminal node, or 0 when
-	// empty. Its length is a power of two, at least twice len(nodes).
+	// own: a slot holds the Ref of an own node, or 0 when empty. Its
+	// length is a power of two, at least twice len(own).
 	unique []Ref
 	// cache is the direct-mapped computed table, allocated on first
-	// use. A lost entry is recomputed, and the recomputation finds
-	// only nodes that already exist: eviction never changes which
-	// nodes are created, or in what order.
-	cache   []cacheEntry
-	lastTag uint32
-	nVars   int
+	// use at cacheSlots(len(unique)). A lost entry is recomputed, and
+	// the recomputation finds only nodes that already exist: eviction
+	// never changes which nodes are created, or in what order.
+	cache []cacheEntry
+	// cacheReqs counts the node requests since cache was allocated;
+	// see poll.
+	cacheReqs int
+	lastTag   uint32
+	nVars     int
 	// MaxNodes bounds the node count (0 = unlimited); exceeding it
 	// panics with ErrNodeLimit.
 	MaxNodes int
@@ -84,8 +104,11 @@ type Manager struct {
 	Interrupt func() bool
 	requests  uint32
 	// Generation-stamped visited marks and DFS stack of walk, reused
-	// across calls (Size runs once per relational-product step).
-	marks   []uint32
+	// across calls (Size runs once per relational-product step). A
+	// page of marks is allocated when a walk first reaches one of its
+	// refs, so a walk over a few nodes of a large snapshot allocates
+	// a few pages, not marks for the whole store.
+	marks   []*[markPage]uint32
 	markGen uint32
 	stack   []Ref
 }
@@ -104,136 +127,197 @@ var ErrInterrupted = fmt.Errorf("bdd: interrupted")
 // cancellation within microseconds.
 const interruptInterval = 4096
 
-// New returns a manager with n variables (levels 0..n-1).
-func New(n int) *Manager {
-	m := &Manager{
-		nodes:  make([]node, 2, minUnique/2),
-		unique: make([]Ref, minUnique),
-		nVars:  n,
-	}
-	m.nodes[False].level = termLevel
-	m.nodes[True].level = termLevel
-	return m
-}
-
-// NumNodes returns the number of allocated nodes (memory proxy).
-func (m *Manager) NumNodes() int { return len(m.nodes) }
-
-// Snapshot is an immutable copy of a manager's node store: the node
-// slice and the unique table over it. Any number of managers may be
-// loaded from one snapshot concurrently.
+// Snapshot is an immutable flat node store: the node slice and the
+// unique table over it. Any number of managers may extend one snapshot
+// concurrently; none of them writes it.
 type Snapshot struct {
 	nVars  int
 	nodes  []node
 	unique []Ref
 }
 
-// Snapshot copies m's node store. Refs held against m index the same
-// nodes in every manager loaded from the snapshot.
+// terminals is the snapshot every New manager extends: the two
+// terminals and a one-slot unique table with nothing in it.
+var terminals = &Snapshot{
+	nodes:  []node{{level: termLevel}, {level: termLevel}},
+	unique: make([]Ref, 1),
+}
+
+// New returns a manager with n variables (levels 0..n-1).
+func New(n int) *Manager {
+	m := NewFromSnapshot(terminals)
+	m.nVars = n
+	return m
+}
+
+// NewFromSnapshot returns a manager that extends s in place: it reads
+// s's nodes and unique table without copying them and keeps the nodes
+// it creates in its own store, so a load makes the same three small
+// allocations whatever the size of s. Its computed table starts empty.
+// This is how a compiled transition relation is shared across
+// concurrent sessions: one immutable snapshot, one cheap private
+// manager per session.
+func NewFromSnapshot(s *Snapshot) *Manager {
+	return &Manager{base: s, baseNodes: s.nodes, nVars: s.nVars,
+		own: make([]node, 0, minUnique/2), unique: make([]Ref, minUnique)}
+}
+
+// NumNodes returns the number of allocated nodes (memory proxy): the
+// snapshot's and the manager's own.
+func (m *Manager) NumNodes() int { return len(m.baseNodes) + len(m.own) }
+
+// Snapshot returns m's whole node store as one flat snapshot. Refs
+// held against m index the same nodes in every manager loaded from it.
+// A manager made by New hands over a clone of its unique table, which
+// already indexes every non-terminal node; a loaded manager's store is
+// rehashed.
 func (m *Manager) Snapshot() *Snapshot {
-	return &Snapshot{nVars: m.nVars, nodes: slices.Clone(m.nodes), unique: slices.Clone(m.unique)}
-}
-
-// loadChunk is how many elements a snapshot load copies between two
-// polls of its stop function: 64K nodes is under a millisecond.
-const loadChunk = 1 << 16
-
-// NewFromSnapshot returns a manager whose node store is a private copy
-// of s: two slice copies, with no rehashing and no per-node work. Its
-// computed table starts empty. This is how a compiled transition
-// relation is shared across concurrent sessions: one immutable
-// snapshot, one cheap private manager per session. A non-nil stop is
-// polled before anything is allocated and between fixed-size chunks of
-// the copies; once it reports true the load is abandoned and
-// NewFromSnapshot returns nil.
-func NewFromSnapshot(s *Snapshot, stop func() bool) *Manager {
-	if stop != nil && stop() {
-		return nil
+	nodes := make([]node, 0, m.NumNodes())
+	nodes = append(append(nodes, m.baseNodes...), m.own...)
+	s := &Snapshot{nVars: m.nVars, nodes: nodes}
+	if m.base == terminals {
+		s.unique = slices.Clone(m.unique)
+		return s
 	}
-	nodes := make([]node, len(s.nodes))
-	if !copyChunked(nodes, s.nodes, stop) {
-		return nil
+	size := minUnique
+	for 2*len(nodes) > size {
+		size *= 2
 	}
-	unique := make([]Ref, len(s.unique))
-	if !copyChunked(unique, s.unique, stop) {
-		return nil
+	s.unique = make([]Ref, size)
+	for r, n := range nodes[2:] {
+		place(s.unique, n, Ref(r+2))
 	}
-	return &Manager{nVars: s.nVars, nodes: nodes, unique: unique}
-}
-
-// copyChunked copies src into dst loadChunk elements at a time,
-// polling stop between chunks; it reports whether the copy completed.
-func copyChunked[T any](dst, src []T, stop func() bool) bool {
-	for lo := 0; lo < len(src); lo += loadChunk {
-		if stop != nil && lo > 0 && stop() {
-			return false
-		}
-		copy(dst[lo:], src[lo:min(lo+loadChunk, len(src))])
-	}
-	return true
+	return s
 }
 
 // NumVars returns the variable count.
 func (m *Manager) NumVars() int { return m.nVars }
 
-// hash3 mixes three 32-bit keys; both tables index with its low bits.
+// hash3 mixes three 32-bit keys; all tables index with its low bits.
 func hash3(a, b, c uint32) uint64 {
 	h := uint64(a)*0x9E3779B97F4A7C15 ^ uint64(b)*0xC2B2AE3D27D4EB4F ^ uint64(c)*0x165667B19E3779F9
 	return h ^ h>>32
 }
 
-// mk returns the canonical node (level, lo, hi).
+// node returns the node of r.
+func (m *Manager) node(r Ref) node {
+	if nb := Ref(len(m.baseNodes)); r >= nb {
+		return m.own[r-nb]
+	}
+	return m.baseNodes[r]
+}
+
+// find returns the ref of s's node (level, lo, hi), whose hash3 is h,
+// or 0 if s has none.
+func (s *Snapshot) find(h uint64, level int32, lo, hi Ref) Ref {
+	mask := uint64(len(s.unique) - 1)
+	for i := h & mask; s.unique[i] != 0; i = (i + 1) & mask {
+		if r := s.unique[i]; s.nodes[r] == (node{level, lo, hi}) {
+			return r
+		}
+	}
+	return 0
+}
+
+// place puts r, the ref of n, in the first empty slot of n's probe
+// sequence in the unique table t.
+func place(t []Ref, n node, r Ref) {
+	mask := uint64(len(t) - 1)
+	i := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & mask
+	for t[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t[i] = r
+}
+
+// mk returns the canonical node (level, lo, hi). A new node gets the
+// next ref after every existing one, snapshot refs included, so a
+// loaded manager creates the same nodes in the same order as the
+// manager its snapshot came from would have.
 func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
 	m.requests++
-	if m.requests%interruptInterval == 0 && m.Interrupt != nil && m.Interrupt() {
-		panic(ErrInterrupted)
+	if m.requests%interruptInterval == 0 {
+		m.poll()
+	}
+	h := hash3(uint32(level), uint32(lo), uint32(hi))
+	nb := Ref(len(m.baseNodes))
+	// A node with a child of the manager's own cannot be in the
+	// snapshot.
+	if lo < nb && hi < nb {
+		if r := m.base.find(h, level, lo, hi); r != 0 {
+			return r
+		}
 	}
 	mask := uint64(len(m.unique) - 1)
-	i := hash3(uint32(level), uint32(lo), uint32(hi)) & mask
+	i := h & mask
 	for r := m.unique[i]; r != 0; r = m.unique[i] {
-		if n := m.nodes[r]; n.lo == lo && n.hi == hi && n.level == level {
+		if m.own[r-nb] == (node{level, lo, hi}) {
 			return r
 		}
 		i = (i + 1) & mask
 	}
-	if m.MaxNodes > 0 && len(m.nodes) >= m.MaxNodes {
+	if m.MaxNodes > 0 && m.NumNodes() >= m.MaxNodes {
 		panic(ErrNodeLimit)
 	}
-	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, node{level: level, lo: lo, hi: hi})
+	r := nb + Ref(len(m.own))
+	m.own = append(m.own, node{level: level, lo: lo, hi: hi})
 	m.unique[i] = r
-	if 2*len(m.nodes) > len(m.unique) {
+	if 2*len(m.own) > len(m.unique) {
 		m.grow()
 	}
 	return r
 }
 
-// grow doubles the unique table and reinserts every node. It also
-// reserves room for every node the new table can take before it grows
-// again: left to append, a large node slice grows by a quarter at a
-// time, and each step leaves the old array behind as garbage.
+// poll runs every interruptInterval node requests. It polls Interrupt,
+// and it doubles the computed table, dropping its entries, once the
+// table has served cacheWork requests per slot: a check that does
+// little work keeps a small table, and one that does much gets a large
+// one. The table stops growing at the size a flat copy of the whole
+// store would give it: cacheSlots of the snapshot's unique table,
+// doubled until it holds twice NumNodes. A table smaller than its
+// starting size (set explicitly) never grows.
+func (m *Manager) poll() {
+	if m.Interrupt != nil && m.Interrupt() {
+		panic(ErrInterrupted)
+	}
+	m.cacheReqs += interruptInterval
+	n := len(m.cache)
+	if n < cacheSlots(len(m.unique)) || m.cacheReqs <= cacheWork*n {
+		return
+	}
+	flat := len(m.base.unique)
+	for flat < 2*m.NumNodes() {
+		flat *= 2
+	}
+	if n < cacheSlots(flat) {
+		m.cache = make([]cacheEntry, 2*n)
+		m.cacheReqs = 0
+	}
+}
+
+// grow doubles the own unique table and reinserts every own node. It
+// also reserves room for every node the new table can take before it
+// grows again: left to append, a large node slice grows by a quarter
+// at a time, and each step leaves the old array behind as garbage.
 func (m *Manager) grow() {
 	old := len(m.unique)
 	m.unique = make([]Ref, 2*old)
-	if cap(m.nodes) <= old {
-		m.nodes = slices.Grow(m.nodes, old+1-len(m.nodes))
+	if cap(m.own) <= old {
+		m.own = slices.Grow(m.own, old+1-len(m.own))
 	}
-	mask := uint64(len(m.unique) - 1)
-	for r, n := range m.nodes[2:] {
-		i := hash3(uint32(n.level), uint32(n.lo), uint32(n.hi)) & mask
-		for m.unique[i] != 0 {
-			i = (i + 1) & mask
-		}
-		m.unique[i] = Ref(r + 2)
+	nb := Ref(len(m.baseNodes))
+	for k, n := range m.own {
+		place(m.unique, n, nb+Ref(k))
 	}
 	// A computed table sized for the old unique table is dropped and
 	// reallocated at the new size on next use. One of any other size
-	// (capped, or set explicitly) is kept.
+	// (grown by poll, capped, or set explicitly) is kept.
 	if len(m.cache) == cacheSlots(old) && len(m.cache) < maxCacheSlots {
 		m.cache = nil
+		m.cacheReqs = 0
 	}
 }
 
@@ -360,7 +444,7 @@ func terminalApply(op uint32, f, g Ref) (Ref, bool) {
 // cofactors returns the top level of f and g and their cofactors with
 // respect to it.
 func (m *Manager) cofactors(f, g Ref) (top int32, f0, f1, g0, g1 Ref) {
-	nf, ng := m.nodes[f], m.nodes[g]
+	nf, ng := m.node(f), m.node(g)
 	top = min(nf.level, ng.level)
 	f0, f1, g0, g1 = f, f, g, g
 	if nf.level == top {
@@ -440,30 +524,41 @@ func (m *Manager) walk(f Ref, visit func(node)) {
 	if f == True || f == False {
 		return
 	}
-	// Generation-stamped marks, grown to twice the node count so a
-	// growing table reallocates them only O(log n) times; no
-	// clearing per call.
-	if len(m.marks) < len(m.nodes) || m.markGen == math.MaxUint32 {
-		m.marks = make([]uint32, 2*len(m.nodes))
-		m.markGen = 0
+	// Generation-stamped marks: no clearing per call.
+	if m.markGen == math.MaxUint32 {
+		m.marks, m.markGen = nil, 0
 	}
 	m.markGen++
-	gen := m.markGen
 	m.stack = append(m.stack[:0], f)
-	m.marks[f] = gen
+	m.mark(f)
 	for len(m.stack) > 0 {
-		n := m.nodes[m.stack[len(m.stack)-1]]
+		n := m.node(m.stack[len(m.stack)-1])
 		m.stack = m.stack[:len(m.stack)-1]
 		visit(n)
-		if n.lo > True && m.marks[n.lo] != gen {
-			m.marks[n.lo] = gen
+		if n.lo > True && m.mark(n.lo) {
 			m.stack = append(m.stack, n.lo)
 		}
-		if n.hi > True && m.marks[n.hi] != gen {
-			m.marks[n.hi] = gen
+		if n.hi > True && m.mark(n.hi) {
 			m.stack = append(m.stack, n.hi)
 		}
 	}
+}
+
+// mark marks r visited by the current walk and reports whether it was
+// unvisited.
+func (m *Manager) mark(r Ref) bool {
+	p := int(r) / markPage
+	if p >= len(m.marks) {
+		m.marks = slices.Grow(m.marks, p+1-len(m.marks))[:p+1]
+	}
+	if m.marks[p] == nil {
+		m.marks[p] = new([markPage]uint32)
+	}
+	if mk := &m.marks[p][r%markPage]; *mk != m.markGen {
+		*mk = m.markGen
+		return true
+	}
+	return false
 }
 
 // Support marks the variables f depends on in mark (which must have
@@ -496,7 +591,7 @@ func (m *Manager) exists(tag uint32, f Ref, quant func(v int) bool) Ref {
 	if r, ok := m.lookup(tag, f, False); ok {
 		return r
 	}
-	n := m.nodes[f]
+	n := m.node(f)
 	lo, hi := m.exists(tag, n.lo, quant), m.exists(tag, n.hi, quant)
 	var r Ref
 	if quant(int(n.level)) {
@@ -522,7 +617,7 @@ func (m *Manager) rename(tag uint32, f Ref, fn func(v int) int) Ref {
 	if r, ok := m.lookup(tag, f, False); ok {
 		return r
 	}
-	n := m.nodes[f]
+	n := m.node(f)
 	r := m.mk(int32(fn(int(n.level))), m.rename(tag, n.lo, fn), m.rename(tag, n.hi, fn))
 	m.store(tag, f, False, r)
 	return r
@@ -543,7 +638,7 @@ func (m *Manager) SatCount(f Ref, counted []bool) float64 {
 		}
 	}
 	lvl := func(r Ref) int {
-		if l := m.nodes[r].level; l != termLevel {
+		if l := m.node(r).level; l != termLevel {
 			return int(l)
 		}
 		return m.nVars
@@ -562,7 +657,7 @@ func (m *Manager) SatCount(f Ref, counted []bool) float64 {
 		if c, ok := memo[f]; ok {
 			return c
 		}
-		n := m.nodes[f]
+		n := m.node(f)
 		from := below[n.level+1]
 		c := math.Ldexp(rec(n.lo), below[lvl(n.lo)]-from) +
 			math.Ldexp(rec(n.hi), below[lvl(n.hi)]-from)
@@ -580,7 +675,7 @@ func (m *Manager) AnySat(f Ref) (map[int]bool, bool) {
 	}
 	out := map[int]bool{}
 	for f != True {
-		n := m.nodes[f]
+		n := m.node(f)
 		if n.hi != False {
 			out[int(n.level)] = true
 			f = n.hi
@@ -608,7 +703,7 @@ func (m *Manager) Minterms(f Ref, vars []int, fn func(bits []bool) bool) {
 			return fn(bits)
 		}
 		lo, hi := f, f
-		if n := m.nodes[f]; int(n.level) == vars[k] {
+		if n := m.node(f); int(n.level) == vars[k] {
 			lo, hi = n.lo, n.hi
 		}
 		bits[k] = false
@@ -624,7 +719,7 @@ func (m *Manager) Minterms(f Ref, vars []int, fn func(bits []bool) bool) {
 // Eval evaluates f under a complete assignment.
 func (m *Manager) Eval(f Ref, assign func(v int) bool) bool {
 	for f != True && f != False {
-		n := m.nodes[f]
+		n := m.node(f)
 		if assign(int(n.level)) {
 			f = n.hi
 		} else {

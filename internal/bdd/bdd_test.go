@@ -1,7 +1,11 @@
 package bdd
 
 import (
+	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -230,38 +234,6 @@ func TestMinterms(t *testing.T) {
 	}
 }
 
-// TestNewFromSnapshotStops: a load polls its stop function before
-// allocating and between chunks of the copy, and returns nil once stop
-// reports true.
-func TestNewFromSnapshotStops(t *testing.T) {
-	m := New(24)
-	r := rand.New(rand.NewSource(1))
-	f := False
-	for m.NumNodes() <= loadChunk {
-		cube := True
-		for v := 0; v < 24; v++ {
-			if r.Intn(2) == 0 {
-				cube = m.And(cube, m.Var(v))
-			} else {
-				cube = m.And(cube, m.NVar(v))
-			}
-		}
-		f = m.Or(f, cube)
-	}
-	s := m.Snapshot()
-	if NewFromSnapshot(s, func() bool { return true }) != nil {
-		t.Error("load under a stopped poll returned a manager")
-	}
-	polls := 0
-	if NewFromSnapshot(s, func() bool { polls++; return polls > 1 }) != nil || polls != 2 {
-		t.Errorf("load stopped after its first chunk returned a manager or polled %d times, want nil after 2", polls)
-	}
-	loaded := NewFromSnapshot(s, func() bool { return false })
-	if loaded == nil || loaded.NumNodes() != m.NumNodes() || loaded.Size(f) != m.Size(f) {
-		t.Error("load under a poll that never stops lost nodes")
-	}
-}
-
 func TestNodeLimit(t *testing.T) {
 	m := New(20)
 	m.MaxNodes = 50
@@ -410,23 +382,23 @@ func lessThan(m *Manager, vars int) Ref {
 
 var sinkManager *Manager
 
-// TestNewFromSnapshotAllocs: loading a snapshot is two slice copies,
-// so it allocates the same few objects whatever the snapshot's size,
-// and the loaded managers share nothing mutable.
+// TestNewFromSnapshotAllocs: a load reads the snapshot in place, so it
+// allocates the same few objects whatever the snapshot's size, and the
+// loaded managers share nothing mutable.
 func TestNewFromSnapshotAllocs(t *testing.T) {
 	for _, vars := range []int{4, 12} {
 		m := New(2 * vars)
 		f := lessThan(m, vars)
 		s := m.Snapshot()
 		if !raceEnabled {
-			if got := testing.AllocsPerRun(5, func() { sinkManager = NewFromSnapshot(s, nil) }); got > 3 {
+			if got := testing.AllocsPerRun(5, func() { sinkManager = NewFromSnapshot(s) }); got > 3 {
 				t.Errorf("%d-node snapshot: NewFromSnapshot made %v allocations, want at most 3",
 					m.NumNodes(), got)
 			}
 		}
 		// Two loads extended with different functions: neither sees
 		// the other's nodes, and the snapshot's refs stay valid.
-		a, b := NewFromSnapshot(s, nil), NewFromSnapshot(s, nil)
+		a, b := NewFromSnapshot(s), NewFromSnapshot(s)
 		fa := a.Xor(f, a.Var(2*vars-1))
 		fb := b.And(f, b.Var(2*vars-1))
 		if a.NumNodes() <= m.NumNodes() || b.NumNodes() <= m.NumNodes() {
@@ -444,6 +416,92 @@ func TestNewFromSnapshotAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoadBytesIndependentOfSize: a load allocates the same bytes for
+// a snapshot of 891 nodes as for one of 114,683, since it copies
+// neither the node slice nor the unique table.
+func TestLoadBytesIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime perturbs allocation sizes")
+	}
+	// The fewest bytes per load over five batches: a batch may also
+	// count an allocation the test runtime made meanwhile.
+	const loads = 100
+	var perLoad []uint64
+	for _, vars := range []int{7, 14} {
+		m := New(2 * vars)
+		lessThan(m, vars)
+		s := m.Snapshot()
+		least := uint64(math.MaxUint64)
+		for batch := 0; batch < 5; batch++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < loads; i++ {
+				sinkManager = NewFromSnapshot(s)
+			}
+			runtime.ReadMemStats(&m1)
+			least = min(least, (m1.TotalAlloc-m0.TotalAlloc)/loads)
+		}
+		perLoad = append(perLoad, least)
+	}
+	if perLoad[0] != perLoad[1] || perLoad[1] > 16<<10 {
+		t.Errorf("a load allocated %d bytes from an 891-node snapshot and %d from a 114,683-node one, want the same, under 16 KB",
+			perLoad[0], perLoad[1])
+	}
+}
+
+// TestConcurrentLoadsExtendOneSnapshot: eight managers load one
+// snapshot at once, and each extends it with a function of its own,
+// past the first size of its own unique table, then quantifies it and
+// reloads it from a snapshot of its own. Every result must match its
+// truth table. The race job runs this: a write to the shared snapshot
+// fails it there.
+func TestConcurrentLoadsExtendOneSnapshot(t *testing.T) {
+	const vars = 8 // x is variables 0-7, y is variables 8-15
+	m := New(2 * vars)
+	lt := lessThan(m, vars)
+	s := m.Snapshot()
+	less := func(row int) bool { return row&0xff < row>>vars }
+	parity := func(row int) bool { return bits.OnesCount(uint(row))%2 == 1 }
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// f = (x < y) ⊕ parity of every variable but w; h = ∃w. f.
+			mask := 0xffff &^ (1 << w)
+			lm := NewFromSnapshot(s)
+			p := False
+			for v := 0; v < 2*vars; v++ {
+				if mask>>v&1 == 1 {
+					p = lm.Xor(p, lm.Var(v))
+				}
+			}
+			f := lm.Xor(lt, p)
+			h := lm.Exists(f, func(v int) bool { return v == w })
+			if len(lm.unique) <= minUnique {
+				t.Errorf("manager %d: own unique table never grew (%d nodes of its own)", w, len(lm.own))
+				return
+			}
+			reloaded := NewFromSnapshot(lm.Snapshot())
+			r := rand.New(rand.NewSource(int64(w)))
+			for k := 0; k < 4096; k++ {
+				row := r.Intn(1 << (2 * vars))
+				asg := func(v int) bool { return row>>v&1 == 1 }
+				wantF := less(row) != parity(row&mask)
+				other := row ^ 1<<w
+				wantH := wantF || less(other) != parity(other&mask)
+				for _, x := range []*Manager{lm, reloaded} {
+					if x.Eval(lt, asg) != less(row) || x.Eval(f, asg) != wantF || x.Eval(h, asg) != wantH {
+						t.Errorf("manager %d, row %#x: results disagree with their truth tables", w, row)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestInterruptOnUniqueTableHits: an operation whose every node

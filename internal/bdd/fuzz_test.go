@@ -8,7 +8,10 @@ import (
 
 const (
 	maxFuzzVars = 6
-	maxFuzzOps  = 48
+	// maxFuzzOps leaves room for a program that creates more than
+	// minUnique/2 nodes in a loaded manager before it reloads: six
+	// variables give only a few new nodes per operation.
+	maxFuzzOps = 96
 )
 
 // fuzzFn is one value of a fuzz program: a BDD and the truth table it
@@ -101,7 +104,7 @@ func runProgram(t *testing.T, setup func(*Manager), n int, prog []byte) []Ref {
 			r = fuzzFn{m.Rename(a.ref, func(v int) int { return v + d }), tt}
 		default:
 			// Reload from a snapshot: every Ref stays valid.
-			m = NewFromSnapshot(m.Snapshot(), nil)
+			m = NewFromSnapshot(m.Snapshot())
 			setup(m)
 			continue
 		}
@@ -126,9 +129,12 @@ func runProgram(t *testing.T, setup func(*Manager), n int, prog []byte) []Ref {
 // FuzzBDDMatchesTruthTables runs random programs of And, Or, Xor, Not,
 // Exists, AndExists, Rename and snapshot reloads over at most six
 // variables against truth tables, under every computed-table
-// configuration. The configurations must also agree Ref for Ref:
-// which results the lossy table keeps must never change which nodes
-// get created, or in what order.
+// configuration. After a reload every operation runs on a manager that
+// reads the snapshot in place and keeps its own nodes apart, and a
+// reload from a loaded manager flattens both into a new snapshot. The
+// configurations must also agree Ref for Ref: which results the lossy
+// table keeps must never change which nodes get created, or in what
+// order.
 func FuzzBDDMatchesTruthTables(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {

@@ -450,9 +450,9 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 // Compiled is the reusable symbolic form of one design: the node-table
 // snapshot of a fully built model (per-signal functions, transition
 // relation, initial states) plus the refs into it. It is immutable and
-// safe for any number of concurrent CheckCtx calls — each call loads
-// the snapshot into a private manager (two slice copies) instead of
-// re-deriving the model from the netlist.
+// safe for any number of concurrent CheckCtx calls — each call extends
+// the snapshot with a private manager that reads it in place, instead
+// of re-deriving the model from the netlist.
 type Compiled struct {
 	nl   *netlist.Netlist
 	snap *bdd.Snapshot
@@ -495,12 +495,15 @@ func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) 
 // Netlist returns the compiled design.
 func (c *Compiled) Netlist() *netlist.Netlist { return c.nl }
 
-// CheckCtx checks one property against the compiled model: the
-// snapshot is loaded into a fresh private manager (so concurrent calls
-// never share mutable state) and the reachability fixpoint runs under
-// the session's own node budget and cancellation hook. Verdicts,
-// iteration counts and node counts are identical to the direct
-// CheckCtx — the loaded model is ref-for-ref the same.
+// CheckCtx checks one property against the compiled model: a fresh
+// private manager extends the snapshot, reading it without copying it
+// and keeping every node the check creates to itself (so concurrent
+// calls never share mutable state), and the reachability fixpoint runs
+// under the session's own node budget and cancellation hook. The load
+// costs the same few small allocations whatever the model's size, and
+// a ctx that is already done makes the check unknown at its first
+// poll. Verdicts, iteration counts and node counts are identical to
+// the direct CheckCtx — the loaded model is ref-for-ref the same.
 func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Options) (res Result) {
 	start := time.Now()
 	if opts.MaxNodes == 0 {
@@ -510,18 +513,11 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 		opts.MaxIters = 10000
 	}
 	defer recoverBudget(&res, start, opts.MaxNodes)
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = func() bool { return ctx.Err() != nil }
-	}
-	m := bdd.NewFromSnapshot(c.snap, stop)
-	if m == nil { // cancelled before or while loading
-		res.Verdict = Unknown
-		res.Elapsed = time.Since(start)
-		return
-	}
+	m := bdd.NewFromSnapshot(c.snap)
 	m.MaxNodes = opts.MaxNodes
-	m.Interrupt = stop
+	if ctx.Done() != nil {
+		m.Interrupt = func() bool { return ctx.Err() != nil }
+	}
 	return checkReach(ctx, m, c.mo, p, opts, start)
 }
 
