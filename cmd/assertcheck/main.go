@@ -11,11 +11,11 @@
 //	    Table 2 (per-property time and memory) on the built-in
 //	    benchmark suite.
 //
-//	assertcheck -stats design.v -top mod
+//	assertcheck -stats -top mod design.v
 //	    Print netlist statistics for a design.
 //
-//	assertcheck design.v -top mod -invariant a,b [-witness w] [-depth N]
-//	            [-engine E] [-jobs N] [-json] [-timeout D]
+//	assertcheck -top mod -invariant a,b [-witness w] [-depth N]
+//	            [-engine E] [-jobs N] [-json] [-timeout D] design.v
 //	    Check that each listed one-bit signal is always 1 (invariant)
 //	    or find a trace driving it to 1 (witness). Engines: atpg
 //	    (default), bmc, bdd, or portfolio (race all three, first
@@ -28,6 +28,11 @@
 //	    assertd serving front end. -timeout bounds the whole run with a
 //	    cancellation context: checks still running when it expires
 //	    report verdict "unknown" (exit status 4).
+//
+// Flags come before the design file: flag parsing stops at the first
+// argument that is not a flag. -depth, -jobs and -timeout may not be
+// negative; -depth 0 selects the default of 16, -jobs 0 one worker per
+// CPU and -timeout 0 no budget.
 //
 // Exit status: 0 when every property is proved (or proved-bounded /
 // witness-found), 3 when any property is falsified or a requested
@@ -42,6 +47,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/bmc"
 	"repro/internal/circuits"
@@ -80,7 +86,7 @@ func main() {
 		runTables()
 		return
 	}
-	if code := checkUsage(os.Stderr, flag.NArg(), *top, *depth); code != exitOK {
+	if code := checkUsage(os.Stderr, flag.NArg(), *top, *depth, *jobs, *timeout); code != exitOK {
 		os.Exit(code)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -158,15 +164,20 @@ func main() {
 
 // checkUsage returns exitUsage, after saying why on w, when the parsed
 // flags name no run: a run needs one design file and a top module, and
-// its depth may not be negative (0 selects the default of 16). It
-// returns exitOK otherwise.
-func checkUsage(w io.Writer, nargs int, top string, depth int) int {
-	if depth < 0 {
+// its depth, jobs and timeout may not be negative, as assertd answers
+// 400 for each. It returns exitOK otherwise.
+func checkUsage(w io.Writer, nargs int, top string, depth, jobs int, timeout time.Duration) int {
+	switch {
+	case depth < 0:
 		fmt.Fprintf(w, "assertcheck: depth %d is negative\n", depth)
-	} else if nargs == 1 && top != "" {
+	case jobs < 0:
+		fmt.Fprintf(w, "assertcheck: jobs %d is negative\n", jobs)
+	case timeout < 0:
+		fmt.Fprintf(w, "assertcheck: timeout %v is negative\n", timeout)
+	case nargs == 1 && top != "":
 		return exitOK
 	}
-	fmt.Fprintln(w, "usage: assertcheck [-tables] | design.v -top mod [-stats | -invariant sigs | -witness sigs]")
+	fmt.Fprintln(w, "usage: assertcheck -tables | -top mod [-stats | -invariant sigs | -witness sigs] design.v")
 	return exitUsage
 }
 
