@@ -131,8 +131,7 @@ func TestNegativeDepthIsUsageError(t *testing.T) {
 
 // TestNegativeJobsAndTimeoutAreUsageErrors: a negative -jobs or
 // -timeout is a usage mistake (exit status 2), as assertd answers 400
-// for each. Before, -timeout -1s ran with no budget and -jobs -3 ran on
-// one worker per CPU, both with exit status 0.
+// for each; 0 keeps its meaning for both.
 func TestNegativeJobsAndTimeoutAreUsageErrors(t *testing.T) {
 	var out bytes.Buffer
 	if code := checkUsage(&out, 1, "smoke", 16, -3, 0); code != exitUsage || !strings.Contains(out.String(), "jobs -3 is negative") {

@@ -72,11 +72,9 @@ const (
 type Manager struct {
 	// base is the immutable store the manager extends: refs below
 	// len(base.nodes) are its nodes, read in place and never written.
-	// baseNodes is base.nodes, kept here to spare every read a load.
-	base      *Snapshot
-	baseNodes []node
+	base *Snapshot
 	// own holds the nodes the manager created: own[i] has the ref
-	// len(baseNodes)+i.
+	// len(base.nodes)+i.
 	own []node
 	// unique is the open-addressed hash table (linear probing) over
 	// own: a slot holds the Ref of an own node, or 0 when empty. Its
@@ -158,13 +156,12 @@ func New(n int) *Manager {
 // concurrent sessions: one immutable snapshot, one cheap private
 // manager per session.
 func NewFromSnapshot(s *Snapshot) *Manager {
-	return &Manager{base: s, baseNodes: s.nodes, nVars: s.nVars,
-		own: make([]node, 0, minUnique/2), unique: make([]Ref, minUnique)}
+	return &Manager{base: s, nVars: s.nVars, own: make([]node, 0, minUnique/2), unique: make([]Ref, minUnique)}
 }
 
 // NumNodes returns the number of allocated nodes (memory proxy): the
 // snapshot's and the manager's own.
-func (m *Manager) NumNodes() int { return len(m.baseNodes) + len(m.own) }
+func (m *Manager) NumNodes() int { return len(m.base.nodes) + len(m.own) }
 
 // Snapshot returns m's whole node store as one flat snapshot. Refs
 // held against m index the same nodes in every manager loaded from it.
@@ -173,7 +170,7 @@ func (m *Manager) NumNodes() int { return len(m.baseNodes) + len(m.own) }
 // rehashed.
 func (m *Manager) Snapshot() *Snapshot {
 	nodes := make([]node, 0, m.NumNodes())
-	nodes = append(append(nodes, m.baseNodes...), m.own...)
+	nodes = append(append(nodes, m.base.nodes...), m.own...)
 	s := &Snapshot{nVars: m.nVars, nodes: nodes}
 	if m.base == terminals {
 		s.unique = slices.Clone(m.unique)
@@ -201,10 +198,10 @@ func hash3(a, b, c uint32) uint64 {
 
 // node returns the node of r.
 func (m *Manager) node(r Ref) node {
-	if nb := Ref(len(m.baseNodes)); r >= nb {
+	if nb := Ref(len(m.base.nodes)); r >= nb {
 		return m.own[r-nb]
 	}
-	return m.baseNodes[r]
+	return m.base.nodes[r]
 }
 
 // find returns the ref of s's node (level, lo, hi), whose hash3 is h,
@@ -243,7 +240,7 @@ func (m *Manager) mk(level int32, lo, hi Ref) Ref {
 		m.poll()
 	}
 	h := hash3(uint32(level), uint32(lo), uint32(hi))
-	nb := Ref(len(m.baseNodes))
+	nb := Ref(len(m.base.nodes))
 	// A node with a child of the manager's own cannot be in the
 	// snapshot.
 	if lo < nb && hi < nb {
@@ -308,7 +305,7 @@ func (m *Manager) grow() {
 	if cap(m.own) <= old {
 		m.own = slices.Grow(m.own, old+1-len(m.own))
 	}
-	nb := Ref(len(m.baseNodes))
+	nb := Ref(len(m.base.nodes))
 	for k, n := range m.own {
 		place(m.unique, n, nb+Ref(k))
 	}

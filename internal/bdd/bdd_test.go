@@ -538,8 +538,8 @@ func TestInterruptOnUniqueTableHits(t *testing.T) {
 var sinkInt int
 
 // TestSizeAllocsAfterGrowth: Size interleaved with node creation, the
-// pattern of buildModel's cluster packing, reallocates its visited
-// marks only when the node count has doubled, not on every call.
+// pattern of buildModel's cluster packing, allocates visited marks only
+// when a walk first reaches a page of 4,096 refs, not on every call.
 func TestSizeAllocsAfterGrowth(t *testing.T) {
 	m := New(256)
 	f, v := True, 0
