@@ -112,14 +112,7 @@ func main() {
 		fatal(fmt.Errorf("need -stats, -invariant or -witness"))
 	}
 
-	copts := core.Options{MaxDepth: *depth, UseInduction: *induction}
-	if *engine == core.EngineBMC || *engine == core.EngineBDD {
-		// The session only supplies problem/worker-pool plumbing for the
-		// baseline engines; skip the local-FSM extraction they never
-		// read.
-		copts.DisableLocalFSM = true
-	}
-	c, err := d.NewSession(copts)
+	c, err := d.NewSession(core.Options{MaxDepth: *depth, UseInduction: *induction})
 	if err != nil {
 		fatal(err)
 	}

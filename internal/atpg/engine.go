@@ -14,7 +14,6 @@ package atpg
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/bv"
 	"repro/internal/linsolve"
@@ -33,11 +32,11 @@ const (
 	ModeWitness
 )
 
-// Limits bounds the search.
+// Limits bounds the search by effort; time bounds come from the
+// context installed with SetContext.
 type Limits struct {
-	MaxBacktracks int           // 0 = default
-	MaxDecisions  int           // 0 = default
-	Timeout       time.Duration // 0 = none
+	MaxBacktracks int // 0 = 200,000
+	MaxDecisions  int // 0 = 1,000,000
 }
 
 // Features toggles engine components for ablation studies (all false =
@@ -145,8 +144,7 @@ type Engine struct {
 	queuedStamp []uint32
 	queueGen    uint32
 
-	stats    Stats
-	deadline time.Time
+	stats Stats
 	// ctx, when non-nil, cancels the search cooperatively: the Solve
 	// loop polls ctx.Err() once per decision/backtrack round (the
 	// check-interval budget) and returns StatusAbort when cancelled.
@@ -817,11 +815,6 @@ func (e *Engine) popLevel() {
 // level returns the current decision depth.
 func (e *Engine) level() int { return len(e.levelMarks) }
 
-// timedOut reports whether the deadline passed.
-func (e *Engine) timedOut() bool {
-	return !e.deadline.IsZero() && time.Now().After(e.deadline)
-}
-
 // SetContext installs a cancellation context: Solve returns StatusAbort
 // promptly (within one decision/backtrack round) after ctx is
 // cancelled. A nil or never-cancellable context changes nothing about
@@ -836,11 +829,7 @@ func (e *Engine) SetContext(ctx context.Context) {
 	e.ctx = ctx
 }
 
-// stopped reports whether the search must abort: the context was
-// cancelled or the wall-clock deadline passed.
+// stopped reports whether the search must abort: the context is done.
 func (e *Engine) stopped() bool {
-	if e.ctx != nil && e.ctx.Err() != nil {
-		return true
-	}
-	return e.timedOut()
+	return e.ctx != nil && e.ctx.Err() != nil
 }

@@ -3,7 +3,6 @@ package atpg
 import (
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/bv"
 	"repro/internal/netlist"
@@ -82,9 +81,6 @@ func (e *Engine) branch(frame int, sig netlist.SignalID, vals ...bv.BV) *decisio
 // control signals, and modular arithmetic solving of the residual
 // datapath constraints, iterating with chronological backtracking.
 func (e *Engine) Solve() Status {
-	if e.limits.Timeout > 0 {
-		e.deadline = time.Now().Add(e.limits.Timeout)
-	}
 	e.incomplete = false
 	stack := e.decStack[:0]
 	defer func() { e.decStack = stack[:0] }()

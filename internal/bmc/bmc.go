@@ -61,8 +61,7 @@ type Result struct {
 
 // Options bounds the run.
 type Options struct {
-	MaxDepth     int
-	MaxConflicts int64 // per solver; 0 = unlimited
+	MaxDepth int // 0 = 16
 }
 
 // Check searches for a counterexample to the property up to MaxDepth
@@ -74,7 +73,7 @@ func Check(nl *netlist.Netlist, p property.Property, opts Options) Result {
 // CheckCtx is Check under a cancellation context: the CDCL search polls
 // ctx between unit-propagation rounds (see sat.Solver.Stop) and between
 // depths, so a cancelled run returns Unknown promptly instead of
-// exhausting its conflict budget. The netlist is compiled into a
+// finishing its search. The netlist is compiled into a
 // one-frame CNF template first; callers that check many properties of
 // one design should compile once (cnf.Compile or the core Design
 // cache) and use CheckCompiled.
@@ -117,7 +116,6 @@ func CheckCompiled(ctx context.Context, tmpl *cnf.Template, p property.Property,
 	}
 	nl := tmpl.NL
 	s := sat.NewSolver()
-	s.MaxConflicts = opts.MaxConflicts
 	if ctx.Done() != nil { // cancellable: install the CDCL stop hook
 		s.Stop = func() bool { return ctx.Err() != nil }
 	}

@@ -71,12 +71,14 @@ func (v Verdict) Conclusive() bool {
 	return v == VerdictProved || v == VerdictFalsified || v == VerdictWitnessFound
 }
 
+// defaultDepth is the frame bound of a session or problem that sets
+// none.
+const defaultDepth = 16
+
 // Options tunes a session.
 type Options struct {
 	// MaxDepth bounds the number of time frames explored (default 16).
 	MaxDepth int
-	// Limits bounds each ATPG run.
-	Limits atpg.Limits
 	// UseInduction proves invariants by k-induction: a pre-check (the
 	// violation alone, in one free frame under the local-FSM
 	// fixpoints) before any bounded search, then the step at k = d
@@ -84,11 +86,6 @@ type Options struct {
 	// that closes gives Proved; if none does, the result stays
 	// ProvedBounded.
 	UseInduction bool
-	// InductionDecisions caps the decisions of one check's pre-check
-	// and steps together, with twice as many backtracks (default 5000
-	// decisions): when the property is not inductive the steps can cost
-	// far more than the bounded search, so they share one small budget.
-	InductionDecisions int
 	// DisableLocalFSM turns off the §6 local-FSM guidance (extraction
 	// of per-register state transition graphs whose reachable sets
 	// prune illegal states and strengthen induction). On by default;
@@ -100,7 +97,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.MaxDepth == 0 {
-		o.MaxDepth = 16
+		o.MaxDepth = defaultDepth
 	}
 	return o
 }

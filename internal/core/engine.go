@@ -49,7 +49,7 @@ type Problem struct {
 
 func (p Problem) depth() int {
 	if p.MaxDepth == 0 {
-		return 16
+		return defaultDepth
 	}
 	return p.MaxDepth
 }

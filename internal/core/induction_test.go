@@ -170,7 +170,7 @@ func TestRelationalInvariantProvedAtFirstStep(t *testing.T) {
 
 // TestInductionBudgetPerCheck: without its local FSMs token_ring48/p3
 // is not inductive at any k up to 3, and the pre-check and the three
-// steps share one InductionDecisions budget. They take at most one
+// steps share one inductionDecisions budget. They take at most one
 // decision past it together; with a budget per step they took that
 // much each.
 func TestInductionBudgetPerCheck(t *testing.T) {
@@ -178,9 +178,9 @@ func TestInductionBudgetPerCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 200
+	const budget = inductionDecisions
 	run := func(induct bool) Result {
-		c, err := New(cd.NL, Options{MaxDepth: 3, UseInduction: induct, InductionDecisions: budget, DisableLocalFSM: true})
+		c, err := New(cd.NL, Options{MaxDepth: 3, UseInduction: induct, DisableLocalFSM: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"repro/internal/atpg"
 	"repro/internal/netlist"
 	"repro/internal/property"
 )
@@ -26,40 +26,20 @@ func buildHardInstance(n int) (*netlist.Netlist, netlist.SignalID) {
 	return nl, acc
 }
 
+// TestTimeoutReturnsUnknown: a check under a deadline that has already
+// passed is unknown, since ctx is the only time bound a check has.
 func TestTimeoutReturnsUnknown(t *testing.T) {
 	nl, mon := buildHardInstance(24)
 	p, _ := property.NewInvariant(nl, "parity", mon)
-	c, err := New(nl, Options{
-		MaxDepth: 1,
-		Limits:   atpg.Limits{Timeout: time.Nanosecond},
-	})
+	c, err := New(nl, Options{MaxDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Check(p)
-	if res.Verdict != VerdictUnknown && res.Verdict != VerdictFalsified {
-		// A nanosecond budget must either abort or (on a very fast
-		// first branch) still find the trivially falsifiable parity.
-		t.Fatalf("verdict = %v", res.Verdict)
-	}
-}
-
-func TestDecisionLimitAborts(t *testing.T) {
-	nl, mon := buildHardInstance(24)
-	// Require parity monitor to be 1 always — falsifiable, but with a
-	// 1-decision budget the search cannot finish... except implication
-	// may decide instantly; accept either outcome but require
-	// non-crash and a conclusive-or-unknown verdict.
-	p, _ := property.NewInvariant(nl, "parity", mon)
-	c, _ := New(nl, Options{
-		MaxDepth: 1,
-		Limits:   atpg.Limits{MaxDecisions: 1, MaxBacktracks: 1},
-	})
-	res := c.Check(p)
-	switch res.Verdict {
-	case VerdictUnknown, VerdictFalsified, VerdictProved, VerdictProvedBounded:
-	default:
-		t.Fatalf("unexpected verdict %v", res.Verdict)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-ctx.Done()
+	if res := c.CheckCtx(ctx, p); res.Verdict != VerdictUnknown {
+		t.Fatalf("verdict = %v, want unknown", res.Verdict)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/bv"
-	"repro/internal/fsm"
 	"repro/internal/netlist"
 	"repro/internal/property"
 	"repro/internal/sim"
@@ -29,9 +28,6 @@ type Session struct {
 	d    *Design
 	nl   *netlist.Netlist
 	opts Options
-	// machines are the design's local FSMs, nil when the session
-	// disabled them.
-	machines []*fsm.Machine
 }
 
 // New compiles (or reuses, via the process-wide design cache) the
@@ -46,26 +42,15 @@ func New(nl *netlist.Netlist, opts Options) (*Session, error) {
 	return d.NewSession(opts)
 }
 
-// NewSession opens a per-run session over the design. Local FSMs are
-// taken from the design cache (built on first use) unless the options
-// disable them.
+// NewSession opens a per-run session over the design. It compiles
+// nothing: each engine takes what it reads from the design's caches,
+// built on first use. The error result is always nil.
 func (d *Design) NewSession(opts Options) (*Session, error) {
-	s := &Session{d: d, nl: d.nl, opts: opts.withDefaults()}
-	if !s.opts.DisableLocalFSM {
-		ms, err := d.Machines()
-		if err != nil {
-			return nil, err
-		}
-		s.machines = ms
-	}
-	return s, nil
+	return &Session{d: d, nl: d.nl, opts: opts.withDefaults()}, nil
 }
 
 // Design returns the immutable compiled design this session runs over.
 func (c *Session) Design() *Design { return c.d }
-
-// Machines exposes the extracted local FSMs (for reporting).
-func (c *Session) Machines() []*fsm.Machine { return c.machines }
 
 // Netlist returns the design under check.
 func (c *Session) Netlist() *netlist.Netlist { return c.nl }
@@ -102,11 +87,17 @@ func (c *Session) sessionFor(nl *netlist.Netlist, depth int) (*Session, error) {
 	return d.NewSession(opts)
 }
 
-// addDomains installs the local-FSM reachable sets: bounded runs use
-// the per-frame unrolled sets, induction runs (any-state start) the
-// fixpoint sets.
+// addDomains installs the design's local-FSM reachable sets, unless
+// the options disable them: bounded runs use the per-frame unrolled
+// sets, induction runs (any-state start) the fixpoint sets. Extraction
+// fails only on a combinationally cyclic netlist, which NewDesign
+// already rejects.
 func (c *Session) addDomains(eng *atpg.Engine, fixpointOnly bool) {
-	for _, m := range c.machines {
+	if c.opts.DisableLocalFSM {
+		return
+	}
+	machines, _ := c.d.Machines()
+	for _, m := range machines {
 		m := m
 		if fixpointOnly {
 			eng.AddDomain(atpg.Domain{
@@ -178,6 +169,12 @@ func (c *Session) check(ctx context.Context, p property.Property) Result {
 	return res
 }
 
+// inductionDecisions caps the decisions of one check's pre-check and
+// steps together, with twice as many backtracks: when the property is
+// not inductive the steps can cost far more than the bounded search,
+// so they share one small budget.
+const inductionDecisions = 5000
+
 // checkSearch is the Fig. 1 loop proper, run by the session check
 // picked through sessionFor, whose design covers the netlist. The
 // per-phase engines are built over the design's shared ATPG prep: only
@@ -192,8 +189,9 @@ func (c *Session) check(ctx context.Context, p property.Property) Result {
 // (Sheeran, Singh & Stalmarck, FMCAD 2000; Een & Sorensson, BMC 2003).
 // The step at k is sound because depths 1..k all had their bounded
 // search first, in this check. The pre-check and every step draw on
-// one budget of Options.InductionDecisions, so a property that is not
-// inductive spends at most that budget on all its steps together.
+// one budget of inductionDecisions, so a property that is not
+// inductive spends at most that budget on all its steps together. A
+// ctx that is done before a phase starts makes the check unknown.
 // Witnesses and combinational cones run the bounded search alone.
 func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	prep, err := c.d.ATPGPrep()
@@ -203,44 +201,19 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 	_, target := searchTarget(p)
 	var agg atpg.Stats
 	unknown := func() Result { return Result{Verdict: VerdictUnknown, Depth: c.opts.MaxDepth, Stats: agg} }
-	deadline := time.Time{}
-	if c.opts.Limits.Timeout > 0 {
-		deadline = time.Now().Add(c.opts.Limits.Timeout)
-	}
-	// start returns the limits of a phase that starts now: the
-	// session's, with the time left before the check's deadline. It
-	// reports false when ctx is done or no time is left, and the check
-	// is then unknown.
-	start := func() (atpg.Limits, bool) {
-		limits := c.opts.Limits
-		if ctx.Err() != nil {
-			return limits, false
-		}
-		if !deadline.IsZero() {
-			if limits.Timeout = time.Until(deadline); limits.Timeout <= 0 {
-				return limits, false
-			}
-		}
-		return limits, true
-	}
 	induct := c.opts.UseInduction && p.Kind == property.Invariant && !c.coneIsCombinational(p)
-	decLeft := c.opts.InductionDecisions
-	if decLeft == 0 {
-		decLeft = 5000
-	}
-	btLeft := 2 * decLeft
+	decLeft, btLeft := inductionDecisions, 2*inductionDecisions
 	// step runs the induction step at k while the budget lasts. It
 	// returns the check's result, and true, when the step proves the
 	// invariant or cannot start.
 	step := func(k int) (Result, bool) {
-		limits, ok := start()
-		if !ok {
+		if ctx.Err() != nil {
 			return unknown(), true
 		}
 		if decLeft <= 0 || btLeft <= 0 {
 			return Result{}, false
 		}
-		limits.MaxDecisions, limits.MaxBacktracks = decLeft, btLeft
+		limits := atpg.Limits{MaxDecisions: decLeft, MaxBacktracks: btLeft}
 		st, stats := c.inductionStep(ctx, prep, p, k, limits)
 		agg = addStats(agg, stats)
 		decLeft -= stats.Decisions
@@ -253,11 +226,10 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		}
 	}
 	for depth := 1; depth <= c.opts.MaxDepth; depth++ {
-		limits, ok := start()
-		if !ok {
+		if ctx.Err() != nil {
 			return unknown()
 		}
-		eng, st, err := c.bounded(ctx, prep, p, depth, limits)
+		eng, st, err := c.bounded(ctx, prep, p, depth)
 		if err != nil {
 			return Result{Verdict: VerdictUnknown, Depth: depth, Stats: agg}
 		}
@@ -314,10 +286,11 @@ func searchTarget(p property.Property) (atpg.Mode, bv.BV) {
 // bounded is the bounded search at one depth: frames 0..depth-1 from
 // the initial state under the per-frame local-FSM sets, every
 // assumption on every frame and the search target on the last frame.
-// It returns the engine, whose values hold a found trace.
-func (c *Session) bounded(ctx context.Context, prep *atpg.Prep, p property.Property, depth int, limits atpg.Limits) (*atpg.Engine, atpg.Status, error) {
+// It runs under the engine's default effort limits and returns the
+// engine, whose values hold a found trace.
+func (c *Session) bounded(ctx context.Context, prep *atpg.Prep, p property.Property, depth int) (*atpg.Engine, atpg.Status, error) {
 	mode, target := searchTarget(p)
-	eng, err := atpg.NewWithPrep(prep, depth, mode, limits, false, c.opts.Features)
+	eng, err := atpg.NewWithPrep(prep, depth, mode, atpg.Limits{}, false, c.opts.Features)
 	if err != nil {
 		return nil, atpg.StatusAbort, err
 	}

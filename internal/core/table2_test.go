@@ -29,7 +29,7 @@ func paperFlow(t *testing.T, s *Session, p property.Property) Result {
 	}
 	var agg atpg.Stats
 	for depth := 1; depth <= s.opts.MaxDepth; depth++ {
-		eng, st, err := s.bounded(ctx, prep, p, depth, s.opts.Limits)
+		eng, st, err := s.bounded(ctx, prep, p, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func paperFlow(t *testing.T, s *Session, p property.Property) Result {
 	if p.Kind == property.Witness {
 		return res(VerdictNoWitness, s.opts.MaxDepth, agg)
 	}
-	limits := atpg.Limits{MaxDecisions: 5000, MaxBacktracks: 10000}
+	limits := atpg.Limits{MaxDecisions: inductionDecisions, MaxBacktracks: 2 * inductionDecisions}
 	for _, k := range []int{0, s.opts.MaxDepth} {
 		st, stats := s.inductionStep(ctx, prep, p, k, limits)
 		agg = addStats(agg, stats)

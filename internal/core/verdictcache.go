@@ -177,8 +177,8 @@ func verdictKey(cone string, p property.Property, meta string) string {
 }
 
 // cacheMeta canonically encodes everything outside the cone that a
-// record depends on: the engine, the depth bound, the induction
-// configuration, the search limits and the ablation switches. Non-ATPG
+// record depends on: the engine, the depth bound, the induction and
+// local-FSM switches and the ablation switches. Non-ATPG
 // engines additionally pin the whole-design fingerprint (see the
 // package comment); designs without a fingerprint (programmatic
 // netlists) disable caching for those engines by returning "". The
@@ -195,11 +195,8 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // keeps the version: older keys have another shape and never match.
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v5|%s|d%d|ind%t.%d|lim%d.%d.%d|fsm%t|%+v",
-		engineName, o.MaxDepth,
-		o.UseInduction, o.InductionDecisions,
-		o.Limits.MaxBacktracks, o.Limits.MaxDecisions, int64(o.Limits.Timeout),
-		o.DisableLocalFSM, o.Features)
+	meta := fmt.Sprintf("v5|%s|d%d|ind%t|fsm%t|%+v",
+		engineName, o.MaxDepth, o.UseInduction, o.DisableLocalFSM, o.Features)
 	if engineName != EngineATPG {
 		fp := c.d.fingerprint
 		if fp == "" {

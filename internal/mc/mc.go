@@ -43,15 +43,22 @@ func (v Verdict) String() string {
 // Options bounds the run.
 type Options struct {
 	MaxNodes int // BDD node budget (0 = 4M)
-	MaxIters int // reachability iterations (0 = 10000)
-	// PartitionNodes is the node budget one transition cluster may
-	// reach before a new cluster is started (0 = 2048). The transition
-	// relation is kept as per-state-variable clusters and the image is
-	// a fold of AndExists relational products: each current-state/input
-	// variable is quantified out at the last cluster that mentions it,
-	// so intermediate products stay small.
-	PartitionNodes int
 }
+
+const (
+	// defaultMaxNodes is the node budget of a check or compile that
+	// sets none.
+	defaultMaxNodes = 4 << 20
+	// maxIters bounds the reachability iterations of one check.
+	maxIters = 10000
+	// partitionNodes is the node budget one transition cluster may
+	// reach before a new cluster is started. The transition relation is
+	// kept as per-state-variable clusters and the image is a fold of
+	// AndExists relational products: each current-state/input variable
+	// is quantified out at the last cluster that mentions it, so
+	// intermediate products stay small.
+	partitionNodes = 2048
+)
 
 // Result reports the outcome with the memory proxy.
 type Result struct {
@@ -257,9 +264,6 @@ func constraints(m *bdd.Manager, lay layout, d []bdd.Ref) []bdd.Ref {
 // conjunctions under the node budget.
 func clusters(m *bdd.Manager, cs []bdd.Ref, partBudget int) []bdd.Ref {
 	var parts []bdd.Ref
-	if partBudget <= 0 {
-		partBudget = 2048
-	}
 	cluster := bdd.True
 	for _, c := range cs {
 		merged := m.And(cluster, c)
@@ -354,7 +358,7 @@ func (mo *model) image(m *bdd.Manager, reached, assume bdd.Ref, peak *int) bdd.R
 // compiled path (Compiled.CheckCtx); both produce identical verdicts,
 // iteration counts and node counts because the model is structurally
 // identical either way.
-func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Property, opts Options, start time.Time) (res Result) {
+func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Property, start time.Time) (res Result) {
 	assume := bdd.True
 	for _, a := range p.Assumes {
 		assume = m.And(assume, mo.funcs[a][0])
@@ -368,7 +372,7 @@ func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Proper
 	res.QuantDepth = mo.quantDepth
 
 	reached := mo.init
-	for iter := 0; iter <= opts.MaxIters; iter++ {
+	for iter := 0; iter <= maxIters; iter++ {
 		if ctx.Err() != nil {
 			res.Verdict = Unknown
 			res.Iters = iter
@@ -396,7 +400,7 @@ func checkReach(ctx context.Context, m *bdd.Manager, mo model, p property.Proper
 		reached = newR
 	}
 	res.Verdict = Unknown
-	res.Iters = opts.MaxIters
+	res.Iters = maxIters
 	res.PeakNodes = m.NumNodes()
 	res.Elapsed = time.Since(start)
 	return
@@ -427,10 +431,7 @@ func recoverBudget(res *Result, start time.Time, peak int) {
 func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opts Options) (res Result) {
 	start := time.Now()
 	if opts.MaxNodes == 0 {
-		opts.MaxNodes = 4 << 20
-	}
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 10000
+		opts.MaxNodes = defaultMaxNodes
 	}
 	defer recoverBudget(&res, start, opts.MaxNodes)
 
@@ -438,13 +439,13 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 	if ctx.Done() != nil { // cancellable: poll inside node requests
 		interrupt = func() bool { return ctx.Err() != nil }
 	}
-	m, mo, err := buildModel(nl, opts.MaxNodes, opts.PartitionNodes, interrupt)
+	m, mo, err := buildModel(nl, opts.MaxNodes, partitionNodes, interrupt)
 	if err != nil {
 		res.Verdict = Unknown
 		res.Elapsed = time.Since(start)
 		return
 	}
-	return checkReach(ctx, m, mo, p, opts, start)
+	return checkReach(ctx, m, mo, p, start)
 }
 
 // Compiled is the reusable symbolic form of one design: the node-table
@@ -464,8 +465,6 @@ type CompileOptions struct {
 	// MaxNodes is the build-time node budget (0 = 4M). A design whose
 	// transition relation blows past it fails to compile.
 	MaxNodes int
-	// PartitionNodes is the per-cluster node budget (0 = 2048).
-	PartitionNodes int
 }
 
 // Compile builds the symbolic model of a design once, for reuse across
@@ -474,7 +473,7 @@ type CompileOptions struct {
 // (e.g. under the core Design's sync.Once), not per check.
 func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) {
 	if opts.MaxNodes == 0 {
-		opts.MaxNodes = 4 << 20
+		opts.MaxNodes = defaultMaxNodes
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -485,7 +484,7 @@ func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) 
 			panic(r)
 		}
 	}()
-	m, mo, err := buildModel(nl, opts.MaxNodes, opts.PartitionNodes, nil)
+	m, mo, err := buildModel(nl, opts.MaxNodes, partitionNodes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -507,10 +506,7 @@ func (c *Compiled) Netlist() *netlist.Netlist { return c.nl }
 func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Options) (res Result) {
 	start := time.Now()
 	if opts.MaxNodes == 0 {
-		opts.MaxNodes = 4 << 20
-	}
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 10000
+		opts.MaxNodes = defaultMaxNodes
 	}
 	defer recoverBudget(&res, start, opts.MaxNodes)
 	m := bdd.NewFromSnapshot(c.snap)
@@ -518,7 +514,7 @@ func (c *Compiled) CheckCtx(ctx context.Context, p property.Property, opts Optio
 	if ctx.Done() != nil {
 		m.Interrupt = func() bool { return ctx.Err() != nil }
 	}
-	return checkReach(ctx, m, c.mo, p, opts, start)
+	return checkReach(ctx, m, c.mo, p, start)
 }
 
 // countStates projects r onto the current-state variables and counts

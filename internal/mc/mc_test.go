@@ -288,7 +288,7 @@ func TestPartitionedImageMatchesMonolithic(t *testing.T) {
 		designs = append(designs, design{d.NL, d.Props})
 	}
 	for _, d := range designs {
-		for _, budget := range []int{0, 1} {
+		for _, budget := range []int{partitionNodes, 1} {
 			m, mo, err := buildModel(d.nl, 0, budget, nil)
 			if err != nil {
 				t.Fatal(err)

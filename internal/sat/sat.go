@@ -85,13 +85,11 @@ type Solver struct {
 	activity []float64
 	varInc   float64
 	order    *varHeap
-	// Limits
-	MaxConflicts int64
 	// Stop, when non-nil, is polled periodically inside Solve (every
 	// stopCheckInterval loop rounds); returning true aborts the search
 	// with Unknown. It is the cancellation hook the bounded model
 	// checker wires to a context so a losing portfolio engine stops
-	// promptly instead of running out its conflict budget.
+	// promptly instead of finishing its search.
 	Stop         func() bool
 	conflicts    int64
 	propagations int64
@@ -436,9 +434,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.enqueue(learnt[0], c)
 			}
 			s.varInc *= 1.05
-			if s.MaxConflicts > 0 && s.conflicts > s.MaxConflicts {
-				return Unknown
-			}
 			continue
 		}
 		if confAtRestart >= confLimit {

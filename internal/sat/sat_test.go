@@ -179,8 +179,10 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	}
 }
 
-func TestConflictLimit(t *testing.T) {
-	// PHP(7,6) with a tiny conflict budget must return Unknown.
+// TestStopReturnsUnknown: a Stop hook that reports true aborts the
+// search with Unknown. PHP(7,6) is unsatisfiable but takes far more
+// than one poll interval to refute, so only the hook can end it early.
+func TestStopReturnsUnknown(t *testing.T) {
 	s := NewSolver()
 	n, m := 7, 6
 	v := make([][]int, n)
@@ -204,9 +206,9 @@ func TestConflictLimit(t *testing.T) {
 			}
 		}
 	}
-	s.MaxConflicts = 10
+	s.Stop = func() bool { return true }
 	if st := s.Solve(); st != Unknown {
-		t.Fatalf("limited solve = %v, want unknown", st)
+		t.Fatalf("stopped solve = %v, want unknown", st)
 	}
 }
 

@@ -51,13 +51,18 @@ import (
 	"repro/internal/property"
 )
 
+const (
+	// maxBodyBytes caps a request body. retryAfter is the hint sent
+	// with 429/503 responses.
+	maxBodyBytes = 4 << 20
+	retryAfter   = time.Second
+)
+
 // Options tunes the server.
 type Options struct {
 	// MaxJobs caps the per-request worker-pool size (0 = 8). A request
 	// asking for more jobs is clamped, not rejected.
 	MaxJobs int
-	// MaxBodyBytes caps the request body (0 = 4 MiB).
-	MaxBodyBytes int64
 	// MaxConcurrent caps how many check requests run at once
 	// (0 = GOMAXPROCS). Requests beyond it wait in the admission queue.
 	MaxConcurrent int
@@ -76,8 +81,6 @@ type Options struct {
 	// also bounds requests that asked for no timeout at all (0 = no
 	// clamp).
 	MaxTimeout time.Duration
-	// RetryAfter is the hint sent with 429/503 responses (0 = 1s).
-	RetryAfter time.Duration
 	// DesignCacheEntries bounds the compiled-design cache (0 = 64,
 	// < 0 = unbounded).
 	DesignCacheEntries int
@@ -113,9 +116,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxJobs == 0 {
 		o.MaxJobs = 8
 	}
-	if o.MaxBodyBytes == 0 {
-		o.MaxBodyBytes = 4 << 20
-	}
 	if o.MaxConcurrent == 0 {
 		o.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -124,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDepth == 0 {
 		o.MaxDepth = 128
-	}
-	if o.RetryAfter == 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.DesignCacheEntries == 0 {
 		o.DesignCacheEntries = 64
@@ -461,11 +458,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // overloaded sends a structured overload response (429 while shedding,
 // 503 while draining) with the Retry-After hint.
 func (s *Server) overloaded(w http.ResponseWriter, status int, format string, args ...any) {
-	secs := int(s.opts.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	httpError(w, status, format, args...)
 }
 
@@ -499,7 +492,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -580,10 +573,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	engineName := req.Engine
 	if engineName == "" {
 		engineName = core.EngineATPG
-	}
-	if engineName == core.EngineBMC || engineName == core.EngineBDD {
-		// Baseline engines never read the local FSMs.
-		opts.DisableLocalFSM = true
 	}
 	if err := faultinject.Fire(ctx, faultinject.PointSession); err != nil {
 		httpError(w, http.StatusInternalServerError, "session: %v", err)
