@@ -142,23 +142,8 @@ func (e *Engine) levelOf(idx int) int {
 	return sort.SearchInts(e.levelMarks, idx+1)
 }
 
-// addUfLevels charges every decision level that recorded at least one
-// structural-identity merge.
-func (e *Engine) addUfLevels(dst *[]uint64) {
-	for l := 1; l <= len(e.ufMarks); l++ {
-		end := len(e.ufTrail)
-		if l < len(e.ufMarks) {
-			end = e.ufMarks[l]
-		}
-		if e.ufMarks[l-1] < end {
-			setLevel(dst, l)
-		}
-	}
-}
-
-// addUfLevelsFor is addUfLevels' bit-granular counterpart: it charges
-// only the decision levels whose merges the compared pins' identity
-// actually rests on. identityTrit forces a comparator output only when
+// addUfLevelsFor charges the decision levels whose structural-identity
+// merges the compared pins' identity actually rests on. identityTrit forces a comparator output only when
 // both operands sit in one merged class; when the pins are not merged
 // at all the implication read cubes only and no merge level is owed.
 // The union-find does no path compression and parents are only ever
@@ -270,11 +255,16 @@ func (e *Engine) analyzeConflictInto(dst *[]uint64, cur int) {
 
 // traceSignalInto collects the decision levels that (transitively)
 // narrowed one signal instance's cube — the enumeration basis of a
-// domain decision.
+// domain decision. It runs the conflict analysis's bit-level walk over
+// every bit of the signal: the levels it returns re-derive every known
+// bit of the cube, so while they stay the cube is at least as narrow
+// and exhausting its enumeration still refutes it. It collects a basis,
+// not a conflict, so it leaves the conflict-activity scores alone.
 func (e *Engine) traceSignalInto(dst *[]uint64, frame int, sig netlist.SignalID) {
 	e.beginTrace()
-	e.pushConflictSig(frame, sig, int32(len(e.trail)))
-	e.drainTrace(dst)
+	e.ensureBitScratch()
+	e.pushNeedSig(dst, frame, sig, int32(len(e.trail)), fullNeed, false)
+	e.drainNeedTrace(dst, false)
 }
 
 // beginTrace resets the trail-entry visited stamps for one analysis.
@@ -303,9 +293,9 @@ func (e *Engine) beginTrace() {
 }
 
 // ensureBitScratch lazily allocates the per-signal needed-bit memo the
-// first time a conflict is analysed, so probe engines and conflict-free
-// runs never pay for it. Entries are valid only when their
-// sigStamp matches the current anGen.
+// first time a conflict or a domain decision's basis is traced, so
+// probe engines and runs without either never pay for it. Entries are
+// valid only when their sigStamp matches the current anGen.
 func (e *Engine) ensureBitScratch() {
 	if e.sigStamp == nil {
 		n := e.frames * e.nl.NumSignals()
@@ -341,85 +331,23 @@ func (e *Engine) witnessBit(frame int, sig netlist.SignalID, m uint64) uint64 {
 	return m & -m
 }
 
-// pushConflictSig enqueues the trail entries of one signal instance's
-// refinement chain older than bound (each refinement of the cube as of
-// that moment may have contributed). The bound is what keeps analysis
-// precise: an implication recorded at trail position t read the cubes
-// as of t, so refinements appended later — typically by deeper
-// decision levels — are provably irrelevant to it. The visited stamps
-// compose with bounds: a chain first walked under a smaller bound is
-// extended, never re-walked, under a larger one.
-func (e *Engine) pushConflictSig(frame int, sig netlist.SignalID, bound int32) {
-	ti := e.lastTouch[frame*e.nl.NumSignals()+int(sig)]
-	for ti >= bound {
-		ti = e.trail[ti].prevTouch
-	}
-	for ti >= 0 && e.anStamp[ti] != e.anGen {
-		e.anStamp[ti] = e.anGen
-		e.anQueue = append(e.anQueue, ti)
-		ti = e.trail[ti].prevTouch
-	}
-}
-
-// pushConflictGate enqueues the refinement chains (older than bound) of
-// every signal a gate instance's implication reads.
-func (e *Engine) pushConflictGate(at gateAt, dst *[]uint64, bound int32) {
-	g := &e.nl.Gates[at.gate]
-	f := int(at.frame)
-	if g.Kind.IsComparator() {
-		e.addUfLevels(dst)
-	}
-	if g.Kind == netlist.KDff {
-		// implyDff at frame f links D@f with Q@f+1.
-		e.pushConflictSig(f, g.In[0], bound)
-		if f+1 < e.frames {
-			e.pushConflictSig(f+1, g.Out, bound)
-		}
-		return
-	}
-	e.pushConflictSig(f, g.Out, bound)
-	for _, s := range g.In {
-		e.pushConflictSig(f, s, bound)
-	}
-}
-
-// drainTrace processes queued trail entries word by word: decision/
-// requirement entries contribute their own level, solver writebacks
-// charge every level up to their own, and gate-implied entries recurse
-// through the implying gate's signals. It collects a basis, not a
-// conflict, so it leaves the conflict-activity scores alone.
-func (e *Engine) drainTrace(dst *[]uint64) {
-	for len(e.anQueue) > 0 {
-		ti := e.anQueue[len(e.anQueue)-1]
-		e.anQueue = e.anQueue[:len(e.anQueue)-1]
-		ent := &e.trail[ti]
-		switch ent.reason.gate {
-		case reasonFree:
-			if l := e.levelOf(int(ti)); l > 0 {
-				setLevel(dst, l)
-			}
-		case reasonSolver:
-			setLevelsUpTo(dst, e.levelOf(int(ti)))
-		default:
-			e.pushConflictGate(ent.reason, dst, ti)
-		}
-	}
-}
-
-// pushNeedSig is pushConflictSig's bit-granular counterpart: it
-// requests an explanation for the given bits of one signal instance's
-// refinements older than bound. The per-signal memo (sigNeed/sigBound,
-// valid for the current generation) makes repeated requests cheap:
-// when the accumulated coverage already includes the request nothing
-// is walked; otherwise the request is merged in and the chain
-// re-walked under the accumulated mask and bound. Entries whose
-// changed bits miss the mask are skipped — the refinements a
-// word-level analysis charges spuriously. Decision/requirement and
-// solver entries are charged inline exactly once, at their first hit;
-// gate-implied entries queue for transfer expansion, re-queueing when
-// a later request grows the bits they must explain (expansion is
-// monotone, so reprocessing with the grown mask is sound and the
-// per-signal memo keeps it cheap).
+// pushNeedSig requests an explanation for the given bits of one signal
+// instance's refinements older than bound (each refinement of the cube
+// as of that moment may have contributed). The bound is what keeps
+// analysis precise: an implication recorded at trail position t read
+// the cubes as of t, so refinements appended later — typically by
+// deeper decision levels — are provably irrelevant to it. The
+// per-signal memo (sigNeed/sigBound, valid for the current generation)
+// makes repeated requests cheap: when the accumulated coverage already
+// includes the request nothing is walked; otherwise the request is
+// merged in and the chain re-walked under the accumulated mask and
+// bound. Entries whose changed bits miss the mask are skipped — the
+// refinements a word-level analysis charges spuriously.
+// Decision/requirement and solver entries are charged inline exactly
+// once, at their first hit; gate-implied entries queue for transfer
+// expansion, re-queueing when a later request grows the bits they must
+// explain (expansion is monotone, so reprocessing with the grown mask
+// is sound and the per-signal memo keeps it cheap).
 func (e *Engine) pushNeedSig(dst *[]uint64, frame int, sig netlist.SignalID, bound int32, need uint64, bump bool) {
 	if need == 0 {
 		return
