@@ -209,8 +209,8 @@ var goldenWide = []goldenATPG{
 	{"token_ring65/p3", VerdictProved, 1, 3988, 10, 143, 0, 99, 8, 196, 29},
 	{"token_ring96/p3", VerdictProved, 1, 5818, 10, 205, 0, 99, 8, 224, 29},
 	{"token_ring128/p3", VerdictProved, 1, 7706, 10, 269, 0, 99, 8, 256, 29},
-	{"arbiter65/p5", VerdictProved, 1, 3154, 9, 76, 0, 698, 9, 389, 284},
-	{"arbiter96/p5", VerdictProved, 1, 5541, 133, 262, 0, 1690, 133, 1720, 501},
+	{"arbiter65/p5", VerdictProved, 1, 3154, 9, 76, 0, 698, 9, 390, 284},
+	{"arbiter96/p5", VerdictProved, 1, 5541, 133, 262, 0, 1690, 133, 2248, 501},
 }
 
 // TestGoldenATPGWideRegisters checks the width sweep at each
