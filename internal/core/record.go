@@ -21,7 +21,6 @@ type JSONRecord struct {
 	Conflicts    int64  `json:"conflicts"`
 	Implications int64  `json:"implications"`
 	MemUnits     int64  `json:"mem_units"`
-	AllocBytes   uint64 `json:"alloc_bytes,omitempty"`
 	Validated    bool   `json:"validated"`
 	// Error carries the failure cause for verdict "error" records; it
 	// is omitted on every other verdict, so the happy-path bytes are
@@ -41,7 +40,6 @@ func RecordFromResult(res Result) JSONRecord {
 		Conflicts:    res.Metrics.Conflicts,
 		Implications: res.Metrics.Implications,
 		MemUnits:     res.Metrics.MemUnits,
-		AllocBytes:   res.AllocBytes,
 		Validated:    res.Validated,
 		Error:        res.Err,
 	}

@@ -224,11 +224,10 @@ func resultFromRecord(rec JSONRecord) Result {
 			Implications: rec.Implications,
 			MemUnits:     rec.MemUnits,
 		},
-		Depth:      rec.Depth,
-		Elapsed:    time.Duration(rec.ElapsedNs),
-		AllocBytes: rec.AllocBytes,
-		Validated:  rec.Validated,
-		Err:        rec.Error,
-		FromCache:  true,
+		Depth:     rec.Depth,
+		Elapsed:   time.Duration(rec.ElapsedNs),
+		Validated: rec.Validated,
+		Err:       rec.Error,
+		FromCache: true,
 	}
 }
