@@ -4,7 +4,10 @@
 // unknown bits allowed: en=1'b1 data=8'hx0). After each cycle the
 // named watch signals (-watch a,b,c; default: all outputs) are printed.
 //
-//	rtlsim design.v -top mod [-watch sig,sig] [-cycles N] < stimulus.txt
+//	rtlsim -top mod [-watch sig,sig] [-cycles N] design.v < stimulus.txt
+//
+// Flags come before the design file: flag parsing stops at the first
+// argument that is not a flag.
 package main
 
 import (
@@ -20,6 +23,8 @@ import (
 	"repro/internal/verilog"
 )
 
+const usage = "usage: rtlsim -top mod [-watch a,b] [-cycles N] design.v < stimulus"
+
 func main() {
 	var (
 		top    = flag.String("top", "", "top module name")
@@ -28,7 +33,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 || *top == "" {
-		fmt.Fprintln(os.Stderr, "usage: rtlsim design.v -top mod [-watch a,b] [-cycles N] < stimulus")
+		fmt.Fprintln(os.Stderr, usage)
 		os.Exit(2)
 	}
 	srcBytes, err := os.ReadFile(flag.Arg(0))
