@@ -587,15 +587,6 @@ func (e *Engine) Require(frame int, sig netlist.SignalID, val bv.BV) bool {
 	return e.assign(frame, sig, val)
 }
 
-// RequireName is Require by signal name.
-func (e *Engine) RequireName(frame int, name string, val bv.BV) (bool, error) {
-	sig, ok := e.nl.SignalByName(name)
-	if !ok {
-		return false, fmt.Errorf("atpg: no signal %q", name)
-	}
-	return e.Require(frame, sig, val), nil
-}
-
 // assign refines vals[frame][sig] with val; pushes the previous value
 // on the trail and enqueues affected gates. Returns false on conflict.
 func (e *Engine) assign(frame int, sig netlist.SignalID, val bv.BV) bool {

@@ -101,10 +101,6 @@ func Compile(nl *netlist.Netlist) (*Template, error) {
 // (a stale template; recompile to address them).
 func (t *Template) Covers(sig netlist.SignalID) bool { return int(sig) < len(t.bits) }
 
-// NumFrameClauses returns the clause count of one instantiated frame
-// (excluding links and init units).
-func (t *Template) NumFrameClauses() int { return len(t.ends) }
-
 // Instance is one solver-backed unrolling of a template. It is the
 // mutable per-run object: frames are instantiated on demand
 // (EnsureFrames) and literals/models are addressed exactly like the

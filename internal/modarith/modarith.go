@@ -208,14 +208,6 @@ func (m Mod) SolveLinear(a, b, c uint64) Solutions {
 	return m.InverseWithProduct(a, m.Sub(c, b))
 }
 
-// Gcd returns the greatest common divisor of a and b (binary gcd).
-func Gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // Factor returns the prime factorization of v as (prime, exponent)
 // pairs in increasing prime order, by trial division. It is used by the
 // nonlinear constraint heuristics (§4) to enumerate divisor candidates

@@ -214,10 +214,8 @@ func (b Builder) SignalByName(name string) (netlist.SignalID, error) {
 	return s, nil
 }
 
-// ConstOne returns a constant-true signal (empty assumption).
-func (b Builder) ConstOne() netlist.SignalID { return b.NL.ConstUint(1, 1) }
-
-// Mask builds bus & mask == bus test helper for structured invariants.
+// InRange builds the one-bit signal lo <= bus <= hi (unsigned), a
+// building block for structured invariants.
 func (b Builder) InRange(bus netlist.SignalID, lo, hi uint64) netlist.SignalID {
 	n := b.NL
 	w := n.Width(bus)

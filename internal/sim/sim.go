@@ -18,7 +18,6 @@ type Simulator struct {
 	n     *netlist.Netlist
 	topo  []netlist.GateID
 	vals  []bv.BV
-	cycle int
 	inBuf []bv.BV // scratch gate-input buffer reused by Eval
 	ffBuf []bv.BV // scratch next-state buffer reused by Step
 }
@@ -44,7 +43,6 @@ func New(n *netlist.Netlist) (*Simulator, error) {
 // Reset restores the initial state: registers to their init values,
 // inputs to all-x.
 func (s *Simulator) Reset() {
-	s.cycle = 0
 	if s.vals == nil {
 		s.vals = make([]bv.BV, s.n.NumSignals())
 	}
@@ -56,9 +54,6 @@ func (s *Simulator) Reset() {
 		s.vals[g.Out] = g.Init
 	}
 }
-
-// Cycle returns the number of completed clock cycles.
-func (s *Simulator) Cycle() int { return s.cycle }
 
 // SetRegister overrides the current value of a flip-flop output —
 // used to replay counterexamples that start from a specific completion
@@ -121,7 +116,6 @@ func (s *Simulator) Step() {
 	for i, ff := range s.n.FFs {
 		s.vals[s.n.Gates[ff].Out] = next[i]
 	}
-	s.cycle++
 }
 
 // Get returns the current value of a signal (call Eval or Step first
