@@ -29,8 +29,9 @@ import (
 //     levels reached through its reason closure are.
 //   - Comparator implications additionally read the structural-identity
 //     union-find, whose state is shaped by merges performed at any
-//     level; every level that recorded a merge is charged when a
-//     comparator appears in the closure.
+//     level; when a comparator appears in the closure, the levels of
+//     the merges that connect its compared pins are charged
+//     (addUfLevelsFor).
 //   - Datapath-solver writebacks derive from equation systems spanning
 //     many cubes; they are tagged reasonSolver and charge every level
 //     up to their own.

@@ -569,7 +569,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := core.Options{MaxDepth: req.Depth, UseInduction: !req.NoInduction}
 	engineName := req.Engine
 	if engineName == "" {
 		engineName = core.EngineATPG
@@ -578,7 +577,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "session: %v", err)
 		return
 	}
-	sess, err := d.NewSession(opts)
+	sess, err := d.NewSession(core.Options{MaxDepth: req.Depth, UseInduction: !req.NoInduction})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "session: %v", err)
 		return
