@@ -73,10 +73,10 @@ func Check(nl *netlist.Netlist, p property.Property, opts Options) Result {
 // CheckCtx is Check under a cancellation context: the CDCL search polls
 // ctx between unit-propagation rounds (see sat.Solver.Stop) and between
 // depths, so a cancelled run returns Unknown promptly instead of
-// finishing its search. The netlist is compiled into a
-// one-frame CNF template first; callers that check many properties of
-// one design should compile once (cnf.Compile or the core Design
-// cache) and use CheckCompiled.
+// finishing its search. The netlist is compiled into a one-frame CNF
+// template first; callers that check many properties of one design
+// should compile once (cnf.Compile or the core Design cache) and use
+// CheckCompiled.
 func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opts Options) Result {
 	start := time.Now()
 	tmpl, err := cnf.Compile(nl)
