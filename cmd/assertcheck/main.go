@@ -237,8 +237,14 @@ func printResult(w io.Writer, nl *netlist.Netlist, res core.Result) {
 		m.Decisions, m.Conflicts, m.Implications, m.MemUnits,
 		res.Elapsed.Round(100000))
 	if res.AllocBytes > 0 {
-		fmt.Fprintf(w, ", %.2f MB allocated, %.2f allocs/implication, %.2f allocs/decision",
-			float64(res.AllocBytes)/1e6, res.AllocsPerImpl, res.AllocsPerDecision)
+		// A ratio over a zero count is undefined, so it is left out.
+		fmt.Fprintf(w, ", %.2f MB allocated", float64(res.AllocBytes)/1e6)
+		if res.Stats.Implications > 0 {
+			fmt.Fprintf(w, ", %.2f allocs/implication", res.AllocsPerImpl)
+		}
+		if res.Stats.Decisions > 0 {
+			fmt.Fprintf(w, ", %.2f allocs/decision", res.AllocsPerDecision)
+		}
 	}
 	fmt.Fprintln(w, ")")
 	if res.Stats.FrontierScans > 0 {

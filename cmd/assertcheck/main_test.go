@@ -183,3 +183,26 @@ func TestUsageFormRuns(t *testing.T) {
 		t.Errorf("assertcheck %s: exit status %d, want %d", strings.Join(fileFirst, " "), code, exitUsage)
 	}
 }
+
+// TestPrintResultOmitsUndefinedRatios: a check that made allocations
+// but no decisions (serve_smoke's quiet_ok is proved by implication
+// alone) prints its allocated bytes and no allocs/decision ratio; the
+// allocs/implication ratio is printed only over a non-zero count too.
+func TestPrintResultOmitsUndefinedRatios(t *testing.T) {
+	res := core.Result{Property: "quiet_ok", Verdict: core.VerdictProved, Engine: core.EngineATPG,
+		AllocBytes: 9480, AllocObjects: 40}
+	res.Stats.Implications = 20
+	res.AllocsPerImpl = 2
+	var out bytes.Buffer
+	printResult(&out, nil, res)
+	if got := out.String(); !strings.Contains(got, "0.01 MB allocated, 2.00 allocs/implication)") ||
+		strings.Contains(got, "allocs/decision") {
+		t.Errorf("with implications and no decisions, want the MB figure and allocs/implication only:\n%s", got)
+	}
+	res.Stats.Implications, res.AllocsPerImpl = 0, 0
+	out.Reset()
+	printResult(&out, nil, res)
+	if got := out.String(); !strings.Contains(got, "0.01 MB allocated)") {
+		t.Errorf("with no implications and no decisions, want the MB figure alone:\n%s", got)
+	}
+}
