@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -165,10 +166,81 @@ func TestCrossCheckBMCvsBDDOverX(t *testing.T) {
 		if bmcAt != bddAt {
 			t.Errorf("seed %d: bmc %v at depth %d, bdd %v at iteration %d", seed, b.Verdict, b.Depth, d.Verdict, d.Iters)
 		}
+		sess, err := New(nl, Options{MaxDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conesMatchDirect(t, fmt.Sprintf("seed %d", seed), sess, p, depth)
 		compared++
 	}
 	if compared < 190 {
 		t.Errorf("only %d of 200 netlists compared", compared)
+	}
+}
+
+// conesMatchDirect checks one property through the session's BMC and
+// BDD adapters, which run on the property's cone of influence, against
+// the direct whole-design bmc.CheckCtx and mc.CheckCtx: the same
+// outcome, the same BMC depth and BDD falsification depth, and a BDD
+// proof depth no larger than the design's (the cone's fixpoint may
+// close sooner). A BMC model counts as found whether or not it replays;
+// the adapter results are returned for the caller's own checks.
+func conesMatchDirect(t *testing.T, label string, sess *Session, p property.Property, depth int) (bmcRes, bddRes Result) {
+	t.Helper()
+	ctx := context.Background()
+	nl := sess.Netlist()
+	prob := Problem{NL: nl, Prop: p, MaxDepth: depth}
+	bmcRes = sess.BMCEngine(bmc.Options{}).Check(ctx, prob)
+	bddRes = sess.BDDEngine(mc.Options{}).Check(ctx, prob)
+	b := bmc.CheckCtx(ctx, nl, p, bmc.Options{MaxDepth: depth})
+	d := mc.CheckCtx(ctx, nl, p, mc.Options{})
+
+	bmcGot := bmc.BoundedOK
+	switch {
+	case bmcRes.Trace != nil:
+		bmcGot = bmc.Falsified
+	case bmcRes.Verdict == VerdictUnknown:
+		bmcGot = bmc.Unknown
+	}
+	if bmcGot != b.Verdict || bmcRes.Depth != b.Depth {
+		t.Errorf("%s: bmc on the cone %v at depth %d (%v), on the design %v at depth %d",
+			label, bmcGot, bmcRes.Depth, bmcRes.Verdict, b.Verdict, b.Depth)
+	}
+	bddGot := mc.Unknown
+	switch bddRes.Verdict {
+	case VerdictProved, VerdictNoWitness:
+		bddGot = mc.Proved
+	case VerdictFalsified, VerdictWitnessFound:
+		bddGot = mc.Falsified
+	}
+	if bddGot != d.Verdict ||
+		(bddGot == mc.Falsified && bddRes.Depth != d.Iters) ||
+		(bddGot == mc.Proved && bddRes.Depth > d.Iters) {
+		t.Errorf("%s: bdd on the cone %v at iteration %d, on the design %v at iteration %d",
+			label, bddGot, bddRes.Depth, d.Verdict, d.Iters)
+	}
+	return bmcRes, bddRes
+}
+
+// TestConeEnginesMatchWholeDesign: on every corpus property at its
+// Table-2 depth, the BMC and BDD adapters, which check the property's
+// cone, reach the verdicts and depths of the direct whole-design runs
+// (conesMatchDirect), and every BMC counterexample or witness mapped
+// back from the cone replays on the design.
+func TestConeEnginesMatchWholeDesign(t *testing.T) {
+	for _, gd := range goldenDesigns(t) {
+		for i, p := range gd.d.Props {
+			key := gd.tag + "/" + gd.d.PropIDs[i]
+			depth := circuits.TableDepth(gd.d.PropIDs[i])
+			sess, err := New(gd.d.NL, Options{MaxDepth: depth, UseInduction: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bmcRes, _ := conesMatchDirect(t, key, sess, p, depth)
+			if bmcRes.Trace != nil && !bmcRes.Validated {
+				t.Errorf("%s: the bmc model from the cone fails replay on the design (%v)", key, bmcRes.Verdict)
+			}
+		}
 	}
 }
 

@@ -2,29 +2,34 @@
 // artifact of one netlist: the front-end output plus every static
 // analysis and per-engine compiled form that does not depend on a
 // particular run — local FSMs, per-signal cone/state analysis, the BMC
-// frame template, the BDD model snapshot and the ATPG prep tables. All
-// of it is built at most once (sync.Once-guarded, concurrency-safe)
-// and shared read-only by any number of Sessions; a Session (see
-// session.go) holds only cheap per-run mutable state. This is what
-// lets N batch workers, portfolio members or serving requests check
-// properties of one design with zero re-elaboration and zero
-// re-compilation.
+// frame template and the BDD model snapshot (the design's, and one
+// each per property cone that leaves a register out) and the ATPG prep
+// tables. All of it is built at most once (sync.Once-guarded,
+// concurrency-safe) and shared read-only by any number of Sessions; a
+// Session (see session.go) holds only cheap per-run mutable state.
+// This is what lets N batch workers, portfolio members or serving
+// requests check properties of one design with zero re-elaboration and
+// zero re-compilation.
 package core
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/atpg"
+	"repro/internal/bmc"
+	"repro/internal/bv"
 	"repro/internal/cnf"
 	"repro/internal/elab"
 	"repro/internal/fsm"
 	"repro/internal/lru"
 	"repro/internal/mc"
 	"repro/internal/netlist"
+	"repro/internal/property"
 	"repro/internal/verilog"
 )
 
@@ -69,6 +74,17 @@ type Design struct {
 	// cheap but runs once per property per request on the serving path.
 	coneMu   sync.Mutex
 	coneMemo map[string]string
+
+	// slices maps a property's root list (the monitor, then the assumptions) to the compiled
+	// forms of its cone of influence, nil when the cone holds every
+	// register and the design's own forms serve it. An entry lives as
+	// long as the design; root lists name the design's own signals, so
+	// there are at most as many entries as distinct properties checked.
+	conesMu       sync.Mutex
+	cones         map[string]*cone
+	coneWalks     atomic.Int32
+	coneBMCBuilds atomic.Int32
+	coneBDDBuilds atomic.Int32
 }
 
 // NewDesign compiles a netlist into an immutable design artifact. The
@@ -213,6 +229,124 @@ func (d *Design) BDDModel() (*mc.Compiled, error) {
 func (d *Design) CacheBuilds() (fsmB, atpgB, bmcB, bddB int) {
 	return int(d.fsmBuilds.Load()), int(d.atpgBuilds.Load()),
 		int(d.bmcBuilds.Load()), int(d.bddBuilds.Load())
+}
+
+// cone is the compiled-form cache of one property's cone of
+// influence (netlist.Cone) for the BMC and BDD engines. A model's cost
+// is its state, so a cone that leaves a register out checks in a model
+// of its own. Each form builds at most once and caches its build error,
+// as the design's own do. A nil *cone stands for a cone that holds
+// every register: the design's own forms serve it, unchanged.
+type cone struct {
+	nl       *netlist.Netlist
+	toCone   []netlist.SignalID // design signal → cone signal, None outside
+	toDesign []netlist.SignalID // cone signal → design signal
+
+	bmcOnce sync.Once
+	bmcTmpl *cnf.Template
+	bmcErr  error
+
+	bddOnce sync.Once
+	bddComp *mc.Compiled
+	bddErr  error
+}
+
+// coneFor returns the cone cache that serves p's BMC and BDD checks,
+// nil when p's cone holds every register of the design. The cone of a
+// root list (the monitor, then the assumptions) is walked on its first
+// check only. p's signals must predate the design.
+func (d *Design) coneFor(p property.Property) *cone {
+	roots := append([]netlist.SignalID{p.Monitor}, p.Assumes...)
+	key := fmt.Sprint(roots)
+	d.conesMu.Lock()
+	defer d.conesMu.Unlock()
+	if cn, ok := d.cones[key]; ok {
+		return cn
+	}
+	d.coneWalks.Add(1)
+	nl, toCone := d.nl.Cone(roots...)
+	var cn *cone
+	if len(nl.FFs) < len(d.nl.FFs) {
+		cn = &cone{nl: nl, toCone: toCone, toDesign: make([]netlist.SignalID, nl.NumSignals())}
+		for s, c := range toCone {
+			if c != netlist.None {
+				cn.toDesign[c] = netlist.SignalID(s)
+			}
+		}
+	}
+	if d.cones == nil {
+		d.cones = make(map[string]*cone)
+	}
+	d.cones[key] = cn
+	return cn
+}
+
+// templateFor returns the one-frame CNF template that serves cn,
+// bit-blasting the cone on first use; the design's own for nil.
+func (d *Design) templateFor(cn *cone) (*cnf.Template, error) {
+	if cn == nil {
+		return d.BMCTemplate()
+	}
+	cn.bmcOnce.Do(func() {
+		d.coneBMCBuilds.Add(1)
+		cn.bmcTmpl, cn.bmcErr = cnf.Compile(cn.nl)
+	})
+	return cn.bmcTmpl, cn.bmcErr
+}
+
+// modelFor returns the compiled symbolic model that serves cn,
+// building the cone's on first use under the default node budget; the
+// design's own for nil.
+func (d *Design) modelFor(cn *cone) (*mc.Compiled, error) {
+	if cn == nil {
+		return d.BDDModel()
+	}
+	cn.bddOnce.Do(func() {
+		d.coneBDDBuilds.Add(1)
+		cn.bddComp, cn.bddErr = mc.Compile(cn.nl, mc.CompileOptions{})
+	})
+	return cn.bddComp, cn.bddErr
+}
+
+// property rewrites p onto the cone's signals.
+func (cn *cone) property(p property.Property) property.Property {
+	if cn == nil {
+		return p
+	}
+	p.Monitor = cn.toCone[p.Monitor]
+	p.Assumes = slices.Clone(p.Assumes)
+	for i, a := range p.Assumes {
+		p.Assumes[i] = cn.toCone[a]
+	}
+	return p
+}
+
+// toDesignSignals maps a BMC model over the cone back to design
+// signals, so the design replays it. Inputs outside the cone stay out
+// of the trace: they cannot reach the property, and the simulator reads
+// a missing input as all-x.
+func (cn *cone) toDesignSignals(br *bmc.Result) {
+	if cn == nil || br.Trace == nil {
+		return
+	}
+	mapKeys := func(m map[netlist.SignalID]bv.BV) map[netlist.SignalID]bv.BV {
+		out := make(map[netlist.SignalID]bv.BV, len(m))
+		for s, v := range m {
+			out[cn.toDesign[s]] = v
+		}
+		return out
+	}
+	for f, in := range br.Trace.Inputs {
+		br.Trace.Inputs[f] = mapKeys(in)
+	}
+	br.InitState = mapKeys(br.InitState)
+}
+
+// coneCacheBuilds reports how many cones were walked and how many cone
+// templates and models were built — the build-once-per-cone contract's
+// test hook.
+func (d *Design) coneCacheBuilds() (walks, bmcB, bddB int) {
+	return int(d.coneWalks.Load()), int(d.coneBMCBuilds.Load()), int(d.coneBDDBuilds.Load())
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -198,6 +199,70 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 		if outs[w] != outs[0] {
 			t.Errorf("worker %d saw different cached artifacts", w)
 		}
+	}
+
+	// The first BMC and BDD checks of alarm_clock/p8, whose cone holds
+	// 2 of the design's 5 registers, build the cone's template and
+	// model once each and never the design's own.
+	d, err = NewDesign(cd.NL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p8 := slices.Index(cd.PropIDs, "p8")
+	if cn := d.coneFor(cd.Props[p8]); cn == nil || len(cn.nl.FFs) != 2 || len(cd.NL.FFs) != 5 {
+		t.Fatalf("alarm_clock/p8's cone is not 2 of 5 registers")
+	}
+	results := make([]Result, 2*workers)
+	for w := range results {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[w] = checkVia(t, d, []string{EngineBMC, EngineBDD}[w%2], cd, p8)
+		}()
+	}
+	wg.Wait()
+	for w, r := range results {
+		if r.Verdict != VerdictWitnessFound {
+			t.Errorf("check %d [%s]: %v, want witness-found", w, r.Engine, r.Verdict)
+		}
+	}
+	if walks, bmcB, bddB := d.coneCacheBuilds(); walks != 1 || bmcB != 1 || bddB != 1 {
+		t.Errorf("cone walks=%d bmc=%d bdd=%d, want 1 each", walks, bmcB, bddB)
+	}
+	if _, _, bmcB, bddB := d.CacheBuilds(); bmcB != 0 || bddB != 0 {
+		t.Errorf("the design's own template and model built %d and %d times, want 0", bmcB, bddB)
+	}
+}
+
+// TestColdPortfolioBuildsNoDesignForm: the first portfolio check of
+// Industry01(64)/p10 on a fresh design, whose cone holds 1 of its 65
+// registers, leaves the design's whole CNF template and BDD model
+// unbuilt; a member that reached its compile built the cone's.
+func TestColdPortfolioBuildsNoDesignForm(t *testing.T) {
+	cd, err := circuits.Industry01(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDesign(cd.NL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p10 := slices.Index(cd.PropIDs, "p10")
+	depth := circuits.TableDepth("p10")
+	sess, err := d.NewSession(Options{MaxDepth: depth, UseInduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sess.Portfolio().Check(context.Background(), Problem{NL: cd.NL, Prop: cd.Props[p10], MaxDepth: depth})
+	if r.Verdict != VerdictProved {
+		t.Errorf("industry_0164/p10: %v [%s], want proved", r.Verdict, r.Engine)
+	}
+	if _, _, bmcB, bddB := d.CacheBuilds(); bmcB != 0 || bddB != 0 {
+		t.Errorf("the design's own template and model built %d and %d times, want 0", bmcB, bddB)
+	}
+	if walks, _, _ := d.coneCacheBuilds(); walks > 1 {
+		t.Errorf("p10's cone walked %d times, want at most 1", walks)
 	}
 }
 

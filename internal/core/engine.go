@@ -141,10 +141,13 @@ func (e *atpgEngine) Check(ctx context.Context, prob Problem) EngineResult {
 // session. Its "falsified" maps to VerdictFalsified (counterexamples
 // are replay-validated exactly like ATPG traces), its bounded-ok to
 // VerdictProvedBounded (VerdictNoWitness for witness properties) — BMC
-// can never return a full proof. The one-frame CNF template is
-// compiled at most once per design (sync.Once) and each check
-// instantiates it into a private solver, so N workers share the
-// bit-blasting work.
+// can never return a full proof. A check runs on the property's cone
+// of influence (Design.coneFor): the one-frame CNF template is compiled
+// at most once per cone (sync.Once), or once per design for the cones
+// that hold every register, and each check instantiates it into a
+// private solver, so N workers share the bit-blasting work. A
+// counterexample is mapped back to design signals before replay;
+// inputs outside the cone are left out of its trace.
 func (c *Session) BMCEngine(opts bmc.Options) Engine {
 	return &bmcEngine{c: c, opts: opts}
 }
@@ -166,18 +169,22 @@ func (e *bmcEngine) Check(ctx context.Context, prob Problem) EngineResult {
 	}
 	start := time.Now()
 	d, err := e.c.designFor(prob.NL)
+	var cn *cone
 	var tmpl *cnf.Template
 	if err == nil {
-		tmpl, err = d.BMCTemplate()
+		cn = d.coneFor(prob.Prop)
+		tmpl, err = d.templateFor(cn)
 	}
 	if err != nil {
-		// Design not bit-blastable at all (e.g. a >64-bit multiplier):
+		// Cone not bit-blastable at all (e.g. a >64-bit multiplier):
 		// there is no other BMC encoding, so report Unknown without
 		// re-running the failing compile per check.
 		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown,
 			Engine: EngineBMC, Elapsed: time.Since(start)}
 	}
-	return bmcResult(prob, bmc.CheckCompiled(ctx, tmpl, prob.Prop, opts), time.Since(start))
+	br := bmc.CheckCompiled(ctx, tmpl, cn.property(prob.Prop), opts)
+	cn.toDesignSignals(&br)
+	return bmcResult(prob, br, time.Since(start))
 }
 
 // bmcResult maps a BMC result onto the unified Result, replay-validating
@@ -276,10 +283,13 @@ func bddResult(prob Problem, mr mc.Result, elapsed time.Duration) Result {
 // Its fixpoint "proved" is a full proof (VerdictProved — the verdict
 // that strengthens an ATPG proved-bounded in a portfolio); "falsified"
 // maps to VerdictFalsified / VerdictWitnessFound. The engine produces
-// no input trace, so its counterexamples carry Validated=false. The
+// no input trace, so its counterexamples carry Validated=false. A
+// check runs on the property's cone of influence, as BMC's does: the
 // symbolic model (variable order, per-signal functions, transition
-// relation) is compiled at most once per design and each check loads
-// the snapshot into a private manager. A design whose model blows the
+// relation) is compiled at most once per cone, or once per design for
+// the cones that hold every register, and each check loads the
+// snapshot into a private manager. A proof on a cone may close at a
+// smaller iteration than on the whole design. A model that blows the
 // build-time node budget reports Unknown on every check from the
 // cached build error.
 func (c *Session) BDDEngine(opts mc.Options) Engine {
@@ -299,13 +309,15 @@ func (e *bddEngine) Check(ctx context.Context, prob Problem) EngineResult {
 	}
 	start := time.Now()
 	d, err := e.c.designFor(prob.NL)
+	var cn *cone
 	var comp *mc.Compiled
 	if err == nil {
-		comp, err = d.BDDModel()
+		cn = d.coneFor(prob.Prop)
+		comp, err = d.modelFor(cn)
 	}
 	if err != nil {
 		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown,
 			Engine: EngineBDD, Elapsed: time.Since(start)}
 	}
-	return bddResult(prob, comp.CheckCtx(ctx, prob.Prop, e.opts), time.Since(start))
+	return bddResult(prob, comp.CheckCtx(ctx, cn.property(prob.Prop), e.opts), time.Since(start))
 }
