@@ -18,11 +18,13 @@
 //     falsified, witness-found, no-witness) — unknown depends on
 //     wall-clock deadlines and error on injected faults;
 //   - non-ATPG engines key on the whole-design fingerprint in addition
-//     to the cone: BMC variable numbering and the BDD variable order
-//     are design-global, so their effort counters can drift under
-//     out-of-cone edits even though verdicts cannot. ATPG records are
-//     cone-local by construction, which is what makes cross-edit reuse
-//     sound on the default path.
+//     to the cone: a cone that holds every register is checked on the
+//     whole design, and a sliced cone keeps the design's relative
+//     signal order, which the cone hash does not see, so BMC variable
+//     numbering and the BDD variable order can change under
+//     out-of-cone edits and move their effort counters even though
+//     verdicts cannot. ATPG records are cone-local by construction,
+//     which is what makes cross-edit reuse sound on the default path.
 package core
 
 import (
@@ -190,12 +192,14 @@ func verdictKey(cone string, p property.Property, meta string) string {
 // x sources free in the whole-design BDD model, which changes
 // mem_units in BDD records on designs with x sources; v5: the fallback
 // decision branches over a local FSM's values, which changes ATPG
-// records on designs whose registers pass 64 reachable values). A
+// records on designs whose registers pass 64 reachable values; v6: BMC
+// and BDD check a property's cone of influence, which changes their
+// records wherever the cone leaves a register out). A
 // change to the key's fields alone, with every fresh record the same,
 // keeps the version: older keys have another shape and never match.
 func (c *Session) cacheMeta(engineName string) string {
 	o := c.opts
-	meta := fmt.Sprintf("v5|%s|d%d|ind%t|fsm%t|%+v",
+	meta := fmt.Sprintf("v6|%s|d%d|ind%t|fsm%t|%+v",
 		engineName, o.MaxDepth, o.UseInduction, o.DisableLocalFSM, o.Features)
 	if engineName != EngineATPG {
 		fp := c.d.fingerprint

@@ -190,9 +190,9 @@ func TestVerdictCacheSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestVerdictCacheOldVersionNeverServed: a verdict snapshot persisted
-// under the previous cache-key version ("v4|", before the fallback
-// branched over local-FSM values) holds records a fresh run no longer
-// produces.
+// under the previous cache-key version ("v5|", before BMC and BDD
+// checked a property's cone of influence) holds records a fresh run no
+// longer produces.
 // Restored, none of them is served: every check runs fresh. The same
 // record restored under the current meta is served, so the keys below
 // are the ones the batch looks up.
@@ -211,8 +211,8 @@ func TestVerdictCacheOldVersionNeverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta := sess.cacheMeta(EngineATPG)
-	if !strings.HasPrefix(meta, "v5|") {
-		t.Fatalf("cache meta %q does not carry version v5", meta)
+	if !strings.HasPrefix(meta, "v6|") {
+		t.Fatalf("cache meta %q does not carry version v6", meta)
 	}
 	restore := func(meta string) *VerdictCache {
 		persisted := NewVerdictCache(0)
@@ -231,20 +231,20 @@ func TestVerdictCacheOldVersionNeverServed(t *testing.T) {
 		}
 		return restored
 	}
-	old := restore("v4|" + strings.TrimPrefix(meta, "v5|"))
+	old := restore("v5|" + strings.TrimPrefix(meta, "v6|"))
 	fresh, _ := batchRecords(t, d, names, old)
 	for i, r := range fresh {
 		if r.FromCache || r.Verdict == VerdictFalsified {
-			t.Errorf("%s: served the v4 entry (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
+			t.Errorf("%s: served the v5 entry (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
 		}
 	}
 	if st := old.Stats(); st.Hits != 0 {
-		t.Errorf("v4 entries hit %d times, want 0", st.Hits)
+		t.Errorf("v5 entries hit %d times, want 0", st.Hits)
 	}
 	current, _ := batchRecords(t, d, names, restore(meta))
 	for i, r := range current {
 		if !r.FromCache || r.Verdict != VerdictFalsified {
-			t.Errorf("%s: the v5 entry was not served (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
+			t.Errorf("%s: the v6 entry was not served (from cache %v, verdict %v)", names[i], r.FromCache, r.Verdict)
 		}
 	}
 }
