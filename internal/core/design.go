@@ -60,31 +60,24 @@ type Design struct {
 	atpgErr    error
 	atpgBuilds atomic.Int32
 
-	bmcOnce   sync.Once
-	bmcTmpl   *cnf.Template
-	bmcErr    error
-	bmcBuilds atomic.Int32
-
-	bddOnce   sync.Once
-	bddComp   *mc.Compiled
-	bddErr    error
-	bddBuilds atomic.Int32
+	// whole holds the design's own CNF template and BDD model.
+	whole forms
 
 	// coneMemo caches ConeHash results per root-signal set; the walk is
 	// cheap but runs once per property per request on the serving path.
 	coneMu   sync.Mutex
 	coneMemo map[string]string
 
-	// slices maps a property's root list (the monitor, then the assumptions) to the compiled
-	// forms of its cone of influence, nil when the cone holds every
-	// register and the design's own forms serve it. An entry lives as
-	// long as the design; root lists name the design's own signals, so
-	// there are at most as many entries as distinct properties checked.
-	conesMu       sync.Mutex
-	cones         map[string]*cone
-	coneWalks     atomic.Int32
-	coneBMCBuilds atomic.Int32
-	coneBDDBuilds atomic.Int32
+	// cones maps a property's root list (the monitor, then the
+	// assumptions) to the compiled forms of its cone of influence, nil
+	// when the cone holds every register and the design's own forms
+	// serve it. An entry lives as long as the design; root lists name
+	// the design's own signals, so there is at most one entry per
+	// distinct root list checked. coneWalks counts the walks, for the
+	// build-once-per-cone contract's test hook.
+	conesMu   sync.Mutex
+	cones     map[string]*cone
+	coneWalks atomic.Int32
 }
 
 // NewDesign compiles a netlist into an immutable design artifact. The
@@ -96,7 +89,7 @@ func NewDesign(nl *netlist.Netlist) (*Design, error) {
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Design{nl: nl, stats: nl.Stats()}
+	d := &Design{nl: nl, stats: nl.Stats(), whole: forms{nl: nl}}
 	// Prime the netlist's memoized topological order from this single
 	// construction point, so concurrent sessions only ever read it.
 	order, err := nl.TopoOrder()
@@ -201,13 +194,7 @@ func (d *Design) ATPGPrep() (*atpg.Prep, error) {
 // BMCTemplate returns the design's compiled one-frame CNF template,
 // bit-blasting it on first use. Sessions instantiate it into private
 // solvers (bmc.CheckCompiled); the template itself is immutable.
-func (d *Design) BMCTemplate() (*cnf.Template, error) {
-	d.bmcOnce.Do(func() {
-		d.bmcBuilds.Add(1)
-		d.bmcTmpl, d.bmcErr = cnf.Compile(d.nl)
-	})
-	return d.bmcTmpl, d.bmcErr
-}
+func (d *Design) BMCTemplate() (*cnf.Template, error) { return d.whole.template() }
 
 // BDDModel returns the design's compiled symbolic model (variable
 // order, per-signal functions, transition relation), building it on
@@ -215,40 +202,62 @@ func (d *Design) BMCTemplate() (*cnf.Template, error) {
 // into private managers (mc.Compiled.CheckCtx). A design whose model
 // blows the build budget returns the same error on every call, so its
 // BDD checks report Unknown without rebuilding.
-func (d *Design) BDDModel() (*mc.Compiled, error) {
-	d.bddOnce.Do(func() {
-		d.bddBuilds.Add(1)
-		d.bddComp, d.bddErr = mc.Compile(d.nl, mc.CompileOptions{})
-	})
-	return d.bddComp, d.bddErr
-}
+func (d *Design) BDDModel() (*mc.Compiled, error) { return d.whole.model() }
 
 // CacheBuilds reports how many times each lazily-compiled engine cache
 // was built (fsm, atpg, bmc, bdd) — each must be 0 or 1; the
 // build-once contract's test hook.
 func (d *Design) CacheBuilds() (fsmB, atpgB, bmcB, bddB int) {
 	return int(d.fsmBuilds.Load()), int(d.atpgBuilds.Load()),
-		int(d.bmcBuilds.Load()), int(d.bddBuilds.Load())
+		int(d.whole.bmcBuilds.Load()), int(d.whole.bddBuilds.Load())
 }
 
-// cone is the compiled-form cache of one property's cone of
-// influence (netlist.Cone) for the BMC and BDD engines. A model's cost
-// is its state, so a cone that leaves a register out checks in a model
-// of its own. Each form builds at most once and caches its build error,
-// as the design's own do. A nil *cone stands for a cone that holds
-// every register: the design's own forms serve it, unchanged.
+// forms holds the compiled BMC and BDD forms of one netlist, a
+// design's or a property cone's. Each builds at most once, on first
+// use, and caches its build error.
+type forms struct {
+	nl *netlist.Netlist
+
+	bmcOnce   sync.Once
+	bmcTmpl   *cnf.Template
+	bmcErr    error
+	bmcBuilds atomic.Int32
+
+	bddOnce   sync.Once
+	bddComp   *mc.Compiled
+	bddErr    error
+	bddBuilds atomic.Int32
+}
+
+// template returns the one-frame CNF template, bit-blasting it on
+// first use.
+func (f *forms) template() (*cnf.Template, error) {
+	f.bmcOnce.Do(func() {
+		f.bmcBuilds.Add(1)
+		f.bmcTmpl, f.bmcErr = cnf.Compile(f.nl)
+	})
+	return f.bmcTmpl, f.bmcErr
+}
+
+// model returns the compiled symbolic model, building it on first use
+// under the default node budget.
+func (f *forms) model() (*mc.Compiled, error) {
+	f.bddOnce.Do(func() {
+		f.bddBuilds.Add(1)
+		f.bddComp, f.bddErr = mc.Compile(f.nl, mc.CompileOptions{})
+	})
+	return f.bddComp, f.bddErr
+}
+
+// cone is one property's cone of influence (netlist.Cone) with its own
+// compiled forms, for the BMC and BDD engines. A model's cost is its
+// state, so a cone that leaves a register out checks in a model of its
+// own. A nil *cone stands for a cone that holds every register: the
+// design's own forms serve it, unchanged.
 type cone struct {
-	nl       *netlist.Netlist
+	forms
 	toCone   []netlist.SignalID // design signal → cone signal, None outside
 	toDesign []netlist.SignalID // cone signal → design signal
-
-	bmcOnce sync.Once
-	bmcTmpl *cnf.Template
-	bmcErr  error
-
-	bddOnce sync.Once
-	bddComp *mc.Compiled
-	bddErr  error
 }
 
 // coneFor returns the cone cache that serves p's BMC and BDD checks,
@@ -267,7 +276,7 @@ func (d *Design) coneFor(p property.Property) *cone {
 	nl, toCone := d.nl.Cone(roots...)
 	var cn *cone
 	if len(nl.FFs) < len(d.nl.FFs) {
-		cn = &cone{nl: nl, toCone: toCone, toDesign: make([]netlist.SignalID, nl.NumSignals())}
+		cn = &cone{forms: forms{nl: nl}, toCone: toCone, toDesign: make([]netlist.SignalID, nl.NumSignals())}
 		for s, c := range toCone {
 			if c != netlist.None {
 				cn.toDesign[c] = netlist.SignalID(s)
@@ -281,31 +290,13 @@ func (d *Design) coneFor(p property.Property) *cone {
 	return cn
 }
 
-// templateFor returns the one-frame CNF template that serves cn,
-// bit-blasting the cone on first use; the design's own for nil.
-func (d *Design) templateFor(cn *cone) (*cnf.Template, error) {
+// formsFor returns the compiled forms that serve cn: the design's own
+// for nil.
+func (d *Design) formsFor(cn *cone) *forms {
 	if cn == nil {
-		return d.BMCTemplate()
+		return &d.whole
 	}
-	cn.bmcOnce.Do(func() {
-		d.coneBMCBuilds.Add(1)
-		cn.bmcTmpl, cn.bmcErr = cnf.Compile(cn.nl)
-	})
-	return cn.bmcTmpl, cn.bmcErr
-}
-
-// modelFor returns the compiled symbolic model that serves cn,
-// building the cone's on first use under the default node budget; the
-// design's own for nil.
-func (d *Design) modelFor(cn *cone) (*mc.Compiled, error) {
-	if cn == nil {
-		return d.BDDModel()
-	}
-	cn.bddOnce.Do(func() {
-		d.coneBDDBuilds.Add(1)
-		cn.bddComp, cn.bddErr = mc.Compile(cn.nl, mc.CompileOptions{})
-	})
-	return cn.bddComp, cn.bddErr
+	return &cn.forms
 }
 
 // property rewrites p onto the cone's signals.
@@ -340,13 +331,6 @@ func (cn *cone) toDesignSignals(br *bmc.Result) {
 		br.Trace.Inputs[f] = mapKeys(in)
 	}
 	br.InitState = mapKeys(br.InitState)
-}
-
-// coneCacheBuilds reports how many cones were walked and how many cone
-// templates and models were built — the build-once-per-cone contract's
-// test hook.
-func (d *Design) coneCacheBuilds() (walks, bmcB, bddB int) {
-	return int(d.coneWalks.Load()), int(d.coneBMCBuilds.Load()), int(d.coneBDDBuilds.Load())
 }
 
 // ---------------------------------------------------------------------

@@ -202,16 +202,13 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 	}
 
 	// The first BMC and BDD checks of alarm_clock/p8, whose cone holds
-	// 2 of the design's 5 registers, build the cone's template and
-	// model once each and never the design's own.
+	// 2 of the design's 5 registers, walk the cone once, build its
+	// template and model once each and never the design's own.
 	d, err = NewDesign(cd.NL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p8 := slices.Index(cd.PropIDs, "p8")
-	if cn := d.coneFor(cd.Props[p8]); cn == nil || len(cn.nl.FFs) != 2 || len(cd.NL.FFs) != 5 {
-		t.Fatalf("alarm_clock/p8's cone is not 2 of 5 registers")
-	}
 	results := make([]Result, 2*workers)
 	for w := range results {
 		w := w
@@ -227,7 +224,11 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 			t.Errorf("check %d [%s]: %v, want witness-found", w, r.Engine, r.Verdict)
 		}
 	}
-	if walks, bmcB, bddB := d.coneCacheBuilds(); walks != 1 || bmcB != 1 || bddB != 1 {
+	cn := d.coneFor(cd.Props[p8])
+	if cn == nil || len(cn.nl.FFs) != 2 || len(cd.NL.FFs) != 5 {
+		t.Fatalf("alarm_clock/p8's cone is not 2 of 5 registers")
+	}
+	if walks, bmcB, bddB := d.coneWalks.Load(), cn.bmcBuilds.Load(), cn.bddBuilds.Load(); walks != 1 || bmcB != 1 || bddB != 1 {
 		t.Errorf("cone walks=%d bmc=%d bdd=%d, want 1 each", walks, bmcB, bddB)
 	}
 	if _, _, bmcB, bddB := d.CacheBuilds(); bmcB != 0 || bddB != 0 {
@@ -261,7 +262,7 @@ func TestColdPortfolioBuildsNoDesignForm(t *testing.T) {
 	if _, _, bmcB, bddB := d.CacheBuilds(); bmcB != 0 || bddB != 0 {
 		t.Errorf("the design's own template and model built %d and %d times, want 0", bmcB, bddB)
 	}
-	if walks, _, _ := d.coneCacheBuilds(); walks > 1 {
+	if walks := d.coneWalks.Load(); walks > 1 {
 		t.Errorf("p10's cone walked %d times, want at most 1", walks)
 	}
 }

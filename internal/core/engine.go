@@ -173,7 +173,7 @@ func (e *bmcEngine) Check(ctx context.Context, prob Problem) EngineResult {
 	var tmpl *cnf.Template
 	if err == nil {
 		cn = d.coneFor(prob.Prop)
-		tmpl, err = d.templateFor(cn)
+		tmpl, err = d.formsFor(cn).template()
 	}
 	if err != nil {
 		// Cone not bit-blastable at all (e.g. a >64-bit multiplier):
@@ -313,7 +313,7 @@ func (e *bddEngine) Check(ctx context.Context, prob Problem) EngineResult {
 	var comp *mc.Compiled
 	if err == nil {
 		cn = d.coneFor(prob.Prop)
-		comp, err = d.modelFor(cn)
+		comp, err = d.formsFor(cn).model()
 	}
 	if err != nil {
 		return Result{Property: prob.Prop.Name, Verdict: VerdictUnknown,
