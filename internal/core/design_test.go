@@ -239,7 +239,7 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 // TestColdPortfolioBuildsNoDesignForm: the first portfolio check of
 // Industry01(64)/p10 on a fresh design, whose cone holds 1 of its 65
 // registers, leaves the design's whole CNF template and BDD model
-// unbuilt; a member that reached its compile built the cone's.
+// unbuilt, so the race waits for no whole-design compile.
 func TestColdPortfolioBuildsNoDesignForm(t *testing.T) {
 	cd, err := circuits.Industry01(64)
 	if err != nil {
