@@ -396,9 +396,6 @@ func NewPrep(nl *netlist.Netlist) (*Prep, error) {
 	return p, nil
 }
 
-// Netlist returns the analysed netlist.
-func (p *Prep) Netlist() *netlist.Netlist { return p.nl }
-
 // New returns an engine over frames copies of the netlist, with the
 // ablation switches in feats (nil: the full engine). Frame-0 flip-flop
 // outputs are constrained to their initial values; pass freeInit to
@@ -525,9 +522,6 @@ func NewWithPrep(prep *Prep, frames int, mode Mode, limits Limits, freeInit bool
 	}
 	return e, nil
 }
-
-// Frames returns the number of time frames.
-func (e *Engine) Frames() int { return e.frames }
 
 // Stats returns search statistics so far.
 func (e *Engine) Stats() Stats { return e.stats }

@@ -144,7 +144,6 @@ func TestInPlaceVariantsZeroAllocWide(t *testing.T) {
 			"OrInto":        func() { OrInto(&dst, a, b) },
 			"XorInto":       func() { XorInto(&dst, a, b) },
 			"NotInto":       func() { NotInto(&dst, a) },
-			"CopyInto":      func() { CopyInto(&dst, a) },
 		}
 		for name, fn := range ops {
 			fn() // warm any one-time growth
@@ -181,8 +180,6 @@ func TestIntoKernelsMatchImmutable(t *testing.T) {
 			check("XorInto", dst, a.Xor(b))
 			NotInto(&dst, a)
 			check("NotInto", dst, a.Not())
-			CopyInto(&dst, a)
-			check("CopyInto", dst, a)
 			// Aliased forms: dst is the first operand's own storage.
 			al := a.Clone()
 			AndInto(&al, al, b)

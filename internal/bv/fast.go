@@ -254,17 +254,6 @@ func (dst *BV) reshape(width int) {
 	*dst = BV{width: width, spill: dst.spill[:n]}
 }
 
-// CopyInto replaces *dst with a copy of src, reusing dst's spill
-// storage when possible. dst must own its storage.
-func CopyInto(dst *BV, src BV) {
-	if src.spill == nil {
-		*dst = src
-		return
-	}
-	dst.reshape(src.width)
-	copy(dst.spill, src.spill)
-}
-
 // AndInto stores the three-valued bitwise AND of a and o into dst,
 // reusing dst's spill storage. dst may alias a or o.
 func AndInto(dst *BV, a, o BV) {

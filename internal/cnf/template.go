@@ -118,9 +118,6 @@ func (t *Template) NewInstance(s *sat.Solver) *Instance {
 	return &Instance{T: t, S: s}
 }
 
-// Frames returns the number of instantiated frames.
-func (in *Instance) Frames() int { return in.frames }
-
 // EnsureFrames instantiates frames so that frames 0..n-1 exist:
 // reserves each frame's variable block, relocates the template clauses
 // into it, pins frame-0 initial values and links each new frame to its

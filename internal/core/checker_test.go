@@ -439,7 +439,7 @@ endmodule
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.CheckPortfolio(context.Background(), props[0])
+		res := c.Portfolio().Check(context.Background(), Problem{NL: nl, Prop: props[0], MaxDepth: 4})
 		if res.Verdict != VerdictFalsified || res.Engine != EngineBDD {
 			t.Errorf("q <= %s: portfolio %v [%s], want falsified [%s]", next, res.Verdict, res.Engine, EngineBDD)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bmc"
 	"repro/internal/mc"
-	"repro/internal/property"
 )
 
 // Portfolio races several engines on the same problem: all members run
@@ -116,9 +115,4 @@ func (c *Session) Portfolio() *Portfolio {
 		c.BMCEngine(bmc.Options{}),
 		c.BDDEngine(mc.Options{}),
 	)
-}
-
-// CheckPortfolio races the default portfolio on one property.
-func (c *Session) CheckPortfolio(ctx context.Context, p property.Property) Result {
-	return c.Portfolio().Check(ctx, Problem{NL: c.nl, Prop: p, MaxDepth: c.opts.MaxDepth})
 }

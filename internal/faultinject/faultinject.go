@@ -214,9 +214,6 @@ var globalSet atomic.Pointer[Set]
 // tests share it safely because rules are context-scoped.
 func Activate() { active.Store(true) }
 
-// Active reports whether injection has been activated.
-func Active() bool { return active.Load() }
-
 // SetGlobal arms a process-wide rule set (nil disarms) and activates
 // injection when non-nil.
 func SetGlobal(s *Set) {

@@ -35,7 +35,7 @@ func TestFireInactiveIsNil(t *testing.T) {
 	// Never-activated processes fire nothing even with a ctx set. This
 	// test must run in a fresh process to be meaningful, so only check
 	// the unarmed-point fast path when another test already activated.
-	if !Active() {
+	if !active.Load() {
 		s, _ := Parse("compile=error")
 		if err := Fire(WithSet(context.Background(), s), PointCompile); err != nil {
 			t.Errorf("inactive Fire returned %v", err)

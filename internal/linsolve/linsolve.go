@@ -60,12 +60,6 @@ func (s *System) Reset(n, k int) {
 	s.rows = s.rows[:0]
 }
 
-// Vars returns the number of variables.
-func (s *System) Vars() int { return s.k }
-
-// Mod returns the system modulus.
-func (s *System) Mod() modarith.Mod { return s.m }
-
 // row returns the i-th row (k coefficients then rhs).
 func (s *System) row(i int) []uint64 {
 	return s.rows[i*(s.k+1) : (i+1)*(s.k+1)]

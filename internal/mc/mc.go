@@ -455,7 +455,6 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 // the snapshot with a private manager that reads it in place, instead
 // of re-deriving the model from the netlist.
 type Compiled struct {
-	nl   *netlist.Netlist
 	snap *bdd.Snapshot
 	mo   model
 }
@@ -488,11 +487,8 @@ func Compile(nl *netlist.Netlist, opts CompileOptions) (c *Compiled, err error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{nl: nl, snap: m.Snapshot(), mo: mo}, nil
+	return &Compiled{snap: m.Snapshot(), mo: mo}, nil
 }
-
-// Netlist returns the compiled design.
-func (c *Compiled) Netlist() *netlist.Netlist { return c.nl }
 
 // CheckCtx checks one property against the compiled model: a fresh
 // private manager extends the snapshot, reading it without copying it

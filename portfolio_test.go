@@ -48,7 +48,7 @@ func TestPortfolioTable2(t *testing.T) {
 				t.Fatal(err)
 			}
 			alone := c.Check(p)
-			pf := c.CheckPortfolio(context.Background(), p)
+			pf := c.Portfolio().Check(context.Background(), core.Problem{NL: d.NL, Prop: p, MaxDepth: circuits.TableDepth(id)})
 			t.Logf("%s_%s: atpg=%v portfolio=%v [%s]", d.Name, id, alone.Verdict, pf.Verdict, pf.Engine)
 			if pf.Verdict == alone.Verdict {
 				continue
