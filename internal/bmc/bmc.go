@@ -93,26 +93,14 @@ func CheckCtx(ctx context.Context, nl *netlist.Netlist, p property.Property, opt
 // monotone, each depth extends the unrolling by relocated template
 // clauses, and the per-depth property ask is passed as an assumption so
 // nothing is retracted between depths. The template is read-only here,
-// so any number of CheckCompiled calls may share it concurrently.
+// so any number of CheckCompiled calls may share it concurrently. It
+// must cover p's signals (cnf.Template.Covers): a signal added to the
+// netlist after the template was compiled makes cnf.Instance.Lit
+// panic.
 func CheckCompiled(ctx context.Context, tmpl *cnf.Template, p property.Property, opts Options) Result {
 	start := time.Now()
 	if opts.MaxDepth == 0 {
 		opts.MaxDepth = 16
-	}
-	// Stale-template guard: a property built after the template was
-	// compiled references signals the template has no variables for.
-	// Recompile against the current netlist rather than mis-addressing
-	// the frame blocks.
-	stale := !tmpl.Covers(p.Monitor)
-	for _, a := range p.Assumes {
-		stale = stale || !tmpl.Covers(a)
-	}
-	if stale {
-		fresh, err := cnf.Compile(tmpl.NL)
-		if err != nil {
-			return Result{Verdict: Unknown, Elapsed: time.Since(start)}
-		}
-		tmpl = fresh
 	}
 	nl := tmpl.NL
 	s := sat.NewSolver()
