@@ -63,8 +63,9 @@ func waitSettled(timeout time.Duration, pred func() bool) bool {
 }
 
 // TestServeRequestValidation pins the numeric-field surface: negative
-// depth/jobs/timeout and over-cap depths are rejected with 400 instead
-// of flowing into the engines.
+// depth/jobs/timeout, over-cap depths and timeouts too large for a
+// time.Duration are rejected with 400 instead of flowing into the
+// engines.
 func TestServeRequestValidation(t *testing.T) {
 	ts := httptest.NewServer(New(Options{MaxDepth: 32}).Handler())
 	defer ts.Close()
@@ -79,6 +80,10 @@ func TestServeRequestValidation(t *testing.T) {
 		{"absurd-depth", func(r *CheckRequest) { r.Depth = 1 << 30 }},
 		{"negative-jobs", func(r *CheckRequest) { r.Jobs = -1 }},
 		{"negative-timeout", func(r *CheckRequest) { r.TimeoutMs = -5 }},
+		// Both overflow a time.Duration in milliseconds: the first
+		// would wrap to a 64 ns deadline, the second to 448 µs.
+		{"overflowing-timeout", func(r *CheckRequest) { r.TimeoutMs = 76480200929599801 }},
+		{"wrapping-timeout", func(r *CheckRequest) { r.TimeoutMs = 18446744073710 }},
 	}
 	for _, tc := range cases {
 		req := base
@@ -93,6 +98,11 @@ func TestServeRequestValidation(t *testing.T) {
 	req.Depth = 32
 	if resp, body := postCheck(t, ts, req); resp.StatusCode != http.StatusOK {
 		t.Errorf("depth at cap: status %d (%s)", resp.StatusCode, body)
+	}
+	req = base
+	req.TimeoutMs = maxTimeoutMs
+	if resp, body := postCheck(t, ts, req); resp.StatusCode != http.StatusOK {
+		t.Errorf("largest timeout: status %d (%s)", resp.StatusCode, body)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -163,9 +164,9 @@ type CheckRequest struct {
 	NoInduction bool `json:"no_induction,omitempty"`
 	// TimeoutMs overrides the server's default request timeout in
 	// milliseconds (0 = server default; clamped to the server's
-	// MaxTimeout; negative values are rejected). Expired checks report
-	// verdict "unknown" in their records, exactly like `assertcheck
-	// -timeout`.
+	// MaxTimeout; negative values, and values too large for a
+	// time.Duration, are rejected). Expired checks report verdict
+	// "unknown" in their records, exactly like `assertcheck -timeout`.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -462,6 +463,10 @@ func (s *Server) overloaded(w http.ResponseWriter, status int, format string, ar
 	httpError(w, status, format, args...)
 }
 
+// maxTimeoutMs is the largest timeout_ms a time.Duration holds; a
+// larger one would wrap to a short or negative deadline.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
 // validate bounds the request's numeric fields; it returns a non-empty
 // message on rejection.
 func (s *Server) validate(req *CheckRequest) string {
@@ -482,6 +487,9 @@ func (s *Server) validate(req *CheckRequest) string {
 	}
 	if req.TimeoutMs < 0 {
 		return fmt.Sprintf("timeout_ms %d is negative", req.TimeoutMs)
+	}
+	if req.TimeoutMs > maxTimeoutMs {
+		return fmt.Sprintf("timeout_ms %d exceeds %d", req.TimeoutMs, maxTimeoutMs)
 	}
 	return ""
 }
