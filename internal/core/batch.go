@@ -108,7 +108,7 @@ func (c *Session) CheckAll(ctx context.Context, props []property.Property, opts 
 					continue
 				}
 				results[i] = safeCheck(eng, ctx, Problem{
-					NL: c.nl, Prop: props[i], MaxDepth: c.opts.MaxDepth,
+					NL: c.d.nl, Prop: props[i], MaxDepth: c.opts.MaxDepth,
 				})
 				if cache != nil && cacheableVerdict(results[i].Verdict) {
 					cache.Put(keys[i], RecordFromResult(results[i]))

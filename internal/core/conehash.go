@@ -29,21 +29,23 @@ import (
 	"repro/internal/property"
 )
 
-// ConeHash returns the canonical content hash of the cone of influence
+// PropertyConeHash returns the cone hash of one property: the content
+// hash of the cone of influence of its root list (coneRoots), computed
+// on first use. It hashes only: the cone entry's slice, and the BMC and
+// BDD forms compiled from it, are left unbuilt.
+func (d *Design) PropertyConeHash(p property.Property) string {
+	e := d.coneOf(p)
+	h, _ := e.hash.get(func() (string, error) { return d.coneHash(e.roots), nil })
+	return h
+}
+
+// coneHash returns the canonical content hash of the cone of influence
 // of the given signals: sha256 over a deterministic serialization of
 // every gate, constant and state element in their transitive fanin
 // (through DFF next-state inputs — sequential cones include the logic
 // feeding the state). Two designs whose cones are structurally
 // identical hash identically even when the rest of the designs differ.
-func (d *Design) ConeHash(sigs ...netlist.SignalID) string {
-	memoKey := fmt.Sprint(sigs)
-	d.coneMu.Lock()
-	if h, ok := d.coneMemo[memoKey]; ok {
-		d.coneMu.Unlock()
-		return h
-	}
-	d.coneMu.Unlock()
-
+func (d *Design) coneHash(sigs []netlist.SignalID) string {
 	var sb strings.Builder
 	// local maps global signal IDs to cone-local indices, assigned in
 	// first-reference order; queue holds signals whose drivers are not
@@ -88,26 +90,5 @@ func (d *Design) ConeHash(sigs ...netlist.SignalID) string {
 		sb.WriteByte('\n')
 	}
 	sum := sha256.Sum256([]byte(sb.String()))
-	h := hex.EncodeToString(sum[:])
-
-	d.coneMu.Lock()
-	if d.coneMemo == nil {
-		d.coneMemo = make(map[string]string)
-	}
-	d.coneMemo[memoKey] = h
-	d.coneMu.Unlock()
-	return h
-}
-
-// PropertyConeHash returns the cone hash of one property: the combined
-// cone of its monitor and assumption signals (assumptions constrain
-// the search, so they are part of the verdict's identity).
-func (d *Design) PropertyConeHash(p property.Property) string {
-	if len(p.Assumes) == 0 {
-		return d.ConeHash(p.Monitor)
-	}
-	sigs := make([]netlist.SignalID, 0, 1+len(p.Assumes))
-	sigs = append(sigs, p.Monitor)
-	sigs = append(sigs, p.Assumes...)
-	return d.ConeHash(sigs...)
+	return hex.EncodeToString(sum[:])
 }

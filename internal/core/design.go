@@ -3,10 +3,11 @@
 // analysis and per-engine compiled form that does not depend on a
 // particular run — local FSMs, per-signal cone/state analysis, the BMC
 // frame template and the BDD model snapshot (the design's, and one
-// each per property cone that leaves a register out) and the ATPG prep
-// tables. All of it is built at most once (sync.Once-guarded,
-// concurrency-safe) and shared read-only by any number of Sessions; a
-// Session (see session.go) holds only cheap per-run mutable state.
+// each per property cone that leaves a register out), the ATPG prep
+// tables and the per-property cone hashes. Each is a lazy: built at
+// most once, on first use, and shared read-only by any number of
+// Sessions; a Session (see session.go) holds only cheap per-run
+// mutable state.
 // This is what lets N batch workers, portfolio members or serving
 // requests check properties of one design with zero re-elaboration and
 // zero re-compilation.
@@ -50,34 +51,18 @@ type Design struct {
 	// programmatically.
 	fingerprint string
 
-	fsmOnce   sync.Once
-	machines  []*fsm.Machine
-	fsmErr    error
-	fsmBuilds atomic.Int32
-
-	atpgOnce   sync.Once
-	atpgPrep   *atpg.Prep
-	atpgErr    error
-	atpgBuilds atomic.Int32
+	machines lazy[[]*fsm.Machine]
+	prep     lazy[*atpg.Prep]
 
 	// whole holds the design's own CNF template and BDD model.
 	whole forms
 
-	// coneMemo caches ConeHash results per root-signal set; the walk is
-	// cheap but runs once per property per request on the serving path.
-	coneMu   sync.Mutex
-	coneMemo map[string]string
-
-	// cones maps a property's root list (the monitor, then the
-	// assumptions) to the compiled forms of its cone of influence, nil
-	// when the cone holds every register and the design's own forms
-	// serve it. An entry lives as long as the design; root lists name
-	// the design's own signals, so there is at most one entry per
-	// distinct root list checked. coneWalks counts the walks, for the
-	// build-once-per-cone contract's test hook.
-	conesMu   sync.Mutex
-	cones     map[string]*cone
-	coneWalks atomic.Int32
+	// cones maps a property's root list (coneRoots) to its cone entry.
+	// An entry lives as long as the design; root lists name the
+	// design's own signals, so there is at most one entry per distinct
+	// root list hashed or checked.
+	conesMu sync.Mutex
+	cones   map[string]*coneEntry
 }
 
 // NewDesign compiles a netlist into an immutable design artifact. The
@@ -158,37 +143,36 @@ func (d *Design) stale() bool {
 	return d.nl.NumSignals() != len(d.stateBearing) || d.nl.NumGates() != d.stats.Gates
 }
 
-// coneHasState reports whether any of the given signals has a
-// flip-flop in its transitive fanin. The signals must predate the
-// design.
-func (d *Design) coneHasState(sigs ...netlist.SignalID) bool {
-	for _, s := range sigs {
-		if d.stateBearing[s] {
-			return true
-		}
-	}
-	return false
+// lazy is a value built at most once, on first use: concurrent first
+// callers share one build, and a build error is cached with the value,
+// so a failed build is never rerun. builds counts the builds (0 or 1),
+// for the build-once contract's tests.
+type lazy[T any] struct {
+	once   sync.Once
+	v      T
+	err    error
+	builds atomic.Int32
+}
+
+// get returns the value, running build on the first call only.
+func (l *lazy[T]) get(build func() (T, error)) (T, error) {
+	l.once.Do(func() {
+		l.builds.Add(1)
+		l.v, l.err = build()
+	})
+	return l.v, l.err
 }
 
 // Machines returns the extracted local FSMs (§6), building them on
-// first use. Exactly one extraction runs even under concurrent first
-// callers.
+// first use.
 func (d *Design) Machines() ([]*fsm.Machine, error) {
-	d.fsmOnce.Do(func() {
-		d.fsmBuilds.Add(1)
-		d.machines, d.fsmErr = fsm.Extract(d.nl)
-	})
-	return d.machines, d.fsmErr
+	return d.machines.get(func() ([]*fsm.Machine, error) { return fsm.Extract(d.nl) })
 }
 
 // ATPGPrep returns the shared ATPG engine tables (gate
 // classifications, table shapes), building them on first use.
 func (d *Design) ATPGPrep() (*atpg.Prep, error) {
-	d.atpgOnce.Do(func() {
-		d.atpgBuilds.Add(1)
-		d.atpgPrep, d.atpgErr = atpg.NewPrep(d.nl)
-	})
-	return d.atpgPrep, d.atpgErr
+	return d.prep.get(func() (*atpg.Prep, error) { return atpg.NewPrep(d.nl) })
 }
 
 // BMCTemplate returns the design's compiled one-frame CNF template,
@@ -204,49 +188,59 @@ func (d *Design) BMCTemplate() (*cnf.Template, error) { return d.whole.template(
 // BDD checks report Unknown without rebuilding.
 func (d *Design) BDDModel() (*mc.Compiled, error) { return d.whole.model() }
 
-// CacheBuilds reports how many times each lazily-compiled engine cache
-// was built (fsm, atpg, bmc, bdd) — each must be 0 or 1; the
-// build-once contract's test hook.
-func (d *Design) CacheBuilds() (fsmB, atpgB, bmcB, bddB int) {
-	return int(d.fsmBuilds.Load()), int(d.atpgBuilds.Load()),
-		int(d.whole.bmcBuilds.Load()), int(d.whole.bddBuilds.Load())
-}
-
 // forms holds the compiled BMC and BDD forms of one netlist, a
-// design's or a property cone's. Each builds at most once, on first
-// use, and caches its build error.
+// design's or a property cone's.
 type forms struct {
-	nl *netlist.Netlist
-
-	bmcOnce   sync.Once
-	bmcTmpl   *cnf.Template
-	bmcErr    error
-	bmcBuilds atomic.Int32
-
-	bddOnce   sync.Once
-	bddComp   *mc.Compiled
-	bddErr    error
-	bddBuilds atomic.Int32
+	nl  *netlist.Netlist
+	bmc lazy[*cnf.Template]
+	bdd lazy[*mc.Compiled]
 }
 
 // template returns the one-frame CNF template, bit-blasting it on
 // first use.
 func (f *forms) template() (*cnf.Template, error) {
-	f.bmcOnce.Do(func() {
-		f.bmcBuilds.Add(1)
-		f.bmcTmpl, f.bmcErr = cnf.Compile(f.nl)
-	})
-	return f.bmcTmpl, f.bmcErr
+	return f.bmc.get(func() (*cnf.Template, error) { return cnf.Compile(f.nl) })
 }
 
 // model returns the compiled symbolic model, building it on first use
 // under the default node budget.
 func (f *forms) model() (*mc.Compiled, error) {
-	f.bddOnce.Do(func() {
-		f.bddBuilds.Add(1)
-		f.bddComp, f.bddErr = mc.Compile(f.nl, mc.CompileOptions{})
-	})
-	return f.bddComp, f.bddErr
+	return f.bdd.get(func() (*mc.Compiled, error) { return mc.Compile(f.nl, mc.CompileOptions{}) })
+}
+
+// coneRoots is the root list of p's cone of influence: the monitor,
+// then the assumptions (they constrain the search, so they are part of
+// the verdict's identity).
+func coneRoots(p property.Property) []netlist.SignalID {
+	return append(append(make([]netlist.SignalID, 0, 1+len(p.Assumes)), p.Monitor), p.Assumes...)
+}
+
+// coneEntry is the cache of one root list's cone of influence. Its two
+// facets build independently, each on first use: the content hash the
+// verdict cache keys on (PropertyConeHash), and the slice the BMC and
+// BDD engines check (coneFor), whose build walks the cone.
+type coneEntry struct {
+	roots []netlist.SignalID
+	hash  lazy[string]
+	slice lazy[*cone]
+}
+
+// coneOf returns the cone entry of p's root list, adding it on first
+// use. p's signals must predate the design.
+func (d *Design) coneOf(p property.Property) *coneEntry {
+	roots := coneRoots(p)
+	key := fmt.Sprint(roots)
+	d.conesMu.Lock()
+	defer d.conesMu.Unlock()
+	e, ok := d.cones[key]
+	if !ok {
+		if d.cones == nil {
+			d.cones = make(map[string]*coneEntry)
+		}
+		e = &coneEntry{roots: roots}
+		d.cones[key] = e
+	}
+	return e
 }
 
 // cone is one property's cone of influence (netlist.Cone) with its own
@@ -260,33 +254,24 @@ type cone struct {
 	toDesign []netlist.SignalID // cone signal → design signal
 }
 
-// coneFor returns the cone cache that serves p's BMC and BDD checks,
-// nil when p's cone holds every register of the design. The cone of a
-// root list (the monitor, then the assumptions) is walked on its first
-// check only. p's signals must predate the design.
+// coneFor returns the cone that serves p's BMC and BDD checks, nil
+// when p's cone holds every register of the design. The cone of a root
+// list is walked on its first check only.
 func (d *Design) coneFor(p property.Property) *cone {
-	roots := append([]netlist.SignalID{p.Monitor}, p.Assumes...)
-	key := fmt.Sprint(roots)
-	d.conesMu.Lock()
-	defer d.conesMu.Unlock()
-	if cn, ok := d.cones[key]; ok {
-		return cn
-	}
-	d.coneWalks.Add(1)
-	nl, toCone := d.nl.Cone(roots...)
-	var cn *cone
-	if len(nl.FFs) < len(d.nl.FFs) {
-		cn = &cone{forms: forms{nl: nl}, toCone: toCone, toDesign: make([]netlist.SignalID, nl.NumSignals())}
+	e := d.coneOf(p)
+	cn, _ := e.slice.get(func() (*cone, error) {
+		nl, toCone := d.nl.Cone(e.roots...)
+		if len(nl.FFs) == len(d.nl.FFs) {
+			return nil, nil
+		}
+		cn := &cone{forms: forms{nl: nl}, toCone: toCone, toDesign: make([]netlist.SignalID, nl.NumSignals())}
 		for s, c := range toCone {
 			if c != netlist.None {
 				cn.toDesign[c] = netlist.SignalID(s)
 			}
 		}
-	}
-	if d.cones == nil {
-		d.cones = make(map[string]*cone)
-	}
-	d.cones[key] = cn
+		return cn, nil
+	})
 	return cn
 }
 
@@ -344,47 +329,29 @@ type designKey struct {
 	sigs, gates int
 }
 
-type designEntry struct {
-	once sync.Once
-	d    *Design
-	err  error
-}
-
-// DefaultDesignCacheCap bounds the process-wide design cache. The
-// cache keys on live netlist pointers, so before the bound existed it
-// pinned every netlist a process ever compiled — in a long-lived
-// server that is an unbounded leak. Eviction only costs a recompile on
-// the next DesignFor for that netlist; correctness never depends on
-// residency.
-const DefaultDesignCacheCap = 128
+// designCacheCap bounds the process-wide design cache. The cache keys
+// on live netlist pointers, so without a bound it would pin every
+// netlist a process ever compiled — in a long-lived server, an
+// unbounded leak. Eviction only costs a recompile on the next
+// DesignFor for that netlist; correctness never depends on residency.
+const designCacheCap = 128
 
 // designCache memoizes DesignFor per netlist build state, LRU-bounded.
-// Entries singleflight their build through a sync.Once, so concurrent
-// first callers share one compilation while the entry is resident.
-var designCache = lru.New[designKey, *designEntry](DefaultDesignCacheCap)
+// Entries singleflight their build as lazies, so concurrent first
+// callers share one compilation while the entry is resident.
+var designCache = lru.New[designKey, *lazy[*Design]](designCacheCap)
 
 // DesignFor returns the (process-wide cached) compiled design of a
 // netlist: repeated calls — every batch worker, every sibling checker,
 // every portfolio member — share one Design, so elaboration-derived
 // analyses run exactly once per netlist build state (while the entry
-// stays resident; see DefaultDesignCacheCap).
+// stays resident; see designCacheCap).
 func DesignFor(nl *netlist.Netlist) (*Design, error) {
 	key := designKey{nl, nl.NumSignals(), nl.NumGates()}
-	e, _ := designCache.GetOrAdd(key, func() *designEntry { return &designEntry{} })
-	e.once.Do(func() {
-		e.d, e.err = NewDesign(nl)
-	})
-	if e.err != nil {
-		return nil, fmt.Errorf("core: compiling design %s: %w", nl.Name, e.err)
+	e, _ := designCache.GetOrAdd(key, func() *lazy[*Design] { return new(lazy[*Design]) })
+	d, err := e.get(func() (*Design, error) { return NewDesign(nl) })
+	if err != nil {
+		return nil, fmt.Errorf("core: compiling design %s: %w", nl.Name, err)
 	}
-	return e.d, nil
+	return d, nil
 }
-
-// DesignCacheStats snapshots the process-wide design cache counters
-// (hits, misses, evictions, residency) for serving-path observability.
-func DesignCacheStats() lru.Stats { return designCache.Stats() }
-
-// SetDesignCacheCap rebounds the process-wide design cache (<= 0 for
-// unbounded), evicting down to the new bound, and returns the previous
-// cap — an ops tuning knob for servers holding many designs.
-func SetDesignCacheCap(n int) int { return designCache.SetCap(n) }

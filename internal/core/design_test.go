@@ -191,7 +191,7 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	fsmB, atpgB, bmcB, bddB := d.CacheBuilds()
+	fsmB, atpgB, bmcB, bddB := d.machines.builds.Load(), d.prep.builds.Load(), d.whole.bmc.builds.Load(), d.whole.bdd.builds.Load()
 	if fsmB != 1 || atpgB != 1 || bmcB != 1 || bddB != 1 {
 		t.Errorf("cache builds fsm=%d atpg=%d bmc=%d bdd=%d, want 1 each", fsmB, atpgB, bmcB, bddB)
 	}
@@ -228,11 +228,59 @@ func TestEngineCachesBuildOnce(t *testing.T) {
 	if cn == nil || len(cn.nl.FFs) != 2 || len(cd.NL.FFs) != 5 {
 		t.Fatalf("alarm_clock/p8's cone is not 2 of 5 registers")
 	}
-	if walks, bmcB, bddB := d.coneWalks.Load(), cn.bmcBuilds.Load(), cn.bddBuilds.Load(); walks != 1 || bmcB != 1 || bddB != 1 {
+	if walks, bmcB, bddB := coneWalks(d), cn.bmc.builds.Load(), cn.bdd.builds.Load(); walks != 1 || bmcB != 1 || bddB != 1 {
 		t.Errorf("cone walks=%d bmc=%d bdd=%d, want 1 each", walks, bmcB, bddB)
 	}
-	if _, _, bmcB, bddB := d.CacheBuilds(); bmcB != 0 || bddB != 0 {
+	wholeUnbuilt(t, d)
+}
+
+// coneWalks sums the cone walks of every root list d holds an entry
+// for: the builds of their slices.
+func coneWalks(d *Design) int32 {
+	var n int32
+	for _, e := range d.cones {
+		n += e.slice.builds.Load()
+	}
+	return n
+}
+
+// wholeUnbuilt fails the test when d's own CNF template or BDD model
+// was built.
+func wholeUnbuilt(t *testing.T, d *Design) {
+	t.Helper()
+	if bmcB, bddB := d.whole.bmc.builds.Load(), d.whole.bdd.builds.Load(); bmcB != 0 || bddB != 0 {
 		t.Errorf("the design's own template and model built %d and %d times, want 0", bmcB, bddB)
+	}
+}
+
+// TestConeHashBuildsNoEngineForm: hashing every corpus property of a
+// fresh design, twice, hashes each root list once and walks no slice,
+// builds no cone or design template or model, and compiles no ATPG
+// form, so hash-only traffic such as a verdict-cache lookup pays for
+// the hash alone.
+func TestConeHashBuildsNoEngineForm(t *testing.T) {
+	for _, gd := range goldenDesigns(t) {
+		d, err := NewDesign(gd.d.NL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for _, p := range gd.d.Props {
+				d.PropertyConeHash(p)
+			}
+		}
+		if len(d.cones) == 0 {
+			t.Fatalf("%s: no cone entries after hashing %d properties", gd.tag, len(gd.d.Props))
+		}
+		for key, e := range d.cones {
+			if h, walks := e.hash.builds.Load(), e.slice.builds.Load(); h != 1 || walks != 0 {
+				t.Errorf("%s roots %s: hashed %d times and walked %d, want 1 and 0", gd.tag, key, h, walks)
+			}
+		}
+		wholeUnbuilt(t, d)
+		if fsmB, atpgB := d.machines.builds.Load(), d.prep.builds.Load(); fsmB != 0 || atpgB != 0 {
+			t.Errorf("%s: local FSMs and ATPG prep built %d and %d times, want 0", gd.tag, fsmB, atpgB)
+		}
 	}
 }
 
@@ -259,10 +307,8 @@ func TestColdPortfolioBuildsNoDesignForm(t *testing.T) {
 	if r.Verdict != VerdictProved {
 		t.Errorf("industry_0164/p10: %v [%s], want proved", r.Verdict, r.Engine)
 	}
-	if _, _, bmcB, bddB := d.CacheBuilds(); bmcB != 0 || bddB != 0 {
-		t.Errorf("the design's own template and model built %d and %d times, want 0", bmcB, bddB)
-	}
-	if walks := d.coneWalks.Load(); walks > 1 {
+	wholeUnbuilt(t, d)
+	if walks := coneWalks(d); walks > 1 {
 		t.Errorf("p10's cone walked %d times, want at most 1", walks)
 	}
 }
@@ -304,7 +350,7 @@ func TestBatchElaboratesOnce(t *testing.T) {
 		if c2.Design() != c.Design() {
 			t.Errorf("%s: repeated New compiled a second Design", cd.Name)
 		}
-		if fsmB, _, _, _ := c.Design().CacheBuilds(); fsmB > 1 {
+		if fsmB := c.Design().machines.builds.Load(); fsmB > 1 {
 			t.Errorf("%s: local FSMs extracted %d times", cd.Name, fsmB)
 		}
 	}

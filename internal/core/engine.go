@@ -143,11 +143,11 @@ func (e *atpgEngine) Check(ctx context.Context, prob Problem) EngineResult {
 // VerdictProvedBounded (VerdictNoWitness for witness properties) — BMC
 // can never return a full proof. A check runs on the property's cone
 // of influence (Design.coneFor): the one-frame CNF template is compiled
-// at most once per cone (sync.Once), or once per design for the cones
-// that hold every register, and each check instantiates it into a
-// private solver, so N workers share the bit-blasting work. A
-// counterexample is mapped back to design signals before replay;
-// inputs outside the cone are left out of its trace.
+// at most once per cone, or once per design for the cones that hold
+// every register, and each check instantiates it into a private
+// solver, so N workers share the bit-blasting work. A counterexample
+// is mapped back to design signals before replay; inputs outside the
+// cone are left out of its trace.
 func (c *Session) BMCEngine(opts bmc.Options) Engine {
 	return &bmcEngine{c: c, opts: opts}
 }

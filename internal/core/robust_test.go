@@ -150,9 +150,9 @@ func TestEngineFaultPointsProduceErrorRecords(t *testing.T) {
 // designs recompile on re-request (a fresh *Design — correctness never
 // depends on residency), and the counters move.
 func TestDesignCacheBounded(t *testing.T) {
-	old := SetDesignCacheCap(4)
-	defer SetDesignCacheCap(old)
-	before := DesignCacheStats()
+	old := designCache.SetCap(4)
+	defer designCache.SetCap(old)
+	before := designCache.Stats()
 
 	mk := func(name string) *netlist.Netlist {
 		nl := netlist.New(name)
@@ -170,7 +170,7 @@ func TestDesignCacheBounded(t *testing.T) {
 		}
 		designs[i] = d
 	}
-	st := DesignCacheStats()
+	st := designCache.Stats()
 	if st.Len > 4 {
 		t.Errorf("resident designs = %d, exceeds cap 4", st.Len)
 	}

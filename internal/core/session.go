@@ -26,7 +26,6 @@ import (
 // compiles/reuses the design first).
 type Session struct {
 	d    *Design
-	nl   *netlist.Netlist
 	opts Options
 }
 
@@ -46,14 +45,14 @@ func New(nl *netlist.Netlist, opts Options) (*Session, error) {
 // nothing: each engine takes what it reads from the design's caches,
 // built on first use. The error result is always nil.
 func (d *Design) NewSession(opts Options) (*Session, error) {
-	return &Session{d: d, nl: d.nl, opts: opts.withDefaults()}, nil
+	return &Session{d: d, opts: opts.withDefaults()}, nil
 }
 
 // Design returns the immutable compiled design this session runs over.
 func (c *Session) Design() *Design { return c.d }
 
 // Netlist returns the design under check.
-func (c *Session) Netlist() *netlist.Netlist { return c.nl }
+func (c *Session) Netlist() *netlist.Netlist { return c.d.nl }
 
 // designFor is the one rule that picks the compiled design serving a
 // check over nl, for every engine: this session's own design, unless
@@ -62,7 +61,7 @@ func (c *Session) Netlist() *netlist.Netlist { return c.nl }
 // opened); then the process-wide DesignFor(nl), which compiles the
 // netlist as it is now at most once.
 func (c *Session) designFor(nl *netlist.Netlist) (*Design, error) {
-	if nl == c.nl && !c.d.stale() {
+	if nl == c.d.nl && !c.d.stale() {
 		return c.d, nil
 	}
 	return DesignFor(nl)
@@ -161,7 +160,7 @@ func (c *Session) checkQuiet(ctx context.Context, p property.Property) Result {
 
 func (c *Session) check(ctx context.Context, p property.Property) Result {
 	res := Result{Verdict: VerdictUnknown}
-	if s, err := c.sessionFor(c.nl, 0); err == nil {
+	if s, err := c.sessionFor(c.d.nl, 0); err == nil {
 		res = s.checkSearch(ctx, p)
 	}
 	res.Engine = EngineATPG
@@ -237,7 +236,7 @@ func (c *Session) checkSearch(ctx context.Context, p property.Property) Result {
 		switch st {
 		case atpg.StatusSat:
 			tr, init := c.extractTrace(eng, depth)
-			if replayValidates(c.nl, p, tr, init, depth, target) {
+			if replayValidates(c.d.nl, p, tr, init, depth, target) {
 				v := VerdictFalsified
 				if p.Kind == property.Witness {
 					v = VerdictWitnessFound
@@ -328,13 +327,16 @@ func (c *Session) coneExhausted(p property.Property, depth int, agg atpg.Stats) 
 
 // coneIsCombinational reports whether the transitive fanin of the
 // monitor and every assumption is free of flip-flops, making a depth-1
-// exhaustion a complete proof. The per-signal analysis is precomputed
-// on the design.
+// exhaustion a complete proof. It reads the per-signal analysis
+// precomputed on the design, taking no lock. p's signals must predate
+// the design.
 func (c *Session) coneIsCombinational(p property.Property) bool {
-	sigs := make([]netlist.SignalID, 0, 1+len(p.Assumes))
-	sigs = append(sigs, p.Monitor)
-	sigs = append(sigs, p.Assumes...)
-	return !c.d.coneHasState(sigs...)
+	for _, s := range coneRoots(p) {
+		if c.d.stateBearing[s] {
+			return false
+		}
+	}
+	return true
 }
 
 // inductionStep checks the k-induction step: from any state inside the
@@ -381,13 +383,13 @@ func (c *Session) extractTrace(eng *atpg.Engine, depth int) (*sim.Trace, map[net
 	tr := &sim.Trace{Inputs: make([]map[netlist.SignalID]bv.BV, depth)}
 	for f := 0; f < depth; f++ {
 		tr.Inputs[f] = map[netlist.SignalID]bv.BV{}
-		for _, pi := range c.nl.PIs {
+		for _, pi := range c.d.nl.PIs {
 			tr.Inputs[f][pi] = eng.Value(f, pi).Min()
 		}
 	}
 	init := map[netlist.SignalID]bv.BV{}
-	for _, ff := range c.nl.FFs {
-		g := &c.nl.Gates[ff]
+	for _, ff := range c.d.nl.FFs {
+		g := &c.d.nl.Gates[ff]
 		if g.Init.IsAllX() || !g.Init.IsFullyKnown() {
 			init[g.Out] = eng.Value(0, g.Out).Min()
 		}
