@@ -253,6 +253,42 @@ func wholeUnbuilt(t *testing.T, d *Design) {
 	}
 }
 
+// TestFailedBuildStaysCached pins the cached-error half of the
+// build-once contract: the CNF template of a design with a 65-bit
+// multiplier, which the bit-blaster cannot encode, fails once, and
+// every later BMC check reports unknown from the cached error without
+// rebuilding it.
+func TestFailedBuildStaysCached(t *testing.T) {
+	nl := netlist.New("widemul")
+	a := nl.AddInput("a", 65)
+	prod := nl.Binary(netlist.KMul, a, a)
+	mon := nl.Unary(netlist.KNot, property.Builder{NL: nl}.Equals(prod, 4))
+	p, err := property.NewInvariant(nl, "square_not_4", mon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDesign(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := d.NewSession(Options{MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sess.BMCEngine(bmc.Options{})
+	for i := 0; i < 3; i++ {
+		if r := eng.Check(context.Background(), Problem{NL: nl, Prop: p, MaxDepth: 2}); r.Verdict != VerdictUnknown {
+			t.Errorf("check %d: %v, want unknown", i, r.Verdict)
+		}
+	}
+	if _, err := d.BMCTemplate(); err == nil {
+		t.Error("a 65-bit multiplier compiled into a CNF template")
+	}
+	if n := d.whole.bmc.builds.Load(); n != 1 {
+		t.Errorf("the failing template built %d times, want 1", n)
+	}
+}
+
 // TestConeHashBuildsNoEngineForm: hashing every corpus property of a
 // fresh design, twice, hashes each root list once and walks no slice,
 // builds no cone or design template or model, and compiles no ATPG
