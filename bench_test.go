@@ -1,6 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and
-// EXPERIMENTS.md for measured-vs-paper results):
+// evaluation:
 //
 //	BenchmarkTable1Elaboration    Table 1 (front-end + statistics)
 //	BenchmarkTable2/...           Table 2 (one sub-benchmark per property;
@@ -250,8 +249,8 @@ func BenchmarkEngineComparison(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // Ablations: each sub-benchmark removes one engine component on the
-// workload that exercises it, quantifying the design choices DESIGN.md
-// calls out. The "full" variant is the baseline.
+// workload that exercises it, quantifying what that component buys.
+// The "full" variant is the baseline.
 
 // BenchmarkAblationIdentity measures structural identity (congruence)
 // tracking on a consensus bus-contention proof: without it, proving

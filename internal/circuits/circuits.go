@@ -2,8 +2,8 @@
 // Table 1 — the public circuits (addr_decoder, token_ring, arbiter,
 // alarm_clock) reconstructed from their descriptions, and synthetic
 // stand-ins for the proprietary industry_01..05 designs that preserve
-// the structural class each property exercises (see DESIGN.md,
-// "Substitutions"). Every circuit is written in the Verilog subset and
+// the structural class each property exercises (industry.go lists
+// them). Every circuit is written in the Verilog subset and
 // elaborated through the front end, exactly as the framework of Fig. 1
 // prescribes; the properties p1–p14 of Table 2 are built as monitor
 // networks by internal/property.
@@ -37,8 +37,7 @@ func (d *Design) Lines() int {
 
 // TableDepth returns the frame bound used for a Table-2 property id —
 // the single source of truth shared by cmd/assertcheck, the root
-// benchmark/smoke suites and the batch tests (EXPERIMENTS.md documents
-// the per-property choices).
+// benchmark/smoke suites and the batch tests.
 func TableDepth(id string) int {
 	switch id {
 	case "p4":

@@ -20,7 +20,7 @@ import (
 //
 // Absolute gate counts differ from Table 1 (the originals are
 // proprietary); the behaviour class and property difficulty ordering
-// are what the reproduction preserves (see DESIGN.md).
+// are what the reproduction preserves.
 
 // industry01Src: a deep pipeline whose control FSM uses 10 of 16
 // encodings; the remaining encodings are internal don't-cares that
