@@ -10,8 +10,7 @@
 //	assertd [-addr :8545] [-max-jobs N] [-max-concurrent N] [-max-queue N]
 //	        [-max-depth N] [-timeout D] [-max-timeout D] [-drain-timeout D]
 //	        [-cache-designs N] [-cache-verdicts N] [-faults] [-faults-spec SPEC]
-//	        [-state-dir DIR] [-state-interval D] [-state-max-bytes N]
-//	        [-state-rewarm N] [-version-tag V]
+//	        [-state-dir DIR] [-state-interval D] [-version-tag V]
 //
 // Endpoints:
 //
@@ -37,13 +36,13 @@
 //	GET /healthz
 //	    Liveness ("ok" or "draining"), uptime and build version,
 //	    design-cache and admission counters, and the durable-state
-//	    block (snapshot inventory, quarantine/eviction counters, flush
-//	    age and last error).
+//	    block (snapshot inventory, quarantine counter, flush age and
+//	    last error).
 //
-// Durable state: with -state-dir the server keeps crash-safe snapshots
-// (write-to-temp + fsync + atomic rename, CRC-validated) of its
-// design-cache manifest, rewarming the cache at startup by recompiling
-// the most-recently-used designs before the listener opens — the first
+// Durable state: with -state-dir the server keeps two crash-safe
+// snapshots (write-to-temp + fsync + atomic rename, CRC-validated). The
+// design-cache manifest rewarms the cache at startup by recompiling the
+// 16 most recently used designs before the listener opens — the first
 // post-restart request for a known design is a cache hit. A torn or
 // corrupt snapshot (crash mid-write, bit rot) is quarantined to
 // *.corrupt with a logged line and the server starts that state cold;
@@ -95,8 +94,6 @@ func main() {
 		faultsSpec    = flag.String("faults-spec", "", "arm a process-global fault rule set, e.g. 'persist.write=short-write:16' (degradation testing only)")
 		stateDir      = flag.String("state-dir", "", "directory for crash-safe durable state (empty = stateless)")
 		stateInterval = flag.Duration("state-interval", 0, "periodic state flush cadence (0 = 30s)")
-		stateMaxBytes = flag.Int64("state-max-bytes", 0, "on-disk snapshot byte budget with LRU eviction (0 = 64 MiB, negative = unbounded)")
-		stateRewarm   = flag.Int("state-rewarm", 0, "most-recently-used designs recompiled at startup (0 = 16)")
 		versionTag    = flag.String("version-tag", "dev", "build version reported on /healthz")
 	)
 	flag.Parse()
@@ -125,8 +122,6 @@ func main() {
 		EnableFaults:        *faults,
 		StateDir:            *stateDir,
 		StateInterval:       *stateInterval,
-		StateMaxBytes:       *stateMaxBytes,
-		StateRewarm:         *stateRewarm,
 		Version:             *versionTag,
 		Logf:                logf,
 	})

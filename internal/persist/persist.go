@@ -20,10 +20,10 @@
 // empty". Corruption can cost cache warmth; it cannot cost a verdict,
 // a crash, or a crash loop.
 //
-// The store is also bounded: Options.MaxBytes caps the total bytes of
-// resident snapshots, evicting least-recently-used files (mtime order;
-// loads bump it) — an assertd fed unbounded distinct designs keeps a
-// flat state dir the same way its in-memory caches stay flat.
+// Save refuses a payload over the 64 MiB record limit that Load
+// enforces, so every snapshot the store writes is one it can read back.
+// The store keeps every snapshot it is given; its size follows from
+// what its callers save.
 //
 // The internal/faultinject points persist.write (mode short-write:N —
 // the encoded snapshot is truncated at N bytes and lands torn) and
@@ -43,7 +43,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 )
@@ -65,19 +64,14 @@ const (
 	corrupt   = ".corrupt"
 	headerLen = len(magic) + 4
 	// maxRecordBytes bounds a single record so a corrupted length
-	// prefix cannot ask for a multi-gigabyte allocation.
+	// prefix cannot ask for a multi-gigabyte allocation; Save refuses
+	// a payload over it.
 	maxRecordBytes = 64 << 20
 )
 
 // Options tunes a Store.
 type Options struct {
-	// MaxBytes caps the total size of resident snapshot files
-	// (<= 0 = unbounded). When a Save pushes the total over the cap,
-	// least-recently-used snapshots are evicted (the one just written
-	// is never the victim).
-	MaxBytes int64
-	// Logf receives one line per notable event (quarantine, eviction);
-	// nil discards.
+	// Logf receives one line per quarantined snapshot; nil discards.
 	Logf func(format string, args ...any)
 }
 
@@ -87,27 +81,24 @@ type Stats struct {
 	Snapshots int
 	Bytes     int64
 	// Quarantines counts files that failed validation and were renamed
-	// to *.corrupt; Evictions counts snapshots dropped for MaxBytes.
+	// to *.corrupt.
 	Quarantines int64
-	Evictions   int64
 }
 
 // Store is a directory of validated snapshots. All methods are safe
 // for concurrent use.
 type Store struct {
-	dir      string
-	maxBytes int64
-	logf     func(string, ...any)
+	dir  string
+	logf func(string, ...any)
 
 	mu          sync.Mutex
 	sizes       map[string]int64 // resident snapshot file name -> bytes
 	quarantines int64
-	evictions   int64
 }
 
 // Open prepares dir as a snapshot store: it is created if missing,
 // orphaned temp files from a crash mid-write are deleted, and the
-// resident snapshots are indexed for the byte budget. Existing files
+// resident snapshots are indexed for Stats. Existing files
 // are not validated here — validation is lazy, on Load, so one rotten
 // snapshot cannot slow or fail startup.
 func Open(dir string, opts Options) (*Store, error) {
@@ -118,7 +109,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	s := &Store{dir: dir, maxBytes: opts.MaxBytes, logf: logf, sizes: map[string]int64{}}
+	s := &Store{dir: dir, logf: logf, sizes: map[string]int64{}}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
@@ -142,9 +133,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	return s, nil
 }
-
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
 
 // fileName maps a kind/key pair to its snapshot file name. Keys are
 // restricted to filename-safe characters (content hashes and fixed
@@ -235,14 +223,20 @@ func decode(data []byte, kind, key string) ([]byte, error) {
 // Save atomically writes the payload as the snapshot for kind/key:
 // encode, write to a same-directory temp file, fsync, rename over the
 // final name, fsync the directory. On return the snapshot is either
-// durably the new bytes or untouched. The persist.write fault point
-// fires before the write; a short-write rule truncates the encoded
-// file at N bytes (the torn artifact a crash leaves) and the error is
-// returned after the torn bytes land, so recovery is testable.
+// durably the new bytes or untouched. A payload over maxRecordBytes,
+// which Load would quarantine, is refused and nothing is written. The
+// persist.write fault point fires before the write; a short-write rule
+// truncates the encoded file at N bytes (the torn artifact a crash
+// leaves) and the error is returned after the torn bytes land, so
+// recovery is testable.
 func (s *Store) Save(ctx context.Context, kind, key string, payload []byte) error {
 	name, err := fileName(kind, key)
 	if err != nil {
 		return err
+	}
+	if len(payload) > maxRecordBytes {
+		return fmt.Errorf("persist: %s payload of %d bytes exceeds the %d-byte record limit",
+			name, len(payload), maxRecordBytes)
 	}
 	data := encode(kind, key, payload)
 	var injected error
@@ -270,7 +264,6 @@ func (s *Store) Save(ctx context.Context, kind, key string, payload []byte) erro
 	syncDir(s.dir)
 	s.mu.Lock()
 	s.sizes[name] = int64(len(data))
-	s.evictOver(name)
 	s.mu.Unlock()
 	return injected
 }
@@ -315,51 +308,12 @@ func syncDir(dir string) {
 	}
 }
 
-// evictOver drops least-recently-used snapshots (by mtime; Load bumps
-// it) until the byte budget holds. keep — the file just written — is
-// never the victim. Caller holds s.mu.
-func (s *Store) evictOver(keep string) {
-	if s.maxBytes <= 0 {
-		return
-	}
-	var total int64
-	for _, n := range s.sizes {
-		total += n
-	}
-	for total > s.maxBytes && len(s.sizes) > 1 {
-		victim := ""
-		var oldest time.Time
-		for name := range s.sizes {
-			if name == keep {
-				continue
-			}
-			info, err := os.Stat(filepath.Join(s.dir, name))
-			mt := time.Time{}
-			if err == nil {
-				mt = info.ModTime()
-			}
-			if victim == "" || mt.Before(oldest) {
-				victim, oldest = name, mt
-			}
-		}
-		if victim == "" {
-			return
-		}
-		_ = os.Remove(filepath.Join(s.dir, victim))
-		total -= s.sizes[victim]
-		delete(s.sizes, victim)
-		s.evictions++
-		s.logf("persist: evicted snapshot %s (over %d-byte budget)", victim, s.maxBytes)
-	}
-}
-
 // Load returns the validated payload stored under kind/key.
 // ErrNotExist means no snapshot is stored; ErrCorrupt means the file
 // failed validation and has been quarantined (renamed to *.corrupt) —
-// both tell the caller to start empty. A successful load bumps the
-// file's mtime so the byte-budget eviction is least-recently-used.
-// The persist.read fault point fires after the read; a corrupt rule
-// flips a byte so the validation path is exercised end to end.
+// both tell the caller to start empty. The persist.read fault point
+// fires after the read; a corrupt rule flips a byte so the validation
+// path is exercised end to end.
 func (s *Store) Load(ctx context.Context, kind, key string) ([]byte, error) {
 	name, err := fileName(kind, key)
 	if err != nil {
@@ -387,8 +341,6 @@ func (s *Store) Load(ctx context.Context, kind, key string) ([]byte, error) {
 		s.quarantine(name, derr)
 		return nil, fmt.Errorf("%w (%s: %v)", ErrCorrupt, name, derr)
 	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
 	return payload, nil
 }
 
@@ -414,7 +366,7 @@ func (s *Store) quarantine(name string, cause error) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Snapshots: len(s.sizes), Quarantines: s.quarantines, Evictions: s.evictions}
+	st := Stats{Snapshots: len(s.sizes), Quarantines: s.quarantines}
 	for _, n := range s.sizes {
 		st.Bytes += n
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 )
@@ -127,7 +126,7 @@ func TestCorruptionFuzz(t *testing.T) {
 		st := mustOpen(t, t.TempDir(), Options{Logf: func(f string, a ...any) {
 			logged = append(logged, fmt.Sprintf(f, a...))
 		}})
-		p := filepath.Join(st.Dir(), name)
+		p := filepath.Join(st.dir, name)
 		if err := os.WriteFile(p, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -265,39 +264,24 @@ func TestCorruptReadFault(t *testing.T) {
 	}
 }
 
-func TestByteBudgetEvictsLRU(t *testing.T) {
-	dir := t.TempDir()
-	// Each snapshot: header 12 + meta record (8+len) + payload record
-	// (8+len). Use a generous budget that holds ~2 of the 3.
-	s := mustOpen(t, dir, Options{MaxBytes: 200})
+// TestSaveRefusesOversizePayload: a payload Load would quarantine for
+// its record length is refused by Save, and the snapshot already
+// stored under the key stays loadable.
+func TestSaveRefusesOversizePayload(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
 	ctx := context.Background()
-	pay := bytes.Repeat([]byte("x"), 40)
-	for i, key := range []string{"old", "mid", "new"} {
-		if err := s.Save(ctx, "estg", key, pay); err != nil {
-			t.Fatal(err)
-		}
-		// mtime granularity: space the writes out.
-		name, _ := fileName("estg", key)
-		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
-		_ = os.Chtimes(filepath.Join(dir, name), mt, mt)
-		_ = key
+	if err := s.Save(ctx, "manifest", "designs", []byte("small")); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	// Trigger eviction with one more save; "old" has the oldest mtime.
-	if err := s.Save(ctx, "estg", "newest", pay); err != nil {
-		t.Fatal(err)
+	if err := s.Save(ctx, "manifest", "designs", make([]byte, maxRecordBytes+1)); err == nil {
+		t.Fatal("Save accepted a payload over the record limit")
 	}
-	if _, err := s.Load(ctx, "estg", "old"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("oldest snapshot not evicted: Load = %v", err)
+	got, err := s.Load(ctx, "manifest", "designs")
+	if err != nil || string(got) != "small" {
+		t.Fatalf("Load after refused Save = %q, %v; want \"small\"", got, err)
 	}
-	if _, err := s.Load(ctx, "estg", "newest"); err != nil {
-		t.Fatalf("just-written snapshot evicted: Load = %v", err)
-	}
-	st := s.Stats()
-	if st.Bytes > 200 {
-		t.Fatalf("budget not enforced: %d bytes resident", st.Bytes)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("eviction counter not bumped")
+	if q := s.Stats().Quarantines; q != 0 {
+		t.Fatalf("quarantines = %d, want 0", q)
 	}
 }
 
@@ -333,7 +317,7 @@ func TestKeysListsKind(t *testing.T) {
 }
 
 func TestConcurrentSaveLoad(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{MaxBytes: 1 << 20})
+	s := mustOpen(t, t.TempDir(), Options{})
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

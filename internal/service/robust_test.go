@@ -446,7 +446,7 @@ func TestServeDesignCacheEviction(t *testing.T) {
 	post("m1")
 	post("m2")
 	post("m3") // evicts m1
-	if n := srv.CachedDesigns(); n != 2 {
+	if n := srv.DesignCacheStats().Len; n != 2 {
 		t.Errorf("resident designs = %d, want 2", n)
 	}
 	if ev := srv.DesignCacheStats().Evictions; ev != 1 {

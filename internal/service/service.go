@@ -100,12 +100,6 @@ type Options struct {
 	StateDir string
 	// StateInterval is the periodic flush cadence (0 = 30s).
 	StateInterval time.Duration
-	// StateMaxBytes caps the on-disk snapshot bytes, LRU-evicting old
-	// snapshots (0 = 64 MiB, < 0 = unbounded).
-	StateMaxBytes int64
-	// StateRewarm bounds how many MRU designs the manifest records and
-	// Rewarm recompiles at startup (0 = 16).
-	StateRewarm int
 	// Version is the build identifier /healthz reports (optional).
 	Version string
 	// Logf receives serving-layer log lines (state recovery, flush
@@ -131,12 +125,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StateInterval == 0 {
 		o.StateInterval = 30 * time.Second
-	}
-	if o.StateMaxBytes == 0 {
-		o.StateMaxBytes = 64 << 20
-	}
-	if o.StateRewarm == 0 {
-		o.StateRewarm = 16
 	}
 	return o
 }
@@ -254,11 +242,7 @@ func New(opts Options) *Server {
 		s.verdicts = core.NewVerdictCache(opts.VerdictCacheEntries)
 	}
 	if opts.StateDir != "" {
-		maxBytes := opts.StateMaxBytes
-		if maxBytes < 0 {
-			maxBytes = 0 // persist: <=0 means unbounded
-		}
-		st, err := persist.Open(opts.StateDir, persist.Options{MaxBytes: maxBytes, Logf: logf})
+		st, err := persist.Open(opts.StateDir, persist.Options{Logf: logf})
 		if err != nil {
 			s.stateErr = err
 			return s
@@ -283,9 +267,6 @@ func (s *Server) design(src, top string) (d *core.Design, hit bool, err error) {
 	})
 	return e.d, hit, e.err
 }
-
-// CachedDesigns returns the number of resident compiled designs.
-func (s *Server) CachedDesigns() int { return s.designs.Len() }
 
 // DesignCacheStats snapshots the design cache counters.
 func (s *Server) DesignCacheStats() lru.Stats { return s.designs.Stats() }

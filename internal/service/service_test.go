@@ -142,7 +142,7 @@ func TestServeDesignCacheHit(t *testing.T) {
 	if normalizeElapsed(t, string(body1)) != normalizeElapsed(t, string(body2)) {
 		t.Errorf("cache hit changed the records:\nfirst:  %s\nsecond: %s", body1, body2)
 	}
-	if n := srv.CachedDesigns(); n != 1 {
+	if n := srv.DesignCacheStats().Len; n != 1 {
 		t.Errorf("cached designs = %d, want 1", n)
 	}
 
@@ -170,7 +170,7 @@ func TestServeDesignCacheHit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := srv.CachedDesigns(); n != 2 {
+	if n := srv.DesignCacheStats().Len; n != 2 {
 		t.Errorf("cached designs = %d, want 2", n)
 	}
 }

@@ -1,13 +1,14 @@
 // Durable state for the serving layer: with Options.StateDir set, the
-// server keeps two kinds of snapshots in an internal/persist store —
-// a design-cache manifest (the most-recently-used designs' sources, so
+// server keeps two snapshots in an internal/persist store — a
+// design-cache manifest (the most-recently-used designs' sources, so
 // a restarted server recompiles them before taking traffic and the
 // first post-restart request is a design-cache hit) and the verdict
 // cache (so repeat traffic replays from cache after a restart). No
-// search state is persisted: none outlives a check. The flush path runs periodically and at drain; the load
-// path runs once at startup (Rewarm). Every disk failure mode degrades
-// to a cold start by the persist layer's contract — this file never
-// has to reason about torn or corrupt files.
+// search state is persisted: none outlives a check. The flush path
+// runs periodically and at drain; the load path runs once at startup
+// (Rewarm). Every disk failure mode degrades to a cold start by the
+// persist layer's contract — this file never has to reason about torn
+// or corrupt files.
 package service
 
 import (
@@ -25,6 +26,9 @@ const (
 	manifestKey  = "designs"
 	// manifestVersion guards the manifest JSON layout.
 	manifestVersion = 1
+	// manifestDesigns bounds how many MRU designs the manifest records
+	// and Rewarm recompiles at startup.
+	manifestDesigns = 16
 
 	// The verdict-cache snapshot (core.VerdictCache.Snapshot bytes):
 	// cone-keyed records survive restarts, so a rebooted server answers
@@ -88,7 +92,7 @@ func (s *Server) FlushState(ctx context.Context) error {
 func (s *Server) flushManifest(ctx context.Context) error {
 	m := manifest{Version: manifestVersion}
 	for _, key := range s.designs.Keys() {
-		if len(m.Designs) >= s.opts.StateRewarm {
+		if len(m.Designs) >= manifestDesigns {
 			break
 		}
 		e, ok := s.designs.Peek(key)
@@ -138,7 +142,7 @@ func (s *Server) flushVerdicts(ctx context.Context) error {
 }
 
 // Rewarm loads the design-cache manifest and recompiles its designs
-// (MRU first, bounded by StateRewarm), so the cache is hot before the
+// (MRU first, at most manifestDesigns), so the cache is hot before the
 // listener opens: the first post-restart request for a manifest design
 // is an X-Design-Cache hit. A missing, corrupt or undecodable manifest
 // — or any individual design that no longer compiles — degrades to a
@@ -168,7 +172,7 @@ func (s *Server) Rewarm(ctx context.Context) int {
 			break
 		}
 		md := m.Designs[i]
-		if i >= s.opts.StateRewarm {
+		if i >= manifestDesigns {
 			continue
 		}
 		if _, _, err := s.design(md.Src, md.Top); err != nil {
@@ -232,7 +236,6 @@ type healthState struct {
 	Snapshots   int     `json:"snapshots"`
 	Bytes       int64   `json:"bytes"`
 	Quarantines int64   `json:"quarantines"`
-	Evictions   int64   `json:"evictions"`
 	FlushAgeS   float64 `json:"flush_age_s"` // -1 until the first flush
 	LastError   string  `json:"last_error,omitempty"`
 }
@@ -248,7 +251,6 @@ func (s *Server) stateHealth() healthState {
 	hs.Snapshots = st.Snapshots
 	hs.Bytes = st.Bytes
 	hs.Quarantines = st.Quarantines
-	hs.Evictions = st.Evictions
 	if nano := s.lastFlushNano.Load(); nano > 0 {
 		hs.FlushAgeS = time.Since(time.Unix(0, nano)).Seconds()
 	}
