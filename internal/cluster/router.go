@@ -79,11 +79,8 @@ const (
 	breakerThreshold  = 0.5
 	breakerMinSamples = 4
 	breakerCooldown   = 2 * time.Second
-	// maxBodyBytes caps the router's own request bodies and the replica
-	// answers it reads. retryAfter is the hint the router sends with its
-	// own 429/503 responses.
+	// maxBodyBytes caps the replica answers the router reads.
 	maxBodyBytes = 4 << 20
-	retryAfter   = time.Second
 )
 
 // Options configures the router.

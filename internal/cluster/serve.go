@@ -9,9 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -22,58 +20,21 @@ import (
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/check", rt.recovering(rt.handleCheck))
+	mux.HandleFunc("/v1/check", service.Recovering(rt.handleCheck))
 	mux.HandleFunc("/healthz", rt.handleHealth)
 	return mux
 }
 
-func (rt *Router) recovering(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				httpError(w, http.StatusInternalServerError, "internal panic: %v", rec)
-			}
-		}()
-		h(w, r)
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func (rt *Router) overloaded(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
-	httpError(w, status, format, args...)
-}
-
 func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req service.CheckRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	// Cheap structural validation up front; everything design-specific
+	// Only structural validation here; everything design-specific
 	// (signal names, depth caps) is the replicas' call and replays back
 	// through the permanentError path.
-	if req.Design == "" || req.Top == "" {
-		httpError(w, http.StatusBadRequest, "design and top are required")
-		return
-	}
-	if len(req.Invariants)+len(req.Witnesses) == 0 {
-		httpError(w, http.StatusBadRequest, "need at least one invariant or witness")
+	req := service.DecodeCheck(w, r)
+	if req == nil {
 		return
 	}
 	if rt.Draining() {
-		rt.overloaded(w, http.StatusServiceUnavailable, "draining: not accepting new work")
+		service.WriteOverloaded(w, http.StatusServiceUnavailable, "draining: not accepting new work")
 		return
 	}
 	ctx := r.Context()
@@ -81,14 +42,14 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if spec := r.Header.Get("X-Fault-Inject"); spec != "" {
 			set, err := faultinject.Parse(spec)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
+				service.WriteError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 			ctx = faultinject.WithSet(ctx, set)
 		}
 	}
 
-	records, disposition, err := rt.Check(ctx, &req)
+	records, disposition, err := rt.Check(ctx, req)
 	if err != nil {
 		var perm *permanentError
 		switch {
@@ -98,15 +59,15 @@ func (rt *Router) handleCheck(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(perm.status)
 			_, _ = w.Write(perm.body)
 		case errors.Is(err, errNoReplicas):
-			rt.overloaded(w, http.StatusServiceUnavailable, "%v", err)
+			service.WriteOverloaded(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			httpError(w, http.StatusBadGateway, "routing failed: %v", err)
+			service.WriteError(w, http.StatusBadGateway, "routing failed: %v", err)
 		}
 		return
 	}
 	var buf bytes.Buffer
 	if err := core.EncodeJSONRecords(&buf, records); err != nil {
-		httpError(w, http.StatusInternalServerError, "encode: %v", err)
+		service.WriteError(w, http.StatusInternalServerError, "encode: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -309,7 +309,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the HTTP handler: POST /v1/check, GET /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/check", s.recovering(s.handleCheck))
+	mux.HandleFunc("/v1/check", Recovering(s.handleCheck))
 	mux.HandleFunc("/healthz", s.handleHealth)
 	return mux
 }
@@ -415,33 +415,62 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// recovering isolates handler panics (including injected ones at the
+// Recovering isolates handler panics (including injected ones at the
 // compile/session points in panic mode): the connection gets a 500
 // JSON error and the server keeps serving, instead of net/http killing
 // the connection with an empty reply.
-func (s *Server) recovering(h http.HandlerFunc) http.HandlerFunc {
+func Recovering(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				httpError(w, http.StatusInternalServerError, "internal panic: %v", rec)
+				WriteError(w, http.StatusInternalServerError, "internal panic: %v", rec)
 			}
 		}()
 		h(w, r)
 	}
 }
 
-// httpError sends a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteError sends a JSON error body with the given status.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// overloaded sends a structured overload response (429 while shedding,
-// 503 while draining) with the Retry-After hint.
-func (s *Server) overloaded(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteOverloaded sends a structured overload response (429 while
+// shedding, 503 while draining) with the Retry-After hint.
+func WriteOverloaded(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
-	httpError(w, status, format, args...)
+	WriteError(w, status, format, args...)
+}
+
+// DecodeCheck reads a POST /v1/check body: the method must be POST,
+// the body at most maxBodyBytes of known fields, and the request must
+// name a design, its top and at least one property. On any failure it
+// answers the error itself and returns nil. assertrouter answers
+// through it and the writers above too, so a client cannot tell a
+// router from a single replica by its errors.
+func DecodeCheck(w http.ResponseWriter, r *http.Request) *CheckRequest {
+	if r.Method != http.MethodPost {
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
+		return nil
+	}
+	var req CheckRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return nil
+	}
+	if req.Design == "" || req.Top == "" {
+		WriteError(w, http.StatusBadRequest, "design and top are required")
+		return nil
+	}
+	if len(req.Invariants)+len(req.Witnesses) == 0 {
+		WriteError(w, http.StatusBadRequest, "need at least one invariant or witness")
+		return nil
+	}
+	return &req
 }
 
 // maxTimeoutMs is the largest timeout_ms a time.Duration holds; a
@@ -451,12 +480,6 @@ const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
 // validate bounds the request's numeric fields; it returns a non-empty
 // message on rejection.
 func (s *Server) validate(req *CheckRequest) string {
-	if req.Design == "" || req.Top == "" {
-		return "design and top are required"
-	}
-	if len(req.Invariants)+len(req.Witnesses) == 0 {
-		return "need at least one invariant or witness"
-	}
 	if req.Depth < 0 {
 		return fmt.Sprintf("depth %d is negative", req.Depth)
 	}
@@ -476,24 +499,17 @@ func (s *Server) validate(req *CheckRequest) string {
 }
 
 func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+	req := DecodeCheck(w, r)
+	if req == nil {
 		return
 	}
-	var req CheckRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if msg := s.validate(&req); msg != "" {
-		httpError(w, http.StatusBadRequest, "%s", msg)
+	if msg := s.validate(req); msg != "" {
+		WriteError(w, http.StatusBadRequest, "%s", msg)
 		return
 	}
 	if s.Draining() {
 		s.drainShed.Add(1)
-		s.overloaded(w, http.StatusServiceUnavailable, "draining: not accepting new work")
+		WriteOverloaded(w, http.StatusServiceUnavailable, "draining: not accepting new work")
 		return
 	}
 
@@ -506,7 +522,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		if spec := r.Header.Get("X-Fault-Inject"); spec != "" {
 			set, err := faultinject.Parse(spec)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
+				WriteError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 			ctx = faultinject.WithSet(ctx, set)
@@ -536,26 +552,26 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// outlive its budget.
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, errOverloaded) {
-			s.overloaded(w, http.StatusTooManyRequests, "overloaded: admission queue full")
+			WriteOverloaded(w, http.StatusTooManyRequests, "overloaded: admission queue full")
 		} else {
-			s.overloaded(w, http.StatusTooManyRequests, "deadline expired while queued")
+			WriteOverloaded(w, http.StatusTooManyRequests, "deadline expired while queued")
 		}
 		return
 	}
 	defer s.adm.release()
 
 	if err := faultinject.Fire(ctx, faultinject.PointCompile); err != nil {
-		httpError(w, http.StatusInternalServerError, "compile: %v", err)
+		WriteError(w, http.StatusInternalServerError, "compile: %v", err)
 		return
 	}
 	d, hit, err := s.design(req.Design, req.Top)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "compile: %v", err)
+		WriteError(w, http.StatusBadRequest, "compile: %v", err)
 		return
 	}
 	props, err := property.FromNames(d.Netlist(), req.Invariants, req.Witnesses)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	engineName := req.Engine
@@ -563,12 +579,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		engineName = core.EngineATPG
 	}
 	if err := faultinject.Fire(ctx, faultinject.PointSession); err != nil {
-		httpError(w, http.StatusInternalServerError, "session: %v", err)
+		WriteError(w, http.StatusInternalServerError, "session: %v", err)
 		return
 	}
 	sess, err := d.NewSession(core.Options{MaxDepth: req.Depth, UseInduction: !req.NoInduction})
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "session: %v", err)
+		WriteError(w, http.StatusInternalServerError, "session: %v", err)
 		return
 	}
 	var eng core.Engine
@@ -582,7 +598,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	case core.EnginePortfolio:
 		eng = sess.Portfolio()
 	default:
-		httpError(w, http.StatusBadRequest, "unknown engine %q", req.Engine)
+		WriteError(w, http.StatusBadRequest, "unknown engine %q", req.Engine)
 		return
 	}
 	jobs := req.Jobs
@@ -621,7 +637,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		encErr = core.EncodeRecords(&buf, results)
 	}
 	if encErr != nil {
-		httpError(w, http.StatusInternalServerError, "encode: %v", encErr)
+		WriteError(w, http.StatusInternalServerError, "encode: %v", encErr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
