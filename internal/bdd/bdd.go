@@ -664,26 +664,6 @@ func (m *Manager) SatCount(f Ref, counted []bool) float64 {
 	return math.Ldexp(rec(f), below[lvl(f)])
 }
 
-// AnySat returns one satisfying assignment as a map var -> value, or
-// false if f is unsatisfiable. Unmentioned variables are unconstrained.
-func (m *Manager) AnySat(f Ref) (map[int]bool, bool) {
-	if f == False {
-		return nil, false
-	}
-	out := map[int]bool{}
-	for f != True {
-		n := m.node(f)
-		if n.hi != False {
-			out[int(n.level)] = true
-			f = n.hi
-		} else {
-			out[int(n.level)] = false
-			f = n.lo
-		}
-	}
-	return out, true
-}
-
 // Minterms calls fn for every assignment to vars (ascending variable
 // indices, which must include f's whole support) that satisfies f,
 // until fn returns false; bits[k] is the value of vars[k]. Assignments

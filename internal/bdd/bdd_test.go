@@ -175,21 +175,6 @@ func TestRename(t *testing.T) {
 	}
 }
 
-func TestAnySat(t *testing.T) {
-	m := New(3)
-	f := m.And(m.Var(0), m.NVar(2))
-	asg, ok := m.AnySat(f)
-	if !ok {
-		t.Fatal("satisfiable function reported unsat")
-	}
-	if asg[0] != true || asg[2] != false {
-		t.Errorf("assignment %v", asg)
-	}
-	if _, ok := m.AnySat(False); ok {
-		t.Error("False reported sat")
-	}
-}
-
 // TestMinterms: the enumeration yields exactly the satisfying rows,
 // in lexicographic order, with variables outside f's support expanded,
 // and stops when fn returns false.

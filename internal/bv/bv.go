@@ -416,23 +416,6 @@ func (b BV) String() string {
 	return sb.String()
 }
 
-// Key returns a compact string usable as a map key (state hashing for
-// the extended state transition graph).
-func (b BV) Key() string {
-	nw := words(b.width)
-	buf := make([]byte, 0, nw*16+2)
-	for i := 0; i < nw; i++ {
-		v, k := b.word(i)
-		for s := 0; s < 8; s++ {
-			buf = append(buf, byte(v>>(8*s)))
-		}
-		for s := 0; s < 8; s++ {
-			buf = append(buf, byte(k>>(8*s)))
-		}
-	}
-	return string(buf)
-}
-
 // normalize clears val bits that are not known and bits beyond width,
 // restoring the canonical representation invariant.
 func (b *BV) normalize() {

@@ -420,12 +420,6 @@ func (b BV) TightenToRange(lo, hi BV) (BV, bool) {
 	return cur, true
 }
 
-// RangeUint64 returns the unsigned [min, max] interval of the cube for
-// widths up to 64 bits.
-func (b BV) RangeUint64() (lo, hi uint64) {
-	return b.MinUint64(), b.MaxUint64()
-}
-
 // tightenToRange64 is TightenToRange for widths up to 64 bits, working
 // directly on the [min, max] integers of the cube.
 func (b BV) tightenToRange64(lo, hi uint64) (BV, bool) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/property"
 )
@@ -150,8 +151,9 @@ func TestEngineFaultPointsProduceErrorRecords(t *testing.T) {
 // designs recompile on re-request (a fresh *Design — correctness never
 // depends on residency), and the counters move.
 func TestDesignCacheBounded(t *testing.T) {
-	old := designCache.SetCap(4)
-	defer designCache.SetCap(old)
+	old := designCache
+	designCache = lru.New[designKey, *lazy[*Design]](4)
+	defer func() { designCache = old }()
 	before := designCache.Stats()
 
 	mk := func(name string) *netlist.Netlist {

@@ -270,26 +270,6 @@ func TestSolveMulExhaustiveSmall(t *testing.T) {
 	}
 }
 
-func TestFindConsistent(t *testing.T) {
-	// x + y ≡ 6 (mod 16) with x forced to 4'b01xx (4..7): need y = 6-x.
-	s := NewSystem(4, 2)
-	s.AddEquation([]uint64{1, 1}, 6, 4)
-	ss := s.Solve()
-	cubes := []bv.BV{bv.MustParse("4'b01xx"), {}}
-	x, ok := ss.FindConsistent(cubes, 0)
-	if !ok {
-		t.Fatal("no consistent solution found")
-	}
-	if x[0] < 4 || x[0] > 7 || (x[0]+x[1])%16 != 6 {
-		t.Errorf("inconsistent solution %v", x)
-	}
-	// Infeasible cube: x must be 4'b1111 and y must be 4'b1111 (sum 14 != 6).
-	bad := []bv.BV{bv.MustParse("4'b1111"), bv.MustParse("4'b1111")}
-	if _, ok := ss.FindConsistent(bad, 0); ok {
-		t.Error("found solution violating cubes")
-	}
-}
-
 func TestSingleVariableWide(t *testing.T) {
 	// 64-bit sanity: x ≡ v has exactly one solution.
 	s := NewSystem(64, 1)

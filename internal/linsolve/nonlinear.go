@@ -185,102 +185,3 @@ func scanSolutions(m modarith.Mod, sols modarith.Solutions, cube bv.BV, fn func(
 	}
 	return true
 }
-
-// FindConsistent searches the solution set for an assignment x whose
-// variables fall inside the given three-valued cubes (cube[i] may be a
-// zero-width BV meaning unconstrained). It enumerates exhaustively when
-// the set is small and otherwise runs a bounded greedy walk over the
-// generators, checking up to budget candidates. Returns (x, true) on
-// success.
-func (ss SolutionSet) FindConsistent(cubes []bv.BV, budget int) ([]uint64, bool) {
-	if !ss.Feasible {
-		return nil, false
-	}
-	if budget <= 0 {
-		budget = 4096
-	}
-	consistent := func(x []uint64) bool {
-		for i, c := range cubes {
-			if c.Width() == 0 {
-				continue
-			}
-			mask := ^uint64(0)
-			if c.Width() < 64 {
-				mask = (uint64(1) << uint(c.Width())) - 1
-			}
-			if !cubeContains(c, x[i]&mask) {
-				return false
-			}
-		}
-		return true
-	}
-	if ss.countLog2 <= 14 {
-		var found []uint64
-		ss.Enumerate(func(x []uint64) bool {
-			if consistent(x) {
-				found = append([]uint64(nil), x...)
-				return false
-			}
-			return true
-		})
-		return found, found != nil
-	}
-	// Greedy: start from x0, then walk each generator with a handful of
-	// multipliers, keeping any move that reduces the number of violated
-	// cubes. Deterministic, bounded by budget evaluations.
-	violations := func(x []uint64) int {
-		n := 0
-		for i, c := range cubes {
-			if c.Width() == 0 {
-				continue
-			}
-			mask := ^uint64(0)
-			if c.Width() < 64 {
-				mask = (uint64(1) << uint(c.Width())) - 1
-			}
-			if !cubeContains(c, x[i]&mask) {
-				n++
-			}
-		}
-		return n
-	}
-	m := modarith.NewMod(ss.N)
-	cur := append([]uint64(nil), ss.X0...)
-	curV := violations(cur)
-	if curV == 0 {
-		return cur, true
-	}
-	evals := 0
-	improved := true
-	for improved && evals < budget {
-		improved = false
-		for g := range ss.Gens {
-			ord := ss.GenOrders[g]
-			trials := []uint64{1, 2, 3, ord - 1, ord / 2, ord / 3, 5, 7, 11}
-			for _, t := range trials {
-				if t == 0 || t >= ord {
-					continue
-				}
-				cand := make([]uint64, len(cur))
-				for i := range cur {
-					cand[i] = m.Add(cur[i], m.Mul(ss.Gens[g][i], t))
-				}
-				evals++
-				if v := violations(cand); v < curV {
-					cur, curV = cand, v
-					improved = true
-					if curV == 0 {
-						return cur, true
-					}
-				}
-				if evals >= budget {
-					break
-				}
-			}
-			if evals >= budget {
-				break
-			}
-		}
-	}
-	return nil, false
-}

@@ -153,41 +153,11 @@ func (c *Cache[K, V]) add(key K, val V) {
 	}
 }
 
-// Remove drops key from the cache; it reports whether it was resident.
-func (c *Cache[K, V]) Remove(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.unlink(n)
-	delete(c.entries, n.key)
-	return true
-}
-
 // Len returns the number of resident entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// SetCap rebounds the cache, evicting down to the new capacity, and
-// returns the previous bound. Used by process-wide caches that expose
-// an ops tuning knob.
-func (c *Cache[K, V]) SetCap(capacity int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.cap
-	c.cap = capacity
-	for c.cap > 0 && len(c.entries) > c.cap {
-		lru := c.head.prev
-		c.unlink(lru)
-		delete(c.entries, lru.key)
-		c.evictions++
-	}
-	return old
 }
 
 // Stats snapshots the counters.

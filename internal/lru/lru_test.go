@@ -65,36 +65,6 @@ func TestUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-func TestSetCapShrinks(t *testing.T) {
-	c := New[int, int](8)
-	for i := 0; i < 8; i++ {
-		c.Add(i, i)
-	}
-	if old := c.SetCap(3); old != 8 {
-		t.Errorf("old cap = %d, want 8", old)
-	}
-	if c.Len() != 3 {
-		t.Errorf("len after shrink = %d, want 3", c.Len())
-	}
-	// The three most recent (5,6,7) survive.
-	for i := 5; i < 8; i++ {
-		if _, ok := c.Get(i); !ok {
-			t.Errorf("recent key %d evicted by shrink", i)
-		}
-	}
-}
-
-func TestRemove(t *testing.T) {
-	c := New[string, int](2)
-	c.Add("a", 1)
-	if !c.Remove("a") || c.Remove("a") {
-		t.Error("Remove did not report residency correctly")
-	}
-	if c.Len() != 0 {
-		t.Errorf("len = %d, want 0", c.Len())
-	}
-}
-
 func TestConcurrentMixedOps(t *testing.T) {
 	c := New[string, int](16)
 	var wg sync.WaitGroup
@@ -106,9 +76,6 @@ func TestConcurrentMixedOps(t *testing.T) {
 				k := fmt.Sprintf("k%d", (g*i)%24)
 				c.GetOrAdd(k, func() int { return i })
 				c.Get(k)
-				if i%17 == 0 {
-					c.Remove(k)
-				}
 			}
 		}(g)
 	}

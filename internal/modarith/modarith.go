@@ -202,12 +202,6 @@ func (s Solutions) Enumerate(dst []uint64, limit int) []uint64 {
 	return dst
 }
 
-// SolveLinear solves the single linear congruence a*x + b ≡ c (mod 2^n),
-// returning the closed-form solution set for x.
-func (m Mod) SolveLinear(a, b, c uint64) Solutions {
-	return m.InverseWithProduct(a, m.Sub(c, b))
-}
-
 // Factor returns the prime factorization of v as (prime, exponent)
 // pairs in increasing prime order, by trial division. It is used by the
 // nonlinear constraint heuristics (§4) to enumerate divisor candidates

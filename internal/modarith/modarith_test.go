@@ -133,19 +133,6 @@ func TestTheorem1Counts(t *testing.T) {
 	}
 }
 
-func TestSolveLinear(t *testing.T) {
-	m := NewMod(8)
-	// 5x + 3 ≡ 18 (mod 256) → x = 3 * inverse(5)
-	s := m.SolveLinear(5, 3, 18)
-	if s.Count() != 1 {
-		t.Fatalf("count = %d", s.Count())
-	}
-	x := s.Base()
-	if m.Add(m.Mul(5, x), 3) != 18 {
-		t.Errorf("x = %d does not satisfy 5x+3=18 mod 256", x)
-	}
-}
-
 func TestQuickInverseProduct(t *testing.T) {
 	f := func(a, k uint64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1
