@@ -21,6 +21,11 @@ func main() {
 	fmt.Printf("alarm_clock: %d lines of Verilog, %d gates, %d FF bits\n\n",
 		d.Lines(), st.Gates, st.FFs)
 
+	want := map[string]core.Verdict{
+		"p7": core.VerdictProved,
+		"p8": core.VerdictWitnessFound,
+		"p9": core.VerdictProved,
+	}
 	for i, p := range d.Props {
 		id := d.PropIDs[i]
 		depth := 4
@@ -35,6 +40,7 @@ func main() {
 		fmt.Printf("%s (%s): %v  depth=%d decisions=%d implications=%d time=%v\n",
 			id, p.Kind, res.Verdict, res.Depth, res.Stats.Decisions,
 			res.Stats.Implications, res.Elapsed.Round(100000))
+		expect(id, res.Verdict, want[id])
 		if res.Trace != nil {
 			fmt.Println("  trace (hour reaches 2 via set mode):")
 			fmt.Print(indent(res.Trace.Format(d.NL)))
@@ -55,4 +61,12 @@ func indent(s string) string {
 		}
 	}
 	return out
+}
+
+// expect exits 1 on a verdict other than the one this example
+// demonstrates, so running the example checks its answers.
+func expect(what string, got, want core.Verdict) {
+	if got != want {
+		log.Fatalf("%s: verdict %v, want %v", what, got, want)
+	}
 }

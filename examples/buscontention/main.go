@@ -40,6 +40,7 @@ func healthy() {
 		fmt.Printf("  %-12s (%5d gates, bus via %d-bit data): %s -> %v in %v\n",
 			d.Name, st.Gates, busWidth(d.NL), d.PropIDs[0], res.Verdict,
 			res.Elapsed.Round(100000))
+		expect(d.Name+" "+d.PropIDs[0], res.Verdict, core.VerdictProved)
 	}
 	fmt.Println()
 }
@@ -87,6 +88,10 @@ endmodule
 	}
 	res := c.Check(p)
 	fmt.Printf("  verdict: %v (validated=%v)\n", res.Verdict, res.Validated)
+	expect("planted contention bug", res.Verdict, core.VerdictFalsified)
+	if !res.Validated {
+		log.Fatal("planted contention bug: counterexample not validated")
+	}
 	if res.Trace != nil {
 		fmt.Println("  counterexample inputs:")
 		fmt.Print("   ", res.Trace.Format(nl))
@@ -98,4 +103,12 @@ func busWidth(nl *netlist.Netlist) int {
 		return nl.Width(s)
 	}
 	return 0
+}
+
+// expect exits 1 on a verdict other than the one this example
+// demonstrates, so running the example checks its answers.
+func expect(what string, got, want core.Verdict) {
+	if got != want {
+		log.Fatalf("%s: verdict %v, want %v", what, got, want)
+	}
 }

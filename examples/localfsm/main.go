@@ -70,11 +70,12 @@ func showEffect() {
 		d       *circuits.Design
 		p       int
 		disable bool
+		want    core.Verdict
 	}{
-		{"token_ring p3 with STG guidance", ring, 0, false},
-		{"token_ring p3 without", ring, 0, true},
-		{"alarm_clock p9 with STG guidance", clock, 2, false},
-		{"alarm_clock p9 without", clock, 2, true},
+		{"token_ring p3 with STG guidance", ring, 0, false, core.VerdictProved},
+		{"token_ring p3 without", ring, 0, true, core.VerdictProvedBounded},
+		{"alarm_clock p9 with STG guidance", clock, 2, false, core.VerdictProved},
+		{"alarm_clock p9 without", clock, 2, true, core.VerdictProved},
 	}
 	for _, r := range runs {
 		prop := p3
@@ -88,5 +89,14 @@ func showEffect() {
 		res := c.Check(prop)
 		fmt.Printf("  %-34s %-16s %6d decisions  %v\n",
 			r.name, res.Verdict, res.Stats.Decisions, res.Elapsed.Round(100000))
+		expect(r.name, res.Verdict, r.want)
+	}
+}
+
+// expect exits 1 on a verdict other than the one this example
+// demonstrates, so running the example checks its answers.
+func expect(what string, got, want core.Verdict) {
+	if got != want {
+		log.Fatalf("%s: verdict %v, want %v", what, got, want)
 	}
 }

@@ -71,12 +71,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	want := map[string]core.Verdict{
+		"grants-exclusive":  core.VerdictProved,
+		"client1-grantable": core.VerdictWitnessFound,
+	}
 	res := sess.Check(exclusive)
 	fmt.Printf("%-18s -> %v (depth %d, %d decisions, %v)\n",
 		res.Property, res.Verdict, res.Depth, res.Stats.Decisions, res.Elapsed.Round(1000))
+	expect(res.Property, res.Verdict, want[res.Property])
 
 	res = sess.Check(grantable)
 	fmt.Printf("%-18s -> %v (depth %d)\n", res.Property, res.Verdict, res.Depth)
+	expect(res.Property, res.Verdict, want[res.Property])
 	if res.Trace != nil {
 		fmt.Print("witness trace:\n", res.Trace.Format(nl))
 	}
@@ -92,5 +98,14 @@ func main() {
 		[]property.Property{exclusive, grantable}, core.BatchOptions{Jobs: 2})
 	for _, r := range batch {
 		fmt.Printf("batch: %-18s -> %v [%s]\n", r.Property, r.Verdict, r.Engine)
+		expect("batch "+r.Property, r.Verdict, want[r.Property])
+	}
+}
+
+// expect exits 1 on a verdict other than the one this example
+// demonstrates, so running the example checks its answers.
+func expect(what string, got, want core.Verdict) {
+	if got != want {
+		log.Fatalf("%s: verdict %v, want %v", what, got, want)
 	}
 }
