@@ -56,6 +56,10 @@
 // in-flight batches for up to -drain-timeout, snapshots its state, and
 // exits.
 //
+// No count or duration flag may be negative, apart from -cache-designs
+// and -cache-verdicts: a negative one is a usage mistake (exit status
+// 2).
+//
 // -faults enables the X-Fault-Inject request header; -faults-spec arms
 // a process-global fault rule set (reaching flows with no request
 // context, like the state flusher) — both for degradation testing
@@ -67,10 +71,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -97,6 +103,9 @@ func main() {
 		versionTag    = flag.String("version-tag", "dev", "build version reported on /healthz")
 	)
 	flag.Parse()
+	if code := checkUsage(os.Stderr, flag.CommandLine); code != 0 {
+		os.Exit(code)
+	}
 
 	logf := func(format string, args ...any) {
 		log.Printf("assertd: "+format, args...)
@@ -178,4 +187,20 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "assertd: drained")
 	}
+}
+
+// checkUsage returns 2, after naming the flag on w, when a capacity or
+// interval flag is negative, and 0 otherwise. The cache sizes are not
+// checked: a negative one means unbounded or disabled. Each checked
+// flag is an int or a time.Duration, printed with a leading '-' exactly
+// when negative.
+func checkUsage(w io.Writer, fs *flag.FlagSet) int {
+	for _, name := range []string{"max-jobs", "max-concurrent", "max-queue", "max-depth",
+		"timeout", "max-timeout", "drain-timeout", "state-interval"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(w, "assertd: -%s %s is negative\n", name, v)
+			return 2
+		}
+	}
+	return 0
 }

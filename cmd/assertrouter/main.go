@@ -32,6 +32,10 @@
 // reload. A reload that yields no usable URLs is rejected and the
 // current membership stays.
 //
+// -scatter-min, -health-interval and -drain-timeout may not be negative:
+// a negative one is a usage mistake (exit status 2), as is an empty
+// replica set.
+//
 // GET /healthz aggregates the fleet: the router's own uptime/version
 // and routing counters plus per-replica state, breaker position,
 // uptime/version and served/shed ledgers. On SIGTERM/SIGINT the router
@@ -44,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -94,6 +99,9 @@ func main() {
 		versionTag     = flag.String("version-tag", "dev", "build version reported on /healthz")
 	)
 	flag.Parse()
+	if code := checkUsage(os.Stderr, flag.CommandLine); code != 0 {
+		os.Exit(code)
+	}
 
 	urls, err := loadReplicas(*replicas, *replicasFile)
 	if err != nil {
@@ -167,4 +175,18 @@ func main() {
 		rt.Close()
 		fmt.Fprintln(os.Stderr, "assertrouter: drained")
 	}
+}
+
+// checkUsage returns 2, after naming the flag on w, when a count or
+// interval flag is negative, and 0 otherwise. Each checked flag is an
+// int or a time.Duration, printed with a leading '-' exactly when
+// negative.
+func checkUsage(w io.Writer, fs *flag.FlagSet) int {
+	for _, name := range []string{"scatter-min", "health-interval", "drain-timeout"} {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			fmt.Fprintf(w, "assertrouter: -%s %s is negative\n", name, v)
+			return 2
+		}
+	}
+	return 0
 }
