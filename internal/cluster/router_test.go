@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -272,6 +273,51 @@ func TestRouterFailsOverFromDeadReplica(t *testing.T) {
 	}
 	if rt.failovers.Load() == 0 {
 		t.Fatal("dead replica cost no failover")
+	}
+}
+
+// TestRouterRefusesUnknownEngine: the router answers an unknown engine
+// at its own front door, with the status, headers and body a replica
+// sends for it, and the request reaches no replica.
+func TestRouterRefusesUnknownEngine(t *testing.T) {
+	var checks atomic.Int64
+	servers, _, urls := newFleet(t, 1, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/check" {
+				checks.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	front := httptest.NewServer(newTestRouter(t, urls, nil).Handler())
+	defer front.Close()
+	req := clusterReq()
+	req.Engine = "z3"
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(url string) string {
+		resp, err := http.Post(url+"/v1/check", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s %s", resp.StatusCode, resp.Header.Get("Content-Type"), data)
+	}
+	replica := answer(servers[0].URL)
+	if got := answer(front.URL); got != replica {
+		t.Errorf("router answered %q, a replica answers %q", got, replica)
+	}
+	if !strings.HasPrefix(replica, `400 application/json {"error":"unknown engine \"z3\""}`) {
+		t.Errorf("replica answered %q, want a 400 naming the engine", replica)
+	}
+	if n := checks.Load(); n != 1 {
+		t.Errorf("replicas saw %d check requests, want only the direct one", n)
 	}
 }
 

@@ -446,10 +446,11 @@ func WriteOverloaded(w http.ResponseWriter, status int, format string, args ...a
 
 // DecodeCheck reads a POST /v1/check body: the method must be POST,
 // the body at most maxBodyBytes of known fields, and the request must
-// name a design, its top and at least one property. On any failure it
-// answers the error itself and returns nil. assertrouter answers
-// through it and the writers above too, so a client cannot tell a
-// router from a single replica by its errors.
+// name a design, its top, at least one property and a known engine (or
+// none). On any failure it answers the error itself and returns nil,
+// before a request takes an admission slot or compiles its design.
+// assertrouter answers through it and the writers above too, so a
+// client cannot tell a router from a single replica by its errors.
 func DecodeCheck(w http.ResponseWriter, r *http.Request) *CheckRequest {
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST required")
@@ -468,6 +469,12 @@ func DecodeCheck(w http.ResponseWriter, r *http.Request) *CheckRequest {
 	}
 	if len(req.Invariants)+len(req.Witnesses) == 0 {
 		WriteError(w, http.StatusBadRequest, "need at least one invariant or witness")
+		return nil
+	}
+	switch req.Engine {
+	case "", core.EngineATPG, core.EngineBMC, core.EngineBDD, core.EnginePortfolio:
+	default:
+		WriteError(w, http.StatusBadRequest, "unknown engine %q", req.Engine)
 		return nil
 	}
 	return &req
@@ -574,10 +581,6 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	engineName := req.Engine
-	if engineName == "" {
-		engineName = core.EngineATPG
-	}
 	if err := faultinject.Fire(ctx, faultinject.PointSession); err != nil {
 		WriteError(w, http.StatusInternalServerError, "session: %v", err)
 		return
@@ -587,19 +590,14 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusInternalServerError, "session: %v", err)
 		return
 	}
-	var eng core.Engine
-	switch engineName {
-	case core.EngineATPG:
-		eng = nil // CheckAll's default: the session's ATPG path
+	var eng core.Engine // nil for atpg: CheckAll's default, the session's ATPG path
+	switch req.Engine {
 	case core.EngineBMC:
 		eng = sess.BMCEngine(bmc.Options{})
 	case core.EngineBDD:
 		eng = sess.BDDEngine(mc.Options{})
 	case core.EnginePortfolio:
 		eng = sess.Portfolio()
-	default:
-		WriteError(w, http.StatusBadRequest, "unknown engine %q", req.Engine)
-		return
 	}
 	jobs := req.Jobs
 	if jobs <= 0 {

@@ -177,9 +177,12 @@ func TestServeDesignCacheHit(t *testing.T) {
 
 // TestServeBadRequests pins the error surface: malformed JSON, missing
 // fields, unknown signals, unknown engines and broken Verilog all
-// produce a 4xx JSON error, never a 5xx or a hang.
+// produce a 4xx JSON error, never a 5xx or a hang. A request refused
+// before its design is needed (every case but an unknown signal or
+// broken Verilog) never reaches the design cache.
 func TestServeBadRequests(t *testing.T) {
-	ts := httptest.NewServer(New(Options{}).Handler())
+	srv := New(Options{})
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	post := func(body string) *http.Response {
@@ -191,20 +194,26 @@ func TestServeBadRequests(t *testing.T) {
 		return resp
 	}
 	cases := []struct {
-		name, body string
+		name, body  string
+		needsDesign bool
 	}{
-		{"malformed", `{"design":`},
-		{"unknown-field", `{"designs": "x"}`},
-		{"missing-design", `{"top": "m", "invariants": ["a"]}`},
-		{"no-props", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3"})},
-		{"bad-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"nope"}})},
-		{"bad-engine", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"ok"}, Engine: "z3"})},
-		{"bad-verilog", mustReq(t, CheckRequest{Design: "module; endmodule", Top: "m", Invariants: []string{"a"}})},
-		{"wide-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"q"}})},
+		{"malformed", `{"design":`, false},
+		{"unknown-field", `{"designs": "x"}`, false},
+		{"missing-design", `{"top": "m", "invariants": ["a"]}`, false},
+		{"no-props", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3"}), false},
+		{"bad-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"nope"}}), true},
+		{"bad-engine", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"ok"}, Engine: "z3"}), false},
+		{"bad-verilog", mustReq(t, CheckRequest{Design: "module; endmodule", Top: "m", Invariants: []string{"a"}}), true},
+		{"wide-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"q"}}), true},
 	}
 	for _, tc := range cases {
+		before := srv.DesignCacheStats()
 		if resp := post(tc.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		after := srv.DesignCacheStats()
+		if looked := after.Hits+after.Misses > before.Hits+before.Misses; looked != tc.needsDesign {
+			t.Errorf("%s: design cache consulted %v, want %v (stats %+v)", tc.name, looked, tc.needsDesign, after)
 		}
 	}
 	// GET on the check endpoint is not allowed.
