@@ -2,7 +2,8 @@
 // subset. Stimulus comes from stdin, one cycle per line, as
 // space-separated name=value pairs (values in Verilog literal syntax;
 // unknown bits allowed: en=1'b1 data=8'hx0). After each cycle the
-// named watch signals (-watch a,b,c; default: all outputs) are printed.
+// named watch signals (-watch a,b,c; default: all outputs, in name
+// order) are printed.
 //
 //	rtlsim -top mod [-watch sig,sig] [-cycles N] design.v < stimulus.txt
 //
@@ -15,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bv"
@@ -59,6 +61,7 @@ func main() {
 		for name := range nl.POs {
 			watches = append(watches, name)
 		}
+		slices.Sort(watches)
 	}
 	in := bufio.NewScanner(os.Stdin)
 	cycle := 0

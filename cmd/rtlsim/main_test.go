@@ -74,3 +74,12 @@ func TestUsageFormRuns(t *testing.T) {
 		t.Errorf("rtlsim %s: exit status %d, want 2", strings.Join(fileFirst, " "), code)
 	}
 }
+
+// TestDefaultWatchListSorted: without -watch, every output is printed,
+// in name order, so the columns are the same on every run.
+func TestDefaultWatchListSorted(t *testing.T) {
+	const want = "cycle 0: g5=1'b0 grant=8'b00000000 quiet_ok=1'b1 tok_onehot=1'b1 token=8'b00000001\n"
+	if code, out := runCommand(t, "req=8'h00\n", "-top", "smoke", "-cycles", "1", smokeDesign); code != 0 || out != want {
+		t.Errorf("rtlsim -top smoke -cycles 1: exit status %d, want 0, output:\n%swant:\n%s", code, out, want)
+	}
+}
