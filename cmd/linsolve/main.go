@@ -9,14 +9,16 @@
 //	1 2 -2 0 = 10
 //	EOF
 //
-// Negative coefficients are taken mod 2^width. With -enumerate the
-// full solution set is listed (when small enough).
+// Negative coefficients are taken mod 2^width, and the width runs from
+// 1 to 64. A count or generator order past 2^62 prints as 2^k. With
+// -enumerate the full solution set is listed (when small enough).
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -31,6 +33,10 @@ func main() {
 		enum  = flag.Int("enumerate", 0, "list up to this many solutions")
 	)
 	flag.Parse()
+	if *width < 1 || *width > 64 {
+		fmt.Fprintf(os.Stderr, "linsolve: -width %d is outside 1..64\n", *width)
+		os.Exit(2)
+	}
 
 	m := modarith.NewMod(*width)
 	var rows [][]uint64
@@ -80,10 +86,10 @@ func main() {
 		fmt.Printf("infeasible over Z/2^%d\n", *width)
 		os.Exit(1)
 	}
-	fmt.Printf("solutions over Z/2^%d: %d total\n", *width, ss.Count())
+	fmt.Printf("solutions over Z/2^%d: %s total\n", *width, power(ss.Count(), ss.CountLog2()))
 	fmt.Printf("x0 = %v\n", ss.X0)
 	for i, g := range ss.Gens {
-		fmt.Printf("gen %d (order %d): %v\n", i, ss.GenOrders[i], g)
+		fmt.Printf("gen %d (order %s): %v\n", i, power(ss.GenOrders[i], orderLog2(g, *width)), g)
 	}
 	if *enum > 0 {
 		n := 0
@@ -93,6 +99,27 @@ func main() {
 			return n < *enum
 		})
 	}
+}
+
+// power formats v = 2^k in decimal, or as "2^k" past 2^62, where
+// Count and GenOrders saturate.
+func power(v uint64, k int) string {
+	if k > 62 {
+		return fmt.Sprintf("2^%d", k)
+	}
+	return strconv.FormatUint(v, 10)
+}
+
+// orderLog2 returns log2 of g's order in (Z/2^n)^k: n less the fewest
+// trailing zeros of any entry.
+func orderLog2(g []uint64, n int) int {
+	tz := n
+	for _, x := range g {
+		if x != 0 {
+			tz = min(tz, bits.TrailingZeros64(x))
+		}
+	}
+	return n - tz
 }
 
 func fatal(err error) {
