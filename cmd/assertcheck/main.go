@@ -131,14 +131,10 @@ func main() {
 		defer cancel()
 	}
 	var results []core.Result
-	if len(props) == 1 && *jobs <= 1 {
-		// Serial single-property path: the memstats-measured Check for
-		// the default engine, a direct adapter call otherwise.
-		if eng == nil {
-			results = []core.Result{c.CheckCtx(ctx, props[0])}
-		} else {
-			results = []core.Result{eng.Check(ctx, core.Problem{NL: nl, Prop: props[0], MaxDepth: *depth})}
-		}
+	if eng == nil && len(props) == 1 && *jobs <= 1 {
+		// The memstats-measured check: its allocation figures are
+		// process-wide, so only a lone serial ATPG check reports them.
+		results = []core.Result{c.CheckCtx(ctx, props[0])}
 	} else {
 		results = c.CheckAll(ctx, props, core.BatchOptions{Jobs: *jobs, Engine: eng})
 	}
