@@ -1,8 +1,9 @@
 // Churn-smoke design: sixteen independent token-rotator lanes under
 // one top module, built so a one-line edit dirties exactly one
 // property's cone of influence. Each lane carries a tagged constant
-// line (`// churn:laneK`) whose literal assertload -churn rewrites;
-// the constant is masked into the rotation (`8'dN & tok`) so the
+// line (`// churn:laneK`) whose literal the edits of CI
+// incremental-smoke and of perfbench's serve-mix traffic rewrite; the
+// constant is masked into the rotation (`8'dN & tok`) so the
 // invariant okK (= lane K's token stays nonzero) holds for every
 // literal, but the constant sits inside okK's cone — editing lane K
 // re-verifies okK alone while ok0..ok15 minus okK replay from the
