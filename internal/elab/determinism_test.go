@@ -11,7 +11,7 @@ import (
 
 // determinismSrc exercises every elaboration path that iterates a map
 // while emitting gates: several sequential registers (seqRegs), a
-// memory (seqMems), plain nets resolved by name (sc.nets), a submodule
+// memory (sc.mems), plain nets resolved by name (sc.nets), a submodule
 // with multiple named port connections (conns/parentConns).
 const determinismSrc = `
 module leaf(a, b, x, y);
@@ -68,7 +68,7 @@ func netlistSignature(nl *netlist.Netlist) string {
 // TestElaborationDeterministic elaborates the same source repeatedly
 // and requires bit-identical netlists. Go randomizes map iteration
 // order on every range statement, so each elaboration runs the
-// (formerly order-sensitive) map loops — seqRegs/seqMems placeholders,
+// (formerly order-sensitive) map loops — register and memory placeholders,
 // sc.nets resolution, instance port connections, parent connections —
 // over a freshly perturbed layout; any remaining order dependence shows
 // up as a signature mismatch within a few iterations.

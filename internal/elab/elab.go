@@ -114,7 +114,6 @@ type netInfo struct {
 	state   netState
 	sig     netlist.SignalID
 	drivers []*driver
-	isReg   bool
 	line    int
 }
 
@@ -123,7 +122,7 @@ type memInfo struct {
 	name     string
 	width    int
 	words    int
-	wordNets []*netInfo // sequential register per word
+	wordNets []*netInfo // sequential register per word, also in scope.nets as "mem[i]"
 }
 
 type instInfo struct {
@@ -135,6 +134,7 @@ type instInfo struct {
 // scope is one module instance during elaboration.
 type scope struct {
 	mod    *verilog.Module
+	up     *scope // the instantiating scope; nil at the top
 	prefix string
 	params map[string]uint64
 	nets   map[string]*netInfo
@@ -165,6 +165,13 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 		alwaysDone: map[*verilog.Always]bool{},
 		outputs:    map[string]bool{}, inputs: map[string]bool{},
 		parentConn: parentConns,
+	}
+	ports := map[string]bool{}
+	for _, p := range mod.Ports {
+		if ports[p] {
+			return nil, e.errf(sc, mod.Line, "port %q listed twice", p)
+		}
+		ports[p] = true
 	}
 	for _, p := range mod.Params {
 		if v, ok := overrides[p.Name]; ok && !p.Local {
@@ -214,18 +221,19 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 				if lo != 0 || hi > 255 {
 					return nil, e.errf(sc, d.Line, "unsupported memory bounds [%d:%d]", lo, hi)
 				}
+				if d.Dir != verilog.DirNone {
+					return nil, e.errf(sc, d.Line, "memory %q cannot be a port", name)
+				}
 				sc.mems[name] = &memInfo{name: name, width: w, words: int(hi) + 1}
-				continue
-			}
-			ni := sc.nets[name]
-			if ni == nil {
-				ni = &netInfo{name: name, full: prefix + name, width: w, line: d.Line}
-				sc.nets[name] = ni
+			} else if ni := sc.nets[name]; ni == nil {
+				sc.nets[name] = &netInfo{name: name, full: prefix + name, width: w, line: d.Line}
 			} else if ni.width == 1 && w > 1 {
 				// "output [3:0] q; reg [3:0] q;" — second decl refines width.
 				ni.width = w
 			}
-			ni.isReg = ni.isReg || d.Reg
+			if sc.nets[name] != nil && sc.mems[name] != nil {
+				return nil, e.errf(sc, d.Line, "%q declared as both a net and a memory", name)
+			}
 			switch d.Dir {
 			case verilog.DirInput:
 				sc.inputs[name] = true
@@ -237,6 +245,7 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 		}
 	}
 	// Classify always blocks; collect instances and initial blocks.
+	instNames := map[string]bool{}
 	for _, it := range mod.Items {
 		switch v := it.(type) {
 		case *verilog.Always:
@@ -244,16 +253,21 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 				sc.seqAlways = append(sc.seqAlways, v)
 			} else {
 				// Attach as driver to every net it assigns.
-				for name := range assignedNets(v.Body) {
+				for _, name := range sortedKeys(assignedNets(v.Body)) {
 					if ni := sc.nets[name]; ni != nil {
 						ni.drivers = append(ni.drivers, &driver{kind: dkAlways, always: v})
+					} else if sc.mems[name] != nil {
+						return nil, e.errf(sc, v.Line, "memory %q written outside a sequential always block", name)
 					}
 				}
 			}
 		case *verilog.Assign:
 			for _, tgt := range lhsTargets(v.LHS) {
 				if ni := sc.nets[tgt]; ni != nil {
-					ni.drivers = append(ni.drivers, &driver{kind: dkAssign, assign: v})
+					// One driver per assign, however many of its pieces the net takes.
+					if n := len(ni.drivers); n == 0 || ni.drivers[n-1].assign != v {
+						ni.drivers = append(ni.drivers, &driver{kind: dkAssign, assign: v})
+					}
 				} else if sc.mems[tgt] != nil {
 					return nil, e.errf(sc, v.Line, "continuous assign to memory %q", tgt)
 				} else {
@@ -261,8 +275,11 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 				}
 			}
 		case *verilog.Instance:
-			ii := &instInfo{ast: v}
-			sc.insts = append(sc.insts, ii)
+			if instNames[v.Name] {
+				return nil, e.errf(sc, v.Line, "instance name %q used twice", v.Name)
+			}
+			instNames[v.Name] = true
+			sc.insts = append(sc.insts, &instInfo{ast: v})
 		case *verilog.Initial:
 			sc.inits = append(sc.inits, v)
 		}
@@ -442,50 +459,48 @@ func (e *elaborator) elabScope(sc *scope, isTop bool) error {
 		}
 	}
 	// 2. Sequential registers: create flip-flop placeholders so reads
-	// resolve without cycles. Memories written sequentially expand to
-	// per-word registers.
+	// resolve without cycles. Memories expand to per-word registers,
+	// each a net named "mem[i]".
 	seqRegs := map[string]bool{}
-	seqMems := map[string]bool{}
 	for _, a := range sc.seqAlways {
 		for name := range assignedNets(a.Body) {
-			if sc.mems[name] != nil {
-				seqMems[name] = true
-			} else {
+			if sc.mems[name] == nil {
 				seqRegs[name] = true
 			}
 		}
 	}
-	inits, memInits, err := e.collectInits(sc)
-	if err != nil {
-		return err
-	}
+	var regs []*netInfo
 	for _, name := range sortedKeys(seqRegs) {
 		ni := sc.nets[name]
 		if ni == nil {
 			return e.errf(sc, sc.mod.Line, "sequential assignment to undeclared %q", name)
 		}
-		init, ok := inits[name]
+		if sc.inputs[name] {
+			return e.errf(sc, ni.line, "sequential assignment to input %q", name)
+		}
+		regs = append(regs, ni)
+	}
+	for _, name := range sortedKeys(sc.mems) {
+		mi := sc.mems[name]
+		for w := 0; w < mi.words; w++ {
+			ni := &netInfo{name: fmt.Sprintf("%s[%d]", name, w), width: mi.width}
+			ni.full = sc.prefix + ni.name
+			sc.nets[ni.name] = ni
+			mi.wordNets = append(mi.wordNets, ni)
+			regs = append(regs, ni)
+		}
+	}
+	inits, err := e.collectInits(sc)
+	if err != nil {
+		return err
+	}
+	for _, ni := range regs {
+		init, ok := inits[ni.name]
 		if !ok {
 			init = bv.NewX(ni.width)
 		}
 		ni.sig = e.nl.DffPlaceholder(ni.width, init, ni.full)
 		ni.state = nsResolved
-	}
-	for _, name := range sortedKeys(seqMems) {
-		mi := sc.mems[name]
-		for w := 0; w < mi.words; w++ {
-			full := fmt.Sprintf("%s%s[%d]", sc.prefix, name, w)
-			init := bv.NewX(mi.width)
-			if mv, ok := memInits[name]; ok {
-				if v, ok := mv[w]; ok {
-					init = v
-				}
-			}
-			ni := &netInfo{name: fmt.Sprintf("%s[%d]", name, w), full: full, width: mi.width}
-			ni.sig = e.nl.DffPlaceholder(mi.width, init, full)
-			ni.state = nsResolved
-			mi.wordNets = append(mi.wordNets, ni)
-		}
 	}
 	// 3. Resolve every net (outputs first so POs exist even if unread).
 	for _, port := range sc.mod.Ports {
@@ -505,9 +520,15 @@ func (e *elaborator) elabScope(sc *scope, isTop bool) error {
 		}
 	}
 	// 4. Sequential always blocks: compute next-state and connect DFFs.
+	// A register or memory word that no block assigns holds its value.
 	for _, a := range sc.seqAlways {
 		if err := e.elabSequential(sc, a); err != nil {
 			return err
+		}
+	}
+	for _, ni := range regs {
+		if !e.dffConnected(ni.sig) {
+			e.nl.ConnectDff(ni.sig, ni.sig)
 		}
 	}
 	// 5. Make sure all instances are elaborated (an instance with no
@@ -520,10 +541,10 @@ func (e *elaborator) elabScope(sc *scope, isTop bool) error {
 	return nil
 }
 
-// collectInits evaluates initial blocks into register initial values.
-func (e *elaborator) collectInits(sc *scope) (map[string]bv.BV, map[string]map[int]bv.BV, error) {
-	regs := map[string]bv.BV{}
-	mems := map[string]map[int]bv.BV{}
+// collectInits evaluates initial blocks into the initial values of
+// registers and memory words, keyed by net name and by "mem[i]".
+func (e *elaborator) collectInits(sc *scope) (map[string]bv.BV, error) {
+	inits := map[string]bv.BV{}
 	var walk func(s verilog.Stmt) error
 	walk = func(s verilog.Stmt) error {
 		switch v := s.(type) {
@@ -536,37 +557,27 @@ func (e *elaborator) collectInits(sc *scope) (map[string]bv.BV, map[string]map[i
 		case *verilog.For:
 			return e.unrollFor(sc, v, walk)
 		case *verilog.AssignStmt:
-			switch lhs := v.LHS.(type) {
-			case *verilog.Ident:
-				ni := sc.nets[lhs.Name]
-				if ni == nil {
-					return e.errf(sc, v.Line, "initial assign to undeclared %q", lhs.Name)
+			pieces, w, err := e.targets(sc, v.LHS, v.Line)
+			if err != nil {
+				return err
+			}
+			val, err := e.constEvalBV(sc, v.RHS, w)
+			if err != nil {
+				return e.errf(sc, v.Line, "initial value must be constant: %v", err)
+			}
+			for _, t := range pieces {
+				w -= t.width()
+				if t.ni == nil {
+					return e.errf(sc, v.Line, "initial memory index must be constant")
 				}
-				val, err := e.constEvalBV(sc, v.RHS, ni.width)
-				if err != nil {
-					return e.errf(sc, v.Line, "initial value must be constant: %v", err)
+				cur, ok := inits[t.ni.name]
+				if !ok {
+					cur = bv.NewX(t.ni.width)
 				}
-				regs[lhs.Name] = val
-			case *verilog.Index:
-				base, ok := lhs.Base.(*verilog.Ident)
-				if !ok || sc.mems[base.Name] == nil {
-					return e.errf(sc, v.Line, "unsupported initial target")
+				for i := 0; i < t.width(); i++ {
+					cur = cur.WithBit(t.lsb+i, val.Bit(w+i))
 				}
-				mi := sc.mems[base.Name]
-				idx, err := e.constEval(sc, lhs.Idx)
-				if err != nil {
-					return e.errf(sc, v.Line, "initial memory index must be constant: %v", err)
-				}
-				val, err := e.constEvalBV(sc, v.RHS, mi.width)
-				if err != nil {
-					return e.errf(sc, v.Line, "initial value must be constant: %v", err)
-				}
-				if mems[base.Name] == nil {
-					mems[base.Name] = map[int]bv.BV{}
-				}
-				mems[base.Name][int(idx)] = val
-			default:
-				return e.errf(sc, v.Line, "unsupported initial target")
+				inits[t.ni.name] = cur
 			}
 		case *verilog.If:
 			return e.errf(sc, v.Line, "conditional initial blocks are not supported")
@@ -575,10 +586,10 @@ func (e *elaborator) collectInits(sc *scope) (map[string]bv.BV, map[string]map[i
 	}
 	for _, ib := range sc.inits {
 		if err := walk(ib.Body); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return regs, mems, nil
+	return inits, nil
 }
 
 // resolveNet returns the signal carrying net name, elaborating its
@@ -647,12 +658,10 @@ func (e *elaborator) buildNet(sc *scope, ni *netInfo) (netlist.SignalID, error) 
 			if err := e.elabInstance(sc, d.inst); err != nil {
 				return 0, err
 			}
-			childNet := d.inst.child.nets[d.port]
 			sig, err := e.resolveNet(d.inst.child, d.port, 0)
 			if err != nil {
 				return 0, err
 			}
-			_ = childNet
 			if err := addPiece(e.coerce(sig, ni.width), ni.width-1, 0); err != nil {
 				return 0, err
 			}
@@ -706,9 +715,6 @@ func (e *elaborator) alias(name string, sig netlist.SignalID) netlist.SignalID {
 	if e.nl.Signals[sig].Name == name {
 		return sig
 	}
-	if _, taken := e.nl.SignalByName(name); taken {
-		return sig
-	}
 	return e.nl.NamedBuf(name, sig)
 }
 
@@ -720,82 +726,30 @@ func (e *elaborator) coerce(sig netlist.SignalID, w int) netlist.SignalID {
 	return e.nl.Zext(sig, w)
 }
 
-// elabContinuousAssign handles one assign statement targeting net ni.
+// elabContinuousAssign adds the pieces of net ni that one assign
+// statement drives. The right-hand side is elaborated once at the
+// width of the whole target and split over the target's pieces.
 func (e *elaborator) elabContinuousAssign(sc *scope, a *verilog.Assign, ni *netInfo, addPiece func(netlist.SignalID, int, int) error) error {
-	// The LHS may be an ident, a part/bit select of it, or a concat
-	// containing it; elaborate the RHS once at the LHS width.
-	lhsW, err := e.lhsWidth(sc, a.LHS)
+	pieces, w, err := e.targets(sc, a.LHS, a.Line)
 	if err != nil {
 		return err
 	}
-	rhs, err := e.elabExpr(sc, a.RHS, lhsW)
+	rhs, err := e.elabExpr(sc, a.RHS, w)
 	if err != nil {
 		return err
 	}
-	rhs = e.coerce(rhs, lhsW)
-	// Walk the LHS, slicing rhs accordingly; concat parts consume from
-	// the MSB side.
-	off := lhsW // next unconsumed MSB+1
-	var walk func(lv verilog.Expr) error
-	walk = func(lv verilog.Expr) error {
-		switch v := lv.(type) {
-		case *verilog.ConcatExpr:
-			for _, p := range v.Parts {
-				if err := walk(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *verilog.Ident:
-			w, err := e.lhsWidth(sc, v)
-			if err != nil {
-				return err
-			}
-			part := e.sliceOf(rhs, off-1, off-w)
-			off -= w
-			if v.Name != ni.name {
-				return nil // another target of the same assign
-			}
-			return addPiece(part, ni.width-1, 0)
-		case *verilog.RangeSel:
-			base, ok := v.Base.(*verilog.Ident)
-			if !ok {
-				return e.errf(sc, a.Line, "unsupported lvalue")
-			}
-			msb, err := e.constEval(sc, v.Msb)
-			if err != nil {
-				return err
-			}
-			lsb, err := e.constEval(sc, v.Lsb)
-			if err != nil {
-				return err
-			}
-			w := int(msb-lsb) + 1
-			part := e.sliceOf(rhs, off-1, off-w)
-			off -= w
-			if base.Name != ni.name {
-				return nil
-			}
-			return addPiece(part, int(msb), int(lsb))
-		case *verilog.Index:
-			base, ok := v.Base.(*verilog.Ident)
-			if !ok {
-				return e.errf(sc, a.Line, "unsupported lvalue")
-			}
-			idx, err := e.constEval(sc, v.Idx)
-			if err != nil {
-				return e.errf(sc, a.Line, "bit-select assigns need a constant index: %v", err)
-			}
-			part := e.sliceOf(rhs, off-1, off-1)
-			off--
-			if base.Name != ni.name {
-				return nil
-			}
-			return addPiece(part, int(idx), int(idx))
+	rhs = e.coerce(rhs, w)
+	for _, t := range pieces {
+		part := e.sliceOf(rhs, w-1, w-t.width())
+		w -= t.width()
+		if t.ni != ni {
+			continue // another target of the same assign
 		}
-		return e.errf(sc, a.Line, "unsupported lvalue")
+		if err := addPiece(part, t.msb, t.lsb); err != nil {
+			return err
+		}
 	}
-	return walk(a.LHS)
+	return nil
 }
 
 // sliceOf returns sig[hi:lo], avoiding a gate for the identity slice.
@@ -806,46 +760,17 @@ func (e *elaborator) sliceOf(sig netlist.SignalID, hi, lo int) netlist.SignalID 
 	return e.nl.Slice(sig, hi, lo)
 }
 
-// lhsWidth computes the width of an lvalue expression.
-func (e *elaborator) lhsWidth(sc *scope, lv verilog.Expr) (int, error) {
-	switch v := lv.(type) {
-	case *verilog.Ident:
-		if ni := sc.nets[v.Name]; ni != nil {
-			return ni.width, nil
-		}
-		return 0, fmt.Errorf("elab: undeclared lvalue %q", v.Name)
-	case *verilog.RangeSel:
-		msb, err := e.constEval(sc, v.Msb)
-		if err != nil {
-			return 0, err
-		}
-		lsb, err := e.constEval(sc, v.Lsb)
-		if err != nil {
-			return 0, err
-		}
-		return int(msb-lsb) + 1, nil
-	case *verilog.Index:
-		return 1, nil
-	case *verilog.ConcatExpr:
-		w := 0
-		for _, p := range v.Parts {
-			pw, err := e.lhsWidth(sc, p)
-			if err != nil {
-				return 0, err
-			}
-			w += pw
-		}
-		return w, nil
-	}
-	return 0, fmt.Errorf("elab: unsupported lvalue")
-}
-
 // elabInstance elaborates a child module instance once.
 func (e *elaborator) elabInstance(sc *scope, ii *instInfo) error {
 	if ii.done {
 		return nil
 	}
 	child := e.src.FindModule(ii.ast.ModName)
+	for up := sc; up != nil; up = up.up {
+		if up.mod == child {
+			return e.errf(sc, ii.ast.Line, "module %q instantiates itself", child.Name)
+		}
+	}
 	conns, err := nameConnections(child, ii.ast)
 	if err != nil {
 		return e.errf(sc, ii.ast.Line, "%v", err)
@@ -884,6 +809,7 @@ func (e *elaborator) elabInstance(sc *scope, ii *instInfo) error {
 		if err != nil {
 			return err
 		}
+		cs.up = sc
 		ii.child = cs
 	}
 	ii.done = true

@@ -94,19 +94,32 @@ endmodule
 	}
 }
 
+// TestInitialBlock: initial assignments set whole registers, selects
+// of them and memory words, also through a concatenation; a bit no
+// initial assignment sets stays x.
 func TestInitialBlock(t *testing.T) {
 	nl := mustElab(t, `
-module m(clk, d, q);
-  input clk; input [2:0] d; output [2:0] q;
+module m(clk, d, q, p, w);
+  input clk; input [2:0] d; output [2:0] q; output [3:0] p; output [1:0] w;
   reg [2:0] q;
+  reg [3:0] p;
+  reg [1:0] mem [0:1];
   initial q = 3'd5;
-  always @(posedge clk) q <= d;
+  initial {p[3:2], mem[1]} = 4'b1001;
+  initial p[0] = 1'b1;
+  always @(posedge clk) begin
+    q <= d;
+    p <= p;
+  end
+  assign w = mem[1];
 endmodule
 `, "m")
 	s := mustSim(t, nl)
-	q, _ := s.GetName("q")
-	if v, _ := q.Uint64(); v != 5 {
-		t.Errorf("initial q = %v, want 5", q)
+	s.Eval()
+	for name, want := range map[string]string{"q": "3'b101", "p": "4'b10x1", "w": "2'b01"} {
+		if v, _ := s.GetName(name); v.String() != want {
+			t.Errorf("initial %s = %v, want %s", name, v, want)
+		}
 	}
 }
 
@@ -428,5 +441,146 @@ endmodule
 	q, _ = s.GetName("q")
 	if v, _ := q.Uint64(); v != 1 {
 		t.Errorf("q after reset release = %v", q)
+	}
+}
+
+// TestConcatenatedTargets: continuous assignments, a combinational
+// block and a sequential block each assign one value to a
+// concatenation, whose pieces take its bits most significant first. One
+// continuous assignment drives two pieces of one net; the sequential
+// block writes a memory word beside a register.
+func TestConcatenatedTargets(t *testing.T) {
+	nl := mustElab(t, `
+module cat(clk, a, b, c, s, sw, q, r, w1, rr);
+  input clk;
+  input [3:0] a, b;
+  output c;
+  output [3:0] s;
+  output [1:0] sw;
+  output [1:0] q;
+  output r;
+  output [3:0] w1;
+  output rr;
+  reg [1:0] q;
+  reg r, rr;
+  reg [3:0] mem [0:3];
+  assign {c, s} = a + b;
+  assign {sw[0], sw[1]} = a[1:0];
+  always @(*) {q, r} = a[2:0];
+  always @(posedge clk) {mem[1], rr} <= {b, a[0]};
+  assign w1 = mem[1];
+endmodule
+`, "cat")
+	s := mustSim(t, nl)
+	get := func(name string) uint64 {
+		t.Helper()
+		v, err := s.GetName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, ok := v.Uint64()
+		if !ok {
+			t.Fatalf("%s = %v, want a known value", name, v)
+		}
+		return u
+	}
+	for _, in := range [][2]uint64{{9, 8}, {5, 3}, {15, 15}} {
+		s.SetInputName("a", bv.FromUint64(4, in[0]))
+		s.SetInputName("b", bv.FromUint64(4, in[1]))
+		s.Step()
+		s.Eval()
+		if sum := in[0] + in[1]; get("c") != sum>>4 || get("s") != sum&15 {
+			t.Errorf("a=%d b=%d: {c, s} = {%d, %d}, want %d", in[0], in[1], get("c"), get("s"), sum)
+		}
+		if get("sw") != (in[0]&1)<<1|in[0]>>1&1 {
+			t.Errorf("a=%d: sw = %d, want a[0], a[1]", in[0], get("sw"))
+		}
+		if get("q") != in[0]>>1&3 || get("r") != in[0]&1 {
+			t.Errorf("a=%d: {q, r} = {%d, %d}, want a[2:0]", in[0], get("q"), get("r"))
+		}
+		if get("w1") != in[1] || get("rr") != in[0]&1 {
+			t.Errorf("after a=%d b=%d: {mem[1], rr} = {%d, %d}, want {b, a[0]}", in[0], in[1], get("w1"), get("rr"))
+		}
+	}
+}
+
+// TestUnwrittenMemoryWordsHold: a block that writes only word 0 leaves
+// the other words holding their initial values.
+func TestUnwrittenMemoryWordsHold(t *testing.T) {
+	nl := mustElab(t, `
+module hold(clk, a, w0, w1);
+  input clk;
+  input [1:0] a;
+  output [1:0] w0, w1;
+  reg [1:0] mem [0:3];
+  always @(posedge clk) mem[0] <= a;
+  initial mem[1] = 2'd2;
+  assign w0 = mem[0];
+  assign w1 = mem[1];
+endmodule
+`, "hold")
+	s := mustSim(t, nl)
+	for _, a := range []uint64{1, 3, 0} {
+		s.SetInputName("a", bv.FromUint64(2, a))
+		s.Step()
+		s.Eval()
+		w0, _ := s.GetName("w0")
+		w1, _ := s.GetName("w1")
+		if v, _ := w0.Uint64(); v != a || !w0.IsFullyKnown() {
+			t.Errorf("after writing %d: word 0 = %v", a, w0)
+		}
+		if v, _ := w1.Uint64(); v != 2 || !w1.IsFullyKnown() {
+			t.Errorf("after writing %d: word 1 = %v, want its initial 2", a, w1)
+		}
+	}
+}
+
+// TestNarrowAddressWritesOnlyItsWords: a 1-bit address reaches words 0
+// and 1 of a 4-word memory; a write to address 0 leaves word 2 alone.
+func TestNarrowAddressWritesOnlyItsWords(t *testing.T) {
+	nl := mustElab(t, `
+module narrow(clk, addr, d, w0, w2);
+  input clk, addr;
+  input [1:0] d;
+  output [1:0] w0, w2;
+  reg [1:0] mem [0:3];
+  always @(posedge clk) mem[addr] <= d;
+  initial mem[2] = 2'd1;
+  assign w0 = mem[0];
+  assign w2 = mem[2];
+endmodule
+`, "narrow")
+	s := mustSim(t, nl)
+	s.SetInputName("addr", bv.FromUint64(1, 0))
+	s.SetInputName("d", bv.FromUint64(2, 3))
+	s.Step()
+	s.Eval()
+	w0, _ := s.GetName("w0")
+	w2, _ := s.GetName("w2")
+	if w0.String() != "2'b11" || w2.String() != "2'b01" {
+		t.Errorf("after writing 3 to address 0: word 0 = %v, word 2 = %v, want 2'b11 and its initial 2'b01", w0, w2)
+	}
+}
+
+// TestDesignNamesOutrankAutomaticNames: nets named like the netlist's
+// automatic names (n<id>) keep their names, so a property names the
+// net the design means.
+func TestDesignNamesOutrankAutomaticNames(t *testing.T) {
+	nl := mustElab(t, `
+module m(n1, b, y, n2);
+  input [1:0] n1, b;
+  output y, n2;
+  assign y = n1[0] ^ b[0];
+  assign n2 = n1[0] | ~n1[0];
+endmodule
+`, "m")
+	s := mustSim(t, nl)
+	for a := uint64(0); a < 4; a++ {
+		s.SetInputName("n1", bv.FromUint64(2, a))
+		s.SetInputName("b", bv.FromUint64(2, 0))
+		s.Eval()
+		if n2, _ := s.GetName("n2"); n2.String() != "1'b1" {
+			t.Errorf("n1=%d: n2 = %v, want 1'b1", a, n2)
+		}
 	}
 }

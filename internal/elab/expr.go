@@ -117,6 +117,32 @@ func (e *elaborator) constEval(sc *scope, ex verilog.Expr) (uint64, error) {
 	return 0, fmt.Errorf("not a constant expression")
 }
 
+// selectBits resolves the constant select x[i] (an *verilog.Index) or
+// x[m:l] (a *verilog.RangeSel) on a w-bit operand to the bits it names:
+// w > msb >= lsb >= 0.
+func (e *elaborator) selectBits(sc *scope, sel verilog.Expr, w int) (msb, lsb int, err error) {
+	var hi, lo verilog.Expr
+	var line int
+	switch v := sel.(type) {
+	case *verilog.Index:
+		hi, lo, line = v.Idx, v.Idx, v.Line
+	case *verilog.RangeSel:
+		hi, lo, line = v.Msb, v.Lsb, v.Line
+	}
+	m, err := e.constEval(sc, hi)
+	if err != nil {
+		return 0, 0, e.errf(sc, line, "select bounds must be constant: %v", err)
+	}
+	l, err := e.constEval(sc, lo)
+	if err != nil {
+		return 0, 0, e.errf(sc, line, "select bounds must be constant: %v", err)
+	}
+	if l > m || m >= uint64(w) {
+		return 0, 0, e.errf(sc, line, "select [%d:%d] is outside [%d:0]", int64(m), int64(l), w-1)
+	}
+	return int(m), int(l), nil
+}
+
 func b2u(b bool) uint64 {
 	if b {
 		return 1
@@ -183,15 +209,15 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (int, error) {
 		}
 		return 1, nil
 	case *verilog.RangeSel:
-		msb, err := e.constEval(sc, v.Msb)
+		w, err := e.natWidth(sc, v.Base)
 		if err != nil {
 			return 0, err
 		}
-		lsb, err := e.constEval(sc, v.Lsb)
-		if err != nil {
-			return 0, err
+		if w == 0 {
+			w = 32 // as elabExpr sizes a flexible base
 		}
-		return int(msb-lsb) + 1, nil
+		msb, lsb, err := e.selectBits(sc, v, w)
+		return msb - lsb + 1, err
 	case *verilog.Unary:
 		switch v.Op {
 		case "~", "-":
@@ -318,18 +344,19 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 	case *verilog.Index:
 		if base, ok := v.Base.(*verilog.Ident); ok {
 			if mi := sc.mems[base.Name]; mi != nil {
-				return e.memRead(sc, env, mi, v.Idx)
+				return e.memRead(sc, env, mi, v)
 			}
 		}
 		baseSig, err := e.elabExprEnv(sc, env, v.Base, 0)
 		if err != nil {
 			return 0, err
 		}
-		if idx, err := e.constEval(sc, v.Idx); err == nil {
-			if int(idx) >= nl.Width(baseSig) {
-				return 0, fmt.Errorf("elab: bit %d out of range", idx)
+		if _, err := e.constEval(sc, v.Idx); err == nil {
+			bit, _, err := e.selectBits(sc, v, nl.Width(baseSig))
+			if err != nil {
+				return 0, err
 			}
-			return nl.Slice(baseSig, int(idx), int(idx)), nil
+			return nl.Slice(baseSig, bit, bit), nil
 		}
 		// Dynamic bit select: (base >> idx)[0].
 		idxSig, err := e.elabExprEnv(sc, env, v.Idx, 0)
@@ -346,15 +373,11 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 		if err != nil {
 			return 0, err
 		}
-		msb, err := e.constEval(sc, v.Msb)
+		msb, lsb, err := e.selectBits(sc, v, nl.Width(baseSig))
 		if err != nil {
 			return 0, err
 		}
-		lsb, err := e.constEval(sc, v.Lsb)
-		if err != nil {
-			return 0, err
-		}
-		return nl.Slice(baseSig, int(msb), int(lsb)), nil
+		return nl.Slice(baseSig, msb, lsb), nil
 	case *verilog.Unary:
 		switch v.Op {
 		case "~":
@@ -605,35 +628,33 @@ func (e *elaborator) readVar(sc *scope, env *procEnv, name string, line int) (ne
 }
 
 // memRead builds the read mux tree for mem[addr].
-func (e *elaborator) memRead(sc *scope, env *procEnv, mi *memInfo, addr verilog.Expr) (netlist.SignalID, error) {
-	if mi.wordNets == nil {
-		return 0, fmt.Errorf("elab: memory %q is never written (reads unsupported)", mi.name)
-	}
-	if idx, err := e.constEval(sc, addr); err == nil {
-		if int(idx) >= mi.words {
-			return 0, fmt.Errorf("elab: memory index %d out of range", idx)
+func (e *elaborator) memRead(sc *scope, env *procEnv, mi *memInfo, ix *verilog.Index) (netlist.SignalID, error) {
+	if _, err := e.constEval(sc, ix.Idx); err == nil {
+		w, _, err := e.selectBits(sc, ix, mi.words)
+		if err != nil {
+			return 0, err
 		}
-		return e.memWord(sc, env, mi, int(idx)), nil
+		return e.memWord(env, mi, w), nil
 	}
-	addrSig, err := e.elabExprEnv(sc, env, addr, 0)
+	addrSig, err := e.elabExprEnv(sc, env, ix.Idx, 0)
 	if err != nil {
 		return 0, err
 	}
 	data := make([]netlist.SignalID, mi.words)
-	for w := 0; w < mi.words; w++ {
-		data[w] = e.memWord(sc, env, mi, w)
+	for w := range data {
+		data[w] = e.memWord(env, mi, w)
 	}
 	return e.nl.Mux(addrSig, data...), nil
 }
 
 // memWord returns the current value of word w (env override or the
 // register output).
-func (e *elaborator) memWord(sc *scope, env *procEnv, mi *memInfo, w int) netlist.SignalID {
-	key := fmt.Sprintf("%s[%d]", mi.name, w)
+func (e *elaborator) memWord(env *procEnv, mi *memInfo, w int) netlist.SignalID {
+	wn := mi.wordNets[w]
 	if env != nil {
-		if sig, ok := env.vals[key]; ok {
+		if sig, ok := env.vals[wn.name]; ok {
 			return sig
 		}
 	}
-	return mi.wordNets[w].sig
+	return wn.sig
 }

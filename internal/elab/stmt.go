@@ -2,7 +2,6 @@ package elab
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bv"
 	"repro/internal/netlist"
@@ -13,17 +12,14 @@ import (
 // procedural block. Keys are net names (or "mem[i]" for memory words).
 type procEnv struct {
 	vals map[string]netlist.SignalID
-	// seq marks sequential execution: reads of registers fall through
-	// to the flip-flop output rather than the pending next value.
-	seq bool
 }
 
-func newProcEnv(seq bool) *procEnv {
-	return &procEnv{vals: map[string]netlist.SignalID{}, seq: seq}
+func newProcEnv() *procEnv {
+	return &procEnv{vals: map[string]netlist.SignalID{}}
 }
 
 func (p *procEnv) clone() *procEnv {
-	c := newProcEnv(p.seq)
+	c := newProcEnv()
 	for k, v := range p.vals {
 		c.vals[k] = v
 	}
@@ -52,7 +48,7 @@ func (e *elaborator) elabCombAlways(sc *scope, a *verilog.Always) (map[string]ne
 	}
 	r := &combAlwaysResult{busy: true}
 	sc.combCache[a] = r
-	env := newProcEnv(false)
+	env := newProcEnv()
 	if err := e.execStmt(sc, env, a.Body); err != nil {
 		return nil, err
 	}
@@ -112,12 +108,7 @@ func (e *elaborator) mergeEnvs(sc *scope, env *procEnv, cond netlist.SignalID, t
 		keys[k] = true
 	}
 	// Deterministic order keeps netlists reproducible run to run.
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
+	for _, k := range sortedKeys(keys) {
 		tv, tok := thenEnv.vals[k]
 		ev, eok := elseEnv.vals[k]
 		base, baseOK := env.vals[k]
@@ -125,14 +116,14 @@ func (e *elaborator) mergeEnvs(sc *scope, env *procEnv, cond netlist.SignalID, t
 			if baseOK {
 				tv = base
 			} else {
-				tv = e.fallback(sc, env, k)
+				tv = e.fallback(sc, k)
 			}
 		}
 		if !eok {
 			if baseOK {
 				ev = base
 			} else {
-				ev = e.fallback(sc, env, k)
+				ev = e.fallback(sc, k)
 			}
 		}
 		if tv == ev {
@@ -144,29 +135,15 @@ func (e *elaborator) mergeEnvs(sc *scope, env *procEnv, cond netlist.SignalID, t
 }
 
 // fallback is the value a net holds when a branch does not assign it:
-// for sequential blocks the register output (hold); for combinational
-// blocks an all-x constant (incomplete assignment — a would-be latch).
-func (e *elaborator) fallback(sc *scope, env *procEnv, key string) netlist.SignalID {
-	if ni := sc.nets[key]; ni != nil {
-		if env.seq && ni.state == nsResolved {
-			return ni.sig
-		}
-		if !env.seq {
-			if ni.state == nsResolved {
-				return ni.sig // e.g. reading a net driven elsewhere
-			}
-			return e.nl.Const(bv.NewX(ni.width))
-		}
+// its value outside the block (the register's output, or a net driven
+// elsewhere), or, for a net this combinational block drives, an all-x
+// constant (incomplete assignment — a would-be latch).
+func (e *elaborator) fallback(sc *scope, key string) netlist.SignalID {
+	ni := sc.nets[key]
+	if ni.state == nsResolved {
+		return ni.sig
 	}
-	// Memory word key "mem[i]".
-	for _, mi := range sc.mems {
-		for w, wn := range mi.wordNets {
-			if key == fmt.Sprintf("%s[%d]", mi.name, w) {
-				return wn.sig
-			}
-		}
-	}
-	panic("elab: fallback for unknown key " + key)
+	return e.nl.Const(bv.NewX(ni.width))
 }
 
 func (e *elaborator) execCase(sc *scope, env *procEnv, v *verilog.Case) error {
@@ -251,136 +228,124 @@ func (e *elaborator) execCase(sc *scope, env *procEnv, v *verilog.Case) error {
 	return exec(0, env)
 }
 
-// execAssign handles procedural assignment targets.
-func (e *elaborator) execAssign(sc *scope, env *procEnv, v *verilog.AssignStmt) error {
-	switch lhs := v.LHS.(type) {
-	case *verilog.Ident:
-		ni := sc.nets[lhs.Name]
-		if ni == nil {
-			if _, isMem := sc.mems[lhs.Name]; isMem {
-				return e.errf(sc, v.Line, "assignment to whole memory %q", lhs.Name)
-			}
-			if _, isConst := sc.consts[lhs.Name]; isConst {
-				return nil // loop variable reassignment inside body: ignore
-			}
-			return e.errf(sc, v.Line, "assignment to undeclared %q", lhs.Name)
-		}
-		rhs, err := e.elabExprEnv(sc, env, v.RHS, ni.width)
-		if err != nil {
-			return err
-		}
-		env.vals[lhs.Name] = e.coerce(rhs, ni.width)
-		return nil
-	case *verilog.Index:
-		base, ok := lhs.Base.(*verilog.Ident)
-		if !ok {
-			return e.errf(sc, v.Line, "unsupported assignment target")
-		}
-		if mi := sc.mems[base.Name]; mi != nil {
-			return e.execMemWrite(sc, env, mi, lhs.Idx, v)
-		}
-		ni := sc.nets[base.Name]
-		if ni == nil {
-			return e.errf(sc, v.Line, "assignment to undeclared %q", base.Name)
-		}
-		idx, err := e.constEval(sc, lhs.Idx)
-		if err != nil {
-			return e.errf(sc, v.Line, "bit-select target needs constant index: %v", err)
-		}
-		if int(idx) >= ni.width {
-			return e.errf(sc, v.Line, "bit %d out of range of %q", idx, base.Name)
-		}
-		rhs, err := e.elabExprEnv(sc, env, v.RHS, 1)
-		if err != nil {
-			return err
-		}
-		return e.mergeBits(sc, env, ni, int(idx), int(idx), e.coerce(rhs, 1))
-	case *verilog.RangeSel:
-		base, ok := lhs.Base.(*verilog.Ident)
-		if !ok {
-			return e.errf(sc, v.Line, "unsupported assignment target")
-		}
-		ni := sc.nets[base.Name]
-		if ni == nil {
-			return e.errf(sc, v.Line, "assignment to undeclared %q", base.Name)
-		}
-		msb, err := e.constEval(sc, lhs.Msb)
-		if err != nil {
-			return err
-		}
-		lsb, err := e.constEval(sc, lhs.Lsb)
-		if err != nil {
-			return err
-		}
-		w := int(msb-lsb) + 1
-		rhs, err := e.elabExprEnv(sc, env, v.RHS, w)
-		if err != nil {
-			return err
-		}
-		return e.mergeBits(sc, env, ni, int(msb), int(lsb), e.coerce(rhs, w))
-	case *verilog.ConcatExpr:
-		// {a, b} = rhs: split MSB-first.
-		totalW, err := e.lhsWidth(sc, lhs)
-		if err != nil {
-			return err
-		}
-		rhs, err := e.elabExprEnv(sc, env, v.RHS, totalW)
-		if err != nil {
-			return err
-		}
-		rhs = e.coerce(rhs, totalW)
-		off := totalW
-		for _, p := range lhs.Parts {
-			pw, err := e.lhsWidth(sc, p)
-			if err != nil {
-				return err
-			}
-			sub := &verilog.AssignStmt{LHS: p, RHS: nil, NonBlocking: v.NonBlocking, Line: v.Line}
-			part := e.sliceOf(rhs, off-1, off-pw)
-			off -= pw
-			if err := e.execAssignSig(sc, env, sub, part); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return e.errf(sc, v.Line, "unsupported assignment target")
+// target is one piece of an assignment target: bits [msb:lsb] of net
+// ni, or the word of memory mem that the non-constant index addr
+// selects. A memory word at a constant index is the word's own net.
+type target struct {
+	ni       *netInfo
+	msb, lsb int
+	mem      *memInfo
+	addr     verilog.Expr
 }
 
-// execAssignSig is execAssign with a pre-elaborated RHS signal.
-func (e *elaborator) execAssignSig(sc *scope, env *procEnv, v *verilog.AssignStmt, rhs netlist.SignalID) error {
-	switch lhs := v.LHS.(type) {
-	case *verilog.Ident:
-		ni := sc.nets[lhs.Name]
-		if ni == nil {
-			return e.errf(sc, v.Line, "assignment to undeclared %q", lhs.Name)
+func (t target) width() int {
+	if t.mem != nil {
+		return t.mem.width
+	}
+	return t.msb - t.lsb + 1
+}
+
+// targets splits an assignment target into its pieces, most
+// significant first, and returns their total width. A target is a net,
+// a constant select of a net, a memory word, or a concatenation of
+// these.
+func (e *elaborator) targets(sc *scope, lv verilog.Expr, line int) ([]target, int, error) {
+	var pieces []target
+	total := 0
+	var walk func(lv verilog.Expr) error
+	walk = func(lv verilog.Expr) error {
+		var id *verilog.Ident // the net or memory
+		switch v := lv.(type) {
+		case *verilog.ConcatExpr:
+			for _, p := range v.Parts {
+				if err := walk(p); err != nil {
+					return err
+				}
+			}
+			return nil
+		case *verilog.Ident:
+			id = v
+		case *verilog.Index:
+			id, _ = v.Base.(*verilog.Ident)
+		case *verilog.RangeSel:
+			id, _ = v.Base.(*verilog.Ident)
 		}
-		env.vals[lhs.Name] = e.coerce(rhs, ni.width)
-		return nil
-	case *verilog.Index:
-		base := lhs.Base.(*verilog.Ident)
-		ni := sc.nets[base.Name]
-		idx, err := e.constEval(sc, lhs.Idx)
+		if id == nil {
+			return e.errf(sc, line, "unsupported assignment target")
+		}
+		t := target{ni: sc.nets[id.Name]}
+		mi := sc.mems[id.Name]
+		ix, isIndex := lv.(*verilog.Index)
+		_, whole := lv.(*verilog.Ident)
+		var err error
+		switch {
+		case mi != nil && isIndex:
+			if _, cerr := e.constEval(sc, ix.Idx); cerr != nil {
+				t.mem, t.addr = mi, ix.Idx
+				break
+			}
+			var word int
+			if word, _, err = e.selectBits(sc, ix, mi.words); err == nil {
+				t.ni, t.msb = mi.wordNets[word], mi.width-1
+			}
+		case t.ni == nil:
+			err = e.errf(sc, line, "assignment to %q, which is not a net or a memory word", id.Name)
+		case whole:
+			t.msb = t.ni.width - 1
+		default:
+			t.msb, t.lsb, err = e.selectBits(sc, lv, t.ni.width)
+		}
 		if err != nil {
 			return err
 		}
-		return e.mergeBits(sc, env, ni, int(idx), int(idx), e.coerce(rhs, 1))
-	case *verilog.RangeSel:
-		base := lhs.Base.(*verilog.Ident)
-		ni := sc.nets[base.Name]
-		msb, _ := e.constEval(sc, lhs.Msb)
-		lsb, _ := e.constEval(sc, lhs.Lsb)
-		return e.mergeBits(sc, env, ni, int(msb), int(lsb), e.coerce(rhs, int(msb-lsb)+1))
+		pieces, total = append(pieces, t), total+t.width()
+		return nil
 	}
-	return e.errf(sc, v.Line, "unsupported assignment target")
+	if err := walk(lv); err != nil {
+		return nil, 0, err
+	}
+	return pieces, total, nil
+}
+
+// execAssign executes a procedural assignment: the right-hand side,
+// sized to the whole target, is split over the target's pieces.
+func (e *elaborator) execAssign(sc *scope, env *procEnv, v *verilog.AssignStmt) error {
+	if id, ok := v.LHS.(*verilog.Ident); ok && sc.nets[id.Name] == nil {
+		if _, isConst := sc.consts[id.Name]; isConst {
+			return nil // loop variable reassignment inside body: ignore
+		}
+	}
+	pieces, w, err := e.targets(sc, v.LHS, v.Line)
+	if err != nil {
+		return err
+	}
+	rhs, err := e.elabExprEnv(sc, env, v.RHS, w)
+	if err != nil {
+		return err
+	}
+	rhs = e.coerce(rhs, w)
+	for _, t := range pieces {
+		part := e.sliceOf(rhs, w-1, w-t.width())
+		w -= t.width()
+		if t.mem == nil {
+			e.mergeBits(sc, env, t.ni, t.msb, t.lsb, part)
+		} else if err := e.execMemWrite(sc, env, t, part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mergeBits performs a read-modify-write of bits [msb:lsb] of a net's
-// current procedural value.
-func (e *elaborator) mergeBits(sc *scope, env *procEnv, ni *netInfo, msb, lsb int, part netlist.SignalID) error {
+// current procedural value; a part covering the whole net replaces it.
+func (e *elaborator) mergeBits(sc *scope, env *procEnv, ni *netInfo, msb, lsb int, part netlist.SignalID) {
+	if msb == ni.width-1 && lsb == 0 {
+		env.vals[ni.name] = part
+		return
+	}
 	cur, ok := env.vals[ni.name]
 	if !ok {
-		cur = e.fallback(sc, env, ni.name)
+		cur = e.fallback(sc, ni.name)
 	}
 	var pieces []netlist.SignalID
 	if msb < ni.width-1 {
@@ -390,41 +355,22 @@ func (e *elaborator) mergeBits(sc *scope, env *procEnv, ni *netInfo, msb, lsb in
 	if lsb > 0 {
 		pieces = append(pieces, e.nl.Slice(cur, lsb-1, 0))
 	}
-	if len(pieces) == 1 {
-		env.vals[ni.name] = pieces[0]
-		return nil
-	}
 	env.vals[ni.name] = e.nl.Concat(pieces...)
-	return nil
 }
 
-// execMemWrite handles mem[addr] <= data, expanding to per-word
-// conditional updates when the address is not constant.
-func (e *elaborator) execMemWrite(sc *scope, env *procEnv, mi *memInfo, addrEx verilog.Expr, v *verilog.AssignStmt) error {
-	if mi.wordNets == nil {
-		return e.errf(sc, v.Line, "memory %q written outside a sequential always block", mi.name)
-	}
-	rhs, err := e.elabExprEnv(sc, env, v.RHS, mi.width)
+// execMemWrite writes data to the memory word that a non-constant
+// index selects: one conditional update per word the index can reach.
+func (e *elaborator) execMemWrite(sc *scope, env *procEnv, t target, data netlist.SignalID) error {
+	addr, err := e.elabExprEnv(sc, env, t.addr, 0)
 	if err != nil {
 		return err
 	}
-	rhs = e.coerce(rhs, mi.width)
-	if idx, err := e.constEval(sc, addrEx); err == nil {
-		if int(idx) >= mi.words {
-			return e.errf(sc, v.Line, "memory index %d out of range", idx)
+	for w, wn := range t.mem.wordNets {
+		if uint64(w)>>e.nl.Width(addr) != 0 {
+			break
 		}
-		env.vals[fmt.Sprintf("%s[%d]", mi.name, idx)] = rhs
-		return nil
-	}
-	addr, err := e.elabExprEnv(sc, env, addrEx, 0)
-	if err != nil {
-		return err
-	}
-	for w := 0; w < mi.words; w++ {
-		key := fmt.Sprintf("%s[%d]", mi.name, w)
-		cur := e.memWord(sc, env, mi, w)
 		hit := e.nl.Binary(netlist.KEq, addr, e.nl.ConstUint(e.nl.Width(addr), uint64(w)))
-		env.vals[key] = e.nl.Mux(hit, cur, rhs)
+		env.vals[wn.name] = e.nl.Mux(hit, e.memWord(env, t.mem, w), data)
 	}
 	return nil
 }
@@ -504,7 +450,7 @@ func (e *elaborator) elabSequential(sc *scope, a *verilog.Always) error {
 			return e.errf(sc, a.Line, "multiple-edge always must use the async-reset if idiom")
 		}
 	}
-	envN := newProcEnv(true)
+	envN := newProcEnv()
 	if normalBody != nil {
 		if err := e.execStmt(sc, envN, normalBody); err != nil {
 			return err
@@ -512,7 +458,7 @@ func (e *elaborator) elabSequential(sc *scope, a *verilog.Always) error {
 	}
 	var envR *procEnv
 	if resetSig != "" {
-		envR = newProcEnv(true)
+		envR = newProcEnv()
 		if err := e.execStmt(sc, envR, resetBody); err != nil {
 			return err
 		}
@@ -527,15 +473,10 @@ func (e *elaborator) elabSequential(sc *scope, a *verilog.Always) error {
 			keys[k] = true
 		}
 	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		q := e.seqTarget(sc, k)
-		if q == netlist.None {
-			return e.errf(sc, a.Line, "sequential assignment to unknown register %q", k)
+	for _, k := range sortedKeys(keys) {
+		q := sc.nets[k].sig
+		if e.dffConnected(q) {
+			return e.errf(sc, a.Line, "multiple drivers for %s", sc.nets[k].full)
 		}
 		next, ok := envN.vals[k]
 		if !ok {
@@ -562,20 +503,10 @@ func (e *elaborator) elabSequential(sc *scope, a *verilog.Always) error {
 	return nil
 }
 
-// seqTarget finds the flip-flop output signal for a register or memory
-// word key.
-func (e *elaborator) seqTarget(sc *scope, key string) netlist.SignalID {
-	if ni := sc.nets[key]; ni != nil && ni.state == nsResolved {
-		return ni.sig
-	}
-	for _, mi := range sc.mems {
-		for w, wn := range mi.wordNets {
-			if key == fmt.Sprintf("%s[%d]", mi.name, w) {
-				return wn.sig
-			}
-		}
-	}
-	return netlist.None
+// dffConnected reports whether the flip-flop with output q has its
+// data input.
+func (e *elaborator) dffConnected(q netlist.SignalID) bool {
+	return len(e.nl.Gates[e.nl.Signals[q].Driver].In) > 0
 }
 
 // resetCondSignal matches "rst" or "!rst" / "~rst" conditions.

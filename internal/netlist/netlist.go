@@ -166,19 +166,30 @@ func (n *Netlist) SignalByName(name string) (SignalID, bool) {
 	return s, ok
 }
 
-// addSignal creates a new signal.
+// addSignal creates a new signal. An unnamed signal gets the automatic
+// name n<id>. A design's own name takes precedence: an automatic name
+// that one already has, or that one claims later, gets a trailing '.
 func (n *Netlist) addSignal(name string, width int) SignalID {
 	if width <= 0 {
 		panic(fmt.Sprintf("netlist: signal %q with width %d", name, width))
 	}
 	id := SignalID(len(n.Signals))
-	if name == "" {
+	automatic := name == ""
+	if automatic {
 		name = fmt.Sprintf("n%d", id)
 	}
-	n.Signals = append(n.Signals, Signal{Name: name, Width: width, Driver: None})
-	if _, dup := n.byName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate signal name %q", name))
+	if old, dup := n.byName[name]; dup {
+		switch {
+		case automatic:
+			name += "'"
+		case n.Signals[old].Name == fmt.Sprintf("n%d", old):
+			n.Signals[old].Name += "'"
+			n.byName[n.Signals[old].Name] = old
+		default:
+			panic(fmt.Sprintf("netlist: duplicate signal name %q", name))
+		}
 	}
+	n.Signals = append(n.Signals, Signal{Name: name, Width: width, Driver: None})
 	n.byName[name] = id
 	return id
 }

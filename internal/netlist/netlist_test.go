@@ -188,3 +188,24 @@ func TestSignalNames(t *testing.T) {
 	}()
 	n.AddInput("a", 2)
 }
+
+// TestAutomaticNameYieldsToDesignName: a design's own name outranks
+// the automatic name n<id> of an unnamed signal, whichever comes first:
+// a Verilog input called n1 or a wire called n3 is no duplicate, and
+// its name finds it.
+func TestAutomaticNameYieldsToDesignName(t *testing.T) {
+	n := New("m")
+	a := n.AddInput("n1", 1)
+	y := n.Unary(KNot, a)    // signal 1, whose automatic name the input has
+	z := n.Unary(KNot, y)    // signal 2
+	w := n.Unary(KNot, z)    // signal 3, named n3 automatically
+	b := n.NamedBuf("n3", w) // a design's n3 arrives later
+	for _, want := range []struct {
+		name string
+		sig  SignalID
+	}{{"n1", a}, {"n1'", y}, {"n2", z}, {"n3", b}, {"n3'", w}} {
+		if s, ok := n.SignalByName(want.name); !ok || s != want.sig || n.Signals[s].Name != want.name {
+			t.Errorf("%s names signal %d (%v), want %d", want.name, s, ok, want.sig)
+		}
+	}
+}

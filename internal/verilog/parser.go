@@ -675,13 +675,18 @@ func (p *Parser) parseLValue() (Expr, error) {
 		}
 		return c, nil
 	}
+	t := p.cur()
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
-	var e Expr = &Ident{Name: name}
+	return p.parseSelects(&Ident{Name: name, Line: t.Line})
+}
+
+// parseSelects parses the [i] and [m:l] selects that follow e.
+func (p *Parser) parseSelects(e Expr) (Expr, error) {
 	for p.cur().Text == "[" {
-		p.next()
+		line := p.next().Line
 		first, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -691,15 +696,12 @@ func (p *Parser) parseLValue() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-			e = &RangeSel{Base: e, Msb: first, Lsb: lsb}
+			e = &RangeSel{Base: e, Msb: first, Lsb: lsb, Line: line}
 		} else {
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-			e = &Index{Base: e, Idx: first}
+			e = &Index{Base: e, Idx: first, Line: line}
+		}
+		if err := p.expect("]"); err != nil {
+			return nil, err
 		}
 	}
 	return e, nil
@@ -793,29 +795,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Text == "[" {
-		p.next()
-		first, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if p.accept(":") {
-			lsb, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-			e = &RangeSel{Base: e, Msb: first, Lsb: lsb}
-		} else {
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
-			e = &Index{Base: e, Idx: first}
-		}
-	}
-	return e, nil
+	return p.parseSelects(e)
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {

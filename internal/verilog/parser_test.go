@@ -293,3 +293,21 @@ func TestLexerNumbers(t *testing.T) {
 		t.Errorf("numbers = %v", nums)
 	}
 }
+
+// TestSelectsCarryTheirLine: the selects of targets and of reads record
+// the line of their "[", so elaboration can cite it.
+func TestSelectsCarryTheirLine(t *testing.T) {
+	src, err := Parse("module m(a, y);\n  input [3:0] a; output [1:0] y;\n  assign y[1:0] =\n    {a[3], a[0]};\nendmodule\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg := src.Modules[0].Items[2].(*Assign)
+	if r, ok := asg.LHS.(*RangeSel); !ok || r.Line != 3 {
+		t.Errorf("target = %#v, want a part select on line 3", asg.LHS)
+	}
+	for _, p := range asg.RHS.(*ConcatExpr).Parts {
+		if ix, ok := p.(*Index); !ok || ix.Line != 4 {
+			t.Errorf("read = %#v, want a bit select on line 4", p)
+		}
+	}
+}
