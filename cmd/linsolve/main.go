@@ -11,7 +11,7 @@
 //
 // Negative coefficients are taken mod 2^width, and the width runs from
 // 1 to 64. A count or generator order past 2^62 prints as 2^k. With
-// -enumerate the full solution set is listed (when small enough).
+// -enumerate N the first N solutions are listed, however big the set.
 package main
 
 import (

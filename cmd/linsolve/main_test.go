@@ -66,3 +66,18 @@ func TestSaturatedValuesPrintAsPowers(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateListsFirstSolutionsOfBigSets: -enumerate N lists the
+// first N solutions however many the set holds, here 2^21 and 2^64.
+func TestEnumerateListsFirstSolutionsOfBigSets(t *testing.T) {
+	for _, tc := range []struct{ width, n, want string }{
+		{"21", "3", "solutions over Z/2^21: 2097152 total\nx0 = [0 0]\ngen 0 (order 2097152): [0 1]\n" +
+			"  [0 0]\n  [0 1]\n  [0 2]\n"},
+		{"64", "2", "solutions over Z/2^64: 2^64 total\nx0 = [0 0]\ngen 0 (order 2^64): [0 1]\n" +
+			"  [0 0]\n  [0 1]\n"},
+	} {
+		if code, out, errOut := runCommand(t, "1 0 = 0\n", "-width", tc.width, "-enumerate", tc.n); code != 0 || out != tc.want {
+			t.Errorf("linsolve -width %s -enumerate %s: exit status %d, output:\n%s%swant:\n%s", tc.width, tc.n, code, out, errOut, tc.want)
+		}
+	}
+}

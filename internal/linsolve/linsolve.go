@@ -133,14 +133,10 @@ func (ss SolutionSet) At(f []uint64) []uint64 {
 }
 
 // Enumerate calls fn for every solution until fn returns false or the
-// set is exhausted. It panics if the solution count exceeds 2^20; check
-// Count first for big sets.
+// set is exhausted. On a big set (see Count) fn should stop it early.
 func (ss SolutionSet) Enumerate(fn func(x []uint64) bool) {
 	if !ss.Feasible {
 		return
-	}
-	if ss.countLog2 > 20 {
-		panic("linsolve: refusing to enumerate more than 2^20 solutions")
 	}
 	f := make([]uint64, len(ss.Gens))
 	var rec func(i int) bool
