@@ -321,6 +321,66 @@ func TestRouterRefusesUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestRouterRelaysElaborationErrors: a design the elaborator rejects is
+// each replica's 400, which the router relays without charging a
+// breaker. After four such posts through a three-replica fleet every
+// breaker is closed and a valid batch still matches a single node.
+func TestRouterRelaysElaborationErrors(t *testing.T) {
+	want := normalizeElapsed(encodeRecords(t, referenceRecords(t)))
+	servers, _, urls := newFleet(t, 3, nil)
+	rt := newTestRouter(t, urls, nil)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	post := func(url string, req *service.CheckRequest) (int, string) {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(url+"/v1/check", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(data)
+	}
+	// The concatenated target's first piece selects a select; its
+	// elaboration once panicked, a 500 that the router charged to the
+	// replica's breaker.
+	hostile := &service.CheckRequest{Design: `
+module m(clk, a, o);
+  input clk;
+  input [1:0] a;
+  output o;
+  reg [1:0] q;
+  reg r;
+  always @(*) {q[1][0], r} = a;
+  assign o = r;
+endmodule
+`, Top: "m", Invariants: []string{"o"}}
+	code, replica := post(servers[0].URL, hostile)
+	if code != http.StatusBadRequest || !strings.HasPrefix(replica, `{"error":"compile: elab:`) {
+		t.Errorf("replica answered %d %s, want a 400 compile error", code, replica)
+	}
+	for i := 0; i < 4; i++ {
+		if code, got := post(front.URL, hostile); code != http.StatusBadRequest || got != replica {
+			t.Errorf("post %d: router answered %d %s, want the replica's 400 %s", i, code, got, replica)
+		}
+	}
+	for _, rep := range rt.mem.Load().replicas {
+		if st := rep.brk.State(); st != breakerClosed {
+			t.Errorf("replica %s breaker %v, want closed", rep.url, st)
+		}
+	}
+	code, got := post(front.URL, clusterReq())
+	if code != http.StatusOK || normalizeElapsed([]byte(got)) != want {
+		t.Fatalf("valid batch after the rejected ones: %d\n%s\nwant the single-node records:\n%s", code, got, want)
+	}
+}
+
 // TestRouterAvoidsDrainingReplica: one draining healthz answer takes a
 // replica out of the ring before any shard wastes a round trip on its
 // 503.

@@ -34,6 +34,20 @@ module cnt3(clk, en, q, ok, hit5);
 endmodule
 `
 
+// hostileSrc assigns to a concatenation whose first piece selects a
+// select; elaboration once panicked on it.
+const hostileSrc = `
+module m(clk, a, o);
+  input clk;
+  input [1:0] a;
+  output o;
+  reg [1:0] q;
+  reg r;
+  always @(*) {q[1][0], r} = a;
+  assign o = r;
+endmodule
+`
+
 func postCheck(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -204,6 +218,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"bad-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"nope"}}), true},
 		{"bad-engine", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"ok"}, Engine: "z3"}), false},
 		{"bad-verilog", mustReq(t, CheckRequest{Design: "module; endmodule", Top: "m", Invariants: []string{"a"}}), true},
+		{"hostile-verilog", mustReq(t, CheckRequest{Design: hostileSrc, Top: "m", Invariants: []string{"o"}}), true},
 		{"wide-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"q"}}), true},
 	}
 	for _, tc := range cases {
