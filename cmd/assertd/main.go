@@ -2,8 +2,8 @@
 // checker: an HTTP/JSON API over the core batch machinery, with
 // compiled designs cached (LRU-bounded) by content hash across
 // requests, admission control in front of the check workers, a
-// graceful SIGTERM drain, and (opt-in) crash-safe durable state so a
-// restarted server comes back warm instead of cold.
+// graceful SIGTERM drain, and (opt-in) a crash-safe verdict snapshot
+// so a restarted server answers repeat traffic from cache.
 //
 // Usage:
 //
@@ -39,18 +39,17 @@
 //	    block (snapshot inventory, quarantine counter, flush age and
 //	    last error).
 //
-// Durable state: with -state-dir the server keeps two crash-safe
-// snapshots (write-to-temp + fsync + atomic rename, CRC-validated). The
-// design-cache manifest rewarms the cache at startup by recompiling the
-// 16 most recently used designs before the listener opens — the first
-// post-restart request for a known design is a cache hit. A torn or
-// corrupt snapshot (crash mid-write, bit rot) is quarantined to
-// *.corrupt with a logged line and the server starts that state cold;
-// it never crashes, loops, or changes a verdict. The cone-keyed
-// verdict cache (see -cache-verdicts) persists alongside the manifest,
-// so cached verdicts survive restarts — including crashes. No search
-// state outlives a check, so every record depends only on its own
-// property and every response is byte-reproducible.
+// Durable state: with -state-dir the server keeps one crash-safe
+// snapshot (write-to-temp + fsync + atomic rename, CRC-validated) of
+// the cone-keyed verdict cache (see -cache-verdicts), restored before
+// the listener opens, so cached verdicts survive restarts — including
+// crashes. Compiled designs are not persisted: a design's first request
+// after a restart is a design-cache miss. A torn or corrupt snapshot
+// (crash mid-write, bit rot) is quarantined to *.corrupt with a logged
+// line and the server starts cold; it never crashes, loops, or changes
+// a verdict. With the verdict cache disabled there is nothing to
+// persist. No search state outlives a check, so every record depends
+// only on its own property and every response is byte-reproducible.
 //
 // On SIGTERM/SIGINT the server stops admitting work (503), drains
 // in-flight batches for up to -drain-timeout, snapshots its state, and
@@ -140,12 +139,7 @@ func main() {
 	}
 	flushCtx, stopFlusher := context.WithCancel(context.Background())
 	defer stopFlusher()
-	if srv.StateEnabled() {
-		// Warm the design cache from the manifest before the listener
-		// opens, so the first request hits.
-		srv.Rewarm(flushCtx)
-		go srv.RunStateFlusher(flushCtx)
-	}
+	go srv.RunStateFlusher(flushCtx)
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
@@ -175,10 +169,8 @@ func main() {
 		// is the complete picture. Runs even when the drain expired —
 		// partial state beats none.
 		stopFlusher()
-		if srv.StateEnabled() {
-			if ferr := srv.FlushState(context.Background()); ferr != nil {
-				fmt.Fprintf(os.Stderr, "assertd: final state flush failed: %v\n", ferr)
-			}
+		if ferr := srv.FlushState(context.Background()); ferr != nil {
+			fmt.Fprintf(os.Stderr, "assertd: final state flush failed: %v\n", ferr)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "assertd: drain expired, closing: %v\n", err)

@@ -113,7 +113,7 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 }
 
 // Keys returns the resident keys in recency order, most recently used
-// first — the order a warm-restart manifest wants to preserve. Like
+// first — the order a snapshot wants to preserve. Like
 // Peek it does not touch recency or counters.
 func (c *Cache[K, V]) Keys() []K {
 	c.mu.Lock()

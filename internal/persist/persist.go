@@ -1,6 +1,6 @@
 // Package persist is the crash-safe snapshot store under the serving
-// stack's durable state: the design-cache manifest and the verdict
-// cache survive process death in a -state-dir, and no
+// stack's durable state: the verdict cache survives process death in
+// a -state-dir, and no
 // failure mode of the disk — a torn write, a truncated file, flipped
 // bits, a SIGKILL between write and fsync — may ever surface as
 // anything worse than a cold start.
@@ -135,8 +135,8 @@ func Open(dir string, opts Options) (*Store, error) {
 }
 
 // fileName maps a kind/key pair to its snapshot file name. Keys are
-// restricted to filename-safe characters (content hashes and fixed
-// manifest names in practice); anything else is rejected at Save/Load.
+// restricted to filename-safe characters (fixed snapshot names in
+// practice); anything else is rejected at Save/Load.
 func fileName(kind, key string) (string, error) {
 	for _, part := range [2]string{kind, key} {
 		if part == "" {

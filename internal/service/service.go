@@ -95,8 +95,9 @@ type Options struct {
 	// testing only — never enable it on a production server.
 	EnableFaults bool
 	// StateDir, when non-empty, roots the crash-safe durable-state store
-	// (design-cache manifest and verdict cache). An unopenable dir is
-	// reported by StateError, not New.
+	// that keeps the verdict cache across restarts; with the verdict
+	// cache disabled nothing is stored. An unopenable dir is reported by
+	// StateError, not New.
 	StateDir string
 	// StateInterval is the periodic flush cadence (0 = 30s).
 	StateInterval time.Duration
@@ -190,11 +191,7 @@ type Server struct {
 	vImplSaved      atomic.Int64
 	lastVerdictMuts atomic.Int64
 
-	// Manifest change tracking (in-process only, so a restarted
-	// server's first flush always writes) and the last-flush telemetry
-	// /healthz reports.
-	manifestMu    sync.Mutex
-	lastManifest  string
+	// The last-flush telemetry /healthz reports.
 	lastFlushNano atomic.Int64
 	lastFlushErr  atomic.Pointer[string]
 }
@@ -209,13 +206,11 @@ type designEntry struct {
 	done atomic.Bool
 	d    *core.Design
 	err  error
-	// src/top are kept for the warm-restart manifest: an entry's source
-	// must be re-compilable after a restart, so the manifest stores it.
-	src, top string
 }
 
 // New returns a server with an empty design cache. With StateDir set
-// it also opens the durable-state store; an open failure is latched in
+// and the verdict cache on, it also opens the durable-state store and
+// restores the verdict cache from it; an open failure is latched in
 // StateError rather than returned, so callers decide whether a server
 // without its state dir may run (assertd refuses).
 func New(opts Options) *Server {
@@ -238,16 +233,15 @@ func New(opts Options) *Server {
 		started: time.Now(),
 		logf:    logf,
 	}
-	if opts.VerdictCacheEntries >= 0 {
-		s.verdicts = core.NewVerdictCache(opts.VerdictCacheEntries)
+	if opts.VerdictCacheEntries < 0 {
+		return s
 	}
+	s.verdicts = core.NewVerdictCache(opts.VerdictCacheEntries)
 	if opts.StateDir != "" {
-		st, err := persist.Open(opts.StateDir, persist.Options{Logf: logf})
-		if err != nil {
-			s.stateErr = err
-			return s
+		s.state, s.stateErr = persist.Open(opts.StateDir, persist.Options{Logf: logf})
+		if s.state != nil {
+			s.restoreVerdicts()
 		}
-		s.state = st
 	}
 	return s
 }
@@ -259,7 +253,7 @@ func New(opts Options) *Server {
 // request that blocks on another request's in-flight build is a miss.
 func (s *Server) design(src, top string) (d *core.Design, hit bool, err error) {
 	key := core.Fingerprint(src, top)
-	e, loaded := s.designs.GetOrAdd(key, func() *designEntry { return &designEntry{src: src, top: top} })
+	e, loaded := s.designs.GetOrAdd(key, func() *designEntry { return new(designEntry) })
 	hit = loaded && e.done.Load()
 	e.once.Do(func() {
 		e.d, e.err = core.CompileVerilog(src, top)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -28,63 +29,6 @@ var elapsedRe = regexp.MustCompile(`"elapsed_ns": [0-9]+`)
 
 func zeroElapsed(b []byte) string {
 	return elapsedRe.ReplaceAllString(string(b), `"elapsed_ns": 0`)
-}
-
-func TestStateDirWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-
-	// Process 1: serve one request, flush, "die".
-	s1 := New(Options{StateDir: dir})
-	if err := s1.StateError(); err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	resp, body1 := postCheck(t, ts1, stateRequest())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body1)
-	}
-	if got := resp.Header.Get("X-Design-Cache"); got != "miss" {
-		t.Fatalf("cold first request: X-Design-Cache = %q", got)
-	}
-	if err := s1.FlushState(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-
-	// Process 2: rewarm from the manifest; the first request must be a
-	// design-cache hit with a byte-identical body.
-	var lines []string
-	s2 := New(Options{StateDir: dir, Logf: func(f string, a ...any) {
-		lines = append(lines, f)
-	}})
-	if err := s2.StateError(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s2.Rewarm(ctx); n != 1 {
-		t.Fatalf("Rewarm = %d, want 1", n)
-	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	resp2, body2 := postCheck(t, ts2, stateRequest())
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp2.StatusCode, body2)
-	}
-	if got := resp2.Header.Get("X-Design-Cache"); got != "hit" {
-		t.Fatalf("warm restart first request: X-Design-Cache = %q", got)
-	}
-	if zeroElapsed(body1) != zeroElapsed(body2) {
-		t.Fatal("warm-restart response differs from cold response")
-	}
-	found := false
-	for _, l := range lines {
-		if strings.Contains(l, "rewarmed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no rewarm log line in %q", lines)
-	}
 }
 
 // TestStateDirDoesNotChangeResponses: the durable-state path must
@@ -129,54 +73,67 @@ func TestStateDirDoesNotChangeResponses(t *testing.T) {
 	}
 }
 
-func TestCorruptManifestStartsCold(t *testing.T) {
+// logLines collects a server's log lines, formatted.
+func logLines(lines *[]string) func(string, ...any) {
+	return func(f string, a ...any) { *lines = append(*lines, fmt.Sprintf(f, a...)) }
+}
+
+func hasLine(lines []string, sub string) bool {
+	for _, l := range lines {
+		if strings.Contains(l, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// verdictSnap is the verdict snapshot's file in a state dir.
+func verdictSnap(dir string) string { return filepath.Join(dir, "verdicts-cache.snap") }
+
+// TestCorruptVerdictSnapshotStartsCold: a verdict snapshot torn by a
+// crash mid-write is quarantined when the next server opens the state
+// dir, and that server answers cold with the bytes the first one gave.
+func TestCorruptVerdictSnapshotStartsCold(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
 	s1 := New(Options{StateDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
-	postCheck(t, ts1, stateRequest())
-	if err := s1.FlushState(ctx); err != nil {
+	_, body1 := postCheck(t, ts1, stateRequest())
+	if err := s1.FlushState(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 
-	// Truncate the manifest snapshot to simulate a crash mid-write.
-	matches, err := filepath.Glob(filepath.Join(dir, "manifest-*.snap"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("manifest glob: %v %v", matches, err)
-	}
-	data, err := os.ReadFile(matches[0])
+	name := verdictSnap(dir)
+	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(matches[0], data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(name, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	var lines []string
-	s2 := New(Options{StateDir: dir, Logf: func(f string, a ...any) {
-		lines = append(lines, f)
-	}})
-	if n := s2.Rewarm(ctx); n != 0 {
-		t.Fatalf("Rewarm over corrupt manifest = %d, want 0", n)
+	s2 := New(Options{StateDir: dir, Logf: logLines(&lines)})
+	if err := s2.StateError(); err != nil {
+		t.Fatal(err)
 	}
-	quarantined := false
-	for _, l := range lines {
-		if strings.Contains(l, "quarantined") {
-			quarantined = true
-		}
+	if !hasLine(lines, "quarantined") || hasLine(lines, "restored") {
+		t.Fatalf("want a quarantine line and no restore line, got %q", lines)
 	}
-	if !quarantined {
-		t.Fatalf("no quarantine log line in %q", lines)
-	}
-	if _, err := os.Stat(matches[0] + ".corrupt"); err != nil {
+	if _, err := os.Stat(name + ".corrupt"); err != nil {
 		t.Fatalf("quarantine file missing: %v", err)
 	}
-	// The server still serves.
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	if resp, body := postCheck(t, ts2, stateRequest()); resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	resp, body2 := postCheck(t, ts2, stateRequest())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body2)
+	}
+	if got := resp.Header.Get("X-Verdict-Cache"); got != "hits=0 misses=2" {
+		t.Fatalf("X-Verdict-Cache = %q after quarantine, want hits=0 misses=2", got)
+	}
+	if zeroElapsed(body1) != zeroElapsed(body2) {
+		t.Fatalf("cold answer after quarantine differs:\n%s\nvs\n%s", body1, body2)
 	}
 }
 
@@ -184,6 +141,7 @@ func TestHealthzUptimeVersionAndStateBlock(t *testing.T) {
 	s := New(Options{StateDir: t.TempDir(), Version: "test-build"})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	postCheck(t, ts, stateRequest())
 	if err := s.FlushState(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +175,11 @@ func TestHealthzUptimeVersionAndStateBlock(t *testing.T) {
 	}
 }
 
-func TestManifestWrittenOnceWhenUnchanged(t *testing.T) {
+// TestUnchangedVerdictsNotRewritten: a flush writes the verdict
+// snapshot only when the cache mutated since the last write, and a
+// restore is no mutation, so a restarted server that has answered
+// nothing new leaves the file alone.
+func TestUnchangedVerdictsNotRewritten(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	s := New(Options{StateDir: dir})
@@ -227,25 +189,34 @@ func TestManifestWrittenOnceWhenUnchanged(t *testing.T) {
 	if err := s.FlushState(ctx); err != nil {
 		t.Fatal(err)
 	}
-	name := filepath.Join(dir, "manifest-designs.snap")
-	info1, err := os.Stat(name)
+	name := verdictSnap(dir)
+	info, err := os.Stat(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unchanged cache: the second flush must not rewrite the manifest.
-	// (mtime granularity can be coarse, so compare by marker mtime.)
-	marker := info1.ModTime().Add(-1)
+	// mtime granularity can be coarse, so compare against a marker.
+	marker := info.ModTime().Add(-1)
 	if err := os.Chtimes(name, marker, marker); err != nil {
 		t.Fatal(err)
 	}
+	unchanged := func(when string) {
+		t.Helper()
+		info, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.ModTime().Equal(marker) {
+			t.Fatalf("unchanged verdict snapshot was rewritten %s", when)
+		}
+	}
+	postCheck(t, ts, stateRequest()) // all hits: no mutation
 	if err := s.FlushState(ctx); err != nil {
 		t.Fatal(err)
 	}
-	info2, err := os.Stat(name)
-	if err != nil {
+	unchanged("by a second flush")
+	restarted := New(Options{StateDir: dir})
+	if err := restarted.FlushState(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !info2.ModTime().Equal(marker) {
-		t.Fatal("unchanged manifest was rewritten")
-	}
+	unchanged("by a restarted server's flush")
 }

@@ -5,7 +5,7 @@ package service
 // the cache — elapsed_ns included, since hits replay the stored record
 // verbatim — an edit re-verifies exactly the dirtied cones, the
 // operator can switch the cache off, and cached verdicts survive a
-// restart through the durable-state snapshots.
+// restart through the durable-state snapshot.
 
 import (
 	"bytes"
@@ -149,13 +149,21 @@ func TestServeVerdictCachePersistsAcrossRestart(t *testing.T) {
 	}
 	ts1.Close()
 
-	s2 := New(Options{StateDir: dir})
-	s2.Rewarm(ctx)
+	// New restores the snapshot; compiled designs are not persisted,
+	// so the design compiles afresh.
+	var lines []string
+	s2 := New(Options{StateDir: dir, Logf: logLines(&lines)})
+	if !hasLine(lines, "restored 2 cached verdicts") {
+		t.Errorf("no restore line in %q", lines)
+	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	warm, warmBody := postCheck(t, ts2, req)
 	if got := warm.Header.Get("X-Verdict-Cache"); got != "hits=2 misses=0" {
 		t.Errorf("post-restart X-Verdict-Cache = %q, want hits=2 misses=0", got)
+	}
+	if got := warm.Header.Get("X-Design-Cache"); got != "miss" {
+		t.Errorf("post-restart X-Design-Cache = %q, want miss", got)
 	}
 	if !bytes.Equal(coldBody, warmBody) {
 		t.Errorf("post-restart body differs from pre-restart:\ncold: %s\nwarm: %s", coldBody, warmBody)
