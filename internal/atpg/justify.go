@@ -122,6 +122,7 @@ func (e *Engine) Solve() Status {
 			return StatusSat
 		}
 		var d *decision
+		ok := true // false: a conflict to recover from
 		if cd := e.makeControlDecision(unjust); cd != nil {
 			d = cd
 		} else {
@@ -130,17 +131,8 @@ func (e *Engine) Solve() Status {
 				prog, conflict, md = e.datapathPhase(unjust)
 			}
 			if conflict {
-				if !backtrack() {
-					return e.exhausted()
-				}
-				if !e.propagate() {
-					if !backtrack() {
-						return e.exhausted()
-					}
-				}
-				continue
-			}
-			if md != nil {
+				ok = false
+			} else if md != nil {
 				d = md
 			} else if dd := e.makeDomainDecision(); dd != nil {
 				// Branch over the reachable states of a local FSM whose
@@ -149,12 +141,7 @@ func (e *Engine) Solve() Status {
 				// vectors derived from it.
 				d = dd
 			} else if prog {
-				if !e.propagate() {
-					if !backtrack() {
-						return e.exhausted()
-					}
-				}
-				continue
+				ok = e.propagate()
 			} else if fd := e.makeFallbackDecision(unjust); fd != nil {
 				// Last resort: branch on an unknown bit feeding an
 				// unjustified gate. This departs from the paper's
@@ -169,22 +156,23 @@ func (e *Engine) Solve() Status {
 				// levels, so conflict analysis must charge all of them.
 				e.incomplete = true
 				e.setConflictAll()
-				if !backtrack() {
-					return e.exhausted()
-				}
-				if !e.propagate() {
-					if !backtrack() {
-						return e.exhausted()
-					}
-				}
-				continue
+				ok = false
 			}
 		}
-		e.stats.Decisions++
-		stack = append(stack, d)
-		e.pushLevel()
-		ok := e.applyAlt(d.alts[0]) && e.propagate()
+		if d != nil {
+			e.stats.Decisions++
+			stack = append(stack, d)
+			e.pushLevel()
+			ok = e.applyAlt(d.alts[0]) && e.propagate()
+		}
+		// Recover from a conflict: backtrack to the next alternative
+		// and propagate it until propagation holds. Each round polls
+		// ctx, so a long run of failing alternatives ends at the
+		// deadline.
 		for !ok {
+			if e.stopped() {
+				return StatusAbort
+			}
 			if !backtrack() {
 				return e.exhausted()
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -454,6 +455,40 @@ func TestEngineCancellationPrompt(t *testing.T) {
 				t.Fatalf("%s: cancelled check took %v, budget %v", tc.name, elapsed, returnBudget)
 			}
 		})
+	}
+}
+
+// TestATPGDeadlineBoundsConflictRecovery pins that a deadline bounds
+// the ATPG search between decisions too. ATPG alone on
+// Arbiter(112)/p5, a fresh design at its Table-2 depth with induction
+// on, searches for tens of seconds: its registers are past the local
+// FSMs' node budget, and the search meets long runs of failing
+// alternatives with no decision between them. While ctx was polled
+// only per decision, a 6 s deadline returned after 9-11 s.
+func TestATPGDeadlineBoundsConflictRecovery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 6 s search on a scaled design")
+	}
+	const deadline, slack = 6 * time.Second, 250 * time.Millisecond
+	d, err := circuits.Arbiter(112)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := New(d.NL, Options{MaxDepth: circuits.TableDepth("p5"), UseInduction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	res := sess.CheckCtx(ctx, d.Props[slices.Index(d.PropIDs, "p5")])
+	elapsed := time.Since(start)
+	if res.Verdict != VerdictUnknown {
+		t.Fatalf("verdict %v under a %v deadline, want unknown", res.Verdict, deadline)
+	}
+	if elapsed > deadline+slack {
+		t.Fatalf("returned after %v: %v past its %v deadline (%d implications, %d decisions)",
+			elapsed, elapsed-deadline, deadline, res.Stats.Implications, res.Stats.Decisions)
 	}
 }
 
