@@ -34,6 +34,11 @@ module cnt3(clk, en, q, ok, hit5);
 endmodule
 `
 
+// deepSrc nests 10^6 parentheses around one input: 2,000,064 bytes,
+// under the body cap, that once overflowed the parser's stack.
+var deepSrc = "module m(clk, o);\ninput clk;\noutput o;\nassign o = " +
+	strings.Repeat("(", 1000000) + "clk" + strings.Repeat(")", 1000000) + ";\nendmodule"
+
 // hostileSrc assigns to a concatenation whose first piece selects a
 // select; elaboration once panicked on it.
 const hostileSrc = `
@@ -219,6 +224,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"bad-engine", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"ok"}, Engine: "z3"}), false},
 		{"bad-verilog", mustReq(t, CheckRequest{Design: "module; endmodule", Top: "m", Invariants: []string{"a"}}), true},
 		{"hostile-verilog", mustReq(t, CheckRequest{Design: hostileSrc, Top: "m", Invariants: []string{"o"}}), true},
+		{"deep-nesting", mustReq(t, CheckRequest{Design: deepSrc, Top: "m", Invariants: []string{"o"}}), true},
 		{"wide-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"q"}}), true},
 	}
 	for _, tc := range cases {

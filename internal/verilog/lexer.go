@@ -33,7 +33,6 @@ type Token struct {
 	Kind TokKind
 	Text string
 	Line int
-	Col  int
 }
 
 var keywords = map[string]bool{
@@ -52,12 +51,11 @@ type Lexer struct {
 	src  string
 	pos  int
 	line int
-	col  int
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 func (l *Lexer) errf(format string, args ...interface{}) error {
@@ -83,9 +81,6 @@ func (l *Lexer) advance() byte {
 	l.pos++
 	if c == '\n' {
 		l.line++
-		l.col = 1
-	} else {
-		l.col++
 	}
 	return c
 }
@@ -147,9 +142,9 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{}, err
 	}
 	if l.pos >= len(l.src) {
-		return Token{Kind: TEOF, Line: l.line, Col: l.col}, nil
+		return Token{Kind: TEOF, Line: l.line}, nil
 	}
-	line, col := l.line, l.col
+	line := l.line
 	c := l.peekByte()
 	switch {
 	case isIdentStart(c):
@@ -162,9 +157,9 @@ func (l *Lexer) Next() (Token, error) {
 		if keywords[text] {
 			kind = TKeyword
 		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+		return Token{Kind: kind, Text: text, Line: line}, nil
 	case isDigit(c) || c == '\'':
-		return l.lexNumber(line, col)
+		return l.lexNumber(line)
 	case c == '"':
 		l.advance()
 		start := l.pos
@@ -176,25 +171,25 @@ func (l *Lexer) Next() (Token, error) {
 		}
 		text := l.src[start:l.pos]
 		l.advance()
-		return Token{Kind: TString, Text: text, Line: line, Col: col}, nil
+		return Token{Kind: TString, Text: text, Line: line}, nil
 	default:
 		for _, op := range multiOps {
 			if strings.HasPrefix(l.src[l.pos:], op) {
 				for range op {
 					l.advance()
 				}
-				return Token{Kind: TPunct, Text: op, Line: line, Col: col}, nil
+				return Token{Kind: TPunct, Text: op, Line: line}, nil
 			}
 		}
 		l.advance()
-		return Token{Kind: TPunct, Text: string(c), Line: line, Col: col}, nil
+		return Token{Kind: TPunct, Text: string(c), Line: line}, nil
 	}
 }
 
 // lexNumber scans decimal literals and sized/based literals. A based
 // literal may follow a size that was already consumed as part of this
 // token ("4'b1010") or start directly with the tick ("'b1010").
-func (l *Lexer) lexNumber(line, col int) (Token, error) {
+func (l *Lexer) lexNumber(line int) (Token, error) {
 	start := l.pos
 	for l.pos < len(l.src) && (isDigit(l.peekByte()) || l.peekByte() == '_') {
 		l.advance()
@@ -220,7 +215,7 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 			}
 		}
 	}
-	return Token{Kind: TNumber, Text: l.src[start:l.pos], Line: line, Col: col}, nil
+	return Token{Kind: TNumber, Text: l.src[start:l.pos], Line: line}, nil
 }
 
 // LexAll tokenizes the whole input (the final TEOF is included).

@@ -4,6 +4,12 @@ import (
 	"fmt"
 )
 
+// maxDepth bounds the depth of the tree Parse builds, and so every
+// later walk over it. A statement in another (else-if chains nest) and
+// each parenthesis, operator, ternary, concatenation, replication and
+// select count a level; a flat a^a^…^a is as deep as it is long.
+const maxDepth = 1000
+
 // Parser is a recursive-descent parser over the token stream.
 type Parser struct {
 	toks []Token
@@ -11,6 +17,9 @@ type Parser struct {
 	// pendingParams collects body-level parameter declarations for the
 	// module currently being parsed.
 	pendingParams []*Param
+	// depth counts the levels open around the point being parsed, and
+	// height is the height of the expression parsed last; see fits.
+	depth, height int
 }
 
 // Parse parses a full source file.
@@ -60,6 +69,26 @@ func (p *Parser) expect(text string) error {
 		return p.errf("expected %q", text)
 	}
 	return nil
+}
+
+// fits records h as the height of the expression being built and
+// checks that the tree stays within maxDepth.
+func (p *Parser) fits(h int) error {
+	if p.height = h; p.depth+h > maxDepth {
+		return p.errf("nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+// nested parses what sits one level below the point being parsed.
+func nested[T any](p *Parser, parse func() (T, error)) (T, error) {
+	p.depth++
+	defer func() { p.depth-- }()
+	if err := p.fits(1); err != nil {
+		var none T
+		return none, err
+	}
+	return parse()
 }
 
 func (p *Parser) expectIdent() (string, error) {
@@ -217,13 +246,7 @@ func (p *Parser) parseItem() ([]Item, error) {
 		}
 		return []Item{d}, nil
 	case "parameter", "localparam":
-		ps, err := p.parseParams()
-		if err != nil {
-			return nil, err
-		}
-		var items []Item
-		_ = ps
-		return items, nil
+		return nil, p.parseParams()
 	case "assign":
 		p.next()
 		var items []Item
@@ -256,7 +279,7 @@ func (p *Parser) parseItem() ([]Item, error) {
 		return []Item{a}, nil
 	case "initial":
 		p.next()
-		body, err := p.parseStmt()
+		body, err := nested(p, p.parseStmt)
 		if err != nil {
 			return nil, err
 		}
@@ -273,36 +296,30 @@ func (p *Parser) parseItem() ([]Item, error) {
 	}
 }
 
-// parseParams handles "parameter N = 1, M = 2;" and attaches nothing to
-// the item list: parameters are collected by the caller module — but to
-// keep the grammar simple we splice them into the *current* module via
-// a post-pass. Instead, we return them and Parse wires them in.
-func (p *Parser) parseParams() ([]*Param, error) {
+// parseParams handles "parameter N = 1, M = 2;". It adds no module
+// item: the parameters go to pendingParams, which parseModule appends
+// to the module's parameter list.
+func (p *Parser) parseParams() error {
 	local := p.cur().Text == "localparam"
 	p.next()
-	var out []*Param
 	for {
 		name, err := p.expectIdent()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expect("="); err != nil {
-			return nil, err
+			return err
 		}
 		val, err := p.parseExpr()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, &Param{Name: name, Value: val, Local: local})
-		p.pendingParams = append(p.pendingParams, out[len(out)-1])
+		p.pendingParams = append(p.pendingParams, &Param{Name: name, Value: val, Local: local})
 		if !p.accept(",") {
 			break
 		}
 	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p.expect(";")
 }
 
 func (p *Parser) parseDecl() (*Decl, error) {
@@ -395,7 +412,7 @@ func (p *Parser) parseAlways() (*Always, error) {
 			return nil, err
 		}
 	}
-	body, err := p.parseStmt()
+	body, err := nested(p, p.parseStmt)
 	if err != nil {
 		return nil, err
 	}
@@ -496,7 +513,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			if p.atEOF() {
 				return nil, p.errf("missing end")
 			}
-			s, err := p.parseStmt()
+			s, err := nested(p, p.parseStmt)
 			if err != nil {
 				return nil, err
 			}
@@ -515,13 +532,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		then, err := p.parseStmt()
+		then, err := nested(p, p.parseStmt)
 		if err != nil {
 			return nil, err
 		}
 		node := &If{Cond: cond, Then: then, Line: t.Line}
 		if p.accept("else") {
-			els, err := p.parseStmt()
+			els, err := nested(p, p.parseStmt)
 			if err != nil {
 				return nil, err
 			}
@@ -563,7 +580,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 					return nil, err
 				}
 			}
-			body, err := p.parseStmt()
+			body, err := nested(p, p.parseStmt)
 			if err != nil {
 				return nil, err
 			}
@@ -621,7 +638,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		body, err := p.parseStmt()
+		body, err := nested(p, p.parseStmt)
 		if err != nil {
 			return nil, err
 		}
@@ -661,7 +678,7 @@ func (p *Parser) parseLValue() (Expr, error) {
 		t := p.next()
 		c := &ConcatExpr{Line: t.Line}
 		for {
-			e, err := p.parseLValue()
+			e, err := nested(p, p.parseLValue)
 			if err != nil {
 				return nil, err
 			}
@@ -680,27 +697,35 @@ func (p *Parser) parseLValue() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.height = 1
 	return p.parseSelects(&Ident{Name: name, Line: t.Line})
 }
 
-// parseSelects parses the [i] and [m:l] selects that follow e.
+// parseSelects parses the [i] and [m:l] selects that follow e, whose
+// height is p.height.
 func (p *Parser) parseSelects(e Expr) (Expr, error) {
 	for p.cur().Text == "[" {
+		h := p.height
 		line := p.next().Line
-		first, err := p.parseExpr()
+		first, err := nested(p, p.parseExpr)
 		if err != nil {
 			return nil, err
 		}
+		h = max(h, p.height)
 		if p.accept(":") {
-			lsb, err := p.parseExpr()
+			lsb, err := nested(p, p.parseExpr)
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			e = &RangeSel{Base: e, Msb: first, Lsb: lsb, Line: line}
 		} else {
 			e = &Index{Base: e, Idx: first, Line: line}
 		}
 		if err := p.expect("]"); err != nil {
+			return nil, err
+		}
+		if err := p.fits(h + 1); err != nil {
 			return nil, err
 		}
 	}
@@ -723,10 +748,6 @@ var binPrec = map[string]int{
 }
 
 func (p *Parser) parseExpr() (Expr, error) {
-	return p.parseTernary()
-}
-
-func (p *Parser) parseTernary() (Expr, error) {
 	cond, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
@@ -734,18 +755,20 @@ func (p *Parser) parseTernary() (Expr, error) {
 	if !p.accept("?") {
 		return cond, nil
 	}
-	a, err := p.parseTernary()
+	h := p.height
+	a, err := nested(p, p.parseExpr)
 	if err != nil {
 		return nil, err
 	}
+	h = max(h, p.height)
 	if err := p.expect(":"); err != nil {
 		return nil, err
 	}
-	b, err := p.parseTernary()
+	b, err := nested(p, p.parseExpr)
 	if err != nil {
 		return nil, err
 	}
-	return &Ternary{Cond: cond, A: a, B: b}, nil
+	return &Ternary{Cond: cond, A: a, B: b}, p.fits(max(h, p.height) + 1)
 }
 
 func (p *Parser) parseBinary(minPrec int) (Expr, error) {
@@ -762,9 +785,13 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		if !ok || prec < minPrec {
 			return lhs, nil
 		}
+		h := p.height
 		op := p.next().Text
 		rhs, err := p.parseBinary(prec + 1)
 		if err != nil {
+			return nil, err
+		}
+		if err := p.fits(max(h, p.height) + 1); err != nil {
 			return nil, err
 		}
 		lhs = &Binary{Op: op, A: lhs, B: rhs, Line: t.Line}
@@ -777,14 +804,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 		switch t.Text {
 		case "!", "~", "-", "+", "&", "|", "^":
 			p.next()
-			x, err := p.parseUnary()
+			x, err := nested(p, p.parseUnary)
 			if err != nil {
 				return nil, err
 			}
 			if t.Text == "+" {
-				return x, nil
+				return x, p.fits(p.height + 1)
 			}
-			return &Unary{Op: t.Text, X: x, Line: t.Line}, nil
+			return &Unary{Op: t.Text, X: x, Line: t.Line}, p.fits(p.height + 1)
 		}
 	}
 	return p.parsePostfix()
@@ -803,30 +830,31 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch {
 	case t.Kind == TNumber:
 		p.next()
-		return &Num{Text: t.Text, Line: t.Line}, nil
+		return &Num{Text: t.Text, Line: t.Line}, p.fits(1)
 	case t.Kind == TIdent:
 		p.next()
-		return &Ident{Name: t.Text, Line: t.Line}, nil
+		return &Ident{Name: t.Text, Line: t.Line}, p.fits(1)
 	case t.Text == "(":
 		p.next()
-		e, err := p.parseExpr()
+		e, err := nested(p, p.parseExpr)
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		return e, nil
+		return e, p.fits(p.height + 1)
 	case t.Text == "{":
 		p.next()
-		first, err := p.parseExpr()
+		first, err := nested(p, p.parseExpr)
 		if err != nil {
 			return nil, err
 		}
+		h := p.height
 		// Replication {n{x}}?
 		if p.cur().Text == "{" {
 			p.next()
-			x, err := p.parseExpr()
+			x, err := nested(p, p.parseExpr)
 			if err != nil {
 				return nil, err
 			}
@@ -836,20 +864,21 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err := p.expect("}"); err != nil {
 				return nil, err
 			}
-			return &Repl{Count: first, X: x, Line: t.Line}, nil
+			return &Repl{Count: first, X: x, Line: t.Line}, p.fits(max(h, p.height) + 1)
 		}
 		c := &ConcatExpr{Parts: []Expr{first}, Line: t.Line}
 		for p.accept(",") {
-			e, err := p.parseExpr()
+			e, err := nested(p, p.parseExpr)
 			if err != nil {
 				return nil, err
 			}
+			h = max(h, p.height)
 			c.Parts = append(c.Parts, e)
 		}
 		if err := p.expect("}"); err != nil {
 			return nil, err
 		}
-		return c, nil
+		return c, p.fits(h + 1)
 	default:
 		return nil, p.errf("unexpected token in expression")
 	}

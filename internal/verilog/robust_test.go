@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -79,5 +80,48 @@ func TestLexAllNeverPanics(t *testing.T) {
 			}()
 			_, _ = LexAll(string(b))
 		}()
+	}
+}
+
+// TestNestingDepthLimit: every kind of nesting counts toward maxDepth.
+// A source nested a little below the limit parses, and one nested to
+// the limit is an error.
+func TestNestingDepthLimit(t *testing.T) {
+	assign := func(lhs, rhs string) string {
+		return "module m(c, a, o);\n  input c; input [7:0] a; output o;\n  assign " + lhs + " = " + rhs + ";\nendmodule"
+	}
+	always := func(stmt string) string {
+		return "module m(c, o);\n  input c; output reg o;\n  always @(*) " + stmt + "\nendmodule"
+	}
+	nest := func(open, inner, close string, n int) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	kinds := map[string]func(n int) string{
+		"parentheses":   func(n int) string { return assign("o", nest("(", "c", ")", n)) },
+		"unary":         func(n int) string { return assign("o", nest("~", "c", "", n)) },
+		"ternary":       func(n int) string { return assign("o", nest("c ? c : ", "c", "", n)) },
+		"concatenation": func(n int) string { return assign("o", nest("{", "c", "}", n)) },
+		"replication":   func(n int) string { return assign("o", nest("{1{", "c", "}}", n)) },
+		"select":        func(n int) string { return assign("o", nest("a[", "0", "]", n)) },
+		"operator":      func(n int) string { return assign("o", nest("", "c", " ^ c", n)) },
+		"target":        func(n int) string { return assign(nest("{", "o", "}", n), "c") },
+		"else-if":       func(n int) string { return always(nest("if (c) o = c; else ", "o = c;", "", n)) },
+		"block":         func(n int) string { return always(nest("begin ", "o = c;", " end", n)) },
+	}
+	for name, src := range kinds {
+		if _, err := Parse(src(maxDepth - 10)); err != nil {
+			t.Errorf("%s nested %d deep: %v", name, maxDepth-10, err)
+		}
+		if _, err := Parse(src(maxDepth)); err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("%s nested %d deep: error %v, want the nesting limit", name, maxDepth, err)
+		}
+	}
+	// 10^6 parentheses around one identifier, a 2,000,064-byte source,
+	// once overflowed the parser's stack, which no recover can catch.
+	const n = 1000000
+	src := "module m(clk, o);\ninput clk;\noutput o;\nassign o = " +
+		strings.Repeat("(", n) + "clk" + strings.Repeat(")", n) + ";\nendmodule"
+	if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+		t.Errorf("%d-byte source nested %d deep: error %v, want the nesting limit", len(src), n, err)
 	}
 }
