@@ -141,6 +141,8 @@ type scope struct {
 	mems   map[string]*memInfo
 	// consts carries loop-variable values while unrolling for loops.
 	consts map[string]uint64
+	// widths memoizes natWidth under the current loop bindings.
+	widths map[verilog.Expr]int
 	// seqAlways lists edge-triggered blocks; combAlways the @(*) ones.
 	seqAlways  []*verilog.Always
 	alwaysDone map[*verilog.Always]bool
@@ -162,6 +164,7 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 		mod: mod, prefix: prefix,
 		params: map[string]uint64{}, nets: map[string]*netInfo{},
 		mems: map[string]*memInfo{}, consts: map[string]uint64{},
+		widths:     map[verilog.Expr]int{},
 		alwaysDone: map[*verilog.Always]bool{},
 		outputs:    map[string]bool{}, inputs: map[string]bool{},
 		parentConn: parentConns,
@@ -200,7 +203,7 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 			if err != nil {
 				return nil, e.errf(sc, d.Line, "bad range lsb: %v", err)
 			}
-			if lsb != 0 || msb > 512 {
+			if lsb != 0 || msb >= maxWidth {
 				return nil, e.errf(sc, d.Line, "unsupported range [%d:%d]", msb, lsb)
 			}
 			w = int(msb) + 1

@@ -1,6 +1,7 @@
 package elab
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bv"
@@ -582,5 +583,54 @@ endmodule
 		if n2, _ := s.GetName("n2"); n2.String() != "1'b1" {
 			t.Errorf("n1=%d: n2 = %v, want 1'b1", a, n2)
 		}
+	}
+}
+
+// TestLoopBoundWidths: a select whose width follows the loop variable
+// is sized afresh in every iteration. With a[2*i-1:i] sized as in the
+// first iteration (1 bit), y would count 3 zero slices for a =
+// 8'b00001000; their true widths (1, 2 and 3 bits) leave one.
+func TestLoopBoundWidths(t *testing.T) {
+	nl := mustElab(t, `
+module w(a, y);
+  input [7:0] a;
+  output reg [7:0] y;
+  integer i;
+  always @(*) begin
+    y = 8'd0;
+    for (i = 1; i < 4; i = i + 1)
+      y = y + (a[2*i-1:i] == 0);
+  end
+endmodule
+`, "w")
+	s := mustSim(t, nl)
+	s.SetInputName("a", bv.MustParse("8'b00001000"))
+	s.Eval()
+	if y, _ := s.GetName("y"); y.String() != "8'b00000001" {
+		t.Errorf("y = %v, want 1: one zero slice", y)
+	}
+}
+
+// TestOperatorChainElaboratesInLinearTime: each operand width is
+// computed once, so elaborating a left-deep chain of sized literals
+// parses each literal a fixed number of times. Recomputing the width
+// of every subtree at every level made the work, and the allocations
+// of those parses, grow with the square of the chain's length.
+func TestOperatorChainElaboratesInLinearTime(t *testing.T) {
+	allocs := func(n int) float64 {
+		src := "module m(o);\n  output [7:0] o;\n  assign o = 8'd1" + strings.Repeat(" ^ 8'd1", n-1) + ";\nendmodule"
+		ast, err := verilog.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Elaborate(ast, "m", nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(200), allocs(400)
+	if long > 2.5*short {
+		t.Errorf("a chain of 400 literals makes %.0f allocations, one of 200 %.0f: more than 2.5x", long, short)
 	}
 }

@@ -1,6 +1,7 @@
 package elab
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -184,5 +185,49 @@ func TestErrorsDoNotPanic(t *testing.T) {
 				t.Errorf("error %q on %q does not start with elab:", err, src)
 			}
 		}()
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWideValuesFailBeforeTheyAreBuilt: a replication count is checked
+// before it multiplies a width, and a literal, concatenation,
+// replication or assignment target wider than maxWidth is an error
+// before anything that wide is allocated.
+func TestWideValuesFailBeforeTheyAreBuilt(t *testing.T) {
+	m := func(items string) string {
+		return "module m(a, o);\n  input a; output o;\n  " + items + "\nendmodule"
+	}
+	cases := []struct{ src, want string }{
+		{m(`assign o = 0 == {1<<26{a}};`), "bad replication count"},
+		{m(`wire [7:0] w; assign w = {64{{512{{512{a}}}}}}; assign o = w[0];`), "wider than 513 bits"},
+		{m(`assign o = 0 == {64{{512{{512{a}}}}}};`), "wider than 513 bits"},
+		{m(`assign o = 0 == {{1<<20{a}}, a};`), "bad replication count"},
+		{m(`assign o = 1000000000'd0 == 0;`), "wider than 513 bits"},
+		{m(`parameter P = 1000000000'd0; assign o = P;`), "wider than 513 bits"},
+		{m(`wire [511:0] w; assign w = 0; assign o = {w, w} == 0;`), "wider than 513 bits"},
+		{m(`wire [511:0] w; assign w = 0; assign o = ^{w, w};`), "wider than 513 bits"},
+		{m(`wire [511:0] w, v; assign {w, v} = 0; assign o = w[0];`), "wider than 513 bits"},
+	}
+	for _, tc := range cases {
+		ast, err := verilog.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.src, err)
+		}
+		var eerr error
+		bytes := allocated(func() { _, eerr = Elaborate(ast, "m", nil) })
+		if eerr == nil || !strings.HasPrefix(eerr.Error(), "elab: ") || !strings.Contains(eerr.Error(), tc.want) {
+			t.Errorf("%q: error %v, want an elab: error naming %q", tc.src, eerr, tc.want)
+		}
+		if bytes > 1<<20 {
+			t.Errorf("%q: allocated %d bytes before failing", tc.src, bytes)
+		}
 	}
 }

@@ -2,18 +2,55 @@ package elab
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/bv"
 	"repro/internal/netlist"
 	"repro/internal/verilog"
 )
 
+// maxWidth caps every width: a declared range spans at most maxWidth
+// bits, and a wider literal, concatenation, replication or assignment
+// target is an error.
+const maxWidth = 513
+
+// fitWidth checks a width against maxWidth.
+func (e *elaborator) fitWidth(sc *scope, line, w int) error {
+	if w > maxWidth {
+		return e.errf(sc, line, "expression wider than %d bits", maxWidth)
+	}
+	return nil
+}
+
+// literal parses a number, refusing a sized literal wider than
+// maxWidth before its value is allocated.
+func (e *elaborator) literal(sc *scope, v *verilog.Num) (bv.BV, error) {
+	width, _, sized := strings.Cut(v.Text, "'")
+	if w, err := strconv.Atoi(width); sized && err == nil && w > maxWidth {
+		return bv.BV{}, e.fitWidth(sc, v.Line, w)
+	}
+	return bv.ParseVerilog(v.Text)
+}
+
+// replCount evaluates a replication's count, 1 to 512.
+func (e *elaborator) replCount(sc *scope, v *verilog.Repl) (int, error) {
+	cnt, err := e.constEval(sc, v.Count)
+	if err != nil {
+		return 0, err
+	}
+	if cnt == 0 || cnt > 512 {
+		return 0, fmt.Errorf("elab: bad replication count %d", cnt)
+	}
+	return int(cnt), nil
+}
+
 // constEval evaluates a constant expression (parameters, loop
 // variables, literals and operators over them) to a uint64.
 func (e *elaborator) constEval(sc *scope, ex verilog.Expr) (uint64, error) {
 	switch v := ex.(type) {
 	case *verilog.Num:
-		b, err := bv.ParseVerilog(v.Text)
+		b, err := e.literal(sc, v)
 		if err != nil {
 			return 0, err
 		}
@@ -155,7 +192,7 @@ func b2u(b bool) uint64 {
 // initial values and casez labels).
 func (e *elaborator) constEvalBV(sc *scope, ex verilog.Expr, width int) (bv.BV, error) {
 	if num, ok := ex.(*verilog.Num); ok {
-		b, err := bv.ParseVerilog(num.Text)
+		b, err := e.literal(sc, num)
 		if err != nil {
 			return bv.BV{}, err
 		}
@@ -176,10 +213,20 @@ func (e *elaborator) constEvalBV(sc *scope, ex verilog.Expr, width int) (bv.BV, 
 
 // natWidth computes the self-determined width of an expression; 0 means
 // "flexible" (unsized literal or parameter), which adapts to context.
-func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (int, error) {
+// Elaborating an operator asks for its operands' widths, so sc.widths
+// keeps each width: an operator chain then elaborates in linear time.
+func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (w int, err error) {
+	if w, ok := sc.widths[ex]; ok {
+		return w, nil
+	}
+	defer func() {
+		if err == nil {
+			sc.widths[ex] = w
+		}
+	}()
 	switch v := ex.(type) {
 	case *verilog.Num:
-		b, err := bv.ParseVerilog(v.Text)
+		b, err := e.literal(sc, v)
 		if err != nil {
 			return 0, err
 		}
@@ -240,7 +287,7 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			return maxInt(wa, wb), nil
+			return max(wa, wb), nil
 		}
 	case *verilog.Ternary:
 		wa, err := e.natWidth(sc, v.A)
@@ -251,7 +298,7 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		return maxInt(wa, wb), nil
+		return max(wa, wb), nil
 	case *verilog.ConcatExpr:
 		w := 0
 		for _, p := range v.Parts {
@@ -264,9 +311,9 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (int, error) {
 			}
 			w += pw
 		}
-		return w, nil
+		return w, e.fitWidth(sc, v.Line, w)
 	case *verilog.Repl:
-		cnt, err := e.constEval(sc, v.Count)
+		cnt, err := e.replCount(sc, v)
 		if err != nil {
 			return 0, err
 		}
@@ -277,26 +324,12 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (int, error) {
 		if xw == 0 {
 			xw = 32
 		}
-		return int(cnt) * xw, nil
+		return cnt * xw, e.fitWidth(sc, v.Line, cnt*xw)
 	}
 	return 0, fmt.Errorf("unsupported expression")
 }
 
-func hasExplicitWidth(text string) bool {
-	for i := 0; i < len(text); i++ {
-		if text[i] == '\'' {
-			return i > 0
-		}
-	}
-	return false
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
+func hasExplicitWidth(text string) bool { return strings.IndexByte(text, '\'') > 0 }
 
 // elabExpr builds gates for an expression. ctxWidth (0 = none) is the
 // context width pushed down into arithmetic/bitwise operands, matching
@@ -311,7 +344,7 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 	nl := e.nl
 	switch v := ex.(type) {
 	case *verilog.Num:
-		b, err := bv.ParseVerilog(v.Text)
+		b, err := e.literal(sc, v)
 		if err != nil {
 			return 0, err
 		}
@@ -434,7 +467,7 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 		if err != nil {
 			return 0, err
 		}
-		w := maxInt(maxInt(wa, wb), ctxWidth)
+		w := max(wa, wb, ctxWidth)
 		if w == 0 {
 			w = 32
 		}
@@ -457,14 +490,12 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 			}
 			parts = append(parts, ps)
 		}
-		return nl.Concat(parts...), nil
+		sig := nl.Concat(parts...)
+		return sig, e.fitWidth(sc, v.Line, nl.Width(sig))
 	case *verilog.Repl:
-		cnt, err := e.constEval(sc, v.Count)
+		cnt, err := e.replCount(sc, v)
 		if err != nil {
 			return 0, err
-		}
-		if cnt == 0 || cnt > 512 {
-			return 0, fmt.Errorf("elab: bad replication count %d", cnt)
 		}
 		x, err := e.elabExprEnv(sc, env, v.X, 0)
 		if err != nil {
@@ -474,7 +505,8 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 		for i := range parts {
 			parts[i] = x
 		}
-		return nl.Concat(parts...), nil
+		sig := nl.Concat(parts...)
+		return sig, e.fitWidth(sc, v.Line, nl.Width(sig))
 	}
 	return 0, fmt.Errorf("elab: unsupported expression")
 }
@@ -505,7 +537,7 @@ func (e *elaborator) elabBinary(sc *scope, env *procEnv, v *verilog.Binary, ctxW
 		if err != nil {
 			return 0, err
 		}
-		w := maxInt(wa, wb)
+		w := max(wa, wb)
 		if w == 0 {
 			w = 32
 		}
@@ -557,7 +589,7 @@ func (e *elaborator) elabBinary(sc *scope, env *procEnv, v *verilog.Binary, ctxW
 		if err != nil {
 			return 0, err
 		}
-		w := maxInt(maxInt(wa, wb), ctxWidth)
+		w := max(wa, wb, ctxWidth)
 		if w == 0 {
 			w = 32
 		}

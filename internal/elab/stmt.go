@@ -304,7 +304,7 @@ func (e *elaborator) targets(sc *scope, lv verilog.Expr, line int) ([]target, in
 	if err := walk(lv); err != nil {
 		return nil, 0, err
 	}
-	return pieces, total, nil
+	return pieces, total, e.fitWidth(sc, line, total)
 }
 
 // execAssign executes a procedural assignment: the right-hand side,
@@ -386,6 +386,7 @@ func (e *elaborator) unrollFor(sc *scope, f *verilog.For, body func(verilog.Stmt
 	if err != nil {
 		return e.errf(sc, f.Line, "for-loop step must be constant: %v", err)
 	}
+	// Widths may depend on the loop variable: clear them at each binding.
 	saved, had := sc.consts[f.Var]
 	defer func() {
 		if had {
@@ -393,6 +394,7 @@ func (e *elaborator) unrollFor(sc *scope, f *verilog.For, body func(verilog.Stmt
 		} else {
 			delete(sc.consts, f.Var)
 		}
+		clear(sc.widths)
 	}()
 	i := init
 	for iter := 0; ; iter++ {
@@ -400,6 +402,7 @@ func (e *elaborator) unrollFor(sc *scope, f *verilog.For, body func(verilog.Stmt
 			return e.errf(sc, f.Line, "for loop exceeds 4096 iterations")
 		}
 		sc.consts[f.Var] = i
+		clear(sc.widths)
 		cond, err := e.constEval(sc, f.Cond)
 		if err != nil {
 			return e.errf(sc, f.Line, "for-loop condition must be constant: %v", err)
