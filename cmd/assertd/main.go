@@ -96,7 +96,7 @@ func main() {
 		cacheDesigns  = flag.Int("cache-designs", 0, "compiled-design cache entries (0 = 64, negative = unbounded)")
 		cacheVerdicts = flag.Int("cache-verdicts", 0, "cone-keyed verdict cache entries (0 = 4096, negative = disabled)")
 		faults        = flag.Bool("faults", false, "enable the X-Fault-Inject header (degradation testing only)")
-		faultsSpec    = flag.String("faults-spec", "", "arm a process-global fault rule set, e.g. 'persist.write=short-write:16' (degradation testing only)")
+		faultsSpec    = flag.String("faults-spec", "", "arm a process-global fault rule set, e.g. 'persist.write=error' (degradation testing only)")
 		stateDir      = flag.String("state-dir", "", "directory for crash-safe durable state (empty = stateless)")
 		stateInterval = flag.Duration("state-interval", 0, "periodic state flush cadence (0 = 30s)")
 		versionTag    = flag.String("version-tag", "dev", "build version reported on /healthz")

@@ -25,10 +25,10 @@
 // all apply that one rule. A replica killed mid-batch costs its shard a
 // failover, so no property is lost and none is answered twice.
 //
-// The internal/faultinject route.dial and route.response points (modes
-// refuse / reset-mid-body / sleep) fire inside the router's dispatch
-// path, making all of the above testable without a real network
-// partition.
+// The internal/faultinject route.dial and route.response points fire
+// inside the router's dispatch path: an injected error there is a
+// failed dial or a failed body read, which the router fails over like
+// any other, so failover is testable without a real network partition.
 package cluster
 
 import (
@@ -533,9 +533,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // 5xx. The faultinject route.dial and route.response points fire here.
 func (rt *Router) attempt(ctx context.Context, base *service.CheckRequest, shard []propRef, rep *replica) ([]core.JSONRecord, bool, error) {
 	if err := faultinject.Fire(ctx, faultinject.PointRouteDial); err != nil {
-		// An injected refuse models connect() failing: nothing was
-		// sent, the breaker records a hard failure, the shard is free
-		// to go elsewhere.
+		// A failed dial: nothing was sent, the breaker records a hard
+		// failure, the shard is free to go elsewhere.
 		rep.brk.Record(false)
 		return nil, false, fmt.Errorf("dial %s: %w", rep.url, err)
 	}
@@ -566,18 +565,10 @@ func (rt *Router) attempt(ctx context.Context, base *service.CheckRequest, shard
 
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if err := faultinject.Fire(ctx, faultinject.PointRouteResponse); err != nil {
-			var reset *faultinject.ResetError
-			if errors.As(err, &reset) {
-				// Model a connection reset mid-body: consume a little,
-				// then abandon the truncated read. The bytes received
-				// so far are useless — the shard must be re-fetched.
-				_, _ = io.CopyN(io.Discard, resp.Body, 64)
-			}
-			rep.brk.Record(false)
-			return nil, false, fmt.Errorf("read %s: %w", rep.url, err)
-		}
 		data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
+		if err == nil {
+			err = faultinject.Fire(ctx, faultinject.PointRouteResponse)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				rep.brk.Release()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -461,10 +462,10 @@ func TestRouterMarksFailingReplicaDownAndRecovers(t *testing.T) {
 	}
 }
 
-// TestRouterRouteFaultInjection drives the network-shaped faultinject
-// points through the router's own HTTP front end: budgeted dial
-// refusals and mid-body resets recover transparently, an unbounded
-// refusal surfaces as a routing error.
+// TestRouterRouteFaultInjection drives the router's faultinject points
+// through its own HTTP front end: one failed dial and one failed
+// response read recover transparently, and dials that always fail
+// surface as a routing error.
 func TestRouterRouteFaultInjection(t *testing.T) {
 	want := normalizeElapsed(encodeRecords(t, referenceRecords(t)))
 	_, _, urls := newFleet(t, 2, nil)
@@ -498,36 +499,81 @@ func TestRouterRouteFaultInjection(t *testing.T) {
 		return resp, data
 	}
 
-	// One refused dial: the shard retries elsewhere, the client never
-	// notices.
-	resp, data := post("route.dial=refuse:1", clusterReq())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("refuse:1 status %d: %s", resp.StatusCode, data)
-	}
-	if got := normalizeElapsed(data); got != want {
-		t.Fatal("refuse:1 response differs from single-node run")
-	}
-
-	// One response reset mid-body: the truncated shard is re-fetched.
-	resp, data = post("route.response=reset-mid-body:1", clusterReq())
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reset:1 status %d: %s", resp.StatusCode, data)
-	}
-	if got := normalizeElapsed(data); got != want {
-		t.Fatal("reset:1 response differs from single-node run")
+	// One failed dial, then one failed response read: each shard
+	// retries elsewhere, the client never notices.
+	for _, spec := range []string{"route.dial=error:1", "route.response=error:1"} {
+		resp, data := post(spec, clusterReq())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d: %s", spec, resp.StatusCode, data)
+		}
+		if got := normalizeElapsed(data); got != want {
+			t.Fatalf("%s response differs from single-node run", spec)
+		}
 	}
 
-	// Every dial refused: no replica is reachable, the router must say
+	// Every dial fails: no replica is reachable, the router must say
 	// so rather than hang or lie.
 	small := clusterReq()
 	small.Invariants = []string{"tok_onehot"}
 	small.Witnesses = nil
-	resp, data = post("route.dial=refuse", small)
+	resp, data := post("route.dial=error", small)
 	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("unbounded refuse status %d (%s), want 502", resp.StatusCode, data)
+		t.Fatalf("unbounded dial error status %d (%s), want 502", resp.StatusCode, data)
 	}
 	if !strings.Contains(string(data), "routing failed") {
-		t.Fatalf("unbounded refuse body %q lacks routing error", data)
+		t.Fatalf("unbounded dial error body %q lacks routing error", data)
+	}
+}
+
+// TestRouterFailsOverFromTruncatedBody: a replica whose 200 announces
+// its length and then loses the connection mid-body costs its shard a
+// failover, and the merged answer still matches a single node.
+func TestRouterFailsOverFromTruncatedBody(t *testing.T) {
+	want := normalizeElapsed(encodeRecords(t, referenceRecords(t)))
+	var cut atomic.Bool
+	wrap := func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/check" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			if rec.Code != http.StatusOK || !cut.CompareAndSwap(false, true) {
+				for k, v := range rec.Header() {
+					w.Header()[k] = v
+				}
+				w.WriteHeader(rec.Code)
+				_, _ = w.Write(rec.Body.Bytes())
+				return
+			}
+			body := rec.Body.Bytes()
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(body[:len(body)/2])
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("hijack: %v", err)
+				return
+			}
+			conn.Close()
+		})
+	}
+	_, _, urls := newFleet(t, 2, wrap)
+	rt := newTestRouter(t, urls, nil)
+
+	recs, _, err := rt.Check(context.Background(), clusterReq())
+	if err != nil {
+		t.Fatalf("check: %v", err)
+	}
+	if !cut.Load() {
+		t.Fatal("no replica answered 200, so no body was cut")
+	}
+	if got := normalizeElapsed(encodeRecords(t, recs)); got != want {
+		t.Fatal("response after a truncated body differs from single-node run")
+	}
+	if rt.failovers.Load() == 0 {
+		t.Fatal("truncated body cost no failover")
 	}
 }
 

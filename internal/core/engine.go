@@ -104,7 +104,7 @@ func metricsFromATPG(st atpg.Stats) EngineMetrics {
 // check loop. Inactive injection costs one atomic load; an armed
 // error-mode rule produces the attributed error record the degrade
 // suite asserts on (panic mode unwinds into safeCheck's recover, and
-// hang/sleep modes return nil so the engine's own ctx handling runs).
+// sleep mode returns nil so the engine's own ctx handling runs).
 func engineFault(ctx context.Context, point, engine string, prob Problem) (EngineResult, bool) {
 	if err := faultinject.Fire(ctx, point); err != nil {
 		return Result{Property: prob.Prop.Name, Verdict: VerdictError,

@@ -1,10 +1,16 @@
 // Package faultinject provides named failure points for the serving
 // stack's degradation tests: compile, session setup, each engine's
-// check loop and response encoding can be made to fail (error, panic,
-// hang-until-cancel or sleep) on demand, so the test suite and the CI
-// degrade-smoke job can prove every failure surfaces as a structured
-// error — an attributed error record, a 4xx/5xx body or an
-// unknown-verdict record — never a crash, hang or goroutine leak.
+// check loop, response encoding, the router's dispatch and the
+// snapshot write can be made to fail (error or panic) or to stall
+// (sleep) on demand, so the test suite and the CI smoke jobs can prove
+// every failure surfaces as a structured error — an attributed error
+// record, a 4xx/5xx body, an unknown-verdict record or a logged failed
+// flush — never a crash, hang or goroutine leak.
+//
+// A point only fails: the code under test handles an injected error
+// exactly as a real error from the same call, and acts out no failure
+// of its own. Damage that only the outside world can do (a truncated
+// body, a torn file) is done from outside, by the tests.
 //
 // Injection is off by default and costs one atomic load per Fire call
 // until Activate is called (assertd's -faults flag, or a test). Once
@@ -32,21 +38,15 @@ const (
 	PointEngineBDD  = "engine.bdd"  // BDD engine check loop
 	PointEncode     = "encode"      // response record encoding
 
-	// The network-shaped points the cluster router exposes: the dial
-	// side of a sub-request to a replica, and the response body read
-	// coming back. Together with the refuse/reset modes they make
-	// connection-refused and connection-reset-mid-body failures
-	// injectable without a real network partition.
+	// The cluster router's points: the dial side of a sub-request to a
+	// replica, and the response body read coming back. An error at
+	// either is a failed attempt, which the router fails over.
 	PointRouteDial     = "route.dial"     // sub-request dispatch to a replica
 	PointRouteResponse = "route.response" // replica response body read
 
-	// The disk-shaped points the persist snapshot store exposes: the
-	// atomic snapshot write and the snapshot read-back. Together with
-	// the short-write/corrupt modes they make torn files and bit rot
-	// injectable, so the recovery paths (quarantine + cold start) are
-	// testable without pulling power mid-fsync.
+	// The snapshot store's point: an error at the snapshot write is a
+	// failed flush, which leaves the previous snapshot in place.
 	PointPersistWrite = "persist.write" // snapshot file write
-	PointPersistRead  = "persist.read"  // snapshot file read-back
 )
 
 // Points lists every named failure point (the degrade test matrix).
@@ -55,54 +55,30 @@ var Points = []string{
 	PointEngineATPG, PointEngineBMC, PointEngineBDD,
 	PointEncode,
 	PointRouteDial, PointRouteResponse,
-	PointPersistWrite, PointPersistRead,
+	PointPersistWrite,
 }
 
 // Mode is what an armed point does when fired.
 type Mode uint8
 
 const (
-	// ModeError makes Fire return an injected error.
+	// ModeError makes Fire return an InjectedError.
 	ModeError Mode = iota
 	// ModePanic makes Fire panic (exercising recover paths).
 	ModePanic
-	// ModeHang blocks Fire until the context is cancelled, then
-	// returns nil — the check proceeds and observes the expired
-	// context itself (deadline expiry → unknown verdicts).
-	ModeHang
 	// ModeSleep blocks Fire for the rule's duration (or until the
-	// context is cancelled), then returns nil — simulated slowness.
+	// context is cancelled), then returns nil — simulated slowness, or
+	// with a long duration a stuck check that only its deadline ends.
 	ModeSleep
-	// ModeRefuse makes Fire return a RefusedError — the network-shaped
-	// "connection refused" failure the router's dial point maps onto a
-	// dispatch failure (nothing was sent, safe to retry elsewhere).
-	ModeRefuse
-	// ModeReset makes Fire return a ResetError — the network-shaped
-	// "connection reset mid-body" failure the router's response point
-	// turns into a truncated read (bytes were received, then the peer
-	// vanished).
-	ModeReset
-	// ModeShortWrite makes Fire return a ShortWriteError carrying a
-	// byte count — the disk-shaped "process died mid-write" failure the
-	// persist store turns into a file truncated at N bytes, exactly the
-	// artifact a SIGKILL between write() and fsync leaves behind.
-	ModeShortWrite
-	// ModeCorrupt makes Fire return a CorruptError — the disk-shaped
-	// "bit rot" failure the persist store turns into a flipped byte in
-	// the data it just read, which the CRC layer must catch.
-	ModeCorrupt
 )
 
 type rule struct {
 	mode Mode
 	d    time.Duration
-	// n is the byte count of a short-write rule: the write is truncated
-	// after n bytes of the encoded snapshot.
-	n int
-	// remaining bounds how many times the rule fires (nil = unlimited).
-	// A bounded rule — "refuse:2" — injects the fault on the first N
-	// Fires and then stands down, which is how the tests prove recovery:
-	// the first attempt fails, the retry succeeds.
+	// remaining bounds how many times an error rule fires (nil =
+	// unlimited). A bounded rule — "error:2" — injects the fault on the
+	// first N Fires and then stands down, which is how the tests prove
+	// recovery: the first attempt fails, the retry succeeds.
 	remaining *atomic.Int64
 }
 
@@ -115,14 +91,14 @@ type Set struct {
 
 // Parse builds a Set from a spec like
 //
-//	"engine.atpg=panic,compile=error,engine.bmc=sleep:50ms,route.dial=refuse:2"
+//	"engine.atpg=panic,compile=error,engine.bmc=sleep:50ms,route.dial=error:2"
 //
-// Grammar: comma-separated point=mode items; mode is one of error,
-// panic, hang, sleep:DURATION, refuse, reset (alias reset-mid-body).
-// refuse and reset take an optional :N budget — the rule fires on the
-// first N matching Fires, then disarms, so a spec can model a replica
-// that refuses twice and then recovers. Unknown points and modes are
-// errors so a typo in a test or an ops command fails loudly.
+// Grammar: comma-separated point=mode items; mode is one of error[:N],
+// panic or sleep:DURATION. error takes an optional :N budget — the
+// rule fires on the first N matching Fires, then disarms, so a spec
+// can model a replica that fails twice and then recovers. Unknown
+// points and modes are errors so a typo in a test or an ops command
+// fails loudly.
 func Parse(spec string) (*Set, error) {
 	s := &Set{rules: map[string]rule{}}
 	for _, item := range strings.Split(spec, ",") {
@@ -139,53 +115,29 @@ func Parse(spec string) (*Set, error) {
 				point, strings.Join(Points, ", "))
 		}
 		var r rule
-		modeName, arg, _ := strings.Cut(modeStr, ":")
-		switch modeName {
-		case "error":
+		modeName, arg, hasArg := strings.Cut(modeStr, ":")
+		switch {
+		case modeName == "error":
 			r.mode = ModeError
-		case "panic":
+			if hasArg {
+				n, err := strconv.ParseInt(arg, 10, 64)
+				if err != nil || n < 1 {
+					return nil, fmt.Errorf("faultinject: error budget %q: want a positive integer", arg)
+				}
+				r.remaining = &atomic.Int64{}
+				r.remaining.Store(n)
+			}
+		case modeName == "panic" && !hasArg:
 			r.mode = ModePanic
-		case "hang":
-			r.mode = ModeHang
-		case "sleep":
+		case modeName == "sleep":
 			r.mode = ModeSleep
 			d, err := time.ParseDuration(arg)
 			if err != nil {
 				return nil, fmt.Errorf("faultinject: sleep duration %q: %v", arg, err)
 			}
 			r.d = d
-		case "refuse", "reset", "reset-mid-body":
-			r.mode = ModeRefuse
-			if modeName != "refuse" {
-				r.mode = ModeReset
-			}
-			if arg != "" {
-				n, err := strconv.ParseInt(arg, 10, 64)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("faultinject: %s budget %q: want a positive integer", modeName, arg)
-				}
-				r.remaining = &atomic.Int64{}
-				r.remaining.Store(n)
-			}
-		case "short-write":
-			r.mode = ModeShortWrite
-			n, err := strconv.Atoi(arg)
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("faultinject: short-write byte count %q: want a non-negative integer", arg)
-			}
-			r.n = n
-		case "corrupt":
-			r.mode = ModeCorrupt
-			if arg != "" {
-				n, err := strconv.ParseInt(arg, 10, 64)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("faultinject: corrupt budget %q: want a positive integer", arg)
-				}
-				r.remaining = &atomic.Int64{}
-				r.remaining.Store(n)
-			}
 		default:
-			return nil, fmt.Errorf("faultinject: unknown mode %q (error|panic|hang|sleep:D|refuse[:N]|reset[:N]|short-write:BYTES|corrupt[:N])", modeStr)
+			return nil, fmt.Errorf("faultinject: unknown mode %q (error[:N]|panic|sleep:D)", modeStr)
 		}
 		s.rules[point] = r
 	}
@@ -230,64 +182,20 @@ func WithSet(ctx context.Context, s *Set) context.Context {
 	return context.WithValue(ctx, ctxKey{}, s)
 }
 
-// InjectedError is the error type Fire returns in ModeError, carrying
-// the point name for attribution.
+// InjectedError is the error Fire returns in ModeError, carrying the
+// point name for attribution.
 type InjectedError struct{ Point string }
 
 func (e *InjectedError) Error() string {
 	return fmt.Sprintf("injected fault at %s", e.Point)
 }
 
-// RefusedError is the error Fire returns in ModeRefuse: the caller
-// should behave as if the connection was refused before anything was
-// sent (for the router: the sub-request never reached the replica and
-// is safe to retry elsewhere).
-type RefusedError struct{ Point string }
-
-func (e *RefusedError) Error() string {
-	return fmt.Sprintf("injected connection refused at %s", e.Point)
-}
-
-// ResetError is the error Fire returns in ModeReset: the caller should
-// behave as if the peer reset the connection mid-body (for the router:
-// a truncated response that must be discarded and re-fetched).
-type ResetError struct{ Point string }
-
-func (e *ResetError) Error() string {
-	return fmt.Sprintf("injected connection reset at %s", e.Point)
-}
-
-// ShortWriteError is the error Fire returns in ModeShortWrite: the
-// caller should behave as if the process died after writing the first
-// N bytes — for the persist store, truncate the encoded snapshot at N
-// bytes so the torn file a crash leaves behind lands on disk
-// deterministically.
-type ShortWriteError struct {
-	Point string
-	N     int
-}
-
-func (e *ShortWriteError) Error() string {
-	return fmt.Sprintf("injected short write at %s (%d bytes)", e.Point, e.N)
-}
-
-// CorruptError is the error Fire returns in ModeCorrupt: the caller
-// should behave as if the bytes it just read rotted on disk — for the
-// persist store, flip a byte before validation so the CRC layer is
-// exercised.
-type CorruptError struct{ Point string }
-
-func (e *CorruptError) Error() string {
-	return fmt.Sprintf("injected corruption at %s", e.Point)
-}
-
 // Fire triggers the named point: it returns nil instantly when
 // injection is inactive or the point is unarmed; otherwise it applies
-// the armed rule (error / panic / hang / sleep / refuse / reset /
-// short-write / corrupt).
-// Hang and sleep honor ctx cancellation and return nil so the caller's
-// own cancellation handling runs. A budget-bounded rule (refuse:N /
-// reset:N) stops firing once its budget is spent.
+// the armed rule (error / panic / sleep). Sleep honors ctx
+// cancellation and returns nil so the caller's own cancellation
+// handling runs. A budgeted error rule (error:N) stops firing once its
+// budget is spent.
 func Fire(ctx context.Context, point string) error {
 	if !active.Load() {
 		return nil
@@ -296,17 +204,14 @@ func Fire(ctx context.Context, point string) error {
 	if !ok {
 		return nil
 	}
-	if r.remaining != nil && r.remaining.Add(-1) < 0 {
-		return nil
-	}
 	switch r.mode {
 	case ModeError:
+		if r.remaining != nil && r.remaining.Add(-1) < 0 {
+			return nil
+		}
 		return &InjectedError{Point: point}
 	case ModePanic:
 		panic(fmt.Sprintf("injected panic at %s", point))
-	case ModeHang:
-		<-ctx.Done()
-		return nil
 	case ModeSleep:
 		t := time.NewTimer(r.d)
 		defer t.Stop()
@@ -314,15 +219,6 @@ func Fire(ctx context.Context, point string) error {
 		case <-t.C:
 		case <-ctx.Done():
 		}
-		return nil
-	case ModeRefuse:
-		return &RefusedError{Point: point}
-	case ModeReset:
-		return &ResetError{Point: point}
-	case ModeShortWrite:
-		return &ShortWriteError{Point: point, N: r.n}
-	case ModeCorrupt:
-		return &CorruptError{Point: point}
 	}
 	return nil
 }

@@ -14,6 +14,16 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"compile=explode",
 		"engine.atpg=sleep:xyz",
 		"compile",
+		// Modes and points that no longer exist.
+		"engine.atpg=hang",
+		"route.dial=refuse",
+		"route.dial=refuse:1",
+		"route.response=reset",
+		"persist.write=corrupt",
+		"persist.read=error",
+		// Budgets belong to error alone.
+		"compile=panic:1",
+		"compile=error:",
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
@@ -22,7 +32,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestParseAcceptsMatrix(t *testing.T) {
-	s, err := Parse("compile=error, session=panic,engine.atpg=hang,encode=sleep:5ms")
+	s, err := Parse("compile=error, session=panic,engine.atpg=sleep:1h,encode=sleep:5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +55,7 @@ func TestFireInactiveIsNil(t *testing.T) {
 
 func TestFireModes(t *testing.T) {
 	Activate()
-	s, err := Parse("compile=error,session=panic,engine.bmc=sleep:1ms,engine.bdd=hang")
+	s, err := Parse("compile=error,session=panic,engine.bmc=sleep:1ms,engine.bdd=sleep:1h")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,49 +84,29 @@ func TestFireModes(t *testing.T) {
 	if err := Fire(ctx, PointEngineBMC); err != nil {
 		t.Errorf("sleep mode returned %v", err)
 	}
-	// Hang mode blocks until cancellation, then returns nil.
+	// A long sleep blocks until cancellation, then returns nil.
 	hctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	if err := Fire(hctx, PointEngineBDD); err != nil {
-		t.Errorf("hang mode returned %v", err)
+		t.Errorf("cancelled sleep returned %v", err)
 	}
 	if time.Since(start) < 15*time.Millisecond {
-		t.Error("hang mode returned before cancellation")
-	}
-}
-
-func TestRouteModes(t *testing.T) {
-	Activate()
-	s, err := Parse("route.dial=refuse,route.response=reset-mid-body")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := WithSet(context.Background(), s)
-	var ref *RefusedError
-	if err := Fire(ctx, PointRouteDial); !errors.As(err, &ref) || ref.Point != PointRouteDial {
-		t.Errorf("refuse mode returned %v", err)
-	}
-	var rst *ResetError
-	if err := Fire(ctx, PointRouteResponse); !errors.As(err, &rst) || rst.Point != PointRouteResponse {
-		t.Errorf("reset mode returned %v", err)
-	}
-	// "reset" is an accepted alias for "reset-mid-body".
-	if _, err := Parse("route.response=reset"); err != nil {
-		t.Errorf("reset alias rejected: %v", err)
+		t.Error("sleep:1h returned before cancellation")
 	}
 }
 
 func TestBudgetedRuleDisarms(t *testing.T) {
 	Activate()
-	s, err := Parse("route.dial=refuse:2")
+	s, err := Parse("route.dial=error:2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := WithSet(context.Background(), s)
 	for i := 0; i < 2; i++ {
-		if err := Fire(ctx, PointRouteDial); err == nil {
-			t.Fatalf("fire %d: budgeted rule did not fire", i)
+		var inj *InjectedError
+		if err := Fire(ctx, PointRouteDial); !errors.As(err, &inj) || inj.Point != PointRouteDial {
+			t.Fatalf("fire %d: budgeted rule returned %v", i, err)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -125,7 +115,7 @@ func TestBudgetedRuleDisarms(t *testing.T) {
 		}
 	}
 	// Budget bounds are validated at parse time.
-	for _, spec := range []string{"route.dial=refuse:0", "route.dial=refuse:-1", "route.dial=reset:x"} {
+	for _, spec := range []string{"route.dial=error:0", "route.dial=error:-1", "route.dial=error:x"} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}

@@ -25,10 +25,9 @@
 // The store keeps every snapshot it is given; its size follows from
 // what its callers save.
 //
-// The internal/faultinject points persist.write (mode short-write:N —
-// the encoded snapshot is truncated at N bytes and lands torn) and
-// persist.read (mode corrupt — a byte of the read-back is flipped)
-// make both recovery paths testable on demand.
+// The internal/faultinject point persist.write fails a Save as a
+// write error would, leaving the previous snapshot in place; the
+// tests damage files from outside to drive the quarantine.
 package persist
 
 import (
@@ -225,10 +224,8 @@ func decode(data []byte, kind, key string) ([]byte, error) {
 // final name, fsync the directory. On return the snapshot is either
 // durably the new bytes or untouched. A payload over maxRecordBytes,
 // which Load would quarantine, is refused and nothing is written. The
-// persist.write fault point fires before the write; a short-write rule
-// truncates the encoded file at N bytes (the torn artifact a crash
-// leaves) and the error is returned after the torn bytes land, so
-// recovery is testable.
+// persist.write fault point fires before the write and fails it like
+// any other write error.
 func (s *Store) Save(ctx context.Context, kind, key string, payload []byte) error {
 	name, err := fileName(kind, key)
 	if err != nil {
@@ -238,20 +235,10 @@ func (s *Store) Save(ctx context.Context, kind, key string, payload []byte) erro
 		return fmt.Errorf("persist: %s payload of %d bytes exceeds the %d-byte record limit",
 			name, len(payload), maxRecordBytes)
 	}
-	data := encode(kind, key, payload)
-	var injected error
 	if err := faultinject.Fire(ctx, faultinject.PointPersistWrite); err != nil {
-		var short *faultinject.ShortWriteError
-		if !errors.As(err, &short) {
-			return err
-		}
-		n := short.N
-		if n > len(data) {
-			n = len(data)
-		}
-		data = data[:n]
-		injected = err
+		return fmt.Errorf("persist: %w", err)
 	}
+	data := encode(kind, key, payload)
 	final := filepath.Join(s.dir, name)
 	tmp, err := writeTempSync(s.dir, name, data)
 	if err != nil {
@@ -265,7 +252,7 @@ func (s *Store) Save(ctx context.Context, kind, key string, payload []byte) erro
 	s.mu.Lock()
 	s.sizes[name] = int64(len(data))
 	s.mu.Unlock()
-	return injected
+	return nil
 }
 
 // writeTempSync writes data to a uniquely-named *.tmp file in dir
@@ -311,9 +298,7 @@ func syncDir(dir string) {
 // Load returns the validated payload stored under kind/key.
 // ErrNotExist means no snapshot is stored; ErrCorrupt means the file
 // failed validation and has been quarantined (renamed to *.corrupt) —
-// both tell the caller to start empty. The persist.read fault point
-// fires after the read; a corrupt rule flips a byte so the validation
-// path is exercised end to end.
+// both tell the caller to start empty.
 func (s *Store) Load(ctx context.Context, kind, key string) ([]byte, error) {
 	name, err := fileName(kind, key)
 	if err != nil {
@@ -326,15 +311,6 @@ func (s *Store) Load(ctx context.Context, kind, key string) ([]byte, error) {
 			return nil, ErrNotExist
 		}
 		return nil, fmt.Errorf("persist: %w", err)
-	}
-	if err := faultinject.Fire(ctx, faultinject.PointPersistRead); err != nil {
-		var corr *faultinject.CorruptError
-		if !errors.As(err, &corr) {
-			return nil, err
-		}
-		if len(data) > 0 {
-			data[len(data)/2] ^= 0xFF
-		}
 	}
 	payload, derr := decode(data, kind, key)
 	if derr != nil {

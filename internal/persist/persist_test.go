@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
@@ -143,6 +141,9 @@ func TestCorruptionFuzz(t *testing.T) {
 		if len(logged) == 0 || !strings.Contains(logged[0], "quarantined") {
 			t.Fatalf("%s: no quarantine log line (got %q)", label, logged)
 		}
+		if q := st.Stats().Quarantines; q != 1 {
+			t.Fatalf("%s: quarantines = %d, want 1", label, q)
+		}
 		// Cold rebuild after quarantine must work.
 		if err := st.Save(ctx, "estg", "fuzz", payload); err != nil {
 			t.Fatalf("%s: rebuild Save: %v", label, err)
@@ -214,53 +215,6 @@ func TestHugeLengthPrefixRejected(t *testing.T) {
 	}
 	if _, err := s.Load(ctx, "estg", "k"); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-}
-
-func TestShortWriteFaultLeavesTornFileThatQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	set, err := faultinject.Parse("persist.write=short-write:16")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Activate()
-	ctx := faultinject.WithSet(context.Background(), set)
-	err = s.Save(ctx, "estg", "torn", []byte("this payload will be torn"))
-	var short *faultinject.ShortWriteError
-	if !errors.As(err, &short) {
-		t.Fatalf("want ShortWriteError, got %v", err)
-	}
-	name, _ := fileName("estg", "torn")
-	info, statErr := os.Stat(filepath.Join(dir, name))
-	if statErr != nil || info.Size() != 16 {
-		t.Fatalf("torn file: %v / size %v", statErr, info)
-	}
-	if _, err := s.Load(context.Background(), "estg", "torn"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn file accepted: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, name+corrupt)); err != nil {
-		t.Fatalf("quarantine missing: %v", err)
-	}
-}
-
-func TestCorruptReadFault(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	if err := s.Save(context.Background(), "estg", "k", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	set, err := faultinject.Parse("persist.read=corrupt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Activate()
-	ctx := faultinject.WithSet(context.Background(), set)
-	if _, err := s.Load(ctx, "estg", "k"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt under corrupt fault, got %v", err)
-	}
-	if st := s.Stats(); st.Quarantines != 1 {
-		t.Fatalf("want 1 quarantine, have %d", st.Quarantines)
 	}
 }
 

@@ -225,9 +225,9 @@ func TestServeDeadlineYieldsUnknown(t *testing.T) {
 
 	req := CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"ok"},
 		Depth: 4, TimeoutMs: 50}
-	// The engine hangs until the deadline cancels the context, then
+	// The engine sleeps until the deadline cancels the context, then
 	// observes the expiry and reports unknown.
-	resp, body := postFault(t, ts, req, "engine.atpg=hang")
+	resp, body := postFault(t, ts, req, "engine.atpg=sleep:1h")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, body)
 	}
@@ -246,7 +246,7 @@ func TestServeServerTimeoutDefault(t *testing.T) {
 
 	req := CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"ok"}, Depth: 4}
 	start := time.Now()
-	resp, body := postFault(t, ts, req, "engine.atpg=hang")
+	resp, body := postFault(t, ts, req, "engine.atpg=sleep:1h")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d (%s)", resp.StatusCode, body)
 	}
@@ -261,7 +261,7 @@ func TestServeServerTimeoutDefault(t *testing.T) {
 	ts2 := httptest.NewServer(New(Options{MaxTimeout: 50 * time.Millisecond, EnableFaults: true}).Handler())
 	defer ts2.Close()
 	req.TimeoutMs = 60_000
-	resp, body = postFault(t, ts2, req, "engine.atpg=hang")
+	resp, body = postFault(t, ts2, req, "engine.atpg=sleep:1h")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clamped status %d (%s)", resp.StatusCode, body)
 	}

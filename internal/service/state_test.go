@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 // stateRequest is the batch every state test submits.
@@ -134,6 +138,61 @@ func TestCorruptVerdictSnapshotStartsCold(t *testing.T) {
 	}
 	if zeroElapsed(body1) != zeroElapsed(body2) {
 		t.Fatalf("cold answer after quarantine differs:\n%s\nvs\n%s", body1, body2)
+	}
+}
+
+// TestFailedFlushKeepsSnapshot: a flush whose snapshot write fails
+// returns the error and reports it in /healthz state.last_error, and
+// the snapshot on disk keeps its bytes, so a restart still restores it.
+func TestFailedFlushKeepsSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s := New(Options{StateDir: dir, EnableFaults: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	postCheck(t, ts, stateRequest())
+	if err := s.FlushState(ctx); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(verdictSnap(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// New verdicts mutate the cache, so the next flush writes.
+	req := stateRequest()
+	req.Depth = 7
+	postCheck(t, ts, req)
+	set, err := faultinject.Parse("persist.write=error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushErr := s.FlushState(faultinject.WithSet(ctx, set))
+	var inj *faultinject.InjectedError
+	if !errors.As(flushErr, &inj) || inj.Point != faultinject.PointPersistWrite {
+		t.Fatalf("FlushState = %v, want the injected persist.write error", flushErr)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h struct {
+		State healthState `json:"state"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.State.LastError != flushErr.Error() {
+		t.Fatalf("state.last_error = %q, want %q", h.State.LastError, flushErr)
+	}
+	after, err := os.ReadFile(verdictSnap(dir))
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("snapshot changed by a failed flush (%v)", err)
+	}
+	var lines []string
+	New(Options{StateDir: dir, Logf: logLines(&lines)})
+	if !hasLine(lines, "restored 2 cached verdicts") {
+		t.Fatalf("restart after a failed flush logged %q, want 2 restored verdicts", lines)
 	}
 }
 
