@@ -1,9 +1,9 @@
 // Package persist is the crash-safe snapshot store under the serving
 // stack's durable state: the verdict cache survives process death in
-// a -state-dir, and no
-// failure mode of the disk — a torn write, a truncated file, flipped
-// bits, a SIGKILL between write and fsync — may ever surface as
-// anything worse than a cold start.
+// a -state-dir as one snapshot file, and no failure mode of the disk —
+// a torn write, a truncated file, flipped bits, a SIGKILL between
+// write and fsync — may ever surface as anything worse than a cold
+// start.
 //
 // The safety argument has two halves. Writes are atomic: a snapshot is
 // encoded in memory, written to a same-directory temp file, fsynced,
@@ -14,16 +14,14 @@
 // version, and length-prefixed CRC-checked records (a metadata record
 // naming the kind/key it was saved under, then the payload), and any
 // deviation — short header, bad magic, impossible record length,
-// checksum mismatch, trailing garbage, a file renamed under a
-// different key — quarantines the file (renamed to *.corrupt, one log
-// line) and returns ErrCorrupt, which every caller treats as "start
-// empty". Corruption can cost cache warmth; it cannot cost a verdict,
-// a crash, or a crash loop.
+// checksum mismatch, trailing garbage, a file renamed from another
+// snapshot's name — quarantines the file (renamed to *.corrupt, one
+// log line) and returns ErrCorrupt, which every caller treats as
+// "start empty". Corruption can cost cache warmth; it cannot cost a
+// verdict, a crash, or a crash loop.
 //
 // Save refuses a payload over the 64 MiB record limit that Load
 // enforces, so every snapshot the store writes is one it can read back.
-// The store keeps every snapshot it is given; its size follows from
-// what its callers save.
 //
 // The internal/faultinject point persist.write fails a Save as a
 // write error would, leaving the previous snapshot in place; the
@@ -51,8 +49,8 @@ import (
 // proceed as if the snapshot never existed.
 var ErrCorrupt = errors.New("persist: snapshot corrupt")
 
-// ErrNotExist is returned by Load when no snapshot is stored under the
-// kind/key (alias of fs.ErrNotExist for errors.Is ergonomics).
+// ErrNotExist is returned by Load when no snapshot is stored (alias of
+// fs.ErrNotExist for errors.Is ergonomics).
 var ErrNotExist = fs.ErrNotExist
 
 const (
@@ -68,15 +66,9 @@ const (
 	maxRecordBytes = 64 << 20
 )
 
-// Options tunes a Store.
-type Options struct {
-	// Logf receives one line per quarantined snapshot; nil discards.
-	Logf func(format string, args ...any)
-}
-
 // Stats is a point-in-time snapshot of the store counters.
 type Stats struct {
-	// Snapshots and Bytes describe the resident *.snap files.
+	// Snapshots (0 or 1) and Bytes describe the resident snapshot file.
 	Snapshots int
 	Bytes     int64
 	// Quarantines counts files that failed validation and were renamed
@@ -84,71 +76,52 @@ type Stats struct {
 	Quarantines int64
 }
 
-// Store is a directory of validated snapshots. All methods are safe
-// for concurrent use.
+// Store holds one validated snapshot in a directory. All methods are
+// safe for concurrent use.
 type Store struct {
 	dir  string
+	name string // the snapshot's file name, kind-key.snap
+	meta string // its metadata record, kind\x00key
 	logf func(string, ...any)
 
 	mu          sync.Mutex
-	sizes       map[string]int64 // resident snapshot file name -> bytes
+	size        int64 // bytes of the resident snapshot; -1 when there is none
 	quarantines int64
 }
 
-// Open prepares dir as a snapshot store: it is created if missing,
-// orphaned temp files from a crash mid-write are deleted, and the
-// resident snapshots are indexed for Stats. Existing files
-// are not validated here — validation is lazy, on Load, so one rotten
-// snapshot cannot slow or fail startup.
-func Open(dir string, opts Options) (*Store, error) {
+// Open prepares dir to hold the snapshot named kind-key.snap: dir is
+// created if missing, orphaned temp files from a crash mid-write are
+// deleted, and the resident snapshot is sized for Stats. logf receives
+// one line per quarantined snapshot; nil discards. The snapshot is not
+// validated here — validation is lazy, on Load, so a rotten snapshot
+// cannot slow or fail startup.
+func Open(dir, kind, key string, logf func(string, ...any)) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	s := &Store{dir: dir, logf: logf, sizes: map[string]int64{}}
+	s := &Store{dir: dir, name: kind + "-" + key + snapExt, meta: kind + "\x00" + key, logf: logf, size: -1}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		switch {
+		switch name := e.Name(); {
+		case e.IsDir():
 		case strings.HasSuffix(name, tmpExt):
 			// A crash between write and rename: the atomic protocol
 			// makes the orphan meaningless — the final file is either
 			// the previous complete snapshot or absent.
 			_ = os.Remove(filepath.Join(dir, name))
-		case strings.HasSuffix(name, snapExt):
+		case name == s.name:
 			if info, err := e.Info(); err == nil {
-				s.sizes[name] = info.Size()
+				s.size = info.Size()
 			}
 		}
 	}
 	return s, nil
-}
-
-// fileName maps a kind/key pair to its snapshot file name. Keys are
-// restricted to filename-safe characters (fixed snapshot names in
-// practice); anything else is rejected at Save/Load.
-func fileName(kind, key string) (string, error) {
-	for _, part := range [2]string{kind, key} {
-		if part == "" {
-			return "", fmt.Errorf("persist: empty kind or key")
-		}
-		for _, r := range part {
-			if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' ||
-				r >= '0' && r <= '9' || r == '.' || r == '_' || r == '-') {
-				return "", fmt.Errorf("persist: key %q contains unsafe character %q", part, r)
-			}
-		}
-	}
-	return kind + "-" + key + snapExt, nil
 }
 
 // record appends one length-prefixed CRC-checked record to buf.
@@ -178,21 +151,22 @@ func readRecord(data []byte) (payload, rest []byte, err error) {
 	return payload, data[8+n:], nil
 }
 
-// encode renders a complete snapshot file: magic, version, a metadata
-// record binding the file to its kind/key, and the payload record.
-func encode(kind, key string, payload []byte) []byte {
+// encode renders a complete snapshot file: magic, version, the
+// metadata record binding the file to its kind/key, and the payload
+// record.
+func encode(meta string, payload []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteString(magic)
 	var v [4]byte
 	binary.LittleEndian.PutUint32(v[:], version)
 	buf.Write(v[:])
-	record(&buf, []byte(kind+"\x00"+key))
+	record(&buf, []byte(meta))
 	record(&buf, payload)
 	return buf.Bytes()
 }
 
 // decode validates a snapshot file end to end and returns its payload.
-func decode(data []byte, kind, key string) ([]byte, error) {
+func decode(data []byte, meta string) ([]byte, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("truncated header (%d bytes)", len(data))
 	}
@@ -202,12 +176,12 @@ func decode(data []byte, kind, key string) ([]byte, error) {
 	if v := binary.LittleEndian.Uint32(data[len(magic):headerLen]); v != version {
 		return nil, fmt.Errorf("unsupported version %d", v)
 	}
-	meta, rest, err := readRecord(data[headerLen:])
+	got, rest, err := readRecord(data[headerLen:])
 	if err != nil {
 		return nil, err
 	}
-	if string(meta) != kind+"\x00"+key {
-		return nil, fmt.Errorf("metadata names %q, want %s/%s", meta, kind, key)
+	if string(got) != meta {
+		return nil, fmt.Errorf("metadata names %q, want %q", got, meta)
 	}
 	payload, rest, err := readRecord(rest)
 	if err != nil {
@@ -219,45 +193,40 @@ func decode(data []byte, kind, key string) ([]byte, error) {
 	return payload, nil
 }
 
-// Save atomically writes the payload as the snapshot for kind/key:
-// encode, write to a same-directory temp file, fsync, rename over the
-// final name, fsync the directory. On return the snapshot is either
-// durably the new bytes or untouched. A payload over maxRecordBytes,
-// which Load would quarantine, is refused and nothing is written. The
+// Save atomically writes the payload as the snapshot: encode, write
+// to a same-directory temp file, fsync, rename over the final name,
+// fsync the directory. On return the snapshot is either durably the
+// new bytes or untouched. A payload over maxRecordBytes, which Load
+// would quarantine, is refused and nothing is written. The
 // persist.write fault point fires before the write and fails it like
 // any other write error.
-func (s *Store) Save(ctx context.Context, kind, key string, payload []byte) error {
-	name, err := fileName(kind, key)
-	if err != nil {
-		return err
-	}
+func (s *Store) Save(ctx context.Context, payload []byte) error {
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("persist: %s payload of %d bytes exceeds the %d-byte record limit",
-			name, len(payload), maxRecordBytes)
+			s.name, len(payload), maxRecordBytes)
 	}
 	if err := faultinject.Fire(ctx, faultinject.PointPersistWrite); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	data := encode(kind, key, payload)
-	final := filepath.Join(s.dir, name)
-	tmp, err := writeTempSync(s.dir, name, data)
+	data := encode(s.meta, payload)
+	tmp, err := writeTempSync(s.dir, s.name, data)
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.dir, s.name)); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("persist: %w", err)
 	}
 	syncDir(s.dir)
 	s.mu.Lock()
-	s.sizes[name] = int64(len(data))
+	s.size = int64(len(data))
 	s.mu.Unlock()
 	return nil
 }
 
 // writeTempSync writes data to a uniquely-named *.tmp file in dir
-// (unique so concurrent Saves of the same key cannot tear each other's
-// temp file) and fsyncs it before closing.
+// (unique so concurrent Saves cannot tear each other's temp file) and
+// fsyncs it before closing.
 func writeTempSync(dir, name string, data []byte) (string, error) {
 	f, err := os.CreateTemp(dir, name+".*"+tmpExt)
 	if err != nil {
@@ -295,56 +264,51 @@ func syncDir(dir string) {
 	}
 }
 
-// Load returns the validated payload stored under kind/key.
-// ErrNotExist means no snapshot is stored; ErrCorrupt means the file
-// failed validation and has been quarantined (renamed to *.corrupt) —
-// both tell the caller to start empty.
-func (s *Store) Load(ctx context.Context, kind, key string) ([]byte, error) {
-	name, err := fileName(kind, key)
-	if err != nil {
-		return nil, err
-	}
-	path := filepath.Join(s.dir, name)
-	data, err := os.ReadFile(path)
+// Load returns the validated payload of the snapshot. ErrNotExist
+// means none is stored; ErrCorrupt means the file failed validation
+// and has been quarantined (renamed to *.corrupt) — both tell the
+// caller to start empty.
+func (s *Store) Load() ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, s.name))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, ErrNotExist
 		}
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	payload, derr := decode(data, kind, key)
+	payload, derr := decode(data, s.meta)
 	if derr != nil {
-		s.quarantine(name, derr)
-		return nil, fmt.Errorf("%w (%s: %v)", ErrCorrupt, name, derr)
+		s.quarantine(derr)
+		return nil, fmt.Errorf("%w (%s: %v)", ErrCorrupt, s.name, derr)
 	}
 	return payload, nil
 }
 
-// quarantine renames a failed snapshot to *.corrupt (replacing any
-// previous quarantine of the same name) so an operator can inspect it,
-// and logs the one recovery line the crash-smoke contract greps for.
-func (s *Store) quarantine(name string, cause error) {
+// quarantine renames the failed snapshot to *.corrupt (replacing any
+// previous quarantine) so an operator can inspect it, and logs the one
+// recovery line the crash-smoke contract greps for.
+func (s *Store) quarantine(cause error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	src := filepath.Join(s.dir, name)
+	src := filepath.Join(s.dir, s.name)
 	dst := src + corrupt
 	_ = os.Remove(dst)
 	if err := os.Rename(src, dst); err != nil {
 		// Even an unrenamable file must not be trusted again: drop it.
 		_ = os.Remove(src)
 	}
-	delete(s.sizes, name)
+	s.size = -1
 	s.quarantines++
-	s.logf("persist: quarantined snapshot %s (%v); rebuilding from empty", name, cause)
+	s.logf("persist: quarantined snapshot %s (%v); rebuilding from empty", s.name, cause)
 }
 
 // Stats snapshots the store counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{Snapshots: len(s.sizes), Quarantines: s.quarantines}
-	for _, n := range s.sizes {
-		st.Bytes += n
+	st := Stats{Quarantines: s.quarantines}
+	if s.size >= 0 {
+		st.Snapshots, st.Bytes = 1, s.size
 	}
 	return st
 }

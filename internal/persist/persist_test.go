@@ -12,9 +12,16 @@ import (
 	"testing"
 )
 
-func mustOpen(t *testing.T, dir string, opts Options) *Store {
+// The snapshot every test stores: the name the serving layer uses.
+const (
+	testKind = "verdicts"
+	testKey  = "cache"
+	testName = testKind + "-" + testKey + snapExt
+)
+
+func mustOpen(t *testing.T, dir string, logf func(string, ...any)) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	s, err := Open(dir, testKind, testKey, logf)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -23,59 +30,52 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, dir, nil)
 	payload := []byte("hello\x00world\xff\xfe binary ok")
-	if err := s.Save(context.Background(), "estg", "abc123", payload); err != nil {
+	if err := s.Save(context.Background(), payload); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := s.Load(context.Background(), "estg", "abc123")
+	got, err := s.Load()
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("round trip mismatch: got %q want %q", got, payload)
 	}
-	// Reopen indexes the snapshot.
-	s2 := mustOpen(t, dir, Options{})
-	if n := s2.Stats().Snapshots; n != 1 {
-		t.Fatalf("reopened store indexes %d snapshots, want 1", n)
+	if _, err := os.Stat(filepath.Join(dir, testName)); err != nil {
+		t.Fatalf("snapshot file: %v", err)
 	}
-	got, err = s2.Load(context.Background(), "estg", "abc123")
+	// Reopen sizes the snapshot.
+	s2 := mustOpen(t, dir, nil)
+	if st := s2.Stats(); st.Snapshots != 1 || st.Bytes <= int64(len(payload)) {
+		t.Fatalf("reopened store stats %+v, want 1 snapshot over %d bytes", st, len(payload))
+	}
+	got, err = s2.Load()
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("Load after reopen: %v / %q", err, got)
 	}
 }
 
 func TestLoadMissing(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
-	if _, err := s.Load(context.Background(), "estg", "nope"); !errors.Is(err, ErrNotExist) {
+	s := mustOpen(t, t.TempDir(), nil)
+	if _, err := s.Load(); !errors.Is(err, ErrNotExist) {
 		t.Fatalf("want ErrNotExist, got %v", err)
 	}
-}
-
-func TestUnsafeKeysRejected(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
-	for _, key := range []string{"", "../escape", "a/b", "a b", "k\x00y"} {
-		if err := s.Save(context.Background(), "estg", key, []byte("x")); err == nil {
-			t.Errorf("Save accepted unsafe key %q", key)
-		}
-		if _, err := s.Load(context.Background(), "estg", key); err == nil {
-			t.Errorf("Load accepted unsafe key %q", key)
-		}
+	if st := s.Stats(); st.Snapshots != 0 || st.Bytes != 0 {
+		t.Fatalf("empty store stats %+v", st)
 	}
 }
 
 func TestSaveOverwriteIsAtomic(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, t.TempDir(), nil)
 	ctx := context.Background()
-	if err := s.Save(ctx, "estg", "k", []byte("version-one")); err != nil {
+	if err := s.Save(ctx, []byte("version-one")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if err := s.Save(ctx, "estg", "k", []byte("version-two")); err != nil {
+	if err := s.Save(ctx, []byte("version-two")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := s.Load(ctx, "estg", "k")
+	got, err := s.Load()
 	if err != nil || string(got) != "version-two" {
 		t.Fatalf("Load: %v / %q", err, got)
 	}
@@ -86,11 +86,11 @@ func TestSaveOverwriteIsAtomic(t *testing.T) {
 
 func TestOpenRemovesOrphanedTemp(t *testing.T) {
 	dir := t.TempDir()
-	orphan := filepath.Join(dir, "estg-dead.snap.tmp")
+	orphan := filepath.Join(dir, testName+".123.tmp")
 	if err := os.WriteFile(orphan, []byte("half a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mustOpen(t, dir, Options{})
+	mustOpen(t, dir, nil)
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphaned temp file not removed: %v", err)
 	}
@@ -98,38 +98,26 @@ func TestOpenRemovesOrphanedTemp(t *testing.T) {
 
 // TestCorruptionFuzz is the crash-safety acceptance test: EVERY prefix
 // truncation and EVERY single-byte corruption of a valid snapshot file
-// must yield ErrCorrupt with the file quarantined — no panic, no
-// partial restore — after which a clean rebuild (re-Save + Load) works.
+// must yield ErrCorrupt with the file quarantined, logged and counted
+// — no panic, no partial restore — after which a clean rebuild
+// (re-Save + Load) works.
 func TestCorruptionFuzz(t *testing.T) {
-	dir := t.TempDir()
 	ctx := context.Background()
 	payload := []byte("learned-state-payload-0123456789")
-	s := mustOpen(t, dir, Options{})
-	if err := s.Save(ctx, "estg", "fuzz", payload); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	name, err := fileName("estg", "fuzz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := encode(testKind+"\x00"+testKey, payload)
 
 	check := func(t *testing.T, label string, mutated []byte) {
 		t.Helper()
-		var logged []string
-		st := mustOpen(t, t.TempDir(), Options{Logf: func(f string, a ...any) {
-			logged = append(logged, fmt.Sprintf(f, a...))
-		}})
-		p := filepath.Join(st.dir, name)
+		dir := t.TempDir()
+		p := filepath.Join(dir, testName)
 		if err := os.WriteFile(p, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st.sizes[name] = int64(len(mutated))
-		if _, err := st.Load(ctx, "estg", "fuzz"); !errors.Is(err, ErrCorrupt) {
+		var logged []string
+		st := mustOpen(t, dir, func(f string, a ...any) {
+			logged = append(logged, fmt.Sprintf(f, a...))
+		})
+		if _, err := st.Load(); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: want ErrCorrupt, got %v", label, err)
 		}
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
@@ -145,10 +133,10 @@ func TestCorruptionFuzz(t *testing.T) {
 			t.Fatalf("%s: quarantines = %d, want 1", label, q)
 		}
 		// Cold rebuild after quarantine must work.
-		if err := st.Save(ctx, "estg", "fuzz", payload); err != nil {
+		if err := st.Save(ctx, payload); err != nil {
 			t.Fatalf("%s: rebuild Save: %v", label, err)
 		}
-		if got, err := st.Load(ctx, "estg", "fuzz"); err != nil || !bytes.Equal(got, payload) {
+		if got, err := st.Load(); err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("%s: rebuild Load: %v", label, err)
 		}
 	}
@@ -170,26 +158,26 @@ func TestCorruptionFuzz(t *testing.T) {
 	})
 }
 
-// TestRenamedSnapshotRejected: a snapshot file moved under a different
-// key must fail the metadata check, not restore the wrong state.
+// TestRenamedSnapshotRejected: a file that carries another snapshot's
+// metadata must fail the metadata check, not restore the wrong state.
 func TestRenamedSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
-	s := mustOpen(t, dir, Options{})
-	if err := s.Save(ctx, "estg", "aaa", []byte("state for aaa")); err != nil {
+	other, err := Open(dir, testKind, "other", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	from, _ := fileName("estg", "aaa")
-	to, _ := fileName("estg", "bbb")
-	if err := os.Rename(filepath.Join(dir, from), filepath.Join(dir, to)); err != nil {
+	if err := other.Save(context.Background(), []byte("state for other")); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	delete(s.sizes, from)
-	s.sizes[to] = 1
-	s.mu.Unlock()
-	if _, err := s.Load(ctx, "estg", "bbb"); !errors.Is(err, ErrCorrupt) {
+	if err := os.Rename(filepath.Join(dir, testKind+"-other"+snapExt), filepath.Join(dir, testName)); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, nil)
+	if _, err := s.Load(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("renamed snapshot accepted: %v", err)
+	}
+	if q := s.Stats().Quarantines; q != 1 {
+		t.Fatalf("quarantines = %d, want 1", q)
 	}
 }
 
@@ -197,13 +185,11 @@ func TestRenamedSnapshotRejected(t *testing.T) {
 // multi-gigabyte record must be rejected before allocation.
 func TestHugeLengthPrefixRejected(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
-	s := mustOpen(t, dir, Options{})
-	if err := s.Save(ctx, "estg", "k", []byte("payload")); err != nil {
+	s := mustOpen(t, dir, nil)
+	if err := s.Save(context.Background(), []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	name, _ := fileName("estg", "k")
-	path := filepath.Join(dir, name)
+	path := filepath.Join(dir, testName)
 	data, _ := os.ReadFile(path)
 	// First record's length prefix sits right after the header.
 	data[headerLen] = 0xFF
@@ -213,24 +199,24 @@ func TestHugeLengthPrefixRejected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Load(ctx, "estg", "k"); !errors.Is(err, ErrCorrupt) {
+	if _, err := s.Load(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
 }
 
 // TestSaveRefusesOversizePayload: a payload Load would quarantine for
 // its record length is refused by Save, and the snapshot already
-// stored under the key stays loadable.
+// stored stays loadable.
 func TestSaveRefusesOversizePayload(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
+	s := mustOpen(t, t.TempDir(), nil)
 	ctx := context.Background()
-	if err := s.Save(ctx, "manifest", "designs", []byte("small")); err != nil {
+	if err := s.Save(ctx, []byte("small")); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	if err := s.Save(ctx, "manifest", "designs", make([]byte, maxRecordBytes+1)); err == nil {
+	if err := s.Save(ctx, make([]byte, maxRecordBytes+1)); err == nil {
 		t.Fatal("Save accepted a payload over the record limit")
 	}
-	got, err := s.Load(ctx, "manifest", "designs")
+	got, err := s.Load()
 	if err != nil || string(got) != "small" {
 		t.Fatalf("Load after refused Save = %q, %v; want \"small\"", got, err)
 	}
@@ -239,53 +225,21 @@ func TestSaveRefusesOversizePayload(t *testing.T) {
 	}
 }
 
-// TestKeysListsKind: the directory lists each snapshot under its
-// kind's prefix, so one key saved under two kinds keeps two payloads.
-func TestKeysListsKind(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	ctx := context.Background()
-	for _, k := range []string{"b", "a", "c"} {
-		if err := s.Save(ctx, "estg", k, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Save(ctx, "manifest", "a", []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, e := range ents {
-		got = append(got, e.Name())
-	}
-	want := []string{"estg-a.snap", "estg-b.snap", "estg-c.snap", "manifest-a.snap"}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("directory lists %v, want %v", got, want)
-	}
-	if got, err := s.Load(ctx, "manifest", "a"); err != nil || string(got) != "y" {
-		t.Fatalf("Load(manifest, a) = %q, %v; want \"y\"", got, err)
-	}
-}
-
 func TestConcurrentSaveLoad(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), Options{})
+	s := mustOpen(t, t.TempDir(), nil)
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			key := fmt.Sprintf("key%d", g%4)
 			for i := 0; i < 50; i++ {
 				payload := []byte(fmt.Sprintf("payload-%d-%d", g, i))
-				if err := s.Save(ctx, "estg", key, payload); err != nil {
+				if err := s.Save(ctx, payload); err != nil {
 					t.Errorf("Save: %v", err)
 					return
 				}
-				if _, err := s.Load(ctx, "estg", key); err != nil && !errors.Is(err, ErrNotExist) {
+				if _, err := s.Load(); err != nil {
 					t.Errorf("Load: %v", err)
 					return
 				}

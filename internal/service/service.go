@@ -238,7 +238,7 @@ func New(opts Options) *Server {
 	}
 	s.verdicts = core.NewVerdictCache(opts.VerdictCacheEntries)
 	if opts.StateDir != "" {
-		s.state, s.stateErr = persist.Open(opts.StateDir, persist.Options{Logf: logf})
+		s.state, s.stateErr = persist.Open(opts.StateDir, verdictKind, verdictSnapKey, logf)
 		if s.state != nil {
 			s.restoreVerdicts()
 		}

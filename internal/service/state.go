@@ -34,7 +34,7 @@ func (s *Server) StateError() error { return s.stateErr }
 // cache. A missing, corrupt or undecodable snapshot degrades to an
 // empty cache, never an error.
 func (s *Server) restoreVerdicts() {
-	blob, err := s.state.Load(context.TODO(), verdictKind, verdictSnapKey)
+	blob, err := s.state.Load()
 	if err != nil {
 		if err != persist.ErrNotExist {
 			s.logf("state: verdict snapshot unavailable (%v); starting cold", err)
@@ -79,7 +79,7 @@ func (s *Server) flushVerdicts(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := s.state.Save(ctx, verdictKind, verdictSnapKey, blob); err != nil {
+	if err := s.state.Save(ctx, blob); err != nil {
 		return err
 	}
 	s.lastVerdictMuts.Store(muts)
