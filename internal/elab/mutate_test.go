@@ -40,11 +40,17 @@ func TestElaborateNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	elaborated := 0
 	for _, src := range sources {
-		toks, err := verilog.LexAll(src.text)
-		if err != nil {
-			t.Fatal(err)
+		var toks []verilog.Token
+		for lx := verilog.NewLexer(src.text); ; {
+			tok, err := lx.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok.Kind == verilog.TEOF {
+				break
+			}
+			toks = append(toks, tok)
 		}
-		toks = toks[:len(toks)-1] // drop EOF
 		for i := 0; i < perSource; i++ {
 			m := slices.Clone(toks)
 			for k := 1 + r.Intn(3); k > 0; k-- {

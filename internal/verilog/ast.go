@@ -31,6 +31,7 @@ type Param struct {
 	Name  string
 	Value Expr
 	Local bool
+	Line  int
 }
 
 // Item is a module-level item.

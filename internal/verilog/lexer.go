@@ -217,19 +217,3 @@ func (l *Lexer) lexNumber(line int) (Token, error) {
 	}
 	return Token{Kind: TNumber, Text: l.src[start:l.pos], Line: line}, nil
 }
-
-// LexAll tokenizes the whole input (the final TEOF is included).
-func LexAll(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var out []Token
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TEOF {
-			return out, nil
-		}
-	}
-}

@@ -10,10 +10,15 @@ import (
 // select count a level; a flat a^a^…^a is as deep as it is long.
 const maxDepth = 1000
 
-// Parser is a recursive-descent parser over the token stream.
+// Parser is a recursive-descent parser that reads tokens from the
+// lexer as it goes: it holds the one token it looks at, so no more of
+// the source is lexed than has been parsed.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex *Lexer
+	tok Token
+	// lexErr is the lexer's error once the parser has reached it; tok
+	// is then an end of input, and every error reports lexErr.
+	lexErr error
 	// pendingParams collects body-level parameter declarations for the
 	// module currently being parsed.
 	pendingParams []*Param
@@ -24,11 +29,8 @@ type Parser struct {
 
 // Parse parses a full source file.
 func Parse(src string) (*Source, error) {
-	toks, err := LexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &Parser{toks: toks}
+	p := &Parser{lex: NewLexer(src)}
+	p.advance()
 	out := &Source{}
 	for !p.atEOF() {
 		m, err := p.parseModule()
@@ -37,28 +39,44 @@ func Parse(src string) (*Source, error) {
 		}
 		out.Modules = append(out.Modules, m)
 	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	return out, nil
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool { return p.cur().Kind == TEOF }
+// advance reads the next token into p.tok.
+func (p *Parser) advance() {
+	t, err := p.lex.Next()
+	if err != nil {
+		p.lexErr = err
+		t = Token{Kind: TEOF, Line: p.lex.line}
+	}
+	p.tok = t
+}
+
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) atEOF() bool { return p.tok.Kind == TEOF }
 
 func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != TEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
 
 func (p *Parser) errf(format string, args ...interface{}) error {
+	if p.lexErr != nil {
+		return p.lexErr
+	}
 	t := p.cur()
 	return fmt.Errorf("line %d: %s (at %q)", t.Line, fmt.Sprintf(format, args...), t.Text)
 }
 
 func (p *Parser) accept(text string) bool {
-	if p.cur().Text == text && (p.cur().Kind == TPunct || p.cur().Kind == TKeyword) {
-		p.pos++
+	if p.tok.Text == text && (p.tok.Kind == TPunct || p.tok.Kind == TKeyword) {
+		p.advance()
 		return true
 	}
 	return false
@@ -115,6 +133,7 @@ func (p *Parser) parseModule() (*Module, error) {
 		}
 		for {
 			p.accept("parameter")
+			line := p.cur().Line
 			pname, err := p.expectIdent()
 			if err != nil {
 				return nil, err
@@ -126,7 +145,7 @@ func (p *Parser) parseModule() (*Module, error) {
 			if err != nil {
 				return nil, err
 			}
-			m.Params = append(m.Params, &Param{Name: pname, Value: val})
+			m.Params = append(m.Params, &Param{Name: pname, Value: val, Line: line})
 			if !p.accept(",") {
 				break
 			}
@@ -303,6 +322,7 @@ func (p *Parser) parseParams() error {
 	local := p.cur().Text == "localparam"
 	p.next()
 	for {
+		line := p.cur().Line
 		name, err := p.expectIdent()
 		if err != nil {
 			return err
@@ -314,7 +334,7 @@ func (p *Parser) parseParams() error {
 		if err != nil {
 			return err
 		}
-		p.pendingParams = append(p.pendingParams, &Param{Name: name, Value: val, Local: local})
+		p.pendingParams = append(p.pendingParams, &Param{Name: name, Value: val, Local: local, Line: line})
 		if !p.accept(",") {
 			break
 		}

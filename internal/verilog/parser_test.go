@@ -253,8 +253,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// lexAll lexes the whole of src, the final TEOF included.
+func lexAll(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexerComments(t *testing.T) {
-	toks, err := LexAll("a /* multi\nline */ b // line\nc `directive x\nd")
+	toks, err := lexAll("a /* multi\nline */ b // line\nc `directive x\nd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +292,7 @@ func TestLexerComments(t *testing.T) {
 }
 
 func TestLexerNumbers(t *testing.T) {
-	toks, err := LexAll("4'b10xx 8'hff 15 12'd4_095 'b01")
+	toks, err := lexAll("4'b10xx 8'hff 15 12'd4_095 'b01")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,8 @@ endmodule
 	}
 }
 
-// TestLexAllNeverPanics feeds random byte soup to the lexer.
+// TestLexAllNeverPanics feeds random byte soup to the lexer, lexing
+// each to its end or its first error.
 func TestLexAllNeverPanics(t *testing.T) {
 	r := rand.New(rand.NewSource(321))
 	for trial := 0; trial < 500; trial++ {
@@ -75,10 +77,10 @@ func TestLexAllNeverPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					t.Fatalf("LexAll panicked on %q: %v", b, p)
+					t.Fatalf("lexer panicked on %q: %v", b, p)
 				}
 			}()
-			_, _ = LexAll(string(b))
+			_, _ = lexAll(string(b))
 		}()
 	}
 }
@@ -118,10 +120,37 @@ func TestNestingDepthLimit(t *testing.T) {
 	}
 	// 10^6 parentheses around one identifier, a 2,000,064-byte source,
 	// once overflowed the parser's stack, which no recover can catch.
+	// The source is lexed only as far as it is parsed, so the limit
+	// fires before more than a few tokens exist.
 	const n = 1000000
 	src := "module m(clk, o);\ninput clk;\noutput o;\nassign o = " +
 		strings.Repeat("(", n) + "clk" + strings.Repeat(")", n) + ";\nendmodule"
-	if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Parse(src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
 		t.Errorf("%d-byte source nested %d deep: error %v, want the nesting limit", len(src), n, err)
+	}
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1<<20 {
+		t.Errorf("%d-byte source nested %d deep: allocated %d bytes before failing, want under 1 MB", len(src), n, bytes)
+	}
+}
+
+// TestLexErrorsReportedWhereReached: the parser lexes as it goes, so a
+// lexer error is reported once the parser reaches it, and a parse
+// error before it is reported instead.
+func TestLexErrorsReportedWhereReached(t *testing.T) {
+	for _, tc := range []struct{ src, want, not string }{
+		// After a whole module, and inside one.
+		{"module m(a); input a; endmodule\n\"open", "line 2: unterminated string", ""},
+		{"module m(a); input a;\nassign a = 4'q0; endmodule", "line 2: bad base", ""},
+		// A parse error on line 1 comes before the lexer error on line 2.
+		{"module m(a); input a; assign = a;\n4'q0 endmodule", "line 1: expected identifier", "bad base"},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || tc.not != "" && strings.Contains(err.Error(), tc.not) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", tc.src, err, tc.want)
+		}
 	}
 }
