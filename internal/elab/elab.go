@@ -67,14 +67,28 @@ func Elaborate(src *verilog.Source, top string, paramOverrides map[string]uint64
 		return nil, err
 	}
 	if err := e.nl.Validate(); err != nil {
-		return nil, err
+		return nil, e.errf(sc, mod.Line, "%v", err)
 	}
 	return e.nl, nil
 }
 
+// Elaboration is bounded by its input: a net resolves through at most
+// maxNetDepth nets (each level is a few stack frames, and a deeper
+// recursion could overflow the stack, which no recover catches), and a
+// design elaborates at most maxInstances module instances (each
+// instance level can double the design). A source at either limit
+// compiles in a fraction of a second.
+const (
+	maxNetDepth  = 10000
+	maxInstances = 4096
+)
+
 type elaborator struct {
 	src *verilog.Source
 	nl  *netlist.Netlist
+	// depth counts the resolveNet calls open; instances counts the
+	// module instances elaborated so far.
+	depth, instances int
 }
 
 // netState tracks lazy resolution.
@@ -154,6 +168,10 @@ type scope struct {
 	combCache  map[*verilog.Always]*combAlwaysResult
 }
 
+// errf formats every error Elaborate returns: "elab: ", the instance
+// path and module, and the line. Helpers that evaluate constants
+// (constEval, constEvalBV, literal) return bare messages, which their
+// callers wrap here.
 func (e *elaborator) errf(sc *scope, line int, format string, args ...interface{}) error {
 	return fmt.Errorf("elab: %s%s line %d: %s", sc.prefix, sc.mod.Name, line, fmt.Sprintf(format, args...))
 }
@@ -183,7 +201,7 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 		}
 		v, err := e.constEval(sc, p.Value)
 		if err != nil {
-			return nil, fmt.Errorf("elab: parameter %s.%s: %v", mod.Name, p.Name, err)
+			return nil, e.errf(sc, p.Line, "parameter %s: %v", p.Name, err)
 		}
 		sc.params[p.Name] = v
 	}
@@ -608,8 +626,12 @@ func (e *elaborator) resolveNet(sc *scope, name string, line int) (netlist.Signa
 	case nsResolving:
 		return 0, e.errf(sc, ni.line, "combinational cycle through %q", ni.full)
 	}
+	if e.depth++; e.depth > maxNetDepth {
+		return 0, e.errf(sc, ni.line, "net %q resolves through more than %d nets", ni.full, maxNetDepth)
+	}
 	ni.state = nsResolving
 	sig, err := e.buildNet(sc, ni)
+	e.depth--
 	if err != nil {
 		return 0, err
 	}
@@ -779,6 +801,9 @@ func (e *elaborator) elabInstance(sc *scope, ii *instInfo) error {
 		return e.errf(sc, ii.ast.Line, "%v", err)
 	}
 	if ii.child == nil {
+		if e.instances++; e.instances > maxInstances {
+			return e.errf(sc, ii.ast.Line, "more than %d module instances", maxInstances)
+		}
 		// Parameter overrides.
 		overrides := map[string]uint64{}
 		if len(ii.ast.ParamOvr) > 0 {

@@ -1,6 +1,8 @@
 package elab
 
 import (
+	"fmt"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -118,6 +120,98 @@ module m(a, b, y);
 endmodule`, "m", "/")
 }
 
+// located matches the head of every elaboration error: "elab: ", the
+// instance path and module, and the line.
+var located = regexp.MustCompile(`^elab: [a-z0-9_.]+ line [0-9]+: `)
+
+// seriesSource returns a leaf inverter and the given number of modules
+// above it, each instancing the one below twice in series: nets resolve
+// about 5·2^levels deep.
+func seriesSource(levels int) string {
+	var b strings.Builder
+	b.WriteString("module m0(a, y); input a; output y; assign y = ~a; endmodule\n")
+	for i := 1; i <= levels; i++ {
+		fmt.Fprintf(&b, "module m%d(a, y); input a; output y; wire t; m%d u0(.a(a), .y(t)); m%d u1(.a(t), .y(y)); endmodule\n", i, i-1, i-1)
+	}
+	return b.String()
+}
+
+// treeSource is seriesSource with the two instances side by side and
+// their outputs XOR-ed: 2^(levels+1)-1 instances, each level doubling
+// the design.
+func treeSource(levels int) string {
+	var b strings.Builder
+	b.WriteString("module m0(a, y); input a; output y; assign y = ~a; endmodule\n")
+	for i := 1; i <= levels; i++ {
+		fmt.Fprintf(&b, "module m%d(a, y); input a; output y; wire p, q; m%d u0(.a(a), .y(p)); m%d u1(.a(a), .y(q)); assign y = p ^ q; endmodule\n", i, i-1, i-1)
+	}
+	return b.String()
+}
+
+// chainSource returns module c, a chain of n inverting assigns, and
+// module m, k instances of c in series.
+func chainSource(n, k int) string {
+	var b strings.Builder
+	b.WriteString("module c(a, y);\n  input a; output y;\n  wire w0")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, ", w%d", i)
+	}
+	b.WriteString(";\n  assign w0 = a;\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "  assign w%d = ~w%d;\n", i, i-1)
+	}
+	fmt.Fprintf(&b, "  assign y = w%d;\nendmodule\nmodule m(t0, t%d);\n  input t0; output t%d;\n  wire t1", n, k, k)
+	for i := 2; i < k; i++ {
+		fmt.Fprintf(&b, ", t%d", i)
+	}
+	b.WriteString(";\n")
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&b, "  c u%d(.a(t%d), .y(t%d));\n", i, i, i+1)
+	}
+	b.WriteString("endmodule\n")
+	return b.String()
+}
+
+// TestElaborationIsBounded: a design whose nets resolve too deep, or
+// that elaborates too many instances, is an elab: error, never a stack
+// overflow, and the 16-level sources fail before they allocate 64 MB.
+// A source just inside either limit elaborates.
+func TestElaborationIsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name, src, top, want string
+		maxBytes             uint64
+	}{
+		{"series", seriesSource(16), "m16", "resolves through more than", 64 << 20},
+		{"tree", treeSource(16), "m16", "more than 4096 module instances", 64 << 20},
+		{"chains", chainSource(50000, 8), "m", "resolves through more than", 0},
+	} {
+		ast, err := verilog.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		var eerr error
+		bytes := allocated(func() { _, eerr = Elaborate(ast, tc.top, nil) })
+		if eerr == nil || !located.MatchString(eerr.Error()) || !strings.Contains(eerr.Error(), tc.want) {
+			t.Errorf("%s (%d bytes): error %v, want an elab: error naming %q", tc.name, len(tc.src), eerr, tc.want)
+		}
+		if tc.maxBytes > 0 && bytes > tc.maxBytes {
+			t.Errorf("%s (%d bytes): allocated %d bytes before failing", tc.name, len(tc.src), bytes)
+		}
+	}
+	for _, tc := range []struct{ name, src, top string }{
+		{"chain of 9990 nets", chainSource(9990, 1), "m"},
+		{"tree of 4095 instances", treeSource(11), "m11"},
+	} {
+		ast, err := verilog.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		if _, err := Elaborate(ast, tc.top, nil); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
 // TestErrorsDoNotPanic: each source is wrong in a way elaboration must
 // report as an error, never a panic and never a netlist. Besides the
 // first four, each once panicked the elaborator or, like the dropped
@@ -181,10 +275,42 @@ func TestErrorsDoNotPanic(t *testing.T) {
 			}()
 			if _, err := Elaborate(ast, "m", nil); err == nil {
 				t.Errorf("elaborate accepted %q", src)
-			} else if !strings.HasPrefix(err.Error(), "elab: ") {
-				t.Errorf("error %q on %q does not start with elab:", err, src)
+			} else if !located.MatchString(err.Error()) || strings.Count(err.Error(), "elab:") != 1 {
+				t.Errorf("error %q on %q does not start with one elab:, a module and a line", err, src)
 			}
 		}()
+	}
+}
+
+// TestErrorsNameModuleAndLine: every error Elaborate returns carries
+// "elab: " once and names the instance, the module and the line,
+// whichever helper found it.
+func TestErrorsNameModuleAndLine(t *testing.T) {
+	m := func(items string) string {
+		return "module m(a, o);\n  input [1:0] a; output o;\n  " + items + "\nendmodule"
+	}
+	cases := []struct{ src, want string }{
+		{m(`assign o = ghost + a;`), `elab: m line 3: undeclared identifier "ghost"`},
+		{m(`assign o = a ? ghost : a;`), `elab: m line 3: undeclared identifier "ghost"`},
+		{m(`assign o = {ghost, a};`), `elab: m line 3: undeclared identifier "ghost"`},
+		{m(`assign o = {ghost{a}};`), `elab: m line 3: replication count must be constant: "ghost" is not a constant`},
+		{m(`assign o = {0{a}};`), `elab: m line 3: bad replication count 0`},
+		{m(`assign o = a[2];`), `elab: m line 3: select [2:2] is outside [1:0]`},
+		{m(`assign o = a / a;`), `elab: m line 3: non-constant "/" is not supported`},
+		{m(`assign o = 600'd0 == a;`), `elab: m line 3: literal wider than 513 bits`},
+		{m("parameter W = 1;\n  parameter P = ghost;\n  assign o = a[0];"), `elab: m line 4: parameter P: "ghost" is not a constant`},
+		{m("wire [ghost:0] w;\n  assign o = a[0];"), `elab: m line 3: bad range msb: "ghost" is not a constant`},
+		{"module s(x, y);\n  input x; output y;\n  assign y = ghost;\nendmodule\n" + m(`s u0(.x(a[0]), .y(o));`),
+			`elab: u0.s line 3: undeclared identifier "ghost"`},
+	}
+	for _, tc := range cases {
+		ast, err := verilog.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.src, err)
+		}
+		if _, err := Elaborate(ast, "m", nil); err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %s", tc.src, err, tc.want)
+		}
 	}
 }
 

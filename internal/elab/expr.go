@@ -25,10 +25,10 @@ func (e *elaborator) fitWidth(sc *scope, line, w int) error {
 
 // literal parses a number, refusing a sized literal wider than
 // maxWidth before its value is allocated.
-func (e *elaborator) literal(sc *scope, v *verilog.Num) (bv.BV, error) {
+func literal(v *verilog.Num) (bv.BV, error) {
 	width, _, sized := strings.Cut(v.Text, "'")
 	if w, err := strconv.Atoi(width); sized && err == nil && w > maxWidth {
-		return bv.BV{}, e.fitWidth(sc, v.Line, w)
+		return bv.BV{}, fmt.Errorf("literal wider than %d bits", maxWidth)
 	}
 	return bv.ParseVerilog(v.Text)
 }
@@ -37,10 +37,10 @@ func (e *elaborator) literal(sc *scope, v *verilog.Num) (bv.BV, error) {
 func (e *elaborator) replCount(sc *scope, v *verilog.Repl) (int, error) {
 	cnt, err := e.constEval(sc, v.Count)
 	if err != nil {
-		return 0, err
+		return 0, e.errf(sc, v.Line, "replication count must be constant: %v", err)
 	}
 	if cnt == 0 || cnt > 512 {
-		return 0, fmt.Errorf("elab: bad replication count %d", cnt)
+		return 0, e.errf(sc, v.Line, "bad replication count %d", cnt)
 	}
 	return int(cnt), nil
 }
@@ -50,7 +50,7 @@ func (e *elaborator) replCount(sc *scope, v *verilog.Repl) (int, error) {
 func (e *elaborator) constEval(sc *scope, ex verilog.Expr) (uint64, error) {
 	switch v := ex.(type) {
 	case *verilog.Num:
-		b, err := e.literal(sc, v)
+		b, err := literal(v)
 		if err != nil {
 			return 0, err
 		}
@@ -192,7 +192,7 @@ func b2u(b bool) uint64 {
 // initial values and casez labels).
 func (e *elaborator) constEvalBV(sc *scope, ex verilog.Expr, width int) (bv.BV, error) {
 	if num, ok := ex.(*verilog.Num); ok {
-		b, err := e.literal(sc, num)
+		b, err := literal(num)
 		if err != nil {
 			return bv.BV{}, err
 		}
@@ -226,9 +226,9 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (w int, err error) {
 	}()
 	switch v := ex.(type) {
 	case *verilog.Num:
-		b, err := e.literal(sc, v)
+		b, err := literal(v)
 		if err != nil {
-			return 0, err
+			return 0, e.errf(sc, v.Line, "%v", err)
 		}
 		if hasExplicitWidth(v.Text) {
 			return b.Width(), nil
@@ -247,7 +247,7 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (w int, err error) {
 		if mi := sc.mems[v.Name]; mi != nil {
 			return mi.width, nil
 		}
-		return 0, fmt.Errorf("undeclared identifier %q", v.Name)
+		return 0, e.errf(sc, v.Line, "undeclared identifier %q", v.Name)
 	case *verilog.Index:
 		if base, ok := v.Base.(*verilog.Ident); ok {
 			if mi := sc.mems[base.Name]; mi != nil {
@@ -326,7 +326,7 @@ func (e *elaborator) natWidth(sc *scope, ex verilog.Expr) (w int, err error) {
 		}
 		return cnt * xw, e.fitWidth(sc, v.Line, cnt*xw)
 	}
-	return 0, fmt.Errorf("unsupported expression")
+	return 0, e.errf(sc, sc.mod.Line, "unsupported expression %T", ex)
 }
 
 func hasExplicitWidth(text string) bool { return strings.IndexByte(text, '\'') > 0 }
@@ -344,9 +344,9 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 	nl := e.nl
 	switch v := ex.(type) {
 	case *verilog.Num:
-		b, err := e.literal(sc, v)
+		b, err := literal(v)
 		if err != nil {
-			return 0, err
+			return 0, e.errf(sc, v.Line, "%v", err)
 		}
 		if !hasExplicitWidth(v.Text) {
 			w := ctxWidth
@@ -451,7 +451,7 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 			}
 			return nl.Unary(netlist.KRedXor, x), nil
 		}
-		return 0, fmt.Errorf("elab: unsupported unary %q", v.Op)
+		return 0, e.errf(sc, v.Line, "unsupported unary %q", v.Op)
 	case *verilog.Binary:
 		return e.elabBinary(sc, env, v, ctxWidth)
 	case *verilog.Ternary:
@@ -508,7 +508,7 @@ func (e *elaborator) elabExprEnv(sc *scope, env *procEnv, ex verilog.Expr, ctxWi
 		sig := nl.Concat(parts...)
 		return sig, e.fitWidth(sc, v.Line, nl.Width(sig))
 	}
-	return 0, fmt.Errorf("elab: unsupported expression")
+	return 0, e.errf(sc, sc.mod.Line, "unsupported expression %T", ex)
 }
 
 func (e *elaborator) elabBinary(sc *scope, env *procEnv, v *verilog.Binary, ctxWidth int) (netlist.SignalID, error) {
@@ -632,9 +632,9 @@ func (e *elaborator) elabBinary(sc *scope, env *procEnv, v *verilog.Binary, ctxW
 			}
 			return nl.ConstUint(w, av%bvv), nil
 		}
-		return 0, fmt.Errorf("elab: non-constant %q is not supported", v.Op)
+		return 0, e.errf(sc, v.Line, "non-constant %q is not supported", v.Op)
 	}
-	return 0, fmt.Errorf("elab: unsupported binary %q", v.Op)
+	return 0, e.errf(sc, v.Line, "unsupported binary %q", v.Op)
 }
 
 // boolify reduces a multi-bit value to one control bit (non-zero test).
@@ -656,7 +656,7 @@ func (e *elaborator) readVar(sc *scope, env *procEnv, name string, line int) (ne
 	if ni := sc.nets[name]; ni != nil {
 		return e.resolveNet(sc, name, line)
 	}
-	return 0, fmt.Errorf("elab: undeclared identifier %q (line %d)", name, line)
+	return 0, e.errf(sc, line, "undeclared identifier %q", name)
 }
 
 // memRead builds the read mux tree for mem[addr].

@@ -1,8 +1,6 @@
 package elab
 
 import (
-	"fmt"
-
 	"repro/internal/bv"
 	"repro/internal/netlist"
 	"repro/internal/verilog"
@@ -94,7 +92,7 @@ func (e *elaborator) execStmt(sc *scope, env *procEnv, s verilog.Stmt) error {
 			return e.execStmt(sc, env, body)
 		})
 	}
-	return fmt.Errorf("elab: unsupported statement")
+	return e.errf(sc, sc.mod.Line, "unsupported statement %T", s)
 }
 
 // mergeEnvs writes Mux(cond, elseVal, thenVal) into env for every net

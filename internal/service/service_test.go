@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -38,6 +39,18 @@ endmodule
 // under the body cap, that once overflowed the parser's stack.
 var deepSrc = "module m(clk, o);\ninput clk;\noutput o;\nassign o = " +
 	strings.Repeat("(", 1000000) + "clk" + strings.Repeat(")", 1000000) + ";\nendmodule"
+
+// seriesSrc is a leaf inverter and 16 modules above it, each instancing
+// the one below twice in series: 1,616 bytes whose nets resolve
+// 5·2^16 − 1 levels deep, which once overflowed the elaborator's stack.
+var seriesSrc = func() string {
+	var b strings.Builder
+	b.WriteString("module m0(a, y); input a; output y; assign y = ~a; endmodule\n")
+	for i := 1; i <= 16; i++ {
+		fmt.Fprintf(&b, "module m%d(a, y); input a; output y; wire t; m%d u0(.a(a), .y(t)); m%d u1(.a(t), .y(y)); endmodule\n", i, i-1, i-1)
+	}
+	return b.String()
+}()
 
 // hostileSrc assigns to a concatenation whose first piece selects a
 // select; elaboration once panicked on it.
@@ -225,6 +238,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"bad-verilog", mustReq(t, CheckRequest{Design: "module; endmodule", Top: "m", Invariants: []string{"a"}}), true},
 		{"hostile-verilog", mustReq(t, CheckRequest{Design: hostileSrc, Top: "m", Invariants: []string{"o"}}), true},
 		{"deep-nesting", mustReq(t, CheckRequest{Design: deepSrc, Top: "m", Invariants: []string{"o"}}), true},
+		{"deep-instancing", mustReq(t, CheckRequest{Design: seriesSrc, Top: "m16", Invariants: []string{"y"}}), true},
 		{"wide-signal", mustReq(t, CheckRequest{Design: testSrc, Top: "cnt3", Invariants: []string{"q"}}), true},
 	}
 	for _, tc := range cases {
