@@ -54,11 +54,16 @@ func sortedKeys[V any](m map[string]V) []string {
 // paramOverrides overrides top-level parameters by name.
 func Elaborate(src *verilog.Source, top string, paramOverrides map[string]uint64) (*netlist.Netlist, error) {
 	elaborations.Add(1)
-	mod := src.FindModule(top)
+	e := &elaborator{mods: map[string]*verilog.Module{}, nl: netlist.New(top)}
+	for _, m := range src.Modules {
+		if e.mods[m.Name] == nil { // the first of a name, as FindModule
+			e.mods[m.Name] = m
+		}
+	}
+	mod := e.mods[top]
 	if mod == nil {
 		return nil, fmt.Errorf("elab: no module %q", top)
 	}
-	e := &elaborator{src: src, nl: netlist.New(top)}
 	sc, err := e.newScope(mod, "", paramOverrides, nil)
 	if err != nil {
 		return nil, err
@@ -84,8 +89,8 @@ const (
 )
 
 type elaborator struct {
-	src *verilog.Source
-	nl  *netlist.Netlist
+	mods map[string]*verilog.Module // the source's modules by name
+	nl   *netlist.Netlist
 	// depth counts the resolveNet calls open; instances counts the
 	// module instances elaborated so far.
 	depth, instances int
@@ -314,7 +319,7 @@ func (e *elaborator) newScope(mod *verilog.Module, prefix string, overrides map[
 	}
 	// Instance output drivers.
 	for _, ii := range sc.insts {
-		child := e.src.FindModule(ii.ast.ModName)
+		child := e.mods[ii.ast.ModName]
 		if child == nil {
 			return nil, e.errf(sc, ii.ast.Line, "unknown module %q", ii.ast.ModName)
 		}
@@ -790,7 +795,7 @@ func (e *elaborator) elabInstance(sc *scope, ii *instInfo) error {
 	if ii.done {
 		return nil
 	}
-	child := e.src.FindModule(ii.ast.ModName)
+	child := e.mods[ii.ast.ModName]
 	for up := sc; up != nil; up = up.up {
 		if up.mod == child {
 			return e.errf(sc, ii.ast.Line, "module %q instantiates itself", child.Name)
