@@ -108,8 +108,11 @@ func Open(dir, kind, key string, logf func(string, ...any)) (*Store, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	for _, e := range entries {
-		switch name := e.Name(); {
-		case e.IsDir():
+		if e.IsDir() {
+			continue
+		}
+		name := e.Name()
+		switch {
 		case strings.HasSuffix(name, tmpExt):
 			// A crash between write and rename: the atomic protocol
 			// makes the orphan meaningless — the final file is either

@@ -75,7 +75,7 @@ func (p *Parser) errf(format string, args ...interface{}) error {
 }
 
 func (p *Parser) accept(text string) bool {
-	if p.tok.Text == text && (p.tok.Kind == TPunct || p.tok.Kind == TKeyword) {
+	if p.cur().Text == text && (p.cur().Kind == TPunct || p.cur().Kind == TKeyword) {
 		p.advance()
 		return true
 	}
