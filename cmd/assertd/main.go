@@ -62,7 +62,9 @@
 // -faults enables the X-Fault-Inject request header; -faults-spec arms
 // a process-global fault rule set (reaching flows with no request
 // context, like the state flusher) — both for degradation testing
-// only.
+// only. A rule's mode is error[:N], panic or sleep:D; with
+// -faults-spec 'persist.write=error' every flush fails, is logged and
+// shows in /healthz state.last_error, and the previous snapshot stays.
 package main
 
 import (
